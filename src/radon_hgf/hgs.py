@@ -8,7 +8,6 @@ extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
 """
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .grassmann import CoordMatrix, apply_group
 from .jordan import TruncPoly, ring_exp
+from .rng import thread_count
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
             "pass": bool(rel < rel_tol),
         }
 
-    threads = int(os.environ.get("RADON_HGF_THREADS", "1") or "1")
+    threads = thread_count()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -5,10 +5,10 @@ Three strategies:
 * adaptive-1d (r = 1): Gauss-Kronrod subdivision over concrete chains
   whose endpoints follow the branch-point roots of the coordinate
   matrix, with power substitutions at singular endpoints;
-* eigen-tensor (unitarily invariant integrands, r <= 4): reduction to an
-  r-fold eigenvalue integral against the squared Vandermonde, evaluated
-  by tensor-product Gauss rules whose weight absorbs the determinant
-  powers;
+* eigen-tensor (unitarily invariant integrands): reduction to an r-fold
+  eigenvalue integral against the squared Vandermonde over a Gauss rule
+  whose weight absorbs the determinant powers, summed in closed form by
+  Andreief's identity;
 * haar-mc (general r): importance-sampled Monte Carlo over U = V L V*
   with V Haar-distributed and eigenvalues L drawn from a chain density.
 
@@ -19,14 +19,12 @@ anything else relies on it.
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
 
-from ._kernels import tensor_vdm_sum, vdm_sq_batch
 from .characters import PartitionWeight, cpow
 from .errors import (
     DivergentEndpoint,
@@ -36,14 +34,15 @@ from .errors import (
     NotInZLambda,
     OnBranchLocus,
     ShapeMismatch,
+    UnsupportedCount,
 )
 from .grassmann import CoordMatrix, z_lambda_member
 from .integrands import NamedFamily, named_integrand
-from .linalg import haar_unitary_batch
+from .linalg import haar_from_gaussian, haar_unitary_batch
 from .ncpoly import theta_symbolic
 from .oracles import log_gamma_real
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
-from .rng import RandomStream
+from .rng import RandomStream, thread_count
 
 # ----------------------------------------------------------------------
 # chain and estimate types
@@ -154,7 +153,8 @@ def _gk15(f, a: complex, b: complex):
     k *= half
     g *= half
     diff = abs(k - g)
-    err = min(diff, (200.0 * diff) ** 1.5)
+    # (200 diff)^1.5 exceeds diff once diff >= 1, and can overflow there
+    err = min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff
     return k, err
 
 
@@ -478,11 +478,32 @@ _FAMILY_DOMAIN = {
 }
 
 
+def _andreief_sum(w, wg, lam, r: int) -> complex:
+    """sum over k in [n]^r of prod_i wg[k_i] * Vandermonde(lam[k])^2.
+
+    Andreief's identity gives the sum as r! det(P^T diag(wg) P) for any
+    monic polynomial basis P.  The monic orthogonal polynomials of the
+    positive weights w (Stieltjes recurrence) keep that Gram matrix well
+    conditioned where the monomial (Hankel) basis loses digits.
+    """
+    n = lam.shape[0]
+    if n < r:
+        raise UnsupportedCount(f"a {n}-node rule cannot carry {r} eigenvalues")
+    p = np.zeros((n, r))
+    p[:, 0] = 1.0
+    prev, norm_prev = np.zeros(n), 1.0
+    for k in range(r - 1):
+        norm = w @ (p[:, k] * p[:, k])
+        shift = w @ (lam * p[:, k] * p[:, k]) / norm
+        p[:, k + 1] = (lam - shift) * p[:, k] - (norm / norm_prev) * prev
+        prev, norm_prev = p[:, k], norm
+    gram = p.T @ (wg[:, None] * p)
+    return math.factorial(r) * complex(np.linalg.det(gram))
+
+
 def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
                         probe: bool = True) -> IntegralEstimate:
     """Deterministic eigenvalue-reduced quadrature for invariant integrands."""
-    if r > 4:
-        raise IncompatibleChain("eigen-tensor reduction supports r <= 4")
     if fam.tag in ("hermite_weber", "airy"):
         raise IncompatibleChain(
             f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
@@ -502,9 +523,9 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
     def run(n):
         lam, w, phi = build(n)
         wg = np.array([wi * phi(li) for wi, li in zip(w, lam)], dtype=np.complex128)
-        return cr * tensor_vdm_sum(wg, np.asarray(lam, dtype=np.float64), r)
+        return cr * _andreief_sum(w, wg, lam, r)
 
-    coarse = run(max(8, nodes // 2))
+    coarse = run(max(8, r, nodes // 2))
     fine = run(nodes)
     return IntegralEstimate(fine, abs(fine - coarse), "eigen-tensor", nodes**r)
 
@@ -515,6 +536,17 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
 
 _MC_PARTS = 16
 _MC_CHUNK = 1 << 15
+
+
+def _vdm_sq_batch(lams):
+    """prod_{i<j} (lam_j - lam_i)^2 for each row of a (batch, r) array."""
+    b, r = lams.shape
+    out = np.ones(b)
+    for i in range(r):
+        for j in range(i + 1, r):
+            d = lams[:, j] - lams[:, i]
+            out *= d * d
+    return out
 
 
 def _chain_sampler(fam: NamedFamily, chain: ChainSpec, r: int):
@@ -597,19 +629,17 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
             lam, logpdf = sampler(gen, count)
             gin = (gen.standard_normal((count, r, r))
                    + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
-            q, rr = np.linalg.qr(gin)
-            d = np.diagonal(rr, axis1=-2, axis2=-1)
-            v = q * (d / np.abs(d))[:, None, :]
+            v = haar_from_gaussian(gin)
             u = np.einsum("bij,bj,bkj->bik", v, lam.astype(np.complex128), v.conj())
             vals = batch_fn(u)
-            vsq = vdm_sq_batch(np.ascontiguousarray(lam))
+            vsq = _vdm_sq_batch(lam)
             weights = np.exp(log_cr + np.log(vsq) - logpdf)
             contrib = vals * weights
             acc += complex(np.sum(contrib))
             acc2 += float(np.sum(np.abs(contrib) ** 2))
         return acc, acc2
 
-    threads = int(os.environ.get("RADON_HGF_THREADS", "1") or "1")
+    threads = thread_count()
     results = [None] * _MC_PARTS
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

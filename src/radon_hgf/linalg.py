@@ -68,25 +68,26 @@ def hermitian_eigen(a, rtol: float = 1e-10):
 
 
 def haar_unitary(r: int, stream: RandomStream) -> np.ndarray:
-    """One Haar-distributed r x r unitary.
-
-    QR of a standard complex Gaussian matrix, with the R diagonal phases
-    folded into Q so the distribution is exactly Haar.
-    """
+    """One Haar-distributed r x r unitary."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    z = standard_complex(stream, (r, r))
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr)
-    return q * (d / np.abs(d))
+    return haar_from_gaussian(standard_complex(stream, (r, r)))
 
 
 def haar_unitary_batch(r: int, count: int, stream: RandomStream) -> np.ndarray:
     """Stacked Haar unitaries, shape (count, r, r)."""
-    z = standard_complex(stream, (count, r, r))
+    return haar_from_gaussian(standard_complex(stream, (count, r, r)))
+
+
+def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of standard complex Gaussian matrices.
+
+    QR of each matrix, with the R diagonal phases folded into Q so the
+    distribution is exactly Haar.
+    """
     q, rr = np.linalg.qr(z)
     d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_matrix(r: int, stream: RandomStream, cols: int | None = None) -> np.ndarray:

@@ -4,9 +4,11 @@ Every stochastic routine in the package draws from a ``RandomStream``:
 a (seed, counter) pair backed by the Philox counter-based bit generator.
 Identical (seed, counter) produces an identical byte sequence on every
 platform, and independent substreams are obtained by jumping the counter,
-never by sharing a mutable generator.
+never by sharing a mutable generator.  That fixed split is what keeps
+results bit-identical for any worker thread count (``thread_count``).
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,3 +47,14 @@ def standard_complex(stream: RandomStream, shape) -> np.ndarray:
     re = g.standard_normal(shape)
     im = g.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def thread_count() -> int:
+    """Worker threads for the partitioned loops, from RADON_HGF_THREADS (default 1)."""
+    raw = os.environ.get("RADON_HGF_THREADS", "").strip() or "1"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"RADON_HGF_THREADS must be an integer, got {raw!r}"
+        ) from None

@@ -5,12 +5,13 @@ import pytest
 import scipy.special as sp
 
 from radon_hgf.characters import PartitionWeight
-from radon_hgf.errors import IncompatibleChain, NotInvariant, NotInZLambda
+from radon_hgf.errors import IncompatibleChain, NotInvariant, NotInZLambda, RadonHGFError
 from radon_hgf.grassmann import CoordMatrix
 from radon_hgf.integrands import NamedFamily
 from radon_hgf.integrate import (
     Budget,
     ChainSpec,
+    _vdm_sq_batch,
     integrate_haar_mc,
     integrate_invariant,
     integrate_r1,
@@ -145,6 +146,30 @@ def test_mc_threaded_matches_serial(monkeypatch):
     assert serial.value == threaded.value
 
 
+def test_mc_threads_malformed_names_variable(monkeypatch):
+    fam = NamedFamily("gaussian_r", {})
+    monkeypatch.setenv("RADON_HGF_THREADS", "abc")
+    with pytest.raises(ValueError, match="RADON_HGF_THREADS"):
+        integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(42))
+
+
+def test_mc_value_pinned():
+    # pins the draw order: any change to how the Gaussians are drawn or
+    # orthogonalised changes this value
+    fam = NamedFamily("gamma_r", {"a": 3.0})
+    est = integrate_haar_mc(fam, ChainSpec("half-line", 2), 4096, RandomStream(7))
+    ref = 6.063882907291953 - 4.061894594696384e-17j
+    assert abs(est.value - ref) <= 1e-12 * abs(ref)
+    assert abs(est.abs_error_est - 0.17138701220042246) <= 1e-12
+
+
+def test_vdm_sq_batch_by_hand():
+    lams = RandomStream(93).generator().standard_normal((100, 3))
+    x, y, z = lams[0]
+    byhand = ((y - x) * (z - x) * (z - y)) ** 2
+    assert abs(_vdm_sq_batch(lams)[0] - byhand) < 1e-12 * max(1.0, abs(byhand))
+
+
 def test_radon_gamma_reduction():
     a = 2.5
     pw = PartitionWeight((2, 1), ((-2 - (a - 1), -1.0), (a - 1,)), 2, 1, strict=False)
@@ -255,6 +280,15 @@ def test_divergent_endpoint_raises():
     fam = NamedFamily("beta_r", {"a": -0.2, "b": 2.0})
     with pytest.raises(DivergentEndpoint):
         integrate_r1(fam, ChainSpec("interval-0-1", 1), tol=1e-10)
+
+
+def test_divergent_full_line_raises_typed_error():
+    # the integrand grows without bound along the real line; the panel
+    # error estimate used to overflow into a bare OverflowError
+    z = CoordMatrix((3, 1), 1, pattern((3, 1), 1, (np.eye(1) * 0.3,)))
+    pw = PartitionWeight.from_flat((3, 1), (-4, 0, -1, 2), 2, 1, strict=False)
+    with pytest.raises(RadonHGFError):
+        radon_hgf(z, pw, ChainSpec("full-line", 1))
 
 
 def test_invariance_probe_catches_violations():

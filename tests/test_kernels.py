@@ -1,9 +1,19 @@
+"""The eigen-tensor kernel: the r-fold sum against the squared Vandermonde,
+evaluated through Andreief's identity."""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from radon_hgf import _kernels as K
+from radon_hgf.characters import PartitionWeight
+from radon_hgf.errors import UnsupportedCount
+from radon_hgf.grassmann import CoordMatrix
+from radon_hgf.integrands import NamedFamily
+from radon_hgf.integrate import ChainSpec, _andreief_sum, integrate_invariant, radon_hgf
+from radon_hgf.normal_form import pattern
+from radon_hgf.oracles import beta_r_closed, gamma_r_closed
 from radon_hgf.rng import RandomStream
 
 
@@ -15,62 +25,59 @@ def _heine_determinant(wg, lam, r):
     return math.factorial(r) * np.linalg.det(m)
 
 
+def _random_rule(seed, n):
+    gen = RandomStream(seed).generator()
+    w = gen.random(n) + 0.1
+    wg = w * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    return w, wg, gen.standard_normal(n)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_tensor_sum_matches_moment_determinant(r):
-    gen = RandomStream(91).generator()
-    n = 10
-    wg = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    lam = gen.standard_normal(n)
+    w, wg, lam = _random_rule(91, 10)
     ref = _heine_determinant(wg, lam, r)
-    val = K.tensor_vdm_sum_np(wg, lam, r)
+    val = _andreief_sum(w, wg, lam, r)
     assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_numba_and_numpy_paths_agree(r):
-    if not K.HAVE_NUMBA:
-        pytest.skip("numba path inactive (env flag or missing numba)")
-    gen = RandomStream(92).generator()
-    n = 12
-    wg = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    lam = gen.standard_normal(n)
-    a = K.tensor_vdm_sum_np(wg, lam, r)
-    b = K.tensor_vdm_sum_nb(wg, lam, r)
-    assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+def test_tensor_sum_matches_brute_force(r):
+    w, wg, lam = _random_rule(92, 6)
+    ref = 0.0 + 0.0j
+    for k in itertools.product(range(6), repeat=r):
+        term = complex(np.prod(wg[list(k)]))
+        for i, j in itertools.combinations(k, 2):
+            term *= (lam[j] - lam[i]) ** 2
+        ref += term
+    val = _andreief_sum(w, wg, lam, r)
+    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_vdm_sq_batch_agree():
-    gen = RandomStream(93).generator()
-    lams = gen.standard_normal((100, 3))
-    a = K.vdm_sq_batch_np(lams)
-    if K.HAVE_NUMBA:
-        b = K.vdm_sq_batch_nb(lams)
-        assert np.abs(a - b).max() < 1e-12
-    # spot check one row by hand
-    x, y, z = lams[0]
-    byhand = ((y - x) * (z - x) * (z - y)) ** 2
-    assert abs(a[0] - byhand) < 1e-12 * max(1.0, abs(byhand))
+@pytest.mark.parametrize("r", range(1, 9))
+def test_invariant_matches_closed_forms(r):
+    a, b = r + 0.35, r - 0.4
+    est = integrate_invariant(NamedFamily("beta_r", {"a": a, "b": b}), r, nodes=64)
+    ref = beta_r_closed(r, a, b)
+    assert abs(est.value - ref) <= 1e-11 * abs(ref)
+    est = integrate_invariant(NamedFamily("gamma_r", {"a": a}), r, nodes=64)
+    ref = gamma_r_closed(r, a)
+    assert abs(est.value - ref) <= 1e-11 * abs(ref)
 
 
-def test_grid_sum_matches_product_form():
-    gen = RandomStream(94).generator()
-    n, r = 8, 3
-    g = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    w = np.abs(gen.standard_normal(n)) + 0.1
-    lam = gen.standard_normal(n)
-    fgrid = g[:, None, None] * g[None, :, None] * g[None, None, :]
-    a = K.tensor_grid_sum_np(fgrid, w, lam)
-    ref = K.tensor_vdm_sum_np(w * g, lam, r)
-    assert abs(a - ref) < 1e-10 * max(1.0, abs(ref))
-    if K.HAVE_NUMBA:
-        b = K.tensor_grid_sum_nb(fgrid, w, lam)
-        assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+def test_radon_eigen_tensor_r5():
+    a2, a3, r = 0.5, 1.5, 5
+    pw = PartitionWeight((1, 1, 1), ((-2 * r - a2 - a3,), (a2,), (a3,)), 2 * r, r,
+                         strict=False)
+    z = CoordMatrix((1, 1, 1), r, pattern((1, 1, 1), r))
+    est = radon_hgf(z, pw, ChainSpec("interval-0-1", r))
+    ref = beta_r_closed(r, a2 + r, a3 + r)
+    assert est.method == "eigen-tensor"
+    assert abs(est.value - ref) <= 1e-11 * abs(ref)
 
 
-def test_active_path_reflects_environment():
-    import os
-
-    if os.environ.get("RADON_HGF_PURE_NUMPY", "") not in ("", "0"):
-        assert K.ACTIVE == "numpy"
-    else:
-        assert K.ACTIVE in ("numba", "numpy")
+def test_fewer_nodes_than_eigenvalues_raises():
+    w, wg, lam = _random_rule(93, 3)
+    with pytest.raises(UnsupportedCount):
+        _andreief_sum(w, wg, lam, 4)
+    with pytest.raises(UnsupportedCount):
+        integrate_invariant(NamedFamily("gamma_r", {"a": 5.5}), 5, nodes=4)

@@ -107,3 +107,9 @@ def test_haar_moment():
     mean = vals.mean()
     sem = vals.std(ddof=1) / np.sqrt(n)
     assert abs(mean - 1.0 / r) < 3.0 * sem
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_haar_single_matches_batch(r):
+    s = RandomStream(11)
+    assert np.array_equal(haar_unitary(r, s), haar_unitary_batch(r, 1, s)[0])
