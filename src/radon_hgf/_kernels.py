@@ -1,35 +1,20 @@
 """Hot numeric kernels.
 
 Two inner loops dominate runtime: the squared-Vandermonde weight over
-Monte Carlo eigenvalue batches, and the dense tensor-product quadrature
-sum for eigenvalue-reduced Hermitian integrals.  Both ship in a numba
-@njit variant and a pure-numpy variant.  The numpy path is selected by
-setting RADON_HGF_PURE_NUMPY=1 in the environment (checked at import),
-or automatically when numba is not importable.
+Monte Carlo eigenvalue batches, and the quadrature sum against the
+squared Vandermonde for eigenvalue-reduced Hermitian integrals.  Both
+are plain numpy; the second is an r x r determinant rather than a loop
+over the n^r node tuples.
 """
 
-import os
+import math
 
 import numpy as np
 
-_env = os.environ.get("RADON_HGF_PURE_NUMPY", "").strip()
-FORCE_NUMPY = _env not in ("", "0")
-
-try:
-    if FORCE_NUMPY:
-        raise ImportError("pure-numpy path forced")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+from .errors import UnsupportedCount
 
 
-# ----------------------------------------------------------------------
-# pure-numpy implementations
-# ----------------------------------------------------------------------
-
-def vdm_sq_batch_np(lams):
+def vdm_sq_batch(lams):
     """prod_{i<j} (lam_j - lam_i)^2 for each row of a (batch, r) array."""
     b, r = lams.shape
     out = np.ones(b)
@@ -40,179 +25,32 @@ def vdm_sq_batch_np(lams):
     return out
 
 
-def _pair_sq(lam):
-    d = lam[None, :] - lam[:, None]
-    return d * d
-
-
-def tensor_vdm_sum_np(wg, lam, r):
+def tensor_vdm_sum(wg, lam, r):
     """sum over k in [n]^r of prod_i wg[k_i] * Vandermonde(lam[k])^2.
 
     wg is complex (quadrature weight times per-eigenvalue integrand value
-    at each node), lam the real nodes.
+    at each node), lam the real nodes.  Andreief's identity gives the sum
+    as r! det(P^T diag(wg) P) for any monic polynomial basis P.  The monic
+    orthogonal polynomials of |wg| (Stieltjes recurrence) keep that Gram
+    matrix well conditioned, and diagonal when wg is positive, where the
+    monomial (Hankel) basis loses digits.
     """
     wg = np.asarray(wg, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.float64)
-    if r == 1:
-        return complex(np.sum(wg))
-    sq = _pair_sq(lam)
-    if r == 2:
-        return complex(np.einsum("i,j,ij->", wg, wg, sq))
-    if r == 3:
-        d3 = sq[:, :, None] * sq[:, None, :] * sq[None, :, :]
-        return complex(np.einsum("i,j,k,ijk->", wg, wg, wg, d3))
-    if r == 4:
-        # chunk the leading index; the full (n^4) tensor is not materialized
-        d3 = sq[:, :, None] * sq[:, None, :] * sq[None, :, :]
-        inner = np.einsum("j,k,l,jkl->jkl", wg, wg, wg, d3)
-        acc = 0.0 + 0.0j
-        for i in range(lam.shape[0]):
-            block = sq[i, :, None, None] * sq[i, None, :, None] * sq[i, None, None, :]
-            acc += wg[i] * np.einsum("jkl,jkl->", inner, block)
-        return complex(acc)
-    raise ValueError("tensor quadrature supports r <= 4")
-
-
-def tensor_grid_sum_np(fgrid, w, lam):
-    """General tensor quadrature: sum of f[k] * prod w[k_i] * Vandermonde^2.
-
-    fgrid has shape (n,)*r with the symmetric integrand already evaluated
-    on the node grid; supports r <= 3.
-    """
-    fgrid = np.asarray(fgrid, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.float64)
-    lam = np.asarray(lam, dtype=np.float64)
-    r = fgrid.ndim
-    if r == 1:
-        return complex(np.sum(fgrid * w))
-    sq = _pair_sq(lam)
-    if r == 2:
-        return complex(np.einsum("ij,i,j,ij->", fgrid, w, w, sq))
-    if r == 3:
-        d3 = sq[:, :, None] * sq[:, None, :] * sq[None, :, :]
-        return complex(np.einsum("ijk,i,j,k,ijk->", fgrid, w, w, w, d3))
-    raise ValueError("grid quadrature supports r <= 3")
-
-
-# ----------------------------------------------------------------------
-# numba implementations
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def vdm_sq_batch_nb(lams):
-        b, r = lams.shape
-        out = np.ones(b)
-        for s in range(b):
-            p = 1.0
-            for i in range(r):
-                for j in range(i + 1, r):
-                    d = lams[s, j] - lams[s, i]
-                    p *= d * d
-            out[s] = p
-        return out
-
-    @njit(cache=True)
-    def _tensor_vdm_sum_nb(wg, lam, r):
-        n = wg.shape[0]
-        acc = 0.0 + 0.0j
-        if r == 1:
-            for i in range(n):
-                acc += wg[i]
-        elif r == 2:
-            for i in range(n):
-                for j in range(n):
-                    d = lam[j] - lam[i]
-                    acc += wg[i] * wg[j] * (d * d)
-        elif r == 3:
-            for i in range(n):
-                for j in range(n):
-                    dij = lam[j] - lam[i]
-                    wij = wg[i] * wg[j] * (dij * dij)
-                    for k in range(n):
-                        dik = lam[k] - lam[i]
-                        djk = lam[k] - lam[j]
-                        acc += wij * wg[k] * (dik * dik * djk * djk)
-        else:
-            for i in range(n):
-                for j in range(n):
-                    dij = lam[j] - lam[i]
-                    wij = wg[i] * wg[j] * (dij * dij)
-                    for k in range(n):
-                        dik = lam[k] - lam[i]
-                        djk = lam[k] - lam[j]
-                        wijk = wij * wg[k] * (dik * dik * djk * djk)
-                        for l in range(n):
-                            dil = lam[l] - lam[i]
-                            djl = lam[l] - lam[j]
-                            dkl = lam[l] - lam[k]
-                            acc += (
-                                wijk
-                                * wg[l]
-                                * (dil * dil * djl * djl * dkl * dkl)
-                            )
-        return acc
-
-    def tensor_vdm_sum_nb(wg, lam, r):
-        if r > 4:
-            raise ValueError("tensor quadrature supports r <= 4")
-        return complex(
-            _tensor_vdm_sum_nb(
-                np.ascontiguousarray(wg, dtype=np.complex128),
-                np.ascontiguousarray(lam, dtype=np.float64),
-                r,
-            )
-        )
-
-    @njit(cache=True)
-    def _tensor_grid_sum_nb(fflat, w, lam, r):
-        n = w.shape[0]
-        acc = 0.0 + 0.0j
-        if r == 1:
-            for i in range(n):
-                acc += fflat[i] * w[i]
-        elif r == 2:
-            for i in range(n):
-                for j in range(n):
-                    d = lam[j] - lam[i]
-                    acc += fflat[i * n + j] * w[i] * w[j] * (d * d)
-        else:
-            for i in range(n):
-                for j in range(n):
-                    dij = lam[j] - lam[i]
-                    wij = w[i] * w[j] * (dij * dij)
-                    for k in range(n):
-                        dik = lam[k] - lam[i]
-                        djk = lam[k] - lam[j]
-                        acc += (
-                            fflat[(i * n + j) * n + k]
-                            * wij
-                            * w[k]
-                            * (dik * dik * djk * djk)
-                        )
-        return acc
-
-    def tensor_grid_sum_nb(fgrid, w, lam):
-        fgrid = np.ascontiguousarray(fgrid, dtype=np.complex128)
-        r = fgrid.ndim
-        if r > 3:
-            raise ValueError("grid quadrature supports r <= 3")
-        return complex(
-            _tensor_grid_sum_nb(
-                fgrid.ravel(),
-                np.ascontiguousarray(w, dtype=np.float64),
-                np.ascontiguousarray(lam, dtype=np.float64),
-                r,
-            )
-        )
-
-    vdm_sq_batch = vdm_sq_batch_nb
-    tensor_vdm_sum = tensor_vdm_sum_nb
-    tensor_grid_sum = tensor_grid_sum_nb
-    ACTIVE = "numba"
-else:
-    vdm_sq_batch = vdm_sq_batch_np
-    tensor_vdm_sum = tensor_vdm_sum_np
-    tensor_grid_sum = tensor_grid_sum_np
-    ACTIVE = "numpy"
+    n = lam.shape[0]
+    if n < r:
+        raise UnsupportedCount(f"a {n}-node rule cannot carry {r} eigenvalues")
+    w = np.abs(wg)
+    if np.count_nonzero(w) < r:
+        # every term repeats a node or meets a zero weight
+        return 0j
+    p = np.zeros((n, r))
+    p[:, 0] = 1.0
+    prev, norm_prev = np.zeros(n), 1.0
+    for k in range(r - 1):
+        norm = w @ (p[:, k] * p[:, k])
+        shift = w @ (lam * p[:, k] * p[:, k]) / norm
+        p[:, k + 1] = (lam - shift) * p[:, k] - (norm / norm_prev) * prev
+        prev, norm_prev = p[:, k], norm
+    gram = p.T @ (wg[:, None] * p)
+    return math.factorial(r) * complex(np.linalg.det(gram))

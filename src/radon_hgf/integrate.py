@@ -25,6 +25,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from ._kernels import tensor_vdm_sum, vdm_sq_batch
 from .characters import PartitionWeight, cpow
 from .errors import (
     DivergentEndpoint,
@@ -34,7 +35,6 @@ from .errors import (
     NotInZLambda,
     OnBranchLocus,
     ShapeMismatch,
-    UnsupportedCount,
 )
 from .grassmann import CoordMatrix, z_lambda_member
 from .integrands import NamedFamily, named_integrand
@@ -478,29 +478,6 @@ _FAMILY_DOMAIN = {
 }
 
 
-def _andreief_sum(w, wg, lam, r: int) -> complex:
-    """sum over k in [n]^r of prod_i wg[k_i] * Vandermonde(lam[k])^2.
-
-    Andreief's identity gives the sum as r! det(P^T diag(wg) P) for any
-    monic polynomial basis P.  The monic orthogonal polynomials of the
-    positive weights w (Stieltjes recurrence) keep that Gram matrix well
-    conditioned where the monomial (Hankel) basis loses digits.
-    """
-    n = lam.shape[0]
-    if n < r:
-        raise UnsupportedCount(f"a {n}-node rule cannot carry {r} eigenvalues")
-    p = np.zeros((n, r))
-    p[:, 0] = 1.0
-    prev, norm_prev = np.zeros(n), 1.0
-    for k in range(r - 1):
-        norm = w @ (p[:, k] * p[:, k])
-        shift = w @ (lam * p[:, k] * p[:, k]) / norm
-        p[:, k + 1] = (lam - shift) * p[:, k] - (norm / norm_prev) * prev
-        prev, norm_prev = p[:, k], norm
-    gram = p.T @ (wg[:, None] * p)
-    return math.factorial(r) * complex(np.linalg.det(gram))
-
-
 def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
                         probe: bool = True) -> IntegralEstimate:
     """Deterministic eigenvalue-reduced quadrature for invariant integrands."""
@@ -523,11 +500,13 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
     def run(n):
         lam, w, phi = build(n)
         wg = np.array([wi * phi(li) for wi, li in zip(w, lam)], dtype=np.complex128)
-        return cr * _andreief_sum(w, wg, lam, r)
+        return cr * tensor_vdm_sum(wg, lam, r)
 
-    coarse = run(max(8, r, nodes // 2))
+    coarse_nodes = max(8, r, nodes // 2)
+    coarse = run(coarse_nodes)
     fine = run(nodes)
-    return IntegralEstimate(fine, abs(fine - coarse), "eigen-tensor", nodes**r)
+    return IntegralEstimate(fine, abs(fine - coarse), "eigen-tensor",
+                            nodes + coarse_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -536,17 +515,6 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
 
 _MC_PARTS = 16
 _MC_CHUNK = 1 << 15
-
-
-def _vdm_sq_batch(lams):
-    """prod_{i<j} (lam_j - lam_i)^2 for each row of a (batch, r) array."""
-    b, r = lams.shape
-    out = np.ones(b)
-    for i in range(r):
-        for j in range(i + 1, r):
-            d = lams[:, j] - lams[:, i]
-            out *= d * d
-    return out
 
 
 def _chain_sampler(fam: NamedFamily, chain: ChainSpec, r: int):
@@ -632,7 +600,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
             v = haar_from_gaussian(gin)
             u = np.einsum("bij,bj,bkj->bik", v, lam.astype(np.complex128), v.conj())
             vals = batch_fn(u)
-            vsq = _vdm_sq_batch(lam)
+            vsq = vdm_sq_batch(lam)
             weights = np.exp(log_cr + np.log(vsq) - logpdf)
             contrib = vals * weights
             acc += complex(np.sum(contrib))

@@ -11,7 +11,6 @@ from radon_hgf.integrands import NamedFamily
 from radon_hgf.integrate import (
     Budget,
     ChainSpec,
-    _vdm_sq_batch,
     integrate_haar_mc,
     integrate_invariant,
     integrate_r1,
@@ -161,13 +160,6 @@ def test_mc_value_pinned():
     ref = 6.063882907291953 - 4.061894594696384e-17j
     assert abs(est.value - ref) <= 1e-12 * abs(ref)
     assert abs(est.abs_error_est - 0.17138701220042246) <= 1e-12
-
-
-def test_vdm_sq_batch_by_hand():
-    lams = RandomStream(93).generator().standard_normal((100, 3))
-    x, y, z = lams[0]
-    byhand = ((y - x) * (z - x) * (z - y)) ** 2
-    assert abs(_vdm_sq_batch(lams)[0] - byhand) < 1e-12 * max(1.0, abs(byhand))
 
 
 def test_radon_gamma_reduction():

@@ -1,5 +1,5 @@
-"""The eigen-tensor kernel: the r-fold sum against the squared Vandermonde,
-evaluated through Andreief's identity."""
+"""The numeric kernels: the batched squared Vandermonde, and the r-fold
+sum against the squared Vandermonde, evaluated through Andreief's identity."""
 
 import itertools
 import math
@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from radon_hgf import _kernels as K
 from radon_hgf.characters import PartitionWeight
 from radon_hgf.errors import UnsupportedCount
 from radon_hgf.grassmann import CoordMatrix
 from radon_hgf.integrands import NamedFamily
-from radon_hgf.integrate import ChainSpec, _andreief_sum, integrate_invariant, radon_hgf
+from radon_hgf.integrate import ChainSpec, integrate_invariant, radon_hgf
 from radon_hgf.normal_form import pattern
 from radon_hgf.oracles import beta_r_closed, gamma_r_closed
 from radon_hgf.rng import RandomStream
@@ -25,32 +26,38 @@ def _heine_determinant(wg, lam, r):
     return math.factorial(r) * np.linalg.det(m)
 
 
-def _random_rule(seed, n):
-    gen = RandomStream(seed).generator()
-    w = gen.random(n) + 0.1
-    wg = w * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
-    return w, wg, gen.standard_normal(n)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_tensor_sum_matches_moment_determinant(r):
-    w, wg, lam = _random_rule(91, 10)
-    ref = _heine_determinant(wg, lam, r)
-    val = _andreief_sum(w, wg, lam, r)
-    assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_tensor_sum_matches_brute_force(r):
-    w, wg, lam = _random_rule(92, 6)
+def _brute_force(wg, lam, r):
+    # independent oracle: the sum itself, one term per node tuple
     ref = 0.0 + 0.0j
-    for k in itertools.product(range(6), repeat=r):
+    for k in itertools.product(range(len(wg)), repeat=r):
         term = complex(np.prod(wg[list(k)]))
         for i, j in itertools.combinations(k, 2):
             term *= (lam[j] - lam[i]) ** 2
         ref += term
-    val = _andreief_sum(w, wg, lam, r)
-    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+    return ref
+
+
+def _random_rule(seed, n):
+    gen = RandomStream(seed).generator()
+    wg = (gen.random(n) + 0.1) * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+    return wg, gen.standard_normal(n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_tensor_sum_matches_moment_determinant(r):
+    # also checked against the brute-force sum on the same rule
+    wg, lam = _random_rule(91, 6)
+    val = K.tensor_vdm_sum(wg, lam, r)
+    for ref in (_heine_determinant(wg, lam, r), _brute_force(wg, lam, r)):
+        assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_vdm_sq_batch_agree():
+    # spot check one row by hand
+    lams = RandomStream(93).generator().standard_normal((100, 3))
+    x, y, z = lams[0]
+    byhand = ((y - x) * (z - x) * (z - y)) ** 2
+    assert abs(K.vdm_sq_batch(lams)[0] - byhand) < 1e-12 * max(1.0, abs(byhand))
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -59,6 +66,8 @@ def test_invariant_matches_closed_forms(r):
     est = integrate_invariant(NamedFamily("beta_r", {"a": a, "b": b}), r, nodes=64)
     ref = beta_r_closed(r, a, b)
     assert abs(est.value - ref) <= 1e-11 * abs(ref)
+    # a 64-node and a 32-node rule, whatever r
+    assert est.nodes_or_samples == 96
     est = integrate_invariant(NamedFamily("gamma_r", {"a": a}), r, nodes=64)
     ref = gamma_r_closed(r, a)
     assert abs(est.value - ref) <= 1e-11 * abs(ref)
@@ -76,8 +85,15 @@ def test_radon_eigen_tensor_r5():
 
 
 def test_fewer_nodes_than_eigenvalues_raises():
-    w, wg, lam = _random_rule(93, 3)
+    wg, lam = _random_rule(94, 3)
     with pytest.raises(UnsupportedCount):
-        _andreief_sum(w, wg, lam, 4)
+        K.tensor_vdm_sum(wg, lam, 4)
     with pytest.raises(UnsupportedCount):
         integrate_invariant(NamedFamily("gamma_r", {"a": 5.5}), 5, nodes=4)
+
+
+def test_fewer_nonzero_weights_than_eigenvalues_sum_to_zero():
+    wg, lam = _random_rule(95, 6)
+    wg[2:] = 0.0
+    assert K.tensor_vdm_sum(wg, lam, 3) == 0.0
+    assert _brute_force(wg, lam, 3) == 0.0
