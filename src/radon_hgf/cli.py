@@ -22,7 +22,7 @@ from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
 from .hgs import StencilPlan, all_pairs, verify_system
-from .integrands import NamedFamily
+from .integrands import FAMILIES, NamedFamily
 from .integrate import (
     Budget,
     ChainSpec,
@@ -42,19 +42,6 @@ from .ncpoly import theta_symbolic
 from .normal_form import reduce3, reduce4, reduce_ones
 from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
 from .rng import RandomStream
-
-_FAMILY_CHAIN = {
-    "beta_r": "interval-0-1",
-    "gauss": "interval-0-1",
-    "kummer": "interval-0-1",
-    "lauricella_fd": "interval-0-1",
-    "gamma_r": "half-line",
-    "bessel": "half-line",
-    "hermite_weber": "half-line",
-    "gaussian_r": "full-line",
-    "airy": "rotated-ray",
-}
-
 
 def _partition(text):
     return tuple(int(v) for v in text.split(","))
@@ -149,7 +136,7 @@ def _family_from_args(args):
 
 def cmd_eval(args):
     fam = _family_from_args(args)
-    chain = ChainSpec(args.chain or _FAMILY_CHAIN[args.family], args.r)
+    chain = ChainSpec(args.chain or FAMILIES[args.family].chains[0], args.r)
     method = args.method
     if method == "auto":
         method = "adaptive-1d" if args.r == 1 else "eigen-tensor"
@@ -298,7 +285,7 @@ def build_parser():
     q.set_defaults(fn=cmd_normal_form)
 
     q = sub.add_parser("eval", help="evaluate a named matrix-integral family")
-    q.add_argument("--family", required=True, choices=sorted(_FAMILY_CHAIN))
+    q.add_argument("--family", required=True, choices=sorted(FAMILIES))
     q.add_argument("--r", type=int, default=1)
     q.add_argument("--a")
     q.add_argument("--b")

@@ -7,17 +7,30 @@ factorization itself is testable.  The named families are the concrete
 matrix-integral counterparts of the classical hypergeometric kernels,
 and ``family_of_normal_form`` records the exact weight dictionary that
 identifies them with the table normal forms.
+
+``FAMILIES`` is the one registry of the named families: per tag, the
+batched kernel, the chains it integrates over (the default first), the
+endpoint exponents of its weight and, for the unitarily invariant
+kernels, the per-eigenvalue remainder.  The domain check, the r = 1
+chain pieces, the eigenvalue quadrature, the Monte Carlo densities and
+the CLI defaults are all read from it.
 """
 
+import math
+import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .characters import PartitionWeight, cpow
 from .errors import (
+    BranchCutWarning,
     OnBranchLocus,
     OutOfDomain,
     ShapeMismatch,
+    SingularBlock,
     UnpinnedAlpha,
     UnsupportedPartition,
 )
@@ -28,17 +41,13 @@ from .ncpoly import theta_symbolic
 
 _BRANCH_RTOL = 1e-12
 
-FAMILY_TAGS = (
-    "beta_r",
-    "gamma_r",
-    "gaussian_r",
-    "gauss",
-    "kummer",
-    "bessel",
-    "hermite_weber",
-    "airy",
-    "lauricella_fd",
-)
+INTERVAL = "interval-0-1"
+HALF_LINE = "half-line"
+FULL_LINE = "full-line"
+ROTATED_RAY = "rotated-ray"
+
+# from the narrowest real domain to the complex chain
+CHAIN_KINDS = (INTERVAL, HALF_LINE, FULL_LINE, ROTATED_RAY)
 
 
 @dataclass(frozen=True)
@@ -79,12 +88,6 @@ class IntegrandSpec:
     def parts(self, point: ChartPoint) -> tuple:
         return self.parts_at_frame(point.ubar)
 
-    def power_part(self, point: ChartPoint) -> complex:
-        return self.parts(point)[0]
-
-    def exp_part(self, point: ChartPoint) -> complex:
-        return self.parts(point)[1]
-
 
 def evaluate_integrand(spec: IntegrandSpec, point: ChartPoint) -> complex:
     f, g = spec.parts(point)
@@ -100,9 +103,10 @@ def evaluate_frame(spec: IntegrandSpec, t) -> complex:
 class NamedFamily:
     """One of the closed-form matrix-integral kernels.
 
-    ``dictionary`` records how the parameters were derived (so the weight
-    correspondence is visible in results), and ``reflect_u`` marks the
-    chain reorientation u -> -u used by the cubic family.
+    ``tag`` names its entry in ``FAMILIES``.  ``dictionary`` records how the
+    parameters were derived (so the weight correspondence is visible in
+    results), and ``reflect_u`` marks the chain reorientation u -> -u used
+    by the cubic family.
     """
 
     tag: str
@@ -112,25 +116,9 @@ class NamedFamily:
     dictionary: dict = field(default_factory=dict)
     reflect_u: bool = False
 
-    def scalar_argument(self) -> complex | None:
-        """x when X is x * identity (or absent, giving 0), else None."""
-        if self.X is None:
-            return 0.0 + 0.0j
-        r = self.X.shape[0]
-        x = complex(np.trace(self.X)) / r
-        if np.abs(self.X - x * np.eye(r)).max() <= 1e-12 * max(1.0, abs(x)):
-            return x
-        return None
-
-    def scalar_arguments(self) -> tuple:
-        out = []
-        for xm in self.xs:
-            r = xm.shape[0]
-            x = complex(np.trace(xm)) / r
-            if np.abs(xm - x * np.eye(r)).max() > 1e-12 * max(1.0, abs(x)):
-                return ()
-            out.append(x)
-        return tuple(out)
+    def __post_init__(self):
+        if self.tag not in FAMILIES:
+            raise UnsupportedPartition(f"unknown family tag {self.tag!r}")
 
 
 def _hermitian_eigs(u, rtol=1e-10):
@@ -140,74 +128,46 @@ def _hermitian_eigs(u, rtol=1e-10):
     return None
 
 
-def _check_domain(tag: str, u):
-    eigs = _hermitian_eigs(u)
-    if eigs is None:
-        return  # complex chains evaluate off the Hermitian slice
-    if tag in ("beta_r", "gauss", "kummer", "lauricella_fd"):
-        if eigs[0] <= 0.0 or eigs[-1] >= 1.0:
-            raise OutOfDomain(f"{tag} needs eigenvalues strictly inside (0, 1)")
-    elif tag in ("gamma_r", "bessel"):
-        if eigs[0] <= 0.0:
-            raise OutOfDomain(f"{tag} needs a positive definite argument")
-
-
-def _detpow(m, e) -> complex:
-    return cpow(det(m), e)
+# open eigenvalue range of a Hermitian argument, by the family's widest chain
+_DOMAIN_BOUNDS = {INTERVAL: (0.0, 1.0), HALF_LINE: (0.0, math.inf)}
 
 
 def named_integrand(fam: NamedFamily, u, check_domain: bool = True) -> complex:
     """Pointwise kernel value at an r x r matrix argument."""
     u = as_matrix(u)
-    r = u.shape[0]
     if check_domain:
-        _check_domain(fam.tag, u)
-    eye = np.eye(r, dtype=np.complex128)
-    p = fam.params
-    x = fam.X if fam.X is not None else np.zeros((r, r), dtype=np.complex128)
-    t = fam.tag
-    if t == "beta_r":
-        return _detpow(u, p["a"] - r) * _detpow(eye - u, p["b"] - r)
-    if t == "gamma_r":
-        return complex(np.exp(-np.trace(u)) * _detpow(u, p["a"] - r))
-    if t == "gaussian_r":
-        return complex(np.exp(-0.5 * np.trace(u @ u)))
-    if t == "gauss":
-        return (
-            _detpow(u, p["a"] - r)
-            * _detpow(eye - u, p["c"] - p["a"] - r)
-            * _detpow(eye - u @ x, -p["b"])
-        )
-    if t == "kummer":
-        return (
-            complex(np.exp(np.trace(u @ x)))
-            * _detpow(u, p["a"] - r)
-            * _detpow(eye - u, p["c"] - p["a"] - r)
-        )
-    if t == "bessel":
-        return complex(
-            np.exp(np.trace(u @ x - inverse(u))) * _detpow(u, p["c"] - r)
-        )
-    if t == "hermite_weber":
-        return complex(
-            np.exp(np.trace(u @ x - 0.5 * (u @ u))) * _detpow(u, -p["c"] - r)
-        )
-    if t == "airy":
-        return complex(np.exp(np.trace(u @ x - (u @ u @ u) / 3.0)))
-    if t == "lauricella_fd":
-        acc = _detpow(u, p["a"] - r) * _detpow(eye - u, p["c"] - p["a"] - r)
-        for bj, xj in zip(p["bs"], fam.xs):
-            acc *= _detpow(eye - u @ xj, -bj)
-        return acc
-    raise UnsupportedPartition(f"unknown family tag {t!r}")
+        lo, hi = _DOMAIN_BOUNDS.get(FAMILIES[fam.tag].domain, (-math.inf, math.inf))
+        eigs = _hermitian_eigs(u)
+        # complex chains evaluate off the Hermitian slice
+        if eigs is not None and (eigs[0] <= lo or eigs[-1] >= hi):
+            raise OutOfDomain(f"{fam.tag} needs eigenvalues strictly inside ({lo}, {hi})")
+    return complex(named_integrand_batch(fam, u[None])[0])
 
 
 # ----------------------------------------------------------------------
-# batched evaluation (Monte Carlo path)
+# batched kernels
 # ----------------------------------------------------------------------
+
+def _pow_batch(z, e):
+    """Principal z**e over an array, with the policy of ``cpow``: a zero
+    base raises, a base on the negative real axis warns."""
+    # both cases have a base with non-positive real part; one min() clears
+    # the common batch
+    if z.real.min() <= 0.0:
+        if not z.all():
+            raise SingularBlock("zero base in complex power")
+        if np.any((z.real < 0) & (np.abs(z.imag) <= 1e-14 * np.abs(z.real))):
+            warnings.warn(
+                "determinant on the negative real axis: principal branch is "
+                "discontinuous here",
+                BranchCutWarning,
+                stacklevel=3,
+            )
+    return np.exp(complex(e) * np.log(z))
+
 
 def _detpow_batch(m, e):
-    return np.exp(complex(e) * np.log(np.linalg.det(m)))
+    return _pow_batch(np.linalg.det(m), e)
 
 
 def _trace_batch(m):
@@ -218,45 +178,19 @@ def named_integrand_batch(fam: NamedFamily, u) -> np.ndarray:
     """Kernel values over a stacked (batch, r, r) argument."""
     b, r, _ = u.shape
     eye = np.eye(r, dtype=np.complex128)
-    p = fam.params
     x = fam.X if fam.X is not None else np.zeros((r, r), dtype=np.complex128)
-    t = fam.tag
-    if t == "beta_r":
-        return _detpow_batch(u, p["a"] - r) * _detpow_batch(eye - u, p["b"] - r)
-    if t == "gamma_r":
-        return np.exp(-_trace_batch(u)) * _detpow_batch(u, p["a"] - r)
-    if t == "gaussian_r":
-        return np.exp(-0.5 * _trace_batch(u @ u))
-    if t == "gauss":
-        return (
-            _detpow_batch(u, p["a"] - r)
-            * _detpow_batch(eye - u, p["c"] - p["a"] - r)
-            * _detpow_batch(eye - u @ x, -p["b"])
-        )
-    if t == "kummer":
-        return (
-            np.exp(_trace_batch(u @ x))
-            * _detpow_batch(u, p["a"] - r)
-            * _detpow_batch(eye - u, p["c"] - p["a"] - r)
-        )
-    if t == "bessel":
-        return np.exp(_trace_batch(u @ x - np.linalg.inv(u))) * _detpow_batch(
-            u, p["c"] - r
-        )
-    if t == "hermite_weber":
-        return np.exp(_trace_batch(u @ x - 0.5 * (u @ u))) * _detpow_batch(
-            u, -p["c"] - r
-        )
-    if t == "airy":
-        return np.exp(_trace_batch(u @ x - (u @ u @ u) / 3.0))
-    if t == "lauricella_fd":
-        acc = _detpow_batch(u, p["a"] - r) * _detpow_batch(
-            eye - u, p["c"] - p["a"] - r
-        )
-        for bj, xj in zip(p["bs"], fam.xs):
-            acc *= _detpow_batch(eye - u @ xj, -bj)
-        return acc
-    raise UnsupportedPartition(f"unknown family tag {t!r}")
+    return FAMILIES[fam.tag].kernel(fam.params, u, r, eye, x, fam.xs)
+
+
+@lru_cache(maxsize=16)
+def _theta_terms(p: int):
+    """Symbolic theta term lists (word, float coefficient), built once per p."""
+    if p < 2:
+        return ()
+    sym = theta_symbolic(p).symbolic
+    return tuple(
+        tuple((w, float(c)) for w, c in th.sorted_terms()) for th in sym
+    )
 
 
 def chart_integrand_batch(spec: IntegrandSpec, u) -> np.ndarray:
@@ -274,11 +208,11 @@ def chart_integrand_batch(spec: IntegrandSpec, u) -> np.ndarray:
         if nk > 1:
             m0_inv = np.linalg.inv(m0)
             coeffs = [m0_inv @ (ubar @ z.block(j, q)) for q in range(1, nk)]
-            sym = theta_symbolic(nk).symbolic
+            terms = _theta_terms(nk)
             expo = np.zeros(b, dtype=np.complex128)
             for k in range(1, nk):
                 th = np.zeros((b, r, r), dtype=np.complex128)
-                for word, c in sym[k - 1].sorted_terms():
+                for word, c in terms[k - 1]:
                     prod = np.broadcast_to(
                         np.eye(r, dtype=np.complex128), (b, r, r)
                     ).copy()
@@ -288,6 +222,134 @@ def chart_integrand_batch(spec: IntegrandSpec, u) -> np.ndarray:
                 expo += alpha[k] * _trace_batch(th)
             acc *= np.exp(expo)
     return acc
+
+
+# ----------------------------------------------------------------------
+# family registry
+# ----------------------------------------------------------------------
+
+def _beta_r(p, u, r, eye, x, xs):
+    return _detpow_batch(u, p["a"] - r) * _detpow_batch(eye - u, p["b"] - r)
+
+
+def _gamma_r(p, u, r, eye, x, xs):
+    return np.exp(-_trace_batch(u)) * _detpow_batch(u, p["a"] - r)
+
+
+def _gaussian_r(p, u, r, eye, x, xs):
+    return np.exp(-0.5 * _trace_batch(u @ u))
+
+
+def _gauss(p, u, r, eye, x, xs):
+    return (
+        _detpow_batch(u, p["a"] - r)
+        * _detpow_batch(eye - u, p["c"] - p["a"] - r)
+        * _detpow_batch(eye - u @ x, -p["b"])
+    )
+
+
+def _kummer(p, u, r, eye, x, xs):
+    return (
+        np.exp(_trace_batch(u @ x))
+        * _detpow_batch(u, p["a"] - r)
+        * _detpow_batch(eye - u, p["c"] - p["a"] - r)
+    )
+
+
+def _bessel(p, u, r, eye, x, xs):
+    return np.exp(_trace_batch(u @ x - np.linalg.inv(u))) * _detpow_batch(
+        u, p["c"] - r
+    )
+
+
+def _hermite_weber(p, u, r, eye, x, xs):
+    return np.exp(_trace_batch(u @ x - 0.5 * (u @ u))) * _detpow_batch(
+        u, -p["c"] - r
+    )
+
+
+def _airy(p, u, r, eye, x, xs):
+    return np.exp(_trace_batch(u @ x - (u @ u @ u) / 3.0))
+
+
+def _lauricella_fd(p, u, r, eye, x, xs):
+    acc = _detpow_batch(u, p["a"] - r) * _detpow_batch(eye - u, p["c"] - p["a"] - r)
+    for bj, xj in zip(p["bs"], xs):
+        acc *= _detpow_batch(eye - u @ xj, -bj)
+    return acc
+
+
+def _beta_type(p, X):
+    return p["a"], p["c"] - p["a"]
+
+
+def _bessel_exponents(p, X):
+    # exp(Tr(u X)) decays at the rate of the mean eigenvalue of -X
+    return p["c"], 0.0 if X is None else -complex(np.trace(X)) / X.shape[0]
+
+
+def _no_remainder(p, lam, x, xs):
+    return np.ones(lam.shape, dtype=np.complex128)
+
+
+def _lauricella_phi(p, lam, x, xs):
+    acc = np.ones(lam.shape, dtype=np.complex128)
+    for bj, xj in zip(p["bs"], xs):
+        acc *= _pow_batch(1.0 - lam * xj, -bj)
+    return acc
+
+
+@dataclass(frozen=True)
+class Family:
+    """Registry entry of one named kernel.
+
+    kernel(params, u, r, eye, X, xs): values over a stacked (batch, r, r) u,
+    with X the zero matrix when the family has none.
+
+    chains: the chain kinds the family integrates over, the default first.
+
+    exponents(params, X): the exponents e of the weight at the chain ends,
+    det(u)^(e0 - r) det(1 - u)^(e1 - r) on the interval and
+    det(u)^(e0 - r) exp(-e1 Tr u) on the half line (no e1 when the decay
+    is not exponential).
+
+    phi(params, lam, x, xs): for unitarily invariant kernels at scalar
+    arguments x, xs, what the kernel leaves per eigenvalue after that
+    weight (after exp(-lam^2 / 2) on the full line):
+    kernel(diag(lam)) = prod_i weight(lam_i) phi(lam_i).  None when the
+    kernel has no positive eigenvalue weight.
+    """
+
+    kernel: Callable
+    chains: tuple
+    exponents: Callable = lambda p, X: ()
+    phi: Callable | None = None
+
+    @property
+    def domain(self) -> str:
+        """The widest chain; a Hermitian argument's eigenvalues lie on it."""
+        return max(self.chains, key=CHAIN_KINDS.index)
+
+
+FAMILIES = {
+    "beta_r": Family(_beta_r, (INTERVAL,), lambda p, X: (p["a"], p["b"]), _no_remainder),
+    "gamma_r": Family(_gamma_r, (HALF_LINE,), lambda p, X: (p["a"], 1.0), _no_remainder),
+    "gaussian_r": Family(_gaussian_r, (FULL_LINE,), phi=_no_remainder),
+    "gauss": Family(
+        _gauss, (INTERVAL,), _beta_type,
+        lambda p, lam, x, xs: _pow_batch(1.0 - lam * x, -p["b"]),
+    ),
+    "kummer": Family(
+        _kummer, (INTERVAL,), _beta_type, lambda p, lam, x, xs: np.exp(lam * x)
+    ),
+    "bessel": Family(
+        _bessel, (HALF_LINE,), _bessel_exponents,
+        lambda p, lam, x, xs: np.exp(-1.0 / lam),
+    ),
+    "hermite_weber": Family(_hermite_weber, (HALF_LINE, FULL_LINE), lambda p, X: (-p["c"],)),
+    "airy": Family(_airy, (ROTATED_RAY,)),
+    "lauricella_fd": Family(_lauricella_fd, (INTERVAL,), _beta_type, _lauricella_phi),
+}
 
 
 # ----------------------------------------------------------------------

@@ -20,13 +20,12 @@ anything else relies on it.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
 
 import numpy as np
 
 from ._kernels import tensor_vdm_sum, vdm_sq_batch
-from .characters import PartitionWeight, cpow
+from .characters import PartitionWeight
 from .errors import (
     DivergentEndpoint,
     IncompatibleChain,
@@ -37,9 +36,19 @@ from .errors import (
     ShapeMismatch,
 )
 from .grassmann import CoordMatrix, z_lambda_member
-from .integrands import NamedFamily, named_integrand
-from .linalg import haar_from_gaussian, haar_unitary_batch
-from .ncpoly import theta_symbolic
+from .integrands import (
+    CHAIN_KINDS,
+    FAMILIES,
+    FULL_LINE,
+    HALF_LINE,
+    INTERVAL,
+    ROTATED_RAY,
+    NamedFamily,
+    _theta_terms,
+    named_integrand,
+    named_integrand_batch,
+)
+from .linalg import haar_from_gaussian, haar_unitary_batch, scalar_multiple
 from .oracles import log_gamma_real
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
@@ -47,14 +56,6 @@ from .rng import RandomStream, thread_count
 # ----------------------------------------------------------------------
 # chain and estimate types
 # ----------------------------------------------------------------------
-
-INTERVAL = "interval-0-1"
-HALF_LINE = "half-line"
-FULL_LINE = "full-line"
-ROTATED_RAY = "rotated-ray"
-
-CHAIN_KINDS = (INTERVAL, HALF_LINE, FULL_LINE, ROTATED_RAY)
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -321,32 +322,12 @@ def integrate_pieces(f, pieces, tol: float = 1e-10, limit: int = 4000) -> Integr
 # named-family scalar chains (r = 1)
 # ----------------------------------------------------------------------
 
-def _family_pieces_r1(fam: NamedFamily, chain: ChainSpec):
-    t = fam.tag
-    p = fam.params
-    if chain.kind == INTERVAL:
-        if t == "beta_r":
-            return [Segment(0.0, 1.0, p["a"] - 1, p["b"] - 1)]
-        if t in ("gauss", "kummer", "lauricella_fd"):
-            return [Segment(0.0, 1.0, p["a"] - 1, p["c"] - p["a"] - 1)]
-        raise IncompatibleChain(f"{t} does not integrate over the unit interval")
-    if chain.kind == HALF_LINE:
-        if t == "gamma_r":
-            return [Ray(0.0, 0.0, p["a"] - 1)]
-        if t == "bessel":
-            return [Ray(0.0, 0.0, p["c"] - 1)]
-        if t == "hermite_weber":
-            return [Ray(0.0, 0.0, -p["c"] - 1)]
-        raise IncompatibleChain(f"{t} does not integrate over the half line")
-    if chain.kind == FULL_LINE:
-        if t in ("gaussian_r", "hermite_weber"):
-            return [FullLine()]
-        raise IncompatibleChain(f"{t} does not integrate over the real line")
-    if chain.kind == ROTATED_RAY:
-        if t == "airy":
-            return [RayPair(chain.angle)]
-        raise IncompatibleChain("rotated rays are reserved for the cubic family")
-    raise IncompatibleChain(f"unsupported chain {chain.kind}")
+def _family_on(fam: NamedFamily, chain: ChainSpec):
+    """The registry entry of a family that integrates over the chain."""
+    entry = FAMILIES[fam.tag]
+    if chain.kind not in entry.chains:
+        raise IncompatibleChain(f"{fam.tag} does not integrate over the {chain.kind} chain")
+    return entry
 
 
 def integrate_r1(fam_or_fn, chain: ChainSpec, tol: float = 1e-10,
@@ -362,7 +343,16 @@ def integrate_r1(fam_or_fn, chain: ChainSpec, tol: float = 1e-10,
     if isinstance(fam_or_fn, NamedFamily):
         fam = fam_or_fn
         if pieces is None:
-            pieces = _family_pieces_r1(fam, chain)
+            entry = _family_on(fam, chain)
+            e = entry.exponents(fam.params, fam.X)
+            if chain.kind == INTERVAL:
+                pieces = [Segment(0.0, 1.0, e[0] - 1, e[1] - 1)]
+            elif chain.kind == HALF_LINE:
+                pieces = [Ray(0.0, 0.0, e[0] - 1)]
+            elif chain.kind == FULL_LINE:
+                pieces = [FullLine()]
+            else:
+                pieces = [RayPair(chain.angle)]
 
         def f(u):
             return named_integrand(fam, np.array([[u]]), check_domain=False)
@@ -378,81 +368,55 @@ def integrate_r1(fam_or_fn, chain: ChainSpec, tol: float = 1e-10,
 # eigenvalue-reduced tensor quadrature (invariant integrands)
 # ----------------------------------------------------------------------
 
-def _family_eigen_split(fam: NamedFamily, r: int):
-    """(nodes, weights, phi) builder: weight carries the real det powers,
-    phi the remaining smooth per-eigenvalue factor."""
-    t = fam.tag
-    p = fam.params
-    x = fam.scalar_argument()
+def _eigen_rule(fam: NamedFamily, r: int):
+    """n -> (nodes, weights) of the family's eigenvalue integral: a Gauss
+    rule (Jacobi, scaled Laguerre or Hermite) for the real part of its chain
+    weight, the weights times the rest of the per-eigenvalue factor."""
+    entry = FAMILIES[fam.tag]
+    if entry.phi is None:
+        raise IncompatibleChain(
+            f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
+            "unsupported (use haar-mc, experimental)"
+        )
+    x = 0.0 if fam.X is None else scalar_multiple(fam.X)
+    xs = tuple(scalar_multiple(m) for m in fam.xs)
+    if x is None or None in xs:
+        raise NotInvariant("matrix argument breaks unitary invariance")
+    kind = entry.chains[0]
+    e = [complex(v) for v in entry.exponents(fam.params, fam.X)]
 
     def build(n):
-        if t in ("beta_r", "gauss", "kummer", "lauricella_fd"):
-            pa = complex(p["a"]).real - r
-            qb = complex((p["b"] if t == "beta_r" else p["c"] - p["a"])).real - r
+        if kind == INTERVAL:
+            pa, qb = e[0].real - r, e[1].real - r
             if pa <= -1 or qb <= -1:
                 raise IncompatibleChain("beta-type exponents must exceed -1")
-            nodes, weights = jacobi_01(n, pa, qb)
-
-            def phi(lam):
-                acc = 1.0 + 0.0j
-                ia = complex(p["a"]).imag
-                if ia:
-                    acc *= cmath.exp(1j * ia * math.log(lam))
-                ib = complex((p["b"] if t == "beta_r" else p["c"] - p["a"])).imag
-                if ib:
-                    acc *= cmath.exp(1j * ib * math.log1p(-lam))
-                if t == "gauss":
-                    acc *= cpow(1.0 - lam * x, -p["b"])
-                elif t == "kummer":
-                    acc *= cmath.exp(lam * x)
-                elif t == "lauricella_fd":
-                    for bj, xj in zip(fam.params["bs"], fam.scalar_arguments()):
-                        acc *= cpow(1.0 - lam * xj, -bj)
-                return acc
-
-            return nodes, weights, phi
-        if t in ("gamma_r", "bessel"):
-            if t == "gamma_r":
-                pa = complex(p["a"]).real - r
-                rate = 1.0
-            else:
-                pa = complex(p["c"]).real - r
-                rate = -complex(x).real
-                if rate <= 0:
-                    raise IncompatibleChain("bessel chain needs Re(X) < 0")
+            lam, w = jacobi_01(n, pa, qb)
+            w = w * np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
+        elif kind == HALF_LINE:
+            pa, rate = e[0].real - r, e[1].real
+            if rate <= 0:
+                raise IncompatibleChain("half-line weight needs a positive decay rate")
             if pa <= -1:
                 raise IncompatibleChain("half-line exponent must exceed -1")
             s_nodes, s_weights = genlaguerre(n, pa)
-            nodes = s_nodes / rate
-            weights = s_weights * rate ** (-pa - 1.0)
-
-            def phi(lam):
-                acc = 1.0 + 0.0j
-                im = complex(p["a" if t == "gamma_r" else "c"]).imag
-                if im:
-                    acc *= cmath.exp(1j * im * math.log(lam))
-                if t == "bessel":
-                    # exp(lam x) carries rate already; add the remainder
-                    acc *= cmath.exp(lam * (complex(x) + rate) - 1.0 / lam)
-                return acc
-
-            return nodes, weights, phi
-        if t == "gaussian_r":
-            nodes, weights = hermite_scaled(n)
-            return nodes, weights, lambda lam: 1.0 + 0.0j
-        raise IncompatibleChain(
-            f"{t} has no positive eigenvalue weight; eigen-tensor unsupported"
-        )
+            lam = s_nodes / rate
+            w = s_weights * rate ** (-pa - 1.0)
+            w = w * np.exp(1j * (e[0].imag * np.log(lam) - e[1].imag * lam))
+        else:
+            lam, w = hermite_scaled(n)
+        return lam, w * entry.phi(fam.params, lam, x, xs)
 
     return build
 
 
 def _invariance_probe(fn_matrix, r: int, domain: str):
+    """Compare fn at two unitary conjugates of one diagonal point of the
+    domain (a chain kind)."""
     stream = RandomStream(seed=140814)
     g = stream.generator()
-    if domain == "interval":
+    if domain == INTERVAL:
         lam = 0.25 + 0.5 * g.random(r)
-    elif domain == "half":
+    elif domain == HALF_LINE:
         lam = 0.5 + g.random(r)
     else:
         lam = g.standard_normal(r)
@@ -465,41 +429,20 @@ def _invariance_probe(fn_matrix, r: int, domain: str):
         raise NotInvariant("integrand is not unitarily invariant")
 
 
-_FAMILY_DOMAIN = {
-    "beta_r": "interval",
-    "gauss": "interval",
-    "kummer": "interval",
-    "lauricella_fd": "interval",
-    "gamma_r": "half",
-    "bessel": "half",
-    "gaussian_r": "full",
-    "hermite_weber": "full",
-    "airy": "full",
-}
-
-
 def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
                         probe: bool = True) -> IntegralEstimate:
     """Deterministic eigenvalue-reduced quadrature for invariant integrands."""
-    if fam.tag in ("hermite_weber", "airy"):
-        raise IncompatibleChain(
-            f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
-            "unsupported (use haar-mc, experimental)"
-        )
-    if fam.X is not None and fam.scalar_argument() is None:
-        raise NotInvariant("matrix argument breaks unitary invariance")
+    build = _eigen_rule(fam, r)
     if probe:
         _invariance_probe(
             lambda U: named_integrand(fam, U, check_domain=False),
             r,
-            _FAMILY_DOMAIN[fam.tag],
+            FAMILIES[fam.tag].domain,
         )
-    build = _family_eigen_split(fam, r)
     cr = weyl_constant(r)
 
     def run(n):
-        lam, w, phi = build(n)
-        wg = np.array([wi * phi(li) for wi, li in zip(w, lam)], dtype=np.complex128)
+        lam, wg = build(n)
         return cr * tensor_vdm_sum(wg, lam, r)
 
     coarse_nodes = max(8, r, nodes // 2)
@@ -517,17 +460,12 @@ _MC_PARTS = 16
 _MC_CHUNK = 1 << 15
 
 
-def _chain_sampler(fam: NamedFamily, chain: ChainSpec, r: int):
-    """Eigenvalue base density and its log-pdf for the chain kind."""
-    p = fam.params
+def _chain_sampler(chain: ChainSpec, exponents, r: int):
+    """Eigenvalue base density and its log-pdf for the chain kind: the
+    chain weight's exponents e give Beta(e0 - r + 1, e1 - r + 1) on the
+    interval and Gamma(e0 - r + 1) on the half line."""
     if chain.kind == INTERVAL:
-        a_sh = complex(p.get("a", 1.0 + r)).real - r + 1.0
-        if fam.tag == "beta_r":
-            b_sh = complex(p["b"]).real - r + 1.0
-        elif fam.tag in ("gauss", "kummer", "lauricella_fd"):
-            b_sh = complex(p["c"] - p["a"]).real - r + 1.0
-        else:
-            b_sh = 1.0
+        a_sh, b_sh = (complex(e).real - r + 1.0 for e in exponents[:2])
         if a_sh <= 0 or b_sh <= 0:
             raise IncompatibleChain("beta chain needs Re a, Re b > r - 1")
         lnB = log_gamma_real(a_sh) + log_gamma_real(b_sh) - log_gamma_real(a_sh + b_sh)
@@ -542,7 +480,7 @@ def _chain_sampler(fam: NamedFamily, chain: ChainSpec, r: int):
 
         return sample
     if chain.kind == HALF_LINE:
-        shape = complex(p.get("a", p.get("c", 1.0 + r))).real - r + 1.0
+        shape = complex(exponents[0]).real - r + 1.0
         if shape <= 0:
             raise IncompatibleChain("gamma chain needs a positive shape")
         lnG = log_gamma_real(shape)
@@ -573,14 +511,17 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     The sample space is split into a fixed number of counter-jumped
     substreams and reduced in substream order, so the estimate is
     bit-identical for a given (seed, samples) regardless of threading.
+    A ``batch_fn`` replaces the family's kernel; the family then only
+    shapes the eigenvalue density.
     """
     r = chain.r if r is None else r
-    sampler = _chain_sampler(fam, chain, r)
     if batch_fn is None:
-        from .integrands import named_integrand_batch
+        _family_on(fam, chain)
 
         def batch_fn(u):
             return named_integrand_batch(fam, u)
+
+    sampler = _chain_sampler(chain, FAMILIES[fam.tag].exponents(fam.params, fam.X), r)
 
     log_cr = math.log(weyl_constant(r))
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
@@ -630,17 +571,6 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 # ----------------------------------------------------------------------
 # Grassmannian integrals
 # ----------------------------------------------------------------------
-
-@lru_cache(maxsize=16)
-def _theta_terms(p: int):
-    """Symbolic theta term lists (word, float coefficient) for scalar reuse."""
-    if p < 2:
-        return ()
-    sym = theta_symbolic(p).symbolic
-    return tuple(
-        tuple((w, float(c)) for w, c in th.sorted_terms()) for th in sym
-    )
-
 
 def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
     """Fast r = 1 chart integrand u -> chi(ubar z) as plain complex arithmetic."""
@@ -757,17 +687,9 @@ def _match_pattern(z: CoordMatrix):
     return xs
 
 
-def _scalar_of(mat) -> complex | None:
-    """x if mat == x * I to tolerance, else None."""
-    r = mat.shape[0]
-    x = complex(np.trace(mat)) / r
-    if np.abs(mat - x * np.eye(r)).max() <= 1e-12 * max(1.0, abs(x)):
-        return x
-    return None
-
-
 def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
-    """Named-family equivalent of a table normal form with generic weights."""
+    """Named-family equivalent of a table normal form with generic weights,
+    and the factor its integral is multiplied by."""
     xs = _match_pattern(z)
     if xs is None:
         raise IncompatibleChain(
@@ -777,31 +699,34 @@ def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
     al = pw.flat_alpha()
     lam = z.lam
     if lam == (1, 1, 1):
-        return NamedFamily("beta_r", {"a": al[1] + r, "b": al[2] + r})
+        return NamedFamily("beta_r", {"a": al[1] + r, "b": al[2] + r}), 1.0
     if lam == (2, 1):
         a2 = complex(al[1])
         if a2.real >= 0 or abs(a2.imag) > 1e-13:
             raise IncompatibleChain("half-line rescaling needs real alpha_2 < 0")
-        # exp(alpha_2 Tr u) (det u)^{alpha_3}: gamma-type after rescaling
-        return NamedFamily("scaled_gamma", {"a": al[2] + r, "rate": -a2.real})
+        # exp(alpha_2 Tr u) (det u)^{alpha_3} over u > 0 is the matrix gamma
+        # integral after u -> u / rate
+        rate = -a2.real
+        a = complex(al[2] + r)
+        return NamedFamily("gamma_r", {"a": a}), rate ** complex(-(a - r) * r - r * r)
     if lam == (1, 1, 1, 1):
-        x = _scalar_of(xs[0])
+        x = scalar_multiple(xs[0])
         if x is None:
             raise IncompatibleChain("matrix residual parameter is not scalar")
         return NamedFamily(
             "gauss",
             {"a": al[1] + r, "b": -al[3], "c": al[1] + al[2] + 2 * r},
             X=x * np.eye(r),
-        )
+        ), 1.0
     if lam == (2, 1, 1):
-        x = _scalar_of(xs[0])
+        x = scalar_multiple(xs[0])
         if x is None:
             raise IncompatibleChain("matrix residual parameter is not scalar")
         return NamedFamily(
             "kummer",
             {"a": al[2] + r, "c": al[2] + al[3] + 2 * r},
             X=(al[1] * x) * np.eye(r),
-        )
+        ), 1.0
     raise IncompatibleChain(f"no eigen-tensor reduction wired for partition {lam}")
 
 
@@ -830,21 +755,14 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         return est
     if method in ("auto", "eigen-tensor"):
         try:
-            fam = _radon_eigen_family(z, pw)
-            if fam.tag == "scaled_gamma":
-                # exp(-rate Tr u) (det u)^{a-r} over u > 0; substitute u -> u/rate
-                rate = float(fam.params["rate"])
-                base = NamedFamily("gamma_r", {"a": fam.params["a"]})
-                est = integrate_invariant(base, r, nodes=budget.nodes, probe=False)
-                a = complex(fam.params["a"])
-                factor = rate ** complex(-(a - r) * r - r * r)
-                return IntegralEstimate(
-                    est.value * factor,
-                    est.abs_error_est * abs(factor),
-                    "eigen-tensor",
-                    est.nodes_or_samples,
-                )
-            return integrate_invariant(fam, r, nodes=budget.nodes, probe=False)
+            fam, factor = _radon_eigen_family(z, pw)
+            est = integrate_invariant(fam, r, nodes=budget.nodes, probe=False)
+            return IntegralEstimate(
+                est.value * factor,
+                est.abs_error_est * abs(factor),
+                "eigen-tensor",
+                est.nodes_or_samples,
+            )
         except IncompatibleChain:
             if method == "eigen-tensor":
                 raise
@@ -856,7 +774,8 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     def batch_fn(u):
         return chart_integrand_batch(spec, u)
 
-    fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})  # uniform base
+    # eigenvalue density Beta(2, 2) on the interval, Gamma(2) on the half line
+    fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
     est = integrate_haar_mc(
         fam, chain, budget.samples, budget.stream, r=r, batch_fn=batch_fn
     )

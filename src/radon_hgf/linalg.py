@@ -57,6 +57,15 @@ def inverse(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+def scalar_multiple(a) -> complex | None:
+    """x when a == x * identity to rounding, else None."""
+    a = as_matrix(a)
+    x = complex(np.trace(a)) / a.shape[0]
+    if np.abs(a - x * np.eye(a.shape[0])).max() <= 1e-12 * max(1.0, abs(x)):
+        return x
+    return None
+
+
 def hermitian_eigen(a, rtol: float = 1e-10):
     """Eigenvalues (ascending, real) and unitary eigenvectors of a Hermitian matrix."""
     a = as_matrix(a)

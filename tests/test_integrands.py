@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 
 from radon_hgf.characters import PartitionWeight
-from radon_hgf.errors import OnBranchLocus, OutOfDomain, UnpinnedAlpha, UnsupportedPartition
+from radon_hgf.errors import (
+    BranchCutWarning,
+    OnBranchLocus,
+    OutOfDomain,
+    SingularBlock,
+    UnpinnedAlpha,
+    UnsupportedPartition,
+)
 from radon_hgf.grassmann import ChartPoint, CoordMatrix
 from radon_hgf.integrands import (
+    FAMILIES,
+    FULL_LINE,
+    HALF_LINE,
+    INTERVAL,
     IntegrandSpec,
     NamedFamily,
     evaluate_frame,
@@ -129,6 +140,73 @@ def test_named_batch_matches_pointwise():
     batch = named_integrand_batch(fam, us)
     for k in range(6):
         assert abs(batch[k] - named_integrand(fam, us[k])) < 1e-13
+
+
+def test_named_batch_power_policy():
+    # a zero determinant raises and one on the negative axis warns, at any
+    # batch size
+    fam = NamedFamily("gamma_r", {"a": 2.5})
+    eye = np.eye(2, dtype=np.complex128)
+    with pytest.raises(SingularBlock):
+        named_integrand_batch(fam, np.stack([eye, np.diag([1.0, 0.0]) + 0j]))
+    with pytest.warns(BranchCutWarning):
+        named_integrand_batch(fam, np.stack([eye, np.diag([1.0, -2.0]) + 0j]))
+    with pytest.raises(SingularBlock):
+        named_integrand(fam, np.zeros((1, 1)), check_domain=False)
+
+
+def test_unknown_family_tag_rejected():
+    with pytest.raises(UnsupportedPartition):
+        NamedFamily("scaled_gamma", {"a": 2.0})
+
+
+def test_family_default_chains():
+    assert {tag: entry.chains[0] for tag, entry in FAMILIES.items()} == {
+        "beta_r": INTERVAL,
+        "gauss": INTERVAL,
+        "kummer": INTERVAL,
+        "lauricella_fd": INTERVAL,
+        "gamma_r": HALF_LINE,
+        "bessel": HALF_LINE,
+        "hermite_weber": HALF_LINE,
+        "gaussian_r": FULL_LINE,
+        "airy": "rotated-ray",
+    }
+
+
+_INVARIANT = {
+    "beta_r": ({"a": 2.3 + 0.4j, "b": 3.1}, 0.0, ()),
+    "gamma_r": ({"a": 2.7 + 0.3j}, 0.0, ()),
+    "gaussian_r": ({}, 0.0, ()),
+    "gauss": ({"a": 2.4, "b": 0.7, "c": 5.1}, 0.3, ()),
+    "kummer": ({"a": 2.4, "c": 5.1}, -0.7, ()),
+    "bessel": ({"c": 2.8}, -1.3 + 0.2j, ()),
+    "lauricella_fd": ({"a": 2.4, "bs": (0.7, 1.1), "c": 5.3}, 0.0, (0.2, -0.3)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_INVARIANT))
+def test_family_remainder_matches_kernel(tag):
+    # kernel(diag(lam)) = prod_i weight(lam_i) phi(lam_i), with the weight
+    # given by the default chain and the endpoint exponents
+    r = 2
+    params, x, xs = _INVARIANT[tag]
+    entry = FAMILIES[tag]
+    fam = NamedFamily(tag, params, X=x * np.eye(r), xs=tuple(v * np.eye(r) for v in xs))
+    e = [complex(v) for v in entry.exponents(fam.params, fam.X)]
+    kind = entry.chains[0]
+    if kind == INTERVAL:
+        lam = np.array([0.2, 0.7])
+        weight = lam ** (e[0] - r) * (1.0 - lam) ** (e[1] - r)
+    elif kind == HALF_LINE:
+        lam = np.array([0.6, 1.9])
+        weight = lam ** (e[0] - r) * np.exp(-e[1] * lam)
+    else:
+        lam = np.array([-0.8, 1.3])
+        weight = np.exp(-0.5 * lam**2)
+    ref = np.prod(weight * entry.phi(fam.params, lam, x, xs))
+    val = named_integrand(fam, np.diag(lam))
+    assert abs(val - ref) < 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("lam,tag", [

@@ -104,6 +104,10 @@ def test_invariant_rejects_matrix_argument():
     fam = NamedFamily("gauss", {"a": 3.0, "b": 1.0, "c": 6.0}, X=x)
     with pytest.raises(NotInvariant):
         integrate_invariant(fam, 2)
+    fam = NamedFamily("lauricella_fd", {"a": 3.0, "bs": (1.0, 0.5), "c": 6.0},
+                      xs=(0.2 * np.eye(2), x))
+    with pytest.raises(NotInvariant):
+        integrate_invariant(fam, 2)
 
 
 def test_invariant_error_estimate_is_honest():
@@ -150,6 +154,27 @@ def test_mc_threads_malformed_names_variable(monkeypatch):
     monkeypatch.setenv("RADON_HGF_THREADS", "abc")
     with pytest.raises(ValueError, match="RADON_HGF_THREADS"):
         integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(42))
+
+
+def test_mc_rejects_chain_outside_family():
+    fam = NamedFamily("gaussian_r", {})
+    with pytest.raises(IncompatibleChain):
+        integrate_haar_mc(fam, ChainSpec("interval-0-1", 2), 1000, RandomStream(1))
+
+
+def test_mc_hermite_weber_half_line_matches_r1():
+    # the gamma density follows the kernel's power det(u)^(-c - r)
+    fam = NamedFamily("hermite_weber", {"c": -0.5}, X=np.array([[0.3]]))
+    chain = ChainSpec("half-line", 1)
+    ref = integrate_r1(fam, chain, tol=1e-11).value
+    est = integrate_haar_mc(fam, chain, 100_000, RandomStream(1))
+    assert abs(est.value - ref) < 5 * est.abs_error_est
+
+
+def test_mc_hermite_weber_half_line_divergent_raises():
+    fam = NamedFamily("hermite_weber", {"c": 0.5}, X=np.array([[0.3]]))
+    with pytest.raises(IncompatibleChain):
+        integrate_haar_mc(fam, ChainSpec("half-line", 1), 1000, RandomStream(1))
 
 
 def test_mc_value_pinned():
@@ -284,11 +309,11 @@ def test_divergent_full_line_raises_typed_error():
 
 
 def test_invariance_probe_catches_violations():
-    from radon_hgf.integrate import _invariance_probe
+    from radon_hgf.integrate import INTERVAL, _invariance_probe
 
-    _invariance_probe(lambda u: complex(np.trace(u)), 2, "interval")
+    _invariance_probe(lambda u: complex(np.trace(u)), 2, INTERVAL)
     with pytest.raises(NotInvariant):
-        _invariance_probe(lambda u: complex(u[0, 0]), 2, "interval")
+        _invariance_probe(lambda u: complex(u[0, 0]), 2, INTERVAL)
 
 
 def test_mc_lauricella_vs_series():
