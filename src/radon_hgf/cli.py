@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import RUNTIME_LIMITS, run_all
 from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
@@ -236,14 +236,17 @@ def cmd_suite(args):
     results = run_all(numbers)
     checks = []
     for res in results:
-        line = f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number:2d}: " \
-               f"{res.name} ({res.seconds:.2f}s) - {res.detail}"
+        limit = RUNTIME_LIMITS[res.number]
+        passed = res.passed and res.seconds < limit
+        line = f"[{'PASS' if passed else 'FAIL'}] criterion {res.number:2d}: " \
+               f"{res.name} ({res.seconds:.2f}s of {limit:g}s) - {res.detail}"
         print(line, file=sys.stderr)
         checks.append({
             "name": f"criterion {res.number}: {res.name}",
-            "pass": res.passed,
+            "pass": passed,
             "detail": res.detail,
             "seconds": res.seconds,
+            "limit_s": limit,
         })
     return {"level": args.level, "criteria_run": len(results)}, checks, None
 

@@ -1,9 +1,13 @@
 """Chart integrands and the named Hermitian-integral families.
 
-The chart integrand of a coordinate matrix factors as a product of
-determinant powers (the multivalued part) times the exponential of a
-trace polynomial (the confluent part); both handles are exposed so the
-factorization itself is testable.  The named families are the concrete
+The chart integrand of a coordinate matrix is the block-group character
+of the block images t z of a frame t: a product of determinant powers
+(the multivalued part) times the exponential of a trace polynomial (the
+confluent part).  ``chart_integrand_batch`` evaluates it over stacked
+frames, and ``evaluate_frame`` / ``evaluate_integrand`` are its
+single-point calls; the r = 1 adaptive quadrature keeps a scalar
+evaluator of its own (``integrate.scalar_chart_function``), which is
+cheaper per point than a batch of one.  The named families are the concrete
 matrix-integral counterparts of the classical hypergeometric kernels,
 and ``family_of_normal_form`` records the exact weight dictionary that
 identifies them with the table normal forms.
@@ -24,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import PartitionWeight, cpow
+from .characters import PartitionWeight
 from .errors import (
     BranchCutWarning,
     OnBranchLocus,
@@ -35,11 +39,8 @@ from .errors import (
     UnsupportedPartition,
 )
 from .grassmann import ChartPoint, CoordMatrix
-from .jordan import TruncPoly, theta
-from .linalg import as_matrix, det, hadamard_bound, inverse
+from .linalg import as_matrix
 from .ncpoly import theta_symbolic
-
-_BRANCH_RTOL = 1e-12
 
 INTERVAL = "interval-0-1"
 HALF_LINE = "half-line"
@@ -63,40 +64,17 @@ class IntegrandSpec:
         if self.z.m != 2 * self.z.r:
             raise ShapeMismatch("chart integrands are defined for m = 2r")
 
-    def parts_at_frame(self, t) -> tuple:
-        """(power part, trace-exponent) of the integrand at a general r x m frame."""
-        t = as_matrix(t)
-        z = self.z
-        f = 1.0 + 0.0j
-        g = 0.0 + 0.0j
-        eye = np.eye(z.r, dtype=np.complex128)
-        for j, nk in enumerate(z.lam):
-            m0 = t @ z.block(j, 0)
-            d0 = det(m0)
-            if abs(d0) <= _BRANCH_RTOL * max(hadamard_bound(m0), 1e-300):
-                raise OnBranchLocus(f"block {j + 1} frame determinant vanishes")
-            alpha = self.pw.alpha[j]
-            f *= cpow(d0, alpha[0])
-            if nk > 1:
-                m0_inv = inverse(m0)
-                coeffs = [eye] + [m0_inv @ (t @ z.block(j, q)) for q in range(1, nk)]
-                th = theta(TruncPoly.from_list(coeffs)).numeric
-                for k in range(1, nk):
-                    g += alpha[k] * np.trace(th[k - 1])
-        return f, g
 
-    def parts(self, point: ChartPoint) -> tuple:
-        return self.parts_at_frame(point.ubar)
+def evaluate_frame(spec: IntegrandSpec, t) -> complex:
+    """Integrand at one r x m frame t: the character of the block images t z."""
+    try:
+        return complex(chart_integrand_batch(spec, as_matrix(t)[None])[0])
+    except SingularBlock as exc:
+        raise OnBranchLocus("a block image of the frame is singular") from exc
 
 
 def evaluate_integrand(spec: IntegrandSpec, point: ChartPoint) -> complex:
-    f, g = spec.parts(point)
-    return complex(f * np.exp(g))
-
-
-def evaluate_frame(spec: IntegrandSpec, t) -> complex:
-    f, g = spec.parts_at_frame(t)
-    return complex(f * np.exp(g))
+    return evaluate_frame(spec, point.ubar)
 
 
 @dataclass(frozen=True)
@@ -193,21 +171,19 @@ def _theta_terms(p: int):
     )
 
 
-def chart_integrand_batch(spec: IntegrandSpec, u) -> np.ndarray:
-    """Chart integrand over a stacked (batch, r, r) chart coordinate."""
-    b, r, _ = u.shape
+def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
+    """Integrand over a stacked (batch, r, m) frame t; at t = (1, u) it is the
+    chart integrand at u."""
+    b, r, _ = t.shape
     z = spec.z
-    ubar = np.concatenate(
-        [np.broadcast_to(np.eye(r, dtype=np.complex128), (b, r, r)), u], axis=2
-    )
     acc = np.ones(b, dtype=np.complex128)
     for j, nk in enumerate(z.lam):
-        m0 = ubar @ z.block(j, 0)
+        m0 = t @ z.block(j, 0)
         alpha = spec.pw.alpha[j]
         acc *= _detpow_batch(m0, alpha[0])
         if nk > 1:
             m0_inv = np.linalg.inv(m0)
-            coeffs = [m0_inv @ (ubar @ z.block(j, q)) for q in range(1, nk)]
+            coeffs = [m0_inv @ (t @ z.block(j, q)) for q in range(1, nk)]
             terms = _theta_terms(nk)
             expo = np.zeros(b, dtype=np.complex128)
             for k in range(1, nk):
@@ -357,7 +333,6 @@ FAMILIES = {
 # ----------------------------------------------------------------------
 
 _PINS = {
-    (2, 1, 1): {1: 1.0},
     (2, 2): {1: 1.0, 3: -1.0},
     (3, 1): {1: 0.0, 2: 1.0},
     (4,): {1: 0.0, 2: 0.0, 3: 1.0},
@@ -368,8 +343,10 @@ def family_of_normal_form(lam, x, alpha, r: int) -> NamedFamily:
     """Named family whose kernel equals the chart integrand of the primary
     table form, with the weight dictionary recorded.
 
-    alpha is the flat weight 4-tuple; the confluent partitions require the
-    pinned entries (positions are 0-based within the flat tuple).
+    alpha is the flat weight 4-tuple; the confluent partitions other than
+    (2, 1, 1) require the pinned entries (positions are 0-based within the
+    flat tuple).  The (2, 1, 1) chart integrand depends on alpha_2 and x only
+    through their product, which is kummer's X.
     """
     lam = tuple(lam)
     alpha = tuple(complex(a) for a in alpha)
@@ -399,9 +376,9 @@ def family_of_normal_form(lam, x, alpha, r: int) -> NamedFamily:
         return NamedFamily(
             "kummer",
             {"a": a, "c": c},
-            X=x,
+            X=alpha[1] * x,
             dictionary={"a": "alpha_3 + r", "c": "alpha_3 + alpha_4 + 2r",
-                        "X": "x", "pin": "alpha_2 = 1"},
+                        "X": "alpha_2 x"},
         )
     if lam == (2, 2):
         c = alpha[2] + r

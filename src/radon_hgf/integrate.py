@@ -34,6 +34,7 @@ from .errors import (
     NotInZLambda,
     OnBranchLocus,
     ShapeMismatch,
+    UnpinnedAlpha,
 )
 from .grassmann import CoordMatrix, z_lambda_member
 from .integrands import (
@@ -43,12 +44,16 @@ from .integrands import (
     HALF_LINE,
     INTERVAL,
     ROTATED_RAY,
+    IntegrandSpec,
     NamedFamily,
     _theta_terms,
+    chart_integrand_batch,
+    family_of_normal_form,
     named_integrand,
     named_integrand_batch,
 )
 from .linalg import haar_from_gaussian, haar_unitary_batch, scalar_multiple
+from .normal_form import residual_parameters
 from .oracles import log_gamma_real
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
@@ -463,7 +468,8 @@ _MC_CHUNK = 1 << 15
 def _chain_sampler(chain: ChainSpec, exponents, r: int):
     """Eigenvalue base density and its log-pdf for the chain kind: the
     chain weight's exponents e give Beta(e0 - r + 1, e1 - r + 1) on the
-    interval and Gamma(e0 - r + 1) on the half line."""
+    interval and Gamma(e0 - r + 1) at rate e1 on the half line (unit rate
+    when the weight has no e1)."""
     if chain.kind == INTERVAL:
         a_sh, b_sh = (complex(e).real - r + 1.0 for e in exponents[:2])
         if a_sh <= 0 or b_sh <= 0:
@@ -481,13 +487,16 @@ def _chain_sampler(chain: ChainSpec, exponents, r: int):
         return sample
     if chain.kind == HALF_LINE:
         shape = complex(exponents[0]).real - r + 1.0
+        rate = complex(exponents[1]).real if len(exponents) > 1 else 1.0
         if shape <= 0:
             raise IncompatibleChain("gamma chain needs a positive shape")
-        lnG = log_gamma_real(shape)
+        if rate <= 0:
+            raise IncompatibleChain("half-line weight needs a positive decay rate")
+        lnG = log_gamma_real(shape) - shape * math.log(rate)
 
         def sample(gen, count):
-            lam = gen.gamma(shape, size=(count, r))
-            logpdf = np.sum((shape - 1.0) * np.log(lam) - lam - lnG, axis=1)
+            lam = gen.gamma(shape, size=(count, r)) / rate
+            logpdf = np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
             return lam, logpdf
 
         return sample
@@ -646,51 +655,10 @@ def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
     raise IncompatibleChain(f"unsupported chain {chain.kind}")
 
 
-def _match_pattern(z: CoordMatrix):
-    """Recognize a table normal form and extract its residual parameters."""
-    from .normal_form import pattern
-
-    lam, r = z.lam, z.r
-    n = z.n
-    xs_slots = {
-        (1, 1, 1): 0,
-        (2, 1): 0,
-        (3,): 0,
-        (1, 1, 1, 1): 1,
-        (2, 1, 1): 1,
-        (2, 2): 1,
-        (3, 1): 1,
-        (4,): 1,
-    }
-    if lam in xs_slots:
-        k = xs_slots[lam]
-    elif all(v == 1 for v in lam) and n > 4:
-        k = n - 3
-    else:
-        return None
-    if k == 0:
-        xs = ()
-    elif lam == (1, 1, 1, 1) or (all(v == 1 for v in lam) and n > 4):
-        xs = tuple(-z.block(j, 0)[r:, :] for j in range(3, n))
-    elif lam == (2, 1, 1):
-        xs = (z.block(0, 1)[r:, :],)
-    elif lam == (2, 2):
-        xs = (z.block(0, 1)[r:, :],)
-    elif lam == (3, 1):
-        xs = (z.block(0, 2)[r:, :],)
-    else:  # (4,)
-        xs = (z.block(0, 3)[r:, :],)
-    target = pattern(lam, r, xs)
-    scale = max(1.0, float(np.abs(z.entries).max()))
-    if float(np.abs(z.entries - target).max()) / scale > 1e-12:
-        return None
-    return xs
-
-
 def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
     """Named-family equivalent of a table normal form with generic weights,
     and the factor its integral is multiplied by."""
-    xs = _match_pattern(z)
+    xs = residual_parameters(z)
     if xs is None:
         raise IncompatibleChain(
             "deterministic eigen-tensor evaluation needs a table normal form"
@@ -709,25 +677,15 @@ def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
         rate = -a2.real
         a = complex(al[2] + r)
         return NamedFamily("gamma_r", {"a": a}), rate ** complex(-(a - r) * r - r * r)
-    if lam == (1, 1, 1, 1):
-        x = scalar_multiple(xs[0])
-        if x is None:
-            raise IncompatibleChain("matrix residual parameter is not scalar")
-        return NamedFamily(
-            "gauss",
-            {"a": al[1] + r, "b": -al[3], "c": al[1] + al[2] + 2 * r},
-            X=x * np.eye(r),
-        ), 1.0
-    if lam == (2, 1, 1):
-        x = scalar_multiple(xs[0])
-        if x is None:
-            raise IncompatibleChain("matrix residual parameter is not scalar")
-        return NamedFamily(
-            "kummer",
-            {"a": al[2] + r, "c": al[2] + al[3] + 2 * r},
-            X=(al[1] * x) * np.eye(r),
-        ), 1.0
-    raise IncompatibleChain(f"no eigen-tensor reduction wired for partition {lam}")
+    if len(xs) != 1:
+        raise IncompatibleChain(f"no eigen-tensor reduction wired for partition {lam}")
+    x = scalar_multiple(xs[0])
+    if x is None:
+        raise IncompatibleChain("matrix residual parameter is not scalar")
+    try:
+        return family_of_normal_form(lam, x * np.eye(r), al, r), 1.0
+    except UnpinnedAlpha as exc:
+        raise IncompatibleChain(str(exc)) from exc
 
 
 def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
@@ -767,15 +725,20 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             if method == "eigen-tensor":
                 raise
     # Monte Carlo fallback on the chart integrand
-    from .integrands import IntegrandSpec, chart_integrand_batch
-
     spec = IntegrandSpec(pw, z)
+    eye = np.eye(r, dtype=np.complex128)
 
     def batch_fn(u):
-        return chart_integrand_batch(spec, u)
+        return chart_integrand_batch(
+            spec, np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
+        )
 
-    # eigenvalue density Beta(2, 2) on the interval, Gamma(2) on the half line
-    fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
+    # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate on
+    # the half line
+    if chain.kind == HALF_LINE:
+        fam = NamedFamily("gamma_r", {"a": 1.0 + r})
+    else:
+        fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
     est = integrate_haar_mc(
         fam, chain, budget.samples, budget.stream, r=r, batch_fn=batch_fn
     )

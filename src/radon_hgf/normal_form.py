@@ -33,69 +33,76 @@ class NormalFormResult:
         return apply_group(z, g=self.g, h=self.h)
 
 
-def _blocks_row(r, top, bottom):
-    def mat(entry):
-        if isinstance(entry, str):
-            if entry == "I":
-                return np.eye(r, dtype=np.complex128)
-            if entry == "-I":
-                return -np.eye(r, dtype=np.complex128)
-            if entry == "0":
-                return np.zeros((r, r), dtype=np.complex128)
-            raise ValueError(entry)
-        return np.asarray(entry, dtype=np.complex128)
+# (top, bottom) block tokens of the table form per (partition, variant):
+# I, -I and 0 are r x r blocks, and each x or -x slot takes the next
+# residual parameter.  The all-ones rows are generated by _layout.
+_LAYOUTS = {
+    ((2, 1), 1): (("I", "0", "0"), ("0", "I", "I")),
+    ((3,), 1): (("I", "0", "0"), ("0", "I", "0")),
+    ((2, 1, 1), 1): (("I", "0", "0", "I"), ("0", "x", "I", "-I")),
+    ((2, 1, 1), 2): (("I", "0", "0", "I"), ("0", "I", "I", "-x")),
+    ((2, 1, 1), 3): (("I", "0", "0", "x"), ("0", "I", "I", "-I")),
+    ((2, 2), 1): (("I", "0", "0", "I"), ("0", "x", "I", "0")),
+    ((2, 2), 2): (("I", "0", "0", "x"), ("0", "I", "I", "0")),
+    ((3, 1), 1): (("I", "0", "0", "0"), ("0", "I", "x", "I")),
+    ((3, 1), 2): (("I", "x", "0", "0"), ("0", "-I", "0", "I")),
+    ((3, 1), 3): (("I", "0", "0", "x"), ("0", "I", "0", "-I")),
+    ((4,), 1): (("I", "0", "0", "0"), ("0", "I", "0", "x")),
+}
 
-    top_row = np.concatenate([mat(s) for s in top], axis=1)
-    bot_row = np.concatenate([mat(s) for s in bottom], axis=1)
-    return np.concatenate([top_row, bot_row], axis=0)
+
+def _layout(lam, variant):
+    n = len(lam)
+    if n >= 3 and all(nk == 1 for nk in lam) and variant == 1:
+        return ("I", "0") + ("I",) * (n - 2), ("0", "I", "-I") + ("-x",) * (n - 3)
+    try:
+        return _LAYOUTS[lam, variant]
+    except KeyError:
+        raise ShapeMismatch(f"no table pattern for partition {lam} variant {variant}") from None
 
 
 def pattern(lam, r, xs=(), variant: int = 1) -> np.ndarray:
     """Table pattern for the given partition (and variant for lam |- 4)."""
     lam = tuple(lam)
-    xs = tuple(np.asarray(x, dtype=np.complex128) for x in xs)
-    if lam == (1, 1, 1):
-        return _blocks_row(r, ["I", "0", "I"], ["0", "I", "-I"])
-    if lam == (2, 1):
-        return _blocks_row(r, ["I", "0", "0"], ["0", "I", "I"])
-    if lam == (3,):
-        return _blocks_row(r, ["I", "0", "0"], ["0", "I", "0"])
-    if lam == (1, 1, 1, 1):
-        (x,) = xs
-        return _blocks_row(r, ["I", "0", "I", "I"], ["0", "I", "-I", -x])
-    if lam == (2, 1, 1):
-        (x,) = xs
-        if variant == 1:
-            return _blocks_row(r, ["I", "0", "0", "I"], ["0", x, "I", "-I"])
-        if variant == 2:
-            return _blocks_row(r, ["I", "0", "0", "I"], ["0", "I", "I", -x])
-        if variant == 3:
-            return _blocks_row(r, ["I", "0", "0", x], ["0", "I", "I", "-I"])
-    if lam == (2, 2):
-        (x,) = xs
-        if variant == 1:
-            return _blocks_row(r, ["I", "0", "0", "I"], ["0", x, "I", "0"])
-        if variant == 2:
-            return _blocks_row(r, ["I", "0", "0", x], ["0", "I", "I", "0"])
-    if lam == (3, 1):
-        (x,) = xs
-        if variant == 1:
-            return _blocks_row(r, ["I", "0", "0", "0"], ["0", "I", x, "I"])
-        if variant == 2:
-            return _blocks_row(r, ["I", x, "0", "0"], ["0", "-I", "0", "I"])
-        if variant == 3:
-            return _blocks_row(r, ["I", "0", "0", x], ["0", "I", "0", "-I"])
-    if lam == (4,):
-        (x,) = xs
-        return _blocks_row(r, ["I", "0", "0", "0"], ["0", "I", "0", x])
-    if all(n == 1 for n in lam) and len(lam) >= 3:
-        n = len(lam)
-        if len(xs) != n - 3:
-            raise ShapeMismatch("one residual parameter per column beyond the third")
-        top = ["I", "0"] + ["I"] * (n - 2)
-        bottom = ["0", "I", "-I"] + [-x for x in xs]
-        return _blocks_row(r, top, bottom)
-    raise ShapeMismatch(f"no table pattern for partition {lam} variant {variant}")
+    top, bottom = _layout(lam, variant)
+    slots = sum(token.endswith("x") for token in top + bottom)
+    if len(xs) != slots:
+        raise ShapeMismatch(f"partition {lam} variant {variant} takes {slots} residual parameters")
+    eye = np.eye(r, dtype=np.complex128)
+    fixed = {"I": eye, "-I": -eye, "0": np.zeros((r, r), dtype=np.complex128)}
+    xs = iter([np.asarray(x, dtype=np.complex128) for x in xs])
+
+    def block(token):
+        if token in fixed:
+            return fixed[token]
+        x = next(xs)
+        return x if token == "x" else -x
+
+    rows = [np.concatenate([block(token) for token in row], axis=1) for row in (top, bottom)]
+    return np.concatenate(rows, axis=0)
+
+
+def residual_parameters(z: CoordMatrix):
+    """The residual parameters of z when z is the variant-1 table form, read
+    back from its x slots; None when it is not."""
+    if z.m != 2 * z.r:
+        return None
+    try:
+        top, bottom = _layout(z.lam, 1)
+    except ShapeMismatch:
+        return None
+    r = z.r
+    xs = []
+    for half, row in ((z.entries[:r], top), (z.entries[r:], bottom)):
+        for c, token in enumerate(row):
+            if token.endswith("x"):
+                x = half[:, c * r : (c + 1) * r]
+                xs.append(x if token == "x" else -x)
+    target = pattern(z.lam, r, xs)
+    scale = max(1.0, float(np.abs(z.entries).max()))
+    if float(np.abs(z.entries - target).max()) / scale > 1e-12:
+        return None
+    return tuple(xs)
 
 
 class _Reduction:
@@ -174,6 +181,29 @@ def _check_shape(z: CoordMatrix, n: int):
         raise ShapeMismatch(f"partition weight must be {n}")
 
 
+def _all_ones_steps(red: _Reduction) -> tuple:
+    """The all-ones pivot recipe: (z1, z2) to the identity, the third block
+    to (I, -I), then the top of every later block to I.  Returns the
+    residual parameters x_4, ..., x_n."""
+    z = red.z
+    g1 = _pivot_inverse(
+        np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z1, z2)"
+    )
+    red.left(g1)
+    v0, v1 = red.upper(2, 0), red.lower(2, 0)
+    h3 = _pivot_inverse(v0, "v0")
+    h2 = -v1 @ h3
+    red.left(_row_scale(z.r, _pivot_inverse(h2, "h2")))
+    red.right_block(1, [h2])
+    red.right_block(2, [h3])
+    xs = []
+    for j in range(3, z.n):
+        wj = red.upper(j, 0)
+        red.right_block(j, [_pivot_inverse(wj, f"w{j + 1}")])
+        xs.append(-red.lower(j, 0))
+    return tuple(xs)
+
+
 def reduce3(z: CoordMatrix) -> NormalFormResult:
     """Normal form for partitions of 3; the table has no residual parameters."""
     _check_shape(z, 3)
@@ -182,16 +212,7 @@ def reduce3(z: CoordMatrix) -> NormalFormResult:
     red = _Reduction(z)
     lam = z.lam
     if lam == (1, 1, 1):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z1, z2)"
-        )
-        red.left(g1)
-        v0, v1 = red.upper(2, 0), red.lower(2, 0)
-        h3 = _pivot_inverse(v0, "v0")
-        h2 = -v1 @ h3
-        red.left(_row_scale(r, _pivot_inverse(h2, "h2")))
-        red.right_block(1, [h2])
-        red.right_block(2, [h3])
+        _all_ones_steps(red)
     elif lam == (2, 1):
         g1 = _pivot_inverse(
             np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z0^(1), z0^(2))"
@@ -222,26 +243,10 @@ def reduce4(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
     r = z.r
     lam = z.lam
     eye = np.eye(r, dtype=np.complex128)
-    if lam in ((1, 1, 1, 1), (4,)) and variant != 1:
-        raise ShapeMismatch(f"partition {lam} has a single table form")
-    if variant not in (1, 2, 3) or (lam == (2, 2) and variant == 3):
-        raise ShapeMismatch(f"no variant {variant} for partition {lam}")
+    _layout(lam, variant)  # a variant the table lacks raises ShapeMismatch
     red = _Reduction(z)
     if lam == (1, 1, 1, 1):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z1, z2)"
-        )
-        red.left(g1)
-        v0, v1 = red.upper(2, 0), red.lower(2, 0)
-        h3 = _pivot_inverse(v0, "v0")
-        h2 = -v1 @ h3
-        red.left(_row_scale(r, _pivot_inverse(h2, "h2")))
-        red.right_block(1, [h2])
-        red.right_block(2, [h3])
-        w0 = red.upper(3, 0)
-        red.right_block(3, [_pivot_inverse(w0, "w0")])
-        x = -red.lower(3, 0)
-        xs = (x,)
+        xs = _all_ones_steps(red)
     elif lam == (2, 1, 1):
         g1 = _pivot_inverse(
             np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z0^(1), z0^(2))"
@@ -341,25 +346,9 @@ def reduce_ones(z: CoordMatrix) -> NormalFormResult:
     if z.m != 2 * z.r:
         raise ShapeMismatch("normal forms need m = 2r")
     require_member(z)
-    r = z.r
     red = _Reduction(z)
-    g1 = _pivot_inverse(
-        np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z1, z2)"
-    )
-    red.left(g1)
-    v0, v1 = red.upper(2, 0), red.lower(2, 0)
-    h3 = _pivot_inverse(v0, "v0")
-    h2 = -v1 @ h3
-    red.left(_row_scale(r, _pivot_inverse(h2, "h2")))
-    red.right_block(1, [h2])
-    red.right_block(2, [h3])
-    xs = []
-    for j in range(3, z.n):
-        wj = red.upper(j, 0)
-        red.right_block(j, [_pivot_inverse(wj, f"w{j + 1}")])
-        xs.append(-red.lower(j, 0))
-    target = pattern(z.lam, r, xs)
-    return red.result(tuple(xs), f"(1^{z.n})/x", target)
+    xs = _all_ones_steps(red)
+    return red.result(xs, f"(1^{z.n})/x", pattern(z.lam, z.r, xs))
 
 
 def _fmt(lam) -> str:

@@ -167,6 +167,16 @@ def test_suite_subset(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_suite_fails_over_budget(capsys, monkeypatch):
+    from radon_hgf import acceptance
+
+    monkeypatch.setitem(acceptance.RUNTIME_LIMITS, 1, 0.0)
+    code, report = run_cli(capsys, "suite", "--criteria", "1")
+    assert code == 1
+    assert report["pass"] is False
+    assert report["checks"][0]["limit_s"] == 0.0
+
+
 def test_verify_gamma_passes(capsys):
     code, report = run_cli(capsys, "verify-gamma", "--r", "2", "--a", "3")
     assert code == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radon_hgf.characters import PartitionWeight
+from radon_hgf.characters import GroupElement, PartitionWeight, chi_lambda
 from radon_hgf.errors import (
     BranchCutWarning,
     OnBranchLocus,
@@ -18,12 +18,15 @@ from radon_hgf.integrands import (
     INTERVAL,
     IntegrandSpec,
     NamedFamily,
+    chart_integrand_batch,
     evaluate_frame,
     evaluate_integrand,
     family_of_normal_form,
     named_integrand,
     named_integrand_batch,
 )
+from radon_hgf.integrate import scalar_chart_function
+from radon_hgf.jordan import TruncPoly
 from radon_hgf.linalg import haar_unitary_batch
 from radon_hgf.normal_form import pattern
 from radon_hgf.rng import RandomStream
@@ -71,14 +74,6 @@ def test_scalar_gauss_closed_form():
     assert abs(val - ref) < 1e-14 * abs(ref)
 
 
-def test_factorization_recombines():
-    spec = _spec((2, 1), 2, (-2 * 2 - 0.7, -1.0, 0.7))
-    u = _herm(2, 0.4, 1.6, RandomStream(73))
-    f, g = spec.parts(ChartPoint(u))
-    val = evaluate_integrand(spec, ChartPoint(u))
-    assert abs(f * np.exp(g) - val) <= 1e-13 * abs(val)
-
-
 def test_branch_locus_raises():
     spec = _spec((1, 1, 1), 1, (-1.3, -0.4, -0.3))
     with pytest.raises(OnBranchLocus):
@@ -98,6 +93,60 @@ def test_frame_homogeneity():
     v_scaled = evaluate_frame(spec, g @ t)
     ref = np.linalg.det(g) ** (-4.0) * v_base
     assert abs(v_scaled - ref) < 1e-10 * abs(ref)
+
+
+# the table partitions and their numbers of residual parameters
+_TABLE = [((1, 1, 1), 0), ((2, 1), 0), ((3,), 0), ((1, 1, 1, 1), 1),
+          ((2, 1, 1), 1), ((2, 2), 1), ((3, 1), 1), ((4,), 1)]
+
+
+def _cnormal(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+@pytest.mark.parametrize("lam,k", _TABLE)
+@pytest.mark.parametrize("r", [1, 2])
+def test_chart_integrand_matches_character(lam, k, r):
+    # reference: chi_lambda of the block images t z_q^(j) at the frame t = (1, u)
+    gen = RandomStream(90 + 7 * r + sum(lam) + len(lam)).generator()
+    xs = tuple(0.5 * _cnormal(gen, (r, r)) for _ in range(k))
+    entries = pattern(lam, r, xs) + 0.2 * _cnormal(gen, (2 * r, sum(lam) * r))
+    z = CoordMatrix(lam, r, entries)
+    flat = 0.5 * _cnormal(gen, sum(lam))
+    lead = np.cumsum((0,) + lam[:-1])
+    flat[0] = -2 * r - flat[lead[1:]].sum()
+    pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
+    spec = IntegrandSpec(pw, z)
+    us = 0.5 * _cnormal(gen, (4, r, r))
+    frames = np.concatenate([np.broadcast_to(np.eye(r), us.shape), us], axis=2)
+    refs = [
+        chi_lambda(GroupElement(tuple(
+            TruncPoly.from_list([t @ z.block(j, q) for q in range(nk)])
+            for j, nk in enumerate(lam)
+        )), pw)
+        for t in frames
+    ]
+    batch = chart_integrand_batch(spec, frames)
+    scalar = scalar_chart_function(z, pw) if r == 1 else None
+    for i, ref in enumerate(refs):
+        assert abs(batch[i] - ref) <= 1e-13 * abs(ref)
+        if scalar is not None:
+            assert abs(scalar(us[i, 0, 0]) - ref) <= 1e-13 * abs(ref)
+
+
+def test_unpinned_kummer_takes_product_argument():
+    # the (2,1,1) chart integrand sees alpha_2 and x only as alpha_2 x
+    r = 2
+    al = [0.0, 0.6, 0.45, 0.65]
+    al[0] = -2 * r - al[2] - al[3]
+    x = _herm(r, 0.5, 1.5, RandomStream(78))
+    fam = family_of_normal_form((2, 1, 1), x, al, r)
+    spec = _spec((2, 1, 1), r, al, (x,))
+    assert np.allclose(fam.X, 0.6 * x, rtol=0, atol=1e-15)
+    for k in range(4):
+        u = _herm(r, 0.05, 0.95, RandomStream(79 + k))
+        val = evaluate_integrand(spec, ChartPoint(u))
+        assert abs(val - named_integrand(fam, u)) < 1e-12 * abs(val)
 
 
 def test_named_gauss_at_zero_argument():

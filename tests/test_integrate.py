@@ -177,6 +177,22 @@ def test_mc_hermite_weber_half_line_divergent_raises():
         integrate_haar_mc(fam, ChainSpec("half-line", 1), 1000, RandomStream(1))
 
 
+def test_mc_bessel_half_line_matches_r1():
+    # the gamma density decays at the kernel's rate -x = 0.05; at unit rate
+    # it misses most of the mass (407.5 +- 50.4 against 7168)
+    fam = NamedFamily("bessel", {"c": 2.8}, X=np.array([[-0.05]]))
+    chain = ChainSpec("half-line", 1)
+    ref = integrate_r1(fam, chain).value
+    est = integrate_haar_mc(fam, chain, 100_000, RandomStream(1))
+    assert abs(est.value - ref) < 5 * est.abs_error_est
+
+
+def test_mc_bessel_growing_kernel_raises():
+    fam = NamedFamily("bessel", {"c": 2.8}, X=np.array([[0.3]]))
+    with pytest.raises(IncompatibleChain):
+        integrate_haar_mc(fam, ChainSpec("half-line", 1), 1000, RandomStream(1))
+
+
 def test_mc_value_pinned():
     # pins the draw order: any change to how the Gaussians are drawn or
     # orthogonalised changes this value
@@ -227,6 +243,24 @@ def test_radon_scaled_gamma_eigen_r2():
     ref = gamma_r_closed(r, a) * rate ** (-(a - r) * r - r * r)
     assert est.method == "eigen-tensor"
     assert abs(est.value - ref) < 1e-8 * abs(ref)
+
+
+def test_radon_bessel_eigen_r2():
+    # the (2,2) form with pinned weights is the bessel kernel at X = x; with
+    # free weights it falls back to Monte Carlo
+    r, a3, x = 2, 1.2, -1.0
+    z = CoordMatrix((2, 2), r, pattern((2, 2), r, (x * np.eye(r),)))
+    chain = ChainSpec("half-line", r)
+    pw = PartitionWeight.from_flat((2, 2), (-2 * r - a3, 1.0, a3, -1.0), 2 * r, r,
+                                   strict=False)
+    est = radon_hgf(z, pw, chain)
+    mc = radon_hgf(z, pw, chain, Budget(samples=100_000, stream=RandomStream(3)),
+                   method="haar-mc")
+    assert est.method == "eigen-tensor"
+    assert abs(est.value - mc.value) < 5 * mc.abs_error_est
+    pw = PartitionWeight.from_flat((2, 2), (-2 * r - a3, 0.8, a3, -1.0), 2 * r, r,
+                                   strict=False)
+    assert radon_hgf(z, pw, chain, Budget(samples=4096)).method == "haar-mc"
 
 
 def test_radon_mc_fallback_matches_closed_form():

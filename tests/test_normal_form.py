@@ -5,7 +5,13 @@ from radon_hgf.characters import GroupElement
 from radon_hgf.errors import NotInZLambda, ShapeMismatch
 from radon_hgf.grassmann import CoordMatrix, apply_group, z_lambda_member
 from radon_hgf.jordan import TruncPoly
-from radon_hgf.normal_form import pattern, reduce3, reduce4, reduce_ones
+from radon_hgf.normal_form import (
+    pattern,
+    reduce3,
+    reduce4,
+    reduce_ones,
+    residual_parameters,
+)
 from radon_hgf.rng import RandomStream
 
 
@@ -22,6 +28,82 @@ def _random_pair(lam, r, gen):
                                         for _ in range(nk - 1)])
         )
     return g, GroupElement(tuple(blocks))
+
+
+# the r = 1 table with residual parameters 7 (and 9 for the second)
+_R1_TABLE = {
+    ((1, 1, 1), 1): [[1, 0, 1], [0, 1, -1]],
+    ((2, 1), 1): [[1, 0, 0], [0, 1, 1]],
+    ((3,), 1): [[1, 0, 0], [0, 1, 0]],
+    ((1, 1, 1, 1), 1): [[1, 0, 1, 1], [0, 1, -1, -7]],
+    ((2, 1, 1), 1): [[1, 0, 0, 1], [0, 7, 1, -1]],
+    ((2, 1, 1), 2): [[1, 0, 0, 1], [0, 1, 1, -7]],
+    ((2, 1, 1), 3): [[1, 0, 0, 7], [0, 1, 1, -1]],
+    ((2, 2), 1): [[1, 0, 0, 1], [0, 7, 1, 0]],
+    ((2, 2), 2): [[1, 0, 0, 7], [0, 1, 1, 0]],
+    ((3, 1), 1): [[1, 0, 0, 0], [0, 1, 7, 1]],
+    ((3, 1), 2): [[1, 7, 0, 0], [0, -1, 0, 1]],
+    ((3, 1), 3): [[1, 0, 0, 7], [0, 1, 0, -1]],
+    ((4,), 1): [[1, 0, 0, 0], [0, 1, 0, 7]],
+    ((1, 1, 1, 1, 1), 1): [[1, 0, 1, 1, 1], [0, 1, -1, -7, -9]],
+}
+
+
+def _n_params(lam):
+    return len(lam) - 3 if all(nk == 1 for nk in lam) else int(sum(lam) == 4)
+
+
+@pytest.mark.parametrize("lam,variant", sorted(_R1_TABLE))
+def test_pattern_table(lam, variant):
+    literal = np.array(_R1_TABLE[lam, variant], dtype=float)
+    k = _n_params(lam)
+    assert np.array_equal(pattern(lam, 1, (7 * np.eye(1), 9 * np.eye(1))[:k], variant), literal)
+    # at r = 2 every entry becomes a block: 0 and +-1 times I, +-7 and +-9
+    # the residual matrices
+    gen = RandomStream(60).generator()
+    xs = tuple(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)) for _ in range(k))
+    subs = dict(zip((7, 9), xs))
+    want = np.block([
+        [subs[abs(v)] * np.sign(v) if abs(v) in subs else v * np.eye(2) for v in row]
+        for row in literal.astype(int)
+    ])
+    assert np.array_equal(pattern(lam, 2, xs, variant), want)
+
+
+def test_table_rejects_parameter_count_and_variant():
+    x = 0.5 * np.eye(1)
+    with pytest.raises(ShapeMismatch):
+        pattern((2, 2), 1)
+    with pytest.raises(ShapeMismatch):
+        pattern((1, 1, 1), 1, (x,))
+    for lam, variant in (((2, 2), 3), ((1, 1, 1, 1), 2), ((4,), 2), ((3, 1), 4)):
+        with pytest.raises(ShapeMismatch):
+            pattern(lam, 1, (x,), variant)
+        with pytest.raises(ShapeMismatch):
+            reduce4(CoordMatrix(lam, 1, pattern(lam, 1, (x,))), variant)
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1), (3,), (1, 1, 1, 1), (2, 1, 1), (2, 2),
+                                 (3, 1), (4,), (1, 1, 1, 1, 1)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_residual_parameters_read_back(lam, r):
+    gen = RandomStream(61 + r).generator()
+    xs = tuple(gen.standard_normal((r, r)) for _ in range(_n_params(lam)))
+    z = CoordMatrix(lam, r, pattern(lam, r, xs))
+    got = residual_parameters(z)
+    assert len(got) == len(xs)
+    assert all(np.array_equal(a, b) for a, b in zip(got, xs))
+    off = z.entries.copy()
+    off[0, 1] += 1e-9  # a fixed 0 of every layout
+    assert residual_parameters(CoordMatrix(lam, r, off)) is None
+
+
+def test_residual_parameters_other_forms():
+    x = np.array([[0.7]])
+    assert residual_parameters(CoordMatrix((2, 1, 1), 1, pattern((2, 1, 1), 1, (x,), 2))) is None
+    gen = RandomStream(62).generator()
+    z = CoordMatrix((2, 1, 1, 1), 1, gen.standard_normal((2, 5)))
+    assert residual_parameters(z) is None
 
 
 def test_already_normal_identity_transform():
@@ -105,14 +187,22 @@ def test_reduce4_identity_assembled_22():
 
 
 def test_reduce_ones_n3_matches_reduce3():
+    # reduce3 on (1,1,1) and reduce4 on (1,1,1,1) run the all-ones recipe:
+    # the same g, h, x and residual as reduce_ones, bit for bit
     gen = RandomStream(55).generator()
-    z0 = CoordMatrix((1, 1, 1), 1, pattern((1, 1, 1), 1))
-    g, h = _random_pair((1, 1, 1), 1, gen)
-    z1 = apply_group(z0, g=g, h=h)
-    a = reduce3(z1)
-    b = reduce_ones(z1)
-    assert b.x == ()
-    assert np.abs(a.reduced(z1).entries - b.reduced(z1).entries).max() < 1e-12
+    cases = [((1, 1, 1), reduce3, ()), ((1, 1, 1, 1), reduce4, (np.array([[0.45]]),))]
+    for lam, reducer, xs in cases:
+        z0 = CoordMatrix(lam, 1, pattern(lam, 1, xs))
+        g, h = _random_pair(lam, 1, gen)
+        z1 = apply_group(z0, g=g, h=h)
+        a = reducer(z1)
+        b = reduce_ones(z1)
+        assert len(b.x) == len(xs)
+        assert np.array_equal(a.g, b.g)
+        for ha, hb in zip(a.h.blocks, b.h.blocks):
+            assert all(np.array_equal(ca, cb) for ca, cb in zip(ha.coeffs, hb.coeffs))
+        assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
+        assert a.residual == b.residual
 
 
 def test_reduce_ones_cross_ratio_r1():
