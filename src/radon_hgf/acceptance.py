@@ -16,6 +16,7 @@ from .characters import GroupElement, LieDirection, PartitionWeight, chi_lambda
 from .grassmann import ChartPoint, CoordMatrix, apply_group, z_lambda_member
 from .hgs import StencilPlan, all_pairs, apply_DIJ, check_gl_infinitesimal, check_h_infinitesimal
 from .integrands import (
+    _PINS,
     IntegrandSpec,
     NamedFamily,
     evaluate_integrand,
@@ -31,6 +32,13 @@ from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1, lauricella
 from .rng import RandomStream
 
 
+# desk-scale wall-clock budgets per criterion (seconds)
+RUNTIME_LIMITS = {
+    1: 1.0, 2: 5.0, 3: 30.0, 4: 30.0, 5: 60.0, 6: 10.0, 7: 60.0,
+    8: 10.0, 9: 30.0, 10: 30.0, 11: 60.0, 12: 30.0, 13: 5.0,
+}
+
+
 @dataclass
 class CheckResult:
     number: int
@@ -38,10 +46,17 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float
+    limit_s: float
 
 
 def _result(number, name, passed, detail, t0):
-    return CheckResult(number, name, bool(passed), detail, time.perf_counter() - t0)
+    """A criterion passes only within its runtime budget."""
+    seconds = time.perf_counter() - t0
+    limit = RUNTIME_LIMITS[number]
+    if seconds >= limit:
+        detail = f"{detail}; over budget ({seconds:.2f}s of {limit:g}s)"
+    return CheckResult(number, name, bool(passed) and seconds < limit, detail,
+                       seconds, limit)
 
 
 # ----------------------------------------------------------------------
@@ -469,17 +484,10 @@ def criterion_12():
 
 _C13_FREE = {
     (1, 1, 1, 1): {1: 0.6, 2: 0.7, 3: -1.3},
-    (2, 1, 1): {2: 0.45, 3: 0.65},
+    (2, 1, 1): {1: 0.6, 2: 0.45, 3: 0.65},
     (2, 2): {2: 0.8},
     (3, 1): {3: -2.5},
     (4,): {},
-}
-_C13_PINS = {
-    (1, 1, 1, 1): {},
-    (2, 1, 1): {1: 1.0},
-    (2, 2): {1: 1.0, 3: -1.0},
-    (3, 1): {1: 0.0, 2: 1.0},
-    (4,): {1: 0.0, 2: 0.0, 3: 1.0},
 }
 _C13_LEAD = {
     (1, 1, 1, 1): [0, 1, 2, 3],
@@ -514,7 +522,7 @@ def _random_hermitian(r, lo, hi, stream):
 
 def _c13_alpha(lam, r):
     al = [0.0] * 4
-    for i, v in _C13_PINS[lam].items():
+    for i, v in _PINS.get(lam, {}).items():
         al[i] = v
     for i, v in _C13_FREE[lam].items():
         al[i] = v
@@ -564,13 +572,6 @@ CRITERIA = [
     criterion_12,
     criterion_13,
 ]
-
-# desk-scale wall-clock budgets per criterion (seconds)
-RUNTIME_LIMITS = {
-    1: 1.0, 2: 5.0, 3: 30.0, 4: 30.0, 5: 60.0, 6: 10.0, 7: 60.0,
-    8: 10.0, 9: 30.0, 10: 30.0, 11: 60.0, 12: 30.0, 13: 5.0,
-}
-
 
 def run_all(numbers=None):
     results = []

@@ -714,6 +714,12 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     if method in ("auto", "eigen-tensor"):
         try:
             fam, factor = _radon_eigen_family(z, pw)
+            # integrate_invariant integrates over the family's default chain
+            default = FAMILIES[fam.tag].chains[0]
+            if chain.kind != default:
+                raise IncompatibleChain(
+                    f"eigen-tensor {fam.tag} integrates over the {default} chain"
+                )
             est = integrate_invariant(fam, r, nodes=budget.nodes, probe=False)
             return IntegralEstimate(
                 est.value * factor,

@@ -175,6 +175,7 @@ def test_suite_fails_over_budget(capsys, monkeypatch):
     assert code == 1
     assert report["pass"] is False
     assert report["checks"][0]["limit_s"] == 0.0
+    assert "over budget" in report["checks"][0]["detail"]
 
 
 def test_verify_gamma_passes(capsys):

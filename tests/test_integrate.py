@@ -263,6 +263,23 @@ def test_radon_bessel_eigen_r2():
     assert radon_hgf(z, pw, chain, Budget(samples=4096)).method == "haar-mc"
 
 
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("lam, xs, flat, kind", [
+    ((2, 2), (-np.eye(2),), (-5.2, 1.0, 1.2, -1.0), "full-line"),
+    ((2, 2), (-np.eye(2),), (-5.2, 1.0, 1.2, -1.0), "interval-0-1"),
+    ((1, 1, 1), (), (-7.0, 1.0, 2.0), "half-line"),
+])
+def test_radon_eigen_tensor_keeps_the_chain(lam, xs, flat, kind):
+    # the eigen-tensor integral runs over the family's default chain only; on
+    # another chain radon_hgf falls back to Monte Carlo over that chain
+    z = CoordMatrix(lam, 2, pattern(lam, 2, xs))
+    pw = PartitionWeight.from_flat(lam, flat, 4, 2, strict=False)
+    chain = ChainSpec(kind, 2)
+    assert radon_hgf(z, pw, chain, Budget(samples=4096)).method == "haar-mc"
+    with pytest.raises(IncompatibleChain):
+        radon_hgf(z, pw, chain, method="eigen-tensor")
+
+
 def test_radon_mc_fallback_matches_closed_form():
     r = 2
     a2, a3 = 1.0, 2.0
