@@ -489,13 +489,6 @@ _C13_FREE = {
     (3, 1): {3: -2.5},
     (4,): {},
 }
-_C13_LEAD = {
-    (1, 1, 1, 1): [0, 1, 2, 3],
-    (2, 1, 1): [0, 2, 3],
-    (2, 2): [0, 2],
-    (3, 1): [0, 3],
-    (4,): [0],
-}
 # u ranges keep every non-integer determinant power on the positive reals
 # (branch-safe); x is small for the family whose kernel carries det(1 - ux).
 _C13_EIGRANGE = {
@@ -526,7 +519,8 @@ def _c13_alpha(lam, r):
         al[i] = v
     for i, v in _C13_FREE[lam].items():
         al[i] = v
-    lead = _C13_LEAD[lam]
+    # the leading weights sit at the block starts and sum to -m = -2r
+    lead = [sum(lam[:k]) for k in range(len(lam))]
     al[lead[0]] = -2 * r - sum(al[i] for i in lead[1:])
     return al
 

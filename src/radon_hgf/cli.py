@@ -22,7 +22,7 @@ from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
 from .hgs import StencilPlan, all_pairs, verify_system
-from .integrands import FAMILIES, NamedFamily
+from .integrands import CHAIN_KINDS, FAMILIES, NamedFamily
 from .integrate import (
     Budget,
     ChainSpec,
@@ -30,8 +30,10 @@ from .integrate import (
     integrate_invariant,
     integrate_r1,
     radon_hgf,
+    require_eigen_chain,
 )
 from .io import (
+    alpha_from_json,
     complex_to_json,
     element_from_json,
     load_json,
@@ -47,20 +49,16 @@ def _partition(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _alpha_arg(args, lam):
-    if getattr(args, "alpha_json", None):
-        blocks = load_json(args.alpha_json)
-        from .io import alpha_from_json
-
-        return alpha_from_json(blocks, lam)
-    flat = [complex(v) for v in args.alpha.split(",")]
-    if len(flat) != sum(lam):
-        raise ValueError(f"expected {sum(lam)} weight entries")
-    out, pos = [], 0
-    for nk in lam:
-        out.append(tuple(flat[pos : pos + nk]))
-        pos += nk
-    return tuple(out)
+def _weight_arg(args, lam, m):
+    """The partition weight of --alpha (flat, comma-separated) or --alpha-json."""
+    strict = not args.relaxed
+    if args.alpha_json:
+        alpha = alpha_from_json(load_json(args.alpha_json), lam)
+        return PartitionWeight(lam, alpha, m, args.r, strict)
+    if args.alpha:
+        flat = [complex(v) for v in args.alpha.split(",")]
+        return PartitionWeight.from_flat(lam, flat, m, args.r, strict)
+    raise ValueError("weights required: --alpha or --alpha-json")
 
 
 def _estimate_json(est):
@@ -77,10 +75,7 @@ def cmd_theta(args):
 
 def cmd_chi(args):
     lam = _partition(args.partition)
-    alpha = _alpha_arg(args, lam) if (args.alpha or args.alpha_json) else None
-    if alpha is None:
-        raise ValueError("weights required: --alpha or --alpha-json")
-    pw = PartitionWeight(lam, alpha, args.m, args.r, strict=not args.relaxed)
+    pw = _weight_arg(args, lam, args.m)
     h = element_from_json(load_json(args.element_json), lam, args.r)
     value = chi_lambda(h, pw)
     return {"value": complex_to_json(value)}, None, None
@@ -143,10 +138,10 @@ def cmd_eval(args):
     if method == "adaptive-1d":
         est = integrate_r1(fam, chain, tol=args.tol)
     elif method == "eigen-tensor":
+        require_eigen_chain(fam, chain)
         est = integrate_invariant(fam, args.r, nodes=args.nodes)
     elif method == "haar-mc":
-        est = integrate_haar_mc(fam, chain, int(float(args.samples)),
-                                RandomStream(args.seed), r=args.r)
+        est = integrate_haar_mc(fam, chain, int(float(args.samples)), RandomStream(args.seed))
     else:
         raise ValueError(f"unknown method {method}")
     return {"estimate": _estimate_json(est)}, None, args.seed
@@ -154,9 +149,7 @@ def cmd_eval(args):
 
 def cmd_radon(args):
     lam = _partition(args.partition)
-    alpha = _alpha_arg(args, lam)
-    m = args.m if args.m else 2 * args.r
-    pw = PartitionWeight(lam, alpha, m, args.r, strict=not args.relaxed)
+    pw = _weight_arg(args, lam, args.m if args.m else 2 * args.r)
     z = CoordMatrix(lam, args.r, matrix_from_json(load_json(args.z_json)))
     chain = ChainSpec(args.chain, args.r)
     budget = Budget(tol=args.tol, nodes=args.nodes,
@@ -215,8 +208,7 @@ def cmd_verify_covariance(args):
 
 def cmd_verify_pde(args):
     lam = _partition(args.partition)
-    alpha = _alpha_arg(args, lam)
-    pw = PartitionWeight(lam, alpha, 2 * args.r, args.r, strict=not args.relaxed)
+    pw = _weight_arg(args, lam, 2 * args.r)
     z = CoordMatrix(lam, args.r, matrix_from_json(load_json(args.z_json)))
     chain = ChainSpec(args.chain, args.r)
 
@@ -296,8 +288,7 @@ def build_parser():
     q.add_argument("--xs-json")
     q.add_argument("--method", default="auto",
                    choices=["auto", "adaptive-1d", "eigen-tensor", "haar-mc"])
-    q.add_argument("--chain", choices=["interval-0-1", "half-line", "full-line",
-                                       "rotated-ray"])
+    q.add_argument("--chain", choices=CHAIN_KINDS)
     q.add_argument("--samples", default="1e6")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--nodes", type=int, default=64)
@@ -311,8 +302,7 @@ def build_parser():
     q.add_argument("--alpha")
     q.add_argument("--alpha-json")
     q.add_argument("--z-json", required=True)
-    q.add_argument("--chain", required=True,
-                   choices=["interval-0-1", "half-line", "full-line", "rotated-ray"])
+    q.add_argument("--chain", required=True, choices=CHAIN_KINDS)
     q.add_argument("--method", default="auto",
                    choices=["auto", "eigen-tensor", "haar-mc"])
     q.add_argument("--relaxed", action="store_true")
@@ -347,8 +337,7 @@ def build_parser():
     q.add_argument("--alpha")
     q.add_argument("--alpha-json")
     q.add_argument("--z-json", required=True)
-    q.add_argument("--chain", default="interval-0-1",
-                   choices=["interval-0-1", "half-line", "full-line", "rotated-ray"])
+    q.add_argument("--chain", default="interval-0-1", choices=CHAIN_KINDS)
     q.add_argument("--h", type=float, default=1e-3)
     q.add_argument("--rel-tol", type=float, default=1e-4)
     q.add_argument("--tol", type=float, default=5e-13)

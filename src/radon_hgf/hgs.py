@@ -187,18 +187,16 @@ class InfinitesimalResult:
         return abs(self.residual) / max(self.reference, 1e-300)
 
 
-def _central(fn, eps: float, richardson: bool) -> complex:
+def _central(fn, eps: float) -> complex:
+    """Richardson-extrapolated central difference of fn at 0."""
     def d(step):
         return (fn(step) - fn(-step)) / (2.0 * step)
 
-    if not richardson:
-        return d(eps)
     return (4.0 * d(eps / 2.0) - d(eps)) / 3.0
 
 
 def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
-                          pw: PartitionWeight, eps: float = 1e-3,
-                          richardson: bool = True) -> InfinitesimalResult:
+                          pw: PartitionWeight, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(z exp(e E)) at 0 minus dchi(E) F(z)."""
     r = z0.r
 
@@ -214,14 +212,13 @@ def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
 
     f0 = F(z0)
     dchi = dchi_lambda(direction, pw)
-    deriv = _central(fn, eps, richardson)
+    deriv = _central(fn, eps)
     residual = deriv - dchi * f0
     reference = abs(f0) * (1.0 + abs(dchi))
     return InfinitesimalResult(complex(residual), float(reference))
 
 
-def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3,
-                           richardson: bool = True) -> InfinitesimalResult:
+def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(exp(e E) z) at 0 plus r Tr(E) F(z)."""
     E = np.asarray(E, dtype=np.complex128)
     if E.shape != (z0.m, z0.m):
@@ -231,7 +228,7 @@ def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3,
         return F(apply_group(z0, g=scipy.linalg.expm(t * E)))
 
     f0 = F(z0)
-    deriv = _central(fn, eps, richardson)
+    deriv = _central(fn, eps)
     residual = deriv + z0.r * np.trace(E) * f0
     reference = abs(f0) * (1.0 + z0.r * abs(np.trace(E)))
     return InfinitesimalResult(complex(residual), float(reference))

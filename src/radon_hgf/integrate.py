@@ -31,12 +31,12 @@ from .errors import (
     IncompatibleChain,
     NonConvergent,
     NotInvariant,
-    NotInZLambda,
     OnBranchLocus,
     ShapeMismatch,
     UnpinnedAlpha,
+    UnsupportedCount,
 )
-from .grassmann import CoordMatrix, z_lambda_member
+from .grassmann import CoordMatrix, require_member
 from .integrands import (
     CHAIN_KINDS,
     FAMILIES,
@@ -62,15 +62,26 @@ from .rng import RandomStream, thread_count
 # chain and estimate types
 # ----------------------------------------------------------------------
 
+# half-angle of the rotated-ray chain (r = 1)
+RAY_HALF_ANGLE = 2.0 * math.pi / 3.0
+# subdivisions of one adaptive integral before it gives up
+_MAX_INTERVALS = 4000
+
+
+def _require_rank(r: int):
+    if r < 1:
+        raise ShapeMismatch(f"matrix size r must be at least 1, got {r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     kind: str
     r: int = 1
-    angle: float = 2.0 * math.pi / 3.0  # rotated-ray half-angle (r = 1)
 
     def __post_init__(self):
         if self.kind not in CHAIN_KINDS:
             raise IncompatibleChain(f"unknown chain kind {self.kind!r}")
+        _require_rank(self.r)
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,6 @@ class Budget:
     tol: float = 1e-10
     nodes: int = 64
     samples: int = 10**6
-    max_intervals: int = 4000
     stream: RandomStream = RandomStream(0)
 
 
@@ -164,14 +174,14 @@ def _gk15(f, a: complex, b: complex):
     return k, err
 
 
-def _adaptive(f, a: complex, b: complex, atol: float, rtol: float, limit: int):
+def _adaptive(f, a: complex, b: complex, atol: float, rtol: float):
     val, err = _gk15(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total = val
     total_err = err
     count = 1
     tie = 1
-    while total_err > max(atol, rtol * abs(total)) and count < limit:
+    while total_err > max(atol, rtol * abs(total)) and count < _MAX_INTERVALS:
         neg, _, x0, x1, v, e = heappop(heap)
         mid = 0.5 * (x0 + x1)
         v1, e1 = _gk15(f, x0, mid)
@@ -183,9 +193,9 @@ def _adaptive(f, a: complex, b: complex, atol: float, rtol: float, limit: int):
         heappush(heap, (-e2, tie, mid, x1, v2, e2))
         tie += 1
         count += 1
-    if total_err > 10.0 * max(atol, rtol * abs(total), 1e-300) and count >= limit:
+    if total_err > 10.0 * max(atol, rtol * abs(total), 1e-300) and count >= _MAX_INTERVALS:
         raise NonConvergent(
-            f"interval budget {limit} exhausted with error {total_err:.2e}"
+            f"interval budget {_MAX_INTERVALS} exhausted with error {total_err:.2e}"
         )
     return total, total_err, count
 
@@ -224,23 +234,19 @@ class Ray:
 
 
 @dataclass(frozen=True)
-class FullLine:
-    center: float = 0.0
-
-
-@dataclass(frozen=True)
 class RayPair:
-    """From inf * e^{-i angle} through 0 to inf * e^{+i angle}."""
+    """From inf * e^{i start} through 0 to inf * e^{i end}."""
 
-    angle: float
+    start: float
+    end: float
 
 
-def _integrate_half(f, start, end, exponent, atol, rtol, limit):
+def _integrate_half(f, start, end, exponent, atol, rtol):
     """Integrate start -> end, substituting u = start + (end-start) tau^kappa."""
     kappa = _power_kappa(exponent)
     span = end - start
     if kappa == 1:
-        return _adaptive(f, start, end, atol, rtol, limit)
+        return _adaptive(f, start, end, atol, rtol)
 
     def g(tau):
         t = tau**kappa
@@ -251,13 +257,13 @@ def _integrate_half(f, start, end, exponent, atol, rtol, limit):
             return 0.0 + 0.0j
         return f(u) * (kappa * tau ** (kappa - 1)) * span
 
-    return _adaptive(g, 0.0, 1.0, atol, rtol, limit)
+    return _adaptive(g, 0.0, 1.0, atol, rtol)
 
 
-def _integrate_segment(f, seg: Segment, atol, rtol, limit):
+def _integrate_segment(f, seg: Segment, atol, rtol):
     mid = 0.5 * (seg.a + seg.b)
-    v1, e1, n1 = _integrate_half(f, seg.a, mid, seg.exp_a, 0.5 * atol, rtol, limit)
-    v2, e2, n2 = _integrate_half(f, seg.b, mid, seg.exp_b, 0.5 * atol, rtol, limit)
+    v1, e1, n1 = _integrate_half(f, seg.a, mid, seg.exp_a, 0.5 * atol, rtol)
+    v2, e2, n2 = _integrate_half(f, seg.b, mid, seg.exp_b, 0.5 * atol, rtol)
     # the second half was traversed backwards
     return v1 - v2, e1 + e2, n1 + n2
 
@@ -265,7 +271,7 @@ def _integrate_segment(f, seg: Segment, atol, rtol, limit):
 _MAX_WINDOWS = 90
 
 
-def _integrate_ray(f, ray: Ray, atol, rtol, limit):
+def _integrate_ray(f, ray: Ray, atol, rtol):
     phase = cmath.exp(1j * ray.phase)
 
     def g(t):
@@ -278,7 +284,7 @@ def _integrate_ray(f, ray: Ray, atol, rtol, limit):
     calm = 0
     for w in range(_MAX_WINDOWS):
         exponent = ray.exp0 if w == 0 else None
-        v, e, n = _integrate_half(g, lo, hi, exponent, 0.25 * atol, rtol, limit)
+        v, e, n = _integrate_half(g, lo, hi, exponent, 0.25 * atol, rtol)
         total += v
         err += e
         count += n
@@ -295,26 +301,21 @@ def _integrate_ray(f, ray: Ray, atol, rtol, limit):
     return total, err + abs(v), count
 
 
-def integrate_pieces(f, pieces, tol: float = 1e-10, limit: int = 4000) -> IntegralEstimate:
+def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     """Sum of piecewise adaptive integrals of a scalar complex function."""
     total = 0.0 + 0.0j
     err = 0.0
     count = 0
     for piece in pieces:
-        atol = tol
         if isinstance(piece, Segment):
-            v, e, n = _integrate_segment(f, piece, atol, tol, limit)
+            v, e, n = _integrate_segment(f, piece, tol, tol)
         elif isinstance(piece, Ray):
-            v, e, n = _integrate_ray(f, piece, atol, tol, limit)
-        elif isinstance(piece, FullLine):
-            # the line is the outward ray at 0 minus the outward ray at pi
-            v1, e1, n1 = _integrate_ray(f, Ray(piece.center, 0.0), atol, tol, limit)
-            v2, e2, n2 = _integrate_ray(f, Ray(piece.center, math.pi), atol, tol, limit)
-            v, e, n = v1 - v2, e1 + e2, n1 + n2
+            v, e, n = _integrate_ray(f, piece, tol, tol)
         elif isinstance(piece, RayPair):
-            vp, ep, np_ = _integrate_ray(f, Ray(0.0, piece.angle), atol, tol, limit)
-            vm, em, nm = _integrate_ray(f, Ray(0.0, -piece.angle), atol, tol, limit)
-            v, e, n = vp - vm, ep + em, np_ + nm
+            # the outward ray at the end minus the outward ray at the start
+            v1, e1, n1 = _integrate_ray(f, Ray(0.0, piece.end), tol, tol)
+            v2, e2, n2 = _integrate_ray(f, Ray(0.0, piece.start), tol, tol)
+            v, e, n = v1 - v2, e1 + e2, n1 + n2
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
         total += v
@@ -324,8 +325,45 @@ def integrate_pieces(f, pieces, tol: float = 1e-10, limit: int = 4000) -> Integr
 
 
 # ----------------------------------------------------------------------
-# named-family scalar chains (r = 1)
+# chain kinds: pieces (r = 1) and eigenvalue weights
 # ----------------------------------------------------------------------
+
+# finite ends of each chain kind: the interval has two, the half line one
+_CHAIN_ENDS = {INTERVAL: 2, HALF_LINE: 1, FULL_LINE: 0, ROTATED_RAY: 0}
+
+
+def _chain_pieces(kind: str, ends, exponents):
+    """The pieces of a chain kind between its finite ends, with the weight
+    exponents there: a segment, a ray, or a pair of rays through 0."""
+    if kind == INTERVAL:
+        return [Segment(ends[0], ends[1], exponents[0], exponents[1])]
+    if kind == HALF_LINE:
+        return [Ray(ends[0], 0.0, exponents[0])]
+    if kind == FULL_LINE:
+        return [RayPair(math.pi, 0.0)]
+    return [RayPair(-RAY_HALF_ANGLE, RAY_HALF_ANGLE)]
+
+
+def _chain_weight(kind: str, exponents, r: int):
+    """Real powers of a chain kind's eigenvalue weight for the registry
+    exponents e: (p, q) of u^p (1 - u)^q on the interval, (p, rate) of
+    u^p exp(-rate u) on the half line (unit rate when there is no e1), ()
+    on the other kinds. Refuses weights that are not integrable."""
+    if kind == INTERVAL:
+        p, q = (complex(e).real - r for e in exponents[:2])
+        if p <= -1 or q <= -1:
+            raise IncompatibleChain("interval weight u^p (1-u)^q needs p, q > -1")
+        return p, q
+    if kind == HALF_LINE:
+        p = complex(exponents[0]).real - r
+        rate = complex(exponents[1]).real if len(exponents) > 1 else 1.0
+        if p <= -1:
+            raise IncompatibleChain("half-line weight u^p exp(-rate u) needs p > -1")
+        if rate <= 0:
+            raise IncompatibleChain("half-line weight needs a positive decay rate")
+        return p, rate
+    return ()
+
 
 def _family_on(fam: NamedFamily, chain: ChainSpec):
     """The registry entry of a family that integrates over the chain."""
@@ -335,38 +373,19 @@ def _family_on(fam: NamedFamily, chain: ChainSpec):
     return entry
 
 
-def integrate_r1(fam_or_fn, chain: ChainSpec, tol: float = 1e-10,
-                 pieces=None, limit: int = 4000) -> IntegralEstimate:
-    """Adaptive scalar integration (r = 1) of a named family or callable.
-
-    A callable must map complex u to complex values; pieces may override
-    the default chain realization (used by the Grassmannian evaluator,
-    whose endpoints move with the coordinate matrix).
-    """
+def integrate_r1(fam: NamedFamily, chain: ChainSpec, tol: float = 1e-10) -> IntegralEstimate:
+    """Adaptive scalar integration (r = 1) of a named family over its chain
+    from 0 (and to 1 on the interval)."""
     if chain.r != 1:
         raise IncompatibleChain("integrate_r1 requires r = 1")
-    if isinstance(fam_or_fn, NamedFamily):
-        fam = fam_or_fn
-        if pieces is None:
-            entry = _family_on(fam, chain)
-            e = entry.exponents(fam.params, fam.X)
-            if chain.kind == INTERVAL:
-                pieces = [Segment(0.0, 1.0, e[0] - 1, e[1] - 1)]
-            elif chain.kind == HALF_LINE:
-                pieces = [Ray(0.0, 0.0, e[0] - 1)]
-            elif chain.kind == FULL_LINE:
-                pieces = [FullLine()]
-            else:
-                pieces = [RayPair(chain.angle)]
+    e = _family_on(fam, chain).exponents(fam.params, fam.X)
+    ends = _CHAIN_ENDS[chain.kind]
+    pieces = _chain_pieces(chain.kind, (0.0, 1.0)[:ends], [v - 1 for v in e[:ends]])
 
-        def f(u):
-            return named_integrand(fam, np.array([[u]]), check_domain=False)
+    def f(u):
+        return named_integrand(fam, np.array([[u]]), check_domain=False)
 
-    else:
-        f = fam_or_fn
-        if pieces is None:
-            raise IncompatibleChain("callable integrands need explicit chain pieces")
-    return integrate_pieces(f, pieces, tol=tol, limit=limit)
+    return integrate_pieces(f, pieces, tol=tol)
 
 
 # ----------------------------------------------------------------------
@@ -389,20 +408,14 @@ def _eigen_rule(fam: NamedFamily, r: int):
         raise NotInvariant("matrix argument breaks unitary invariance")
     kind = entry.chains[0]
     e = [complex(v) for v in entry.exponents(fam.params, fam.X)]
+    weight = _chain_weight(kind, e, r)
 
     def build(n):
         if kind == INTERVAL:
-            pa, qb = e[0].real - r, e[1].real - r
-            if pa <= -1 or qb <= -1:
-                raise IncompatibleChain("beta-type exponents must exceed -1")
-            lam, w = jacobi_01(n, pa, qb)
+            lam, w = jacobi_01(n, *weight)
             w = w * np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
         elif kind == HALF_LINE:
-            pa, rate = e[0].real - r, e[1].real
-            if rate <= 0:
-                raise IncompatibleChain("half-line weight needs a positive decay rate")
-            if pa <= -1:
-                raise IncompatibleChain("half-line exponent must exceed -1")
+            pa, rate = weight
             s_nodes, s_weights = genlaguerre(n, pa)
             lam = s_nodes / rate
             w = s_weights * rate ** (-pa - 1.0)
@@ -437,6 +450,7 @@ def _invariance_probe(fn_matrix, r: int, domain: str):
 def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
                         probe: bool = True) -> IntegralEstimate:
     """Deterministic eigenvalue-reduced quadrature for invariant integrands."""
+    _require_rank(r)
     build = _eigen_rule(fam, r)
     if probe:
         _invariance_probe(
@@ -467,13 +481,12 @@ _MC_CHUNK = 1 << 15
 
 def _chain_sampler(chain: ChainSpec, exponents, r: int):
     """Eigenvalue base density and its log-pdf for the chain kind: the
-    chain weight's exponents e give Beta(e0 - r + 1, e1 - r + 1) on the
-    interval and Gamma(e0 - r + 1) at rate e1 on the half line (unit rate
-    when the weight has no e1)."""
+    chain weight u^p (1 - u)^q gives Beta(p + 1, q + 1) on the interval,
+    u^p exp(-rate u) gives Gamma(p + 1) / rate on the half line, and the
+    full line draws standard normals."""
+    weight = _chain_weight(chain.kind, exponents, r)
     if chain.kind == INTERVAL:
-        a_sh, b_sh = (complex(e).real - r + 1.0 for e in exponents[:2])
-        if a_sh <= 0 or b_sh <= 0:
-            raise IncompatibleChain("beta chain needs Re a, Re b > r - 1")
+        a_sh, b_sh = (v + 1.0 for v in weight)
         lnB = log_gamma_real(a_sh) + log_gamma_real(b_sh) - log_gamma_real(a_sh + b_sh)
 
         def sample(gen, count):
@@ -486,12 +499,7 @@ def _chain_sampler(chain: ChainSpec, exponents, r: int):
 
         return sample
     if chain.kind == HALF_LINE:
-        shape = complex(exponents[0]).real - r + 1.0
-        rate = complex(exponents[1]).real if len(exponents) > 1 else 1.0
-        if shape <= 0:
-            raise IncompatibleChain("gamma chain needs a positive shape")
-        if rate <= 0:
-            raise IncompatibleChain("half-line weight needs a positive decay rate")
+        shape, rate = weight[0] + 1.0, weight[1]
         lnG = log_gamma_real(shape) - shape * math.log(rate)
 
         def sample(gen, count):
@@ -513,8 +521,7 @@ def _chain_sampler(chain: ChainSpec, exponents, r: int):
 
 
 def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
-                      stream: RandomStream, r: int | None = None,
-                      batch_fn=None) -> IntegralEstimate:
+                      stream: RandomStream, batch_fn=None) -> IntegralEstimate:
     """Monte Carlo over U = V diag(lam) V^* with V Haar and lam chain-sampled.
 
     The sample space is split into a fixed number of counter-jumped
@@ -523,7 +530,9 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     A ``batch_fn`` replaces the family's kernel; the family then only
     shapes the eigenvalue density.
     """
-    r = chain.r if r is None else r
+    if samples < 1:
+        raise UnsupportedCount(f"Monte Carlo needs at least one sample, got {samples}")
+    r = chain.r
     if batch_fn is None:
         _family_on(fam, chain)
 
@@ -632,27 +641,22 @@ def _block_roots_r1(z: CoordMatrix):
 
 
 def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
-    """Concrete chain realization whose endpoints follow the block roots."""
-    roots = _block_roots_r1(z)
-    if chain.kind == INTERVAL:
-        if z.ell < 3:
-            raise IncompatibleChain("interval chains need at least three blocks")
-        a, b = roots[1], roots[2]
-        if a is None or b is None:
-            raise IncompatibleChain("interval endpoints escaped to infinity")
-        return [Segment(a, b, pw.alpha[1][0], pw.alpha[2][0])]
-    if chain.kind == HALF_LINE:
-        if z.ell < 2:
-            raise IncompatibleChain("half-line chains need at least two blocks")
-        origin = roots[1]
-        if origin is None:
-            raise IncompatibleChain("half-line origin escaped to infinity")
-        return [Ray(origin, 0.0, pw.alpha[1][0])]
-    if chain.kind == FULL_LINE:
-        return [FullLine()]
-    if chain.kind == ROTATED_RAY:
-        return [RayPair(chain.angle)]
-    raise IncompatibleChain(f"unsupported chain {chain.kind}")
+    """Concrete chain realization whose ends are the roots of blocks 2 (and
+    3), with those blocks' leading weights as the end exponents."""
+    ends = _CHAIN_ENDS[chain.kind]
+    if z.ell < 1 + ends:
+        raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
+    roots = _block_roots_r1(z)[1 : 1 + ends]
+    if None in roots:
+        raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
+    return _chain_pieces(chain.kind, roots, [pw.alpha[j][0] for j in range(1, 1 + ends)])
+
+
+def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):
+    """The eigen-tensor rule integrates over the family's default chain only."""
+    default = FAMILIES[fam.tag].chains[0]
+    if chain.kind != default:
+        raise IncompatibleChain(f"eigen-tensor {fam.tag} integrates over the {default} chain")
 
 
 def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
@@ -698,28 +702,18 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     """
     if z.lam != pw.lam or z.r != pw.r:
         raise ShapeMismatch("coordinate matrix and weight partition disagree")
+    if chain.r != z.r:
+        raise ShapeMismatch(f"chain of size r = {chain.r} for a coordinate matrix of r = {z.r}")
     if z.m == 2 * z.r:
-        res = z_lambda_member(z)
-        if not res.member:
-            raise NotInZLambda(
-                f"weight-2 minors vanish: {[m.mu for m in res.failing]}",
-                witnesses=list(res.failing),
-            )
+        require_member(z)
     r = z.r
     if r == 1:
         f = scalar_chart_function(z, pw)
-        pieces = chart_pieces_r1(z, pw, chain)
-        est = integrate_pieces(f, pieces, tol=budget.tol, limit=budget.max_intervals)
-        return est
+        return integrate_pieces(f, chart_pieces_r1(z, pw, chain), tol=budget.tol)
     if method in ("auto", "eigen-tensor"):
         try:
             fam, factor = _radon_eigen_family(z, pw)
-            # integrate_invariant integrates over the family's default chain
-            default = FAMILIES[fam.tag].chains[0]
-            if chain.kind != default:
-                raise IncompatibleChain(
-                    f"eigen-tensor {fam.tag} integrates over the {default} chain"
-                )
+            require_eigen_chain(fam, chain)
             est = integrate_invariant(fam, r, nodes=budget.nodes, probe=False)
             return IntegralEstimate(
                 est.value * factor,
@@ -745,7 +739,4 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         fam = NamedFamily("gamma_r", {"a": 1.0 + r})
     else:
         fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
-    est = integrate_haar_mc(
-        fam, chain, budget.samples, budget.stream, r=r, batch_fn=batch_fn
-    )
-    return est
+    return integrate_haar_mc(fam, chain, budget.samples, budget.stream, batch_fn=batch_fn)

@@ -11,7 +11,6 @@ import json
 import numpy as np
 
 from .characters import GroupElement
-from .grassmann import CoordMatrix
 from .jordan import TruncPoly
 
 
@@ -50,10 +49,6 @@ def alpha_from_json(obj, lam) -> tuple:
     if tuple(len(b) for b in blocks) != tuple(lam):
         raise ValueError("weight blocks do not match the partition")
     return tuple(tuple(b) for b in blocks)
-
-
-def coord_from_json(obj, lam, r: int) -> CoordMatrix:
-    return CoordMatrix(tuple(lam), r, matrix_from_json(obj))
 
 
 def element_from_json(obj, lam, r: int) -> GroupElement:

@@ -39,14 +39,6 @@ def det(a) -> complex:
     return complex(np.linalg.det(a))
 
 
-def is_invertible(a, rtol: float = SINGULAR_RTOL) -> bool:
-    a = as_matrix(a)
-    bound = hadamard_bound(a)
-    if bound == 0.0:
-        return False
-    return abs(np.linalg.det(a)) > rtol * bound
-
-
 def inverse(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -97,20 +89,3 @@ def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
     q, rr = np.linalg.qr(z)
     d = np.diagonal(rr, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_matrix(r: int, stream: RandomStream, cols: int | None = None) -> np.ndarray:
-    """Complex Gaussian test matrix, r x (cols or r)."""
-    return standard_complex(stream, (r, r if cols is None else cols))
-
-
-def well_conditioned(r: int, stream: RandomStream, max_cond: float = 50.0,
-                     max_tries: int = 200) -> np.ndarray:
-    """Random invertible r x r matrix with a condition-number cap."""
-    s = stream
-    for _ in range(max_tries):
-        a = random_matrix(r, s)
-        if np.linalg.cond(a) < max_cond:
-            return a
-        s = s.jump(1)
-    raise RuntimeError("failed to draw a well-conditioned matrix")

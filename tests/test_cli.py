@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from radon_hgf.cli import main
+from radon_hgf.cli import build_parser, main
 from radon_hgf.io import (
     element_to_json,
     matrix_from_json,
@@ -115,6 +119,53 @@ def test_eval_eigen_tensor(capsys):
     assert code == 0
     val = complex(*report["results"]["estimate"]["value"])
     assert abs(val - 2 * np.pi) < 1e-8
+
+
+def test_eval_eigen_tensor_refuses_another_chain(capsys):
+    # the eigen-tensor rule integrates over the family's default chain only
+    code, report = run_cli(
+        capsys, "eval", "--family", "gamma_r", "--r", "2", "--a", "3",
+        "--chain", "interval-0-1", "--method", "eigen-tensor",
+    )
+    assert code == 2
+    assert report["error"].startswith("IncompatibleChain")
+
+
+@pytest.mark.parametrize("extra, error", [
+    (("--r", "0", "--method", "eigen-tensor"), "ShapeMismatch"),
+    (("--r", "0", "--method", "haar-mc"), "ShapeMismatch"),
+    (("--r", "2", "--method", "haar-mc", "--samples", "0"), "UnsupportedCount"),
+])
+def test_eval_out_of_range_counts_exit_2(capsys, extra, error):
+    code, report = run_cli(capsys, "eval", "--family", "gamma_r", "--a", "3", *extra)
+    assert code == 2
+    assert report["error"].startswith(error)
+
+
+@pytest.mark.parametrize("command", ["radon", "verify-pde"])
+def test_missing_weights_exit_2(tmp_path, capsys, command):
+    z_file = tmp_path / "z.json"
+    z_file.write_text(json.dumps(matrix_to_json(
+        pattern((1, 1, 1, 1), 1, (np.array([[0.4]]),))
+    )))
+    code, report = run_cli(
+        capsys, command, "--partition", "1,1,1,1", "--z-json", str(z_file),
+        "--chain", "interval-0-1",
+    )
+    assert code == 2
+    assert "weights required" in report["error"]
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").replace("[", "").replace("]", "").splitlines()
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "radon-hgf"
+        parser.parse_args(argv[1:])
 
 
 def test_radon_command(tmp_path, capsys):

@@ -5,12 +5,24 @@ import pytest
 import scipy.special as sp
 
 from radon_hgf.characters import PartitionWeight
-from radon_hgf.errors import IncompatibleChain, NotInvariant, NotInZLambda, RadonHGFError
+from radon_hgf import integrate
+from radon_hgf.errors import (
+    IncompatibleChain,
+    NotInvariant,
+    NotInZLambda,
+    RadonHGFError,
+    ShapeMismatch,
+    UnsupportedCount,
+)
 from radon_hgf.grassmann import CoordMatrix
 from radon_hgf.integrands import NamedFamily
 from radon_hgf.integrate import (
     Budget,
     ChainSpec,
+    Ray,
+    RayPair,
+    Segment,
+    chart_pieces_r1,
     integrate_haar_mc,
     integrate_invariant,
     integrate_r1,
@@ -388,3 +400,74 @@ def test_kummer_scalar_argument_eigen():
     est = integrate_invariant(fam, 2, nodes=64)
     mc = integrate_haar_mc(fam, ChainSpec("interval-0-1", 2), 200_000, RandomStream(3))
     assert abs(est.value - mc.value) < 4 * mc.abs_error_est
+
+
+_FULL = [RayPair(math.pi, 0.0)]
+_ROTATED = [RayPair(-2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)]
+
+
+@pytest.mark.parametrize("fam, kind, pieces", [
+    (NamedFamily("beta_r", {"a": 2.5, "b": 1.5}), "interval-0-1", [Segment(0.0, 1.0, 1.5, 0.5)]),
+    (NamedFamily("gamma_r", {"a": 2.5}), "half-line", [Ray(0.0, 0.0, 1.5)]),
+    (NamedFamily("gaussian_r", {}), "full-line", _FULL),
+    (NamedFamily("airy", {}), "rotated-ray", _ROTATED),
+])
+def test_integrate_r1_chain_pieces(monkeypatch, fam, kind, pieces):
+    seen = []
+    monkeypatch.setattr(integrate, "integrate_pieces", lambda f, p, tol: seen.append(p))
+    integrate_r1(fam, ChainSpec(kind, 1))
+    assert seen == [pieces]
+
+
+@pytest.mark.parametrize("kind, pieces", [
+    ("interval-0-1", [Segment(-0.5, 0.5, -0.3, 0.4)]),
+    ("half-line", [Ray(-0.5, 0.0, -0.3)]),
+    ("full-line", _FULL),
+    ("rotated-ray", _ROTATED),
+])
+def test_chart_chain_pieces(kind, pieces):
+    # block roots -a0/b0: none, -0.5, 0.5, -2; the ends are those of blocks 2
+    # and 3, with their leading weights as the end exponents
+    z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
+    pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
+    assert chart_pieces_r1(z, pw, ChainSpec(kind, 1)) == pieces
+
+
+def test_chart_chain_pieces_need_enough_blocks():
+    z = CoordMatrix((3, 1), 1, np.array([[1.0, 0.2, 0.1, 0.5], [0.3, 1.0, 0.0, 1.0]]))
+    pw = PartitionWeight.from_flat((3, 1), (-1.4, 0.3, 0.2, -0.6), 2, 1, strict=False)
+    assert chart_pieces_r1(z, pw, ChainSpec("half-line", 1)) == [Ray(-0.5, 0.0, -0.6)]
+    with pytest.raises(IncompatibleChain):
+        chart_pieces_r1(z, pw, ChainSpec("interval-0-1", 1))
+
+
+@pytest.mark.parametrize("fam, kind, r", [
+    (NamedFamily("beta_r", {"a": 1.0, "b": 3.0}), "interval-0-1", 2),  # p = -1
+    (NamedFamily("beta_r", {"a": 3.0, "b": 0.0}), "interval-0-1", 1),  # q = -1
+    (NamedFamily("gauss", {"a": 0.0, "b": 1.0, "c": 3.0}, X=np.array([[0.2]])),
+     "interval-0-1", 1),
+    (NamedFamily("gamma_r", {"a": 1.0}), "half-line", 2),  # p = -1
+    (NamedFamily("bessel", {"c": 3.0}, X=np.eye(2)), "half-line", 2),  # rate = -1
+])
+def test_eigen_rule_and_mc_density_refuse_the_same_weights(fam, kind, r):
+    with pytest.raises(IncompatibleChain):
+        integrate_invariant(fam, r, probe=False)
+    with pytest.raises(IncompatibleChain):
+        integrate_haar_mc(fam, ChainSpec(kind, r), 16, RandomStream(1))
+
+
+def test_counts_out_of_range_raise_typed_errors():
+    with pytest.raises(ShapeMismatch):
+        ChainSpec("half-line", 0)
+    with pytest.raises(ShapeMismatch):
+        integrate_invariant(NamedFamily("gamma_r", {"a": 3.0}), 0)
+    with pytest.raises(UnsupportedCount):
+        integrate_haar_mc(NamedFamily("gamma_r", {"a": 3.0}), ChainSpec("half-line", 2), 0,
+                          RandomStream(1))
+
+
+def test_radon_rejects_chain_of_another_size():
+    pw = PartitionWeight((2, 1), ((-3.5, -1.0), (1.5,)), 2, 1, strict=False)
+    z = CoordMatrix((2, 1), 1, pattern((2, 1), 1))
+    with pytest.raises(ShapeMismatch):
+        radon_hgf(z, pw, ChainSpec("half-line", 2))
