@@ -4,7 +4,9 @@ Three strategies:
 
 * adaptive-1d (r = 1): Gauss-Kronrod subdivision over concrete chains
   whose endpoints follow the branch-point roots of the coordinate
-  matrix, with power substitutions at singular endpoints;
+  matrix, with power substitutions at singular endpoints; a ray is one
+  Moebius arc from its origin to the root of block 1 (inf for a table
+  form), not a truncated tail;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -54,7 +56,6 @@ from .integrands import (
 )
 from .linalg import haar_from_gaussian, haar_unitary_batch, scalar_multiple
 from .normal_form import residual_parameters
-from .oracles import log_gamma_real
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
 
@@ -193,6 +194,8 @@ def _adaptive(f, a: complex, b: complex, atol: float, rtol: float):
         heappush(heap, (-e2, tie, mid, x1, v2, e2))
         tie += 1
         count += 1
+    if not (cmath.isfinite(total) and math.isfinite(total_err)):
+        raise NonConvergent("the integrand is not finite along the chain")
     if total_err > 10.0 * max(atol, rtol * abs(total), 1e-300) and count >= _MAX_INTERVALS:
         raise NonConvergent(
             f"interval budget {_MAX_INTERVALS} exhausted with error {total_err:.2e}"
@@ -226,19 +229,26 @@ class Segment:
 
 @dataclass(frozen=True)
 class Ray:
-    """Ray origin + t * exp(i phase), t in (0, inf)."""
+    """From origin out along exp(i phase) to the far end: inf, or a finite
+    point (the root that the table form puts at inf); exp0 and exp_far are
+    the weight exponents at the two ends."""
 
     origin: complex
     phase: float = 0.0
     exp0: complex | None = None
+    far: complex | None = None
+    exp_far: complex | None = None
 
 
 @dataclass(frozen=True)
 class RayPair:
-    """From inf * e^{i start} through 0 to inf * e^{i end}."""
+    """From the far end in along exp(i start) to 0, then from 0 out along
+    exp(i end) to the far end (inf when far is None)."""
 
     start: float
     end: float
+    far: complex | None = None
+    exp_far: complex | None = None
 
 
 def _integrate_half(f, start, end, exponent, atol, rtol):
@@ -268,37 +278,36 @@ def _integrate_segment(f, seg: Segment, atol, rtol):
     return v1 - v2, e1 + e2, n1 + n2
 
 
-_MAX_WINDOWS = 90
-
-
 def _integrate_ray(f, ray: Ray, atol, rtol):
-    phase = cmath.exp(1j * ray.phase)
+    """Integrate along the Moebius arc u(s) = o + w s / D(s), s in [0, 1],
+    with D(s) = (1 - s) + q s, w = exp(i phase) and q = w / (far - o). The
+    arc leaves o along the ray and ends at the far end; with no far end
+    q = 0 and it is the ray itself under t = s / (1 - s). When the far end
+    lies behind o the arc passes through inf at s* = 1 / (1 - q), where the
+    integrand's homogeneity (leading weights summing to -2) keeps f du
+    smooth; the integral is split there, so that no node evaluates it. Near
+    s = 1 the integrand behaves as (1 - s)^exp_far in both cases."""
+    w = cmath.exp(1j * ray.phase)
+    q = 0.0 if ray.far is None else w / (ray.far - ray.origin)
 
-    def g(t):
-        return f(ray.origin + phase * t) * phase
+    def g(s):
+        d = (1.0 - s) + q * s
+        return f(ray.origin + w * s / d) * w / (d * d)
 
+    cuts = [0.0, 1.0]
+    if q.imag == 0.0 and q.real < 0.0:
+        cuts.insert(1, 1.0 / (1.0 - q.real))
+    share = atol / (len(cuts) - 1)
     total = 0.0 + 0.0j
     err = 0.0
     count = 0
-    lo, hi = 0.0, 1.0
-    calm = 0
-    for w in range(_MAX_WINDOWS):
-        exponent = ray.exp0 if w == 0 else None
-        v, e, n = _integrate_half(g, lo, hi, exponent, 0.25 * atol, rtol)
+    for a, b in zip(cuts, cuts[1:]):
+        seg = Segment(a, b, ray.exp0 if a == 0.0 else None, ray.exp_far if b == 1.0 else None)
+        v, e, n = _integrate_segment(g, seg, share, rtol)
         total += v
         err += e
         count += n
-        bar = max(atol, rtol * abs(total))
-        if abs(v) < 0.05 * bar and w >= 2:
-            calm += 1
-            if calm >= 2:
-                return total, err, count
-        else:
-            calm = 0
-        lo, hi = hi, hi * 2.0
-    if abs(v) > 10.0 * max(atol, rtol * abs(total), 1e-300):
-        raise NonConvergent("ray tail did not settle within the window budget")
-    return total, err + abs(v), count
+    return total, err, count
 
 
 def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
@@ -313,8 +322,9 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
             v, e, n = _integrate_ray(f, piece, tol, tol)
         elif isinstance(piece, RayPair):
             # the outward ray at the end minus the outward ray at the start
-            v1, e1, n1 = _integrate_ray(f, Ray(0.0, piece.end), tol, tol)
-            v2, e2, n2 = _integrate_ray(f, Ray(0.0, piece.start), tol, tol)
+            ends = (None, piece.far, piece.exp_far)
+            v1, e1, n1 = _integrate_ray(f, Ray(0.0, piece.end, *ends), tol, tol)
+            v2, e2, n2 = _integrate_ray(f, Ray(0.0, piece.start, *ends), tol, tol)
             v, e, n = v1 - v2, e1 + e2, n1 + n2
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
@@ -332,16 +342,17 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
 _CHAIN_ENDS = {INTERVAL: 2, HALF_LINE: 1, FULL_LINE: 0, ROTATED_RAY: 0}
 
 
-def _chain_pieces(kind: str, ends, exponents):
+def _chain_pieces(kind: str, ends, exponents, far=None, exp_far=None):
     """The pieces of a chain kind between its finite ends, with the weight
-    exponents there: a segment, a ray, or a pair of rays through 0."""
+    exponents there: a segment, a ray, or a pair of rays through 0. Rays
+    end at far (inf when None), where the weight exponent is exp_far."""
     if kind == INTERVAL:
         return [Segment(ends[0], ends[1], exponents[0], exponents[1])]
     if kind == HALF_LINE:
-        return [Ray(ends[0], 0.0, exponents[0])]
+        return [Ray(ends[0], 0.0, exponents[0], far, exp_far)]
     if kind == FULL_LINE:
-        return [RayPair(math.pi, 0.0)]
-    return [RayPair(-RAY_HALF_ANGLE, RAY_HALF_ANGLE)]
+        return [RayPair(math.pi, 0.0, far, exp_far)]
+    return [RayPair(-RAY_HALF_ANGLE, RAY_HALF_ANGLE, far, exp_far)]
 
 
 def _chain_weight(kind: str, exponents, r: int):
@@ -487,7 +498,7 @@ def _chain_sampler(chain: ChainSpec, exponents, r: int):
     weight = _chain_weight(chain.kind, exponents, r)
     if chain.kind == INTERVAL:
         a_sh, b_sh = (v + 1.0 for v in weight)
-        lnB = log_gamma_real(a_sh) + log_gamma_real(b_sh) - log_gamma_real(a_sh + b_sh)
+        lnB = math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh)
 
         def sample(gen, count):
             lam = gen.beta(a_sh, b_sh, size=(count, r))
@@ -500,7 +511,7 @@ def _chain_sampler(chain: ChainSpec, exponents, r: int):
         return sample
     if chain.kind == HALF_LINE:
         shape, rate = weight[0] + 1.0, weight[1]
-        lnG = log_gamma_real(shape) - shape * math.log(rate)
+        lnG = math.lgamma(shape) - shape * math.log(rate)
 
         def sample(gen, count):
             lam = gen.gamma(shape, size=(count, r)) / rate
@@ -530,8 +541,9 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     A ``batch_fn`` replaces the family's kernel; the family then only
     shapes the eigenvalue density.
     """
-    if samples < 1:
-        raise UnsupportedCount(f"Monte Carlo needs at least one sample, got {samples}")
+    if samples < 2:
+        # one sample has no spread to estimate an error from
+        raise UnsupportedCount(f"Monte Carlo needs at least two samples, got {samples}")
     r = chain.r
     if batch_fn is None:
         _family_on(fam, chain)
@@ -582,7 +594,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     total2 = sum(res[1] for res in results)
     mean = total / samples
     var = max(total2 / samples - abs(mean) ** 2, 0.0)
-    sem = math.sqrt(var / max(samples - 1, 1))
+    sem = math.sqrt(var / (samples - 1))
     return IntegralEstimate(mean, sem, "haar-mc", samples, seed=stream.seed)
 
 
@@ -642,14 +654,20 @@ def _block_roots_r1(z: CoordMatrix):
 
 def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
     """Concrete chain realization whose ends are the roots of blocks 2 (and
-    3), with those blocks' leading weights as the end exponents."""
+    3), with those blocks' leading weights as the end exponents; its rays
+    end at the root of block 1, which the table form puts at inf, with the
+    leading weight of block 1 as the exponent there when the block's
+    character is a pure power (else it has an essential singularity)."""
     ends = _CHAIN_ENDS[chain.kind]
     if z.ell < 1 + ends:
         raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
-    roots = _block_roots_r1(z)[1 : 1 + ends]
-    if None in roots:
+    roots = _block_roots_r1(z)
+    if None in roots[1 : 1 + ends]:
         raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
-    return _chain_pieces(chain.kind, roots, [pw.alpha[j][0] for j in range(1, 1 + ends)])
+    first = pw.alpha[0]
+    exp_far = first[0] if all(a == 0 for a in first[1:]) else None
+    return _chain_pieces(chain.kind, roots[1 : 1 + ends],
+                         [pw.alpha[j][0] for j in range(1, 1 + ends)], roots[0], exp_far)
 
 
 def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):

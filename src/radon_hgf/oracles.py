@@ -51,13 +51,6 @@ def gamma(z) -> complex:
     return _SQRT_TWO_PI * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def log_gamma_real(x: float) -> float:
-    """log Gamma on the positive reals (used for density normalizations)."""
-    if x <= 0:
-        raise PoleHit("log_gamma_real needs a positive argument")
-    return cmath.log(gamma(x)).real
-
-
 def beta(a, b) -> complex:
     return gamma(a) * gamma(b) / gamma(a + b)
 

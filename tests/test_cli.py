@@ -135,6 +135,8 @@ def test_eval_eigen_tensor_refuses_another_chain(capsys):
     (("--r", "0", "--method", "eigen-tensor"), "ShapeMismatch"),
     (("--r", "0", "--method", "haar-mc"), "ShapeMismatch"),
     (("--r", "2", "--method", "haar-mc", "--samples", "0"), "UnsupportedCount"),
+    # one sample has no error estimate
+    (("--r", "2", "--method", "haar-mc", "--samples", "1"), "UnsupportedCount"),
 ])
 def test_eval_out_of_range_counts_exit_2(capsys, extra, error):
     code, report = run_cli(capsys, "eval", "--family", "gamma_r", "--a", "3", *extra)

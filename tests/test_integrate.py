@@ -2,19 +2,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 import scipy.special as sp
 
 from radon_hgf.characters import PartitionWeight
 from radon_hgf import integrate
 from radon_hgf.errors import (
     IncompatibleChain,
+    NonConvergent,
     NotInvariant,
     NotInZLambda,
     RadonHGFError,
     ShapeMismatch,
     UnsupportedCount,
 )
-from radon_hgf.grassmann import CoordMatrix
+from radon_hgf.grassmann import CoordMatrix, apply_group
 from radon_hgf.integrands import NamedFamily
 from radon_hgf.integrate import (
     Budget,
@@ -27,6 +30,7 @@ from radon_hgf.integrate import (
     integrate_invariant,
     integrate_r1,
     radon_hgf,
+    scalar_chart_function,
     weyl_constant,
 )
 from radon_hgf.normal_form import pattern
@@ -421,13 +425,15 @@ def test_integrate_r1_chain_pieces(monkeypatch, fam, kind, pieces):
 
 @pytest.mark.parametrize("kind, pieces", [
     ("interval-0-1", [Segment(-0.5, 0.5, -0.3, 0.4)]),
-    ("half-line", [Ray(-0.5, 0.0, -0.3)]),
-    ("full-line", _FULL),
-    ("rotated-ray", _ROTATED),
+    ("half-line", [Ray(-0.5, 0.0, -0.3, exp_far=-0.8)]),
+    ("full-line", [RayPair(math.pi, 0.0, exp_far=-0.8)]),
+    ("rotated-ray", [RayPair(-2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0, exp_far=-0.8)]),
 ])
 def test_chart_chain_pieces(kind, pieces):
     # block roots -a0/b0: none, -0.5, 0.5, -2; the ends are those of blocks 2
-    # and 3, with their leading weights as the end exponents
+    # and 3, with their leading weights as the end exponents; rays run to
+    # the root of block 1 (here inf), a pure power of weight -0.8, which is
+    # the exponent there
     z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
     pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
     assert chart_pieces_r1(z, pw, ChainSpec(kind, 1)) == pieces
@@ -436,9 +442,90 @@ def test_chart_chain_pieces(kind, pieces):
 def test_chart_chain_pieces_need_enough_blocks():
     z = CoordMatrix((3, 1), 1, np.array([[1.0, 0.2, 0.1, 0.5], [0.3, 1.0, 0.0, 1.0]]))
     pw = PartitionWeight.from_flat((3, 1), (-1.4, 0.3, 0.2, -0.6), 2, 1, strict=False)
-    assert chart_pieces_r1(z, pw, ChainSpec("half-line", 1)) == [Ray(-0.5, 0.0, -0.6)]
+    # the ray ends at the root -1/0.3 of block 1
+    assert chart_pieces_r1(z, pw, ChainSpec("half-line", 1)) == [
+        Ray(-0.5, 0.0, -0.6, far=-10 / 3)
+    ]
     with pytest.raises(IncompatibleChain):
         chart_pieces_r1(z, pw, ChainSpec("interval-0-1", 1))
+
+
+# a perturbed (2,2) half-line point: the root of block 1 is finite and lies
+# behind the ray's origin, so the chain runs out to inf and back in to it
+_FAR_Z = CoordMatrix((2, 2), 1, np.array([
+    [1.04492475, 0.09808698, 0.01636613, 0.92600028],
+    [0.07749591, -0.60399885, 1.01217295, -0.10392809],
+]))
+_FAR_PW = PartitionWeight.from_flat((2, 2), (-2.35, 1.0, 0.35, -1.0), 2, 1, strict=False)
+
+
+def test_half_line_covariance_with_finite_block_root():
+    chain, budget = ChainSpec("half-line", 1), Budget(tol=5e-13)
+    f0 = radon_hgf(_FAR_Z, _FAR_PW, chain, budget).value
+    gen = np.random.default_rng(0)
+    for _ in range(12):
+        g = np.eye(2) + 0.15 * gen.standard_normal((2, 2))
+        fg = radon_hgf(apply_group(_FAR_Z, g=g), _FAR_PW, chain, budget).value
+        assert abs(fg * np.linalg.det(g) - f0) <= 1e-12 * abs(f0)
+
+
+def test_half_line_through_infinity_matches_quadpack():
+    est = radon_hgf(_FAR_Z, _FAR_PW, ChainSpec("half-line", 1), Budget(tol=5e-13))
+    f = scalar_chart_function(_FAR_Z, _FAR_PW)
+    root = (-_FAR_Z.entries[0, 0] / _FAR_Z.entries[1, 0]).real
+    origin = (-_FAR_Z.entries[0, 2] / _FAR_Z.entries[1, 2]).real
+
+    def quad(a, b):
+        return scipy.integrate.quad(lambda u: f(u).real, a, b, epsabs=0.0, epsrel=1e-13,
+                                    limit=200)[0]
+
+    # the ray to inf alone gives 1.16203; the chain goes on from -inf to the root
+    ref = quad(origin, np.inf) + quad(-np.inf, root)
+    assert abs(est.value - ref) <= 1e-12 * abs(ref)
+    assert est.nodes_or_samples <= 16
+
+
+def test_half_line_root_on_the_ray():
+    # a frame of the (2,1) covariance check puts the root of block 1 on the
+    # ray at u = 1127; the chain ends there instead of crossing it
+    e = np.array([[0.16566753663396516, 0.32131842480987755],
+                  [-0.8876118797381407, -0.4567157161627934]])
+    z = apply_group(CoordMatrix((2, 1), 1, pattern((2, 1), 1)), g=scipy.linalg.expm(1e-3 * e))
+    pw = PartitionWeight((2, 1), ((-2.6, -1.0), (0.6,)), 2, 1, strict=False)
+    est = radon_hgf(z, pw, ChainSpec("half-line", 1), Budget(tol=5e-13))
+    assert abs(est.value - 0.8937754431515657) <= 1e-12
+
+
+@pytest.mark.parametrize("b0", [1 / 9000, -1 / 9000])
+def test_full_line_far_root_keeps_the_bump(b0):
+    # g = [[1, 0], [b0, 1]] moves the root of the (3,) block from inf to
+    # -1/b0; det g = 1, so the value is the table form's
+    # sqrt(2 pi) exp(0.3^2 / 2)
+    z = CoordMatrix((3,), 1, np.array([[1.0, 0.0, 0.0], [b0, 1.0, 0.0]]))
+    pw = PartitionWeight((3,), ((-2.0, 0.3, 1.0),), 2, 1, strict=False)
+    est = radon_hgf(z, pw, ChainSpec("full-line", 1), Budget(tol=5e-13))
+    ref = math.sqrt(2.0 * math.pi) * math.exp(0.3**2 / 2.0)
+    assert abs(est.value - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("g", [np.eye(2), np.array([[1.0, 0.0], [-0.02, 1.0]]),
+                               np.array([[1.0, 0.0], [0.02, 1.1]])])
+def test_half_line_algebraic_far_end(g):
+    # u^-0.5 (1 + u)^-1.2 over the half line is B(0.5, 0.7); the root of
+    # block 1 carries the pure power -0.3 (at inf, on the ray at u = 50, or
+    # behind the origin)
+    z = CoordMatrix((1, 1, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    pw = PartitionWeight((1, 1, 1), ((-0.3,), (-0.5,), (-1.2,)), 2, 1, strict=False)
+    est = radon_hgf(apply_group(z, g=g), pw, ChainSpec("half-line", 1), Budget(tol=1e-10))
+    ref = sp.beta(0.5, 0.7)
+    assert abs(est.value * np.linalg.det(g) - ref) <= 1e-11 * ref
+
+
+def test_growing_ray_raises():
+    # bessel's kernel grows like exp(x u) along the half line when x > 0
+    fam = NamedFamily("bessel", {"c": 2.0}, X=np.array([[0.5]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonConvergent):
+        integrate_r1(fam, ChainSpec("half-line", 1))
 
 
 @pytest.mark.parametrize("fam, kind, r", [
@@ -461,9 +548,10 @@ def test_counts_out_of_range_raise_typed_errors():
         ChainSpec("half-line", 0)
     with pytest.raises(ShapeMismatch):
         integrate_invariant(NamedFamily("gamma_r", {"a": 3.0}), 0)
-    with pytest.raises(UnsupportedCount):
-        integrate_haar_mc(NamedFamily("gamma_r", {"a": 3.0}), ChainSpec("half-line", 2), 0,
-                          RandomStream(1))
+    for samples in (0, 1):  # one sample has no spread to estimate an error from
+        with pytest.raises(UnsupportedCount):
+            integrate_haar_mc(NamedFamily("gamma_r", {"a": 3.0}), ChainSpec("half-line", 2),
+                              samples, RandomStream(1))
 
 
 def test_radon_rejects_chain_of_another_size():
