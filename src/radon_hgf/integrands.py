@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedPartition,
 )
 from .grassmann import ChartPoint, CoordMatrix
-from .linalg import as_matrix
+from .linalg import as_matrix, det_batch, matmul_batch
 from .ncpoly import theta_symbolic
 
 INTERVAL = "interval-0-1"
@@ -145,7 +145,7 @@ def _pow_batch(z, e):
 
 
 def _detpow_batch(m, e):
-    return _pow_batch(np.linalg.det(m), e)
+    return _pow_batch(det_batch(m), e)
 
 
 def _trace_batch(m):
@@ -176,26 +176,27 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
     chart integrand at u."""
     b, r, _ = t.shape
     z = spec.z
+    # the block images t z_q of every block, in one product
+    images = matmul_batch(t, z.entries)
     acc = np.ones(b, dtype=np.complex128)
+    start = 0
     for j, nk in enumerate(z.lam):
-        m0 = t @ z.block(j, 0)
+        block = images[:, :, start : start + nk * r]
+        start += nk * r
+        m0 = block[:, :, :r]
         alpha = spec.pw.alpha[j]
         acc *= _detpow_batch(m0, alpha[0])
         if nk > 1:
-            m0_inv = np.linalg.inv(m0)
-            coeffs = [m0_inv @ (t @ z.block(j, q)) for q in range(1, nk)]
-            terms = _theta_terms(nk)
+            # m0^{-1} t z_q for q = 1 .. nk - 1, side by side
+            sol = np.linalg.solve(m0, block[:, :, r:])
+            coeffs = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
             expo = np.zeros(b, dtype=np.complex128)
-            for k in range(1, nk):
-                th = np.zeros((b, r, r), dtype=np.complex128)
-                for word, c in terms[k - 1]:
-                    prod = np.broadcast_to(
-                        np.eye(r, dtype=np.complex128), (b, r, r)
-                    ).copy()
-                    for letter in word:
-                        prod = prod @ coeffs[letter - 1]
-                    th += complex(c) * prod
-                expo += alpha[k] * _trace_batch(th)
+            for k, terms in enumerate(_theta_terms(nk), start=1):
+                for word, c in terms:
+                    prod = coeffs[word[0] - 1]
+                    for letter in word[1:]:
+                        prod = matmul_batch(prod, coeffs[letter - 1])
+                    expo += (alpha[k] * c) * _trace_batch(prod)
             acc *= np.exp(expo)
     return acc
 

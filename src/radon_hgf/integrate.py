@@ -54,7 +54,7 @@ from .integrands import (
     named_integrand,
     named_integrand_batch,
 )
-from .linalg import haar_from_gaussian, haar_unitary_batch, scalar_multiple
+from .linalg import conjugate_diag, haar_from_gaussian, haar_unitary_batch, scalar_multiple
 from .normal_form import residual_parameters
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
@@ -359,7 +359,8 @@ def _chain_weight(kind: str, exponents, r: int):
     """Real powers of a chain kind's eigenvalue weight for the registry
     exponents e: (p, q) of u^p (1 - u)^q on the interval, (p, rate) of
     u^p exp(-rate u) on the half line (unit rate when there is no e1), ()
-    on the other kinds. Refuses weights that are not integrable."""
+    on the other kinds. Refuses weights that are not integrable, among
+    them a power |u|^(e0 - r) at 0 on the full line."""
     if kind == INTERVAL:
         p, q = (complex(e).real - r for e in exponents[:2])
         if p <= -1 or q <= -1:
@@ -373,6 +374,8 @@ def _chain_weight(kind: str, exponents, r: int):
         if rate <= 0:
             raise IncompatibleChain("half-line weight needs a positive decay rate")
         return p, rate
+    if kind == FULL_LINE and exponents and complex(exponents[0]).real - r <= -1:
+        raise IncompatibleChain("full-line weight |u|^p near 0 needs p > -1")
     return ()
 
 
@@ -568,12 +571,11 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
             lam, logpdf = sampler(gen, count)
             gin = (gen.standard_normal((count, r, r))
                    + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
-            v = haar_from_gaussian(gin)
-            u = np.einsum("bij,bj,bkj->bik", v, lam.astype(np.complex128), v.conj())
-            vals = batch_fn(u)
-            vsq = vdm_sq_batch(lam)
-            weights = np.exp(log_cr + np.log(vsq) - logpdf)
-            contrib = vals * weights
+            # each (count, r, r) array is dropped after its last use
+            u = conjugate_diag(haar_from_gaussian(gin), lam)
+            del gin
+            contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam)) - logpdf)
+            del u
             acc += complex(np.sum(contrib))
             acc2 += float(np.sum(np.abs(contrib) ** 2))
         return acc, acc2

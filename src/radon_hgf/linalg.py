@@ -4,6 +4,17 @@ Matrices are plain numpy complex128 arrays throughout the package; this
 module adds the guarded operations (singularity tolerances, hermiticity
 checks) and Haar-distributed unitary sampling that the rest of the code
 relies on.
+
+The stack kernels (``haar_from_gaussian``, ``conjugate_diag``,
+``matmul_batch``, ``det_batch``) work on (batch, r, r) stacks of small
+matrices, as the Monte Carlo path and the batched integrands produce
+them. numpy's linalg routines and stacked ``@`` make one LAPACK or BLAS
+call per matrix, whose dispatch costs far more than the arithmetic of a
+2 x 2 matrix. These kernels loop in Python over the r indices only, so
+each numpy operation runs across the whole batch; r is read from the
+shape. The determinant has closed forms at r = 1 and 2 and defers to
+LAPACK above, where an LU across the batch would no longer pay. No
+kernel writes into its arguments.
 """
 
 import numpy as np
@@ -83,9 +94,84 @@ def haar_unitary_batch(r: int, count: int, stream: RandomStream) -> np.ndarray:
 def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a stack of standard complex Gaussian matrices.
 
-    QR of each matrix, with the R diagonal phases folded into Q so the
-    distribution is exactly Haar.
+    Q of the QR factorisation whose R has a positive real diagonal; that Q
+    is exactly Haar distributed (Mezzadri 2007). Classical Gram-Schmidt
+    with each column orthogonalised twice gives it orthogonal to rounding
+    (Giraud, Langou & Rozloznik 2005) and needs no phase fix. A single
+    (r, r) matrix is a stack of one.
     """
-    q, rr = np.linalg.qr(z)
-    d = np.diagonal(rr, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim == 2:
+        return haar_from_gaussian(z[None])[0]
+    r = z.shape[-1]
+    cols = []  # cols[j][i]: entry (i, j) of Q across the batch
+    for j in range(r):
+        v = [z[:, i, j].copy() for i in range(r)]
+        for _ in range(2):
+            coefs = [_dot(q, v) for q in cols]
+            for q, c in zip(cols, coefs):
+                for i in range(r):
+                    v[i] -= q[i] * c
+        norm = np.sqrt(sum(vi.real ** 2 + vi.imag ** 2 for vi in v))
+        for vi in v:
+            vi /= norm
+        cols.append(v)
+    out = np.empty_like(z)
+    for j, col in enumerate(cols):
+        for i, entry in enumerate(col):
+            out[:, i, j] = entry
+    return out
+
+
+def _dot(q, v):
+    """sum_i conj(q_i) v_i over lists of batch arrays."""
+    acc = q[0].conj() * v[0]
+    for qi, vi in zip(q[1:], v[1:]):
+        acc += qi.conj() * vi
+    return acc
+
+
+def conjugate_diag(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """V diag(lam) V^* over a (batch, r, r) stack v and real (batch, r) lam.
+
+    The upper triangle is computed and the lower one filled with its
+    conjugate, so each result is exactly Hermitian with a real diagonal.
+    """
+    r = v.shape[-1]
+    e = [[np.ascontiguousarray(v[:, i, j]) for j in range(r)] for i in range(r)]
+    lj = [np.ascontiguousarray(lam[:, j]) for j in range(r)]
+    out = np.empty(v.shape, dtype=np.complex128)
+    for i in range(r):
+        w = [lj[j] * e[i][j] for j in range(r)]
+        out[:, i, i] = sum(lj[j] * (e[i][j].real ** 2 + e[i][j].imag ** 2)
+                           for j in range(r))
+        for k in range(i + 1, r):
+            upper = _dot(e[k], w)
+            out[:, i, k] = upper
+            out[:, k, i] = upper.conj()
+    return out
+
+
+def matmul_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for a (batch, n, k) stack x and y either one (k, p) matrix or
+    a (batch, k, p) stack. Against one matrix it is a single product of
+    the rows of all of x; against a stack, k broadcast products over the
+    inner index."""
+    b, n, k = x.shape
+    if y.ndim == 2:
+        return (x.reshape(b * n, k) @ y).reshape(b, n, y.shape[1])
+    out = x[:, :, 0, None] * y[:, None, 0, :]
+    for l in range(1, k):
+        out += x[:, :, l, None] * y[:, None, l, :]
+    return out
+
+
+def det_batch(m: np.ndarray) -> np.ndarray:
+    """Determinants of a (batch, r, r) stack: closed forms at r = 1 and 2
+    (ad - bc), LAPACK above."""
+    r = m.shape[-1]
+    if r == 1:
+        return m[:, 0, 0].copy()
+    if r == 2:
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    return np.linalg.det(m)

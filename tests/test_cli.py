@@ -144,6 +144,17 @@ def test_eval_out_of_range_counts_exit_2(capsys, extra, error):
     assert report["error"].startswith(error)
 
 
+def test_eval_divergent_full_line_exits_2(capsys):
+    # |u|^(-c - r) is not integrable at 0; this run used to report
+    # 3.68e10 +- 3.68e10 and exit 0
+    code, report = run_cli(
+        capsys, "eval", "--family", "hermite_weber", "--r", "2", "--c", "0.3",
+        "--chain", "full-line", "--method", "haar-mc", "--samples", "1e5",
+    )
+    assert code == 2
+    assert report["error"].startswith("IncompatibleChain")
+
+
 @pytest.mark.parametrize("command", ["radon", "verify-pde"])
 def test_missing_weights_exit_2(tmp_path, capsys, command):
     z_file = tmp_path / "z.json"

@@ -6,9 +6,10 @@ import scipy.integrate
 import scipy.linalg
 import scipy.special as sp
 
-from radon_hgf.characters import PartitionWeight
+from radon_hgf.characters import GroupElement, PartitionWeight
 from radon_hgf import integrate
 from radon_hgf.errors import (
+    BranchCutWarning,
     IncompatibleChain,
     NonConvergent,
     NotInvariant,
@@ -19,6 +20,7 @@ from radon_hgf.errors import (
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
 from radon_hgf.integrands import NamedFamily
+from radon_hgf.jordan import TruncPoly
 from radon_hgf.integrate import (
     Budget,
     ChainSpec,
@@ -217,6 +219,75 @@ def test_mc_value_pinned():
     ref = 6.063882907291953 - 4.061894594696384e-17j
     assert abs(est.value - ref) <= 1e-12 * abs(ref)
     assert abs(est.abs_error_est - 0.17138701220042246) <= 1e-12
+
+
+def _chart_point_with_h(lam, xs, r):
+    """A table form moved by a block-group element h with scalar constant
+    terms and random higher terms, so that every block image is general."""
+    gen = np.random.default_rng(0)
+    h = GroupElement(tuple(
+        TruncPoly.from_list([np.eye(r) * (1.0 + 0.1 * k)]
+                            + [0.2 * gen.standard_normal((r, r)) for _ in range(nk - 1)])
+        for k, nk in enumerate(lam)
+    ))
+    return apply_group(CoordMatrix(lam, r, pattern(lam, r, xs)), h=h)
+
+
+@pytest.mark.parametrize("lam, xs, flat, value, error", [
+    # free weights: no eigenvalue reduction, so the chart fallback runs
+    ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0),
+     15.208675886377215 - 3.92178148431056e-17j, 1.473226592757882),
+    ((3, 1), (0.5 * np.eye(2),), (-4.7, 0.0, 1.0, 0.7),
+     6.97395510856427 + 1.8537706112042356e-18j, 0.12437843127201999),
+])
+def test_mc_chart_value_pinned(lam, xs, flat, value, error):
+    # pins the chart fallback as test_mc_value_pinned pins the named path;
+    # recorded with LAPACK's QR and per-matrix products, which the stack
+    # kernels match to rounding
+    z = _chart_point_with_h(lam, xs, 2)
+    pw = PartitionWeight.from_flat(lam, flat, 4, 2, strict=False)
+    est = radon_hgf(z, pw, ChainSpec("half-line", 2),
+                    Budget(samples=4096, stream=RandomStream(7)), method="haar-mc")
+    assert est.method == "haar-mc"
+    assert abs(est.value - value) <= 1e-12 * abs(value)
+    assert abs(est.abs_error_est - error) <= 1e-12 * error
+
+
+def test_mc_hermite_weber_full_line_divergent_raises():
+    # |u|^(-c - r) is not integrable at 0 on the full line when c >= 1 - r
+    fam = NamedFamily("hermite_weber", {"c": 0.3}, X=0.3 * np.eye(2))
+    with pytest.raises(IncompatibleChain):
+        integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(1))
+    fam = NamedFamily("hermite_weber", {"c": -1.5}, X=0.3 * np.eye(2))
+    with pytest.warns(BranchCutWarning):
+        est = integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(1))
+    assert np.isfinite(est.value) and est.abs_error_est > 0
+
+
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("tag, params, x, kind", [
+    ("beta_r", {"a": 5.5, "b": 6.0}, None, "interval-0-1"),
+    ("gamma_r", {"a": 5.5}, None, "half-line"),
+    ("gaussian_r", {}, None, "full-line"),
+    ("kummer", {"a": 5.5, "c": 11.0}, 0.7, "interval-0-1"),
+])
+def test_mc_matches_eigen_tensor_above_r2(tag, params, x, kind, r):
+    fam = NamedFamily(tag, params, X=None if x is None else x * np.eye(r))
+    ref = integrate_invariant(fam, r).value
+    est = integrate_haar_mc(fam, ChainSpec(kind, r), 20_000, RandomStream(r))
+    assert abs(est.value - ref) < 5 * est.abs_error_est
+
+
+def test_radon_mc_fallback_matches_closed_form_r3():
+    r, a2, a3 = 3, 1.0, 2.0
+    pw = PartitionWeight((1, 1, 1), ((-2 * r - a2 - a3,), (a2,), (a3,)), 2 * r, r,
+                         strict=False)
+    z = CoordMatrix((1, 1, 1), r, pattern((1, 1, 1), r))
+    est = radon_hgf(z, pw, ChainSpec("interval-0-1", r),
+                    Budget(samples=20_000, stream=RandomStream(3)), method="haar-mc")
+    ref = beta_r_closed(r, a2 + r, a3 + r)
+    assert est.method == "haar-mc"
+    assert abs(est.value - ref) < 5 * est.abs_error_est
 
 
 def test_radon_gamma_reduction():

@@ -3,15 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radon_hgf.errors import NotHermitian, ShapeMismatch, SingularMatrix
+from radon_hgf.errors import NotHermitian, ShapeMismatch, SingularBlock, SingularMatrix
+from radon_hgf.integrands import _detpow_batch
 from radon_hgf.linalg import (
+    conjugate_diag,
     det,
+    det_batch,
+    haar_from_gaussian,
     haar_unitary,
     haar_unitary_batch,
     hermitian_eigen,
     inverse,
+    matmul_batch,
 )
-from radon_hgf.rng import RandomStream
+from radon_hgf.rng import RandomStream, standard_complex
 
 
 def test_det_identity():
@@ -113,3 +118,72 @@ def test_haar_moment():
 def test_haar_single_matches_batch(r):
     s = RandomStream(11)
     assert np.array_equal(haar_unitary(r, s), haar_unitary_batch(r, 1, s)[0])
+
+
+def _gaussian_stack(r, count, seed):
+    return standard_complex(RandomStream(seed), (count, r, r))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_haar_matches_phase_fixed_lapack_q(r):
+    # Q with a positive R diagonal is unique, so Gram-Schmidt and LAPACK's
+    # Householder QR agree on it to rounding
+    z = _gaussian_stack(r, 2000, 20 + r)
+    q_ref, rr = np.linalg.qr(z)
+    d = np.diagonal(rr, axis1=-2, axis2=-1)
+    q_ref = q_ref * (d / np.abs(d))[..., None, :]
+    q = haar_from_gaussian(z)
+    assert np.abs(q - q_ref).max() <= 1e-12
+    gram = np.conj(np.swapaxes(q, 1, 2)) @ q
+    assert np.linalg.norm(gram - np.eye(r), axis=(1, 2)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_det_batch_matches_lapack(r):
+    m = _gaussian_stack(r, 500, 40 + r)
+    ref = np.linalg.det(m)
+    assert np.abs(det_batch(m) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_det_batch_exactly_singular_2x2():
+    m = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 3.0]]], dtype=np.complex128)
+    assert det_batch(m)[0] == 0.0
+    with pytest.raises(SingularBlock):
+        _detpow_batch(m, 0.5)
+
+
+def test_matmul_batch_single_and_stack():
+    x = _gaussian_stack(3, 7, 50)
+    y = _gaussian_stack(3, 7, 51)
+    assert np.allclose(matmul_batch(x, y), x @ y, rtol=0, atol=1e-14)
+    assert np.allclose(matmul_batch(x, y[0]), x @ y[0], rtol=0, atol=1e-14)
+    rect = standard_complex(RandomStream(52), (3, 2))
+    assert np.allclose(matmul_batch(x, rect), x @ rect, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_conjugate_diag_exactly_hermitian(r):
+    v = haar_from_gaussian(_gaussian_stack(r, 300, 60 + r))
+    lam = RandomStream(70 + r).generator().standard_normal((300, r))
+    u = conjugate_diag(v, lam)
+    assert np.array_equal(u, np.conj(np.swapaxes(u, 1, 2)))
+    ref = np.einsum("bij,bj,bkj->bik", v, lam, v.conj())
+    assert np.abs(u - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_stack_kernels_leave_arguments_unchanged(batch):
+    z = _gaussian_stack(2, batch, 80)
+    y = _gaussian_stack(2, batch, 81)
+    lam = RandomStream(82).generator().standard_normal((batch, 2))
+    args = (z, y, lam)
+    before = [a.copy() for a in args]
+    haar_from_gaussian(z)
+    haar_from_gaussian(z[0])
+    conjugate_diag(z, lam)
+    matmul_batch(z, y)
+    matmul_batch(z, y[0])
+    det_batch(z)
+    det_batch(z[:, :1, :1])
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
