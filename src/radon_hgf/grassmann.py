@@ -8,13 +8,14 @@ orbit normal forms exist.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .characters import GroupElement, _validate_partition
 from .errors import BadIndexSet, NotInZLambda, ShapeMismatch, SingularFrame
 from .jordan import TruncPoly
-from .linalg import as_matrix, det, hadamard_bound
+from .linalg import as_matrix, det, det_batch, hadamard_bound
 
 RANK_RTOL = 1e-10
 MINOR_RTOL = 1e-10
@@ -152,6 +153,22 @@ def subdiagrams(lam) -> list:
     return out
 
 
+@lru_cache(maxsize=64)
+def _minor_columns(lam: tuple, r: int):
+    """The subdiagrams of a partition, and per subdiagram the 2r column
+    indices of its minor."""
+    subs = tuple(subdiagrams(lam))
+    starts = np.cumsum((0,) + lam[:-1]) * r
+    cols = [
+        [starts[i] + qi * r + c for c in range(r)] + [starts[j] + qj * r + c for c in range(r)]
+        for (i, qi), (j, qj) in (mu.columns() for mu in subs)
+    ]
+    cols = np.array(cols, dtype=np.intp).reshape(len(subs), 2 * r)
+    # every caller gets this array: keep it read-only
+    cols.setflags(write=False)
+    return subs, cols
+
+
 @dataclass(frozen=True)
 class MembershipResult:
     member: bool
@@ -169,14 +186,16 @@ def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResul
     """
     if z.m != 2 * z.r:
         raise ShapeMismatch("subdiagram minors need m = 2r")
-    failing = []
-    for mu in subdiagrams(z.lam):
-        (i, qi), (j, qj) = mu.columns()
-        zmu = np.concatenate([z.block(i, qi), z.block(j, qj)], axis=1)
-        bound = hadamard_bound(zmu)
-        if bound == 0.0 or abs(det(zmu)) <= rtol * bound:
-            failing.append(mu)
-    return MembershipResult(not failing, tuple(failing))
+    subs, cols = _minor_columns(z.lam, z.r)
+    # the (k, 2r, 2r) stack of minors, one per subdiagram
+    minors = np.moveaxis(z.entries[:, cols], 0, 1)
+    dets = np.abs(det_batch(minors))
+    bounds = np.prod(np.linalg.norm(minors, axis=1), axis=1)
+    failing = tuple(
+        mu for mu, d, bound in zip(subs, dets.tolist(), bounds.tolist())
+        if bound == 0.0 or d <= rtol * bound
+    )
+    return MembershipResult(not failing, failing)
 
 
 def require_member(z: CoordMatrix):

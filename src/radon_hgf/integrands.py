@@ -5,9 +5,10 @@ of the block images t z of a frame t: a product of determinant powers
 (the multivalued part) times the exponential of a trace polynomial (the
 confluent part).  ``chart_integrand_batch`` evaluates it over stacked
 frames, and ``evaluate_frame`` / ``evaluate_integrand`` are its
-single-point calls; the r = 1 adaptive quadrature keeps a scalar
-evaluator of its own (``integrate.scalar_chart_function``), which is
-cheaper per point than a batch of one.  The named families are the concrete
+single-point calls.  At r = 1 the adaptive quadrature evaluates the
+chart integrand through ``integrate.scalar_chart_function``, which works
+on the complex points u themselves, not on 1 x 2 frames, over all the
+nodes of a round at once.  The named families are the concrete
 matrix-integral counterparts of the classical hypergeometric kernels,
 and ``family_of_normal_form`` records the exact weight dictionary that
 identifies them with the table normal forms.

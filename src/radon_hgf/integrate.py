@@ -6,7 +6,9 @@ Three strategies:
   whose endpoints follow the branch-point roots of the coordinate
   matrix, with power substitutions at singular endpoints; a ray is one
   Moebius arc from its origin to the root of block 1 (inf for a table
-  form), not a truncated tail;
+  form), not a truncated tail. Each piece splits into halves that run in
+  lock-step rounds: every open half bisects its worst panel, and the
+  nodes of all new panels go to one vectorized call of the integrand;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -34,6 +36,7 @@ from .errors import (
     NonConvergent,
     NotInvariant,
     OnBranchLocus,
+    RadonHGFError,
     ShapeMismatch,
     UnpinnedAlpha,
     UnsupportedCount,
@@ -120,7 +123,7 @@ def weyl_constant(r: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Gauss-Kronrod 15(7) adaptive integration along straight lines
+# Gauss-Kronrod 15(7) adaptive integration in lock-step rounds
 # ----------------------------------------------------------------------
 
 _GK_NODES = (
@@ -150,57 +153,13 @@ _GK_WG = (
     0.417959183673469,
 )
 
-
-def _gk15(f, a: complex, b: complex):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    k = 0.0 + 0.0j
-    g = 0.0 + 0.0j
-    for i, x in enumerate(_GK_NODES):
-        if x == 0.0:
-            fv = f(mid)
-            k += _GK_WK[i] * fv
-            g += _GK_WG[3] * fv
-        else:
-            fp = f(mid + half * x)
-            fm = f(mid - half * x)
-            k += _GK_WK[i] * (fp + fm)
-            if i % 2 == 1:
-                g += _GK_WG[i // 2] * (fp + fm)
-    k *= half
-    g *= half
-    diff = abs(k - g)
-    # (200 diff)^1.5 exceeds diff once diff >= 1, and can overflow there
-    err = min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff
-    return k, err
-
-
-def _adaptive(f, a: complex, b: complex, atol: float, rtol: float):
-    val, err = _gk15(f, a, b)
-    heap = [(-err, 0, a, b, val, err)]
-    total = val
-    total_err = err
-    count = 1
-    tie = 1
-    while total_err > max(atol, rtol * abs(total)) and count < _MAX_INTERVALS:
-        neg, _, x0, x1, v, e = heappop(heap)
-        mid = 0.5 * (x0 + x1)
-        v1, e1 = _gk15(f, x0, mid)
-        v2, e2 = _gk15(f, mid, x1)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - e
-        heappush(heap, (-e1, tie, x0, mid, v1, e1))
-        tie += 1
-        heappush(heap, (-e2, tie, mid, x1, v2, e2))
-        tie += 1
-        count += 1
-    if not (cmath.isfinite(total) and math.isfinite(total_err)):
-        raise NonConvergent("the integrand is not finite along the chain")
-    if total_err > 10.0 * max(atol, rtol * abs(total), 1e-300) and count >= _MAX_INTERVALS:
-        raise NonConvergent(
-            f"interval budget {_MAX_INTERVALS} exhausted with error {total_err:.2e}"
-        )
-    return total, total_err, count
+# the 15 nodes of a panel on [-1, 1] as (+x, -x) pairs with 0 last, and
+# the Kronrod and the embedded Gauss weights in that order, as two columns
+_GK_X = np.array([s * x for x in _GK_NODES[:-1] for s in (1.0, -1.0)] + [0.0])
+_GK_KG = np.array([
+    [w for w in _GK_WK[:-1] for _ in (0, 1)] + [_GK_WK[-1]],
+    [_GK_WG[i // 2] if i % 2 else 0.0 for i in range(7) for _ in (0, 1)] + [_GK_WG[3]],
+], dtype=np.complex128).T
 
 
 def _power_kappa(exponent) -> int:
@@ -251,35 +210,80 @@ class RayPair:
     exp_far: complex | None = None
 
 
-def _integrate_half(f, start, end, exponent, atol, rtol):
-    """Integrate start -> end, substituting u = start + (end-start) tau^kappa."""
-    kappa = _power_kappa(exponent)
-    span = end - start
-    if kappa == 1:
-        return _adaptive(f, start, end, atol, rtol)
+class _Half:
+    """One adaptive integral from start to end: along a straight segment in
+    u, or in s along the Moebius arc u(s) = o + w s / D(s) of a ray, with
+    arc = (o, w, q). When the start carries a power with kappa > 1, the
+    panels are in tau over [0, 1] under y = start + (end - start) tau^kappa;
+    else they are in y itself. The half enters the sum with its sign; a
+    half that failed keeps the error it raises."""
 
-    def g(tau):
-        t = tau**kappa
-        u = start + span * t
-        if u == start:
-            # offset below machine resolution: the jacobian factor already
-            # damps the true contribution past double precision
-            return 0.0 + 0.0j
-        return f(u) * (kappa * tau ** (kappa - 1)) * span
+    __slots__ = ("start", "end", "kappa", "atol", "sign", "failure", "kind", "maps",
+                 "heap", "popped", "total", "err", "count", "tie")
 
-    return _adaptive(g, 0.0, 1.0, atol, rtol)
+    def __init__(self, start, end, exponent, arc, atol, sign):
+        self.start, self.end, self.atol, self.sign = start, end, atol, sign
+        self.failure = None
+        try:
+            self.kappa = _power_kappa(exponent)
+        except DivergentEndpoint as exc:
+            self.kappa, self.failure = 1, exc
+        # 0: substituted, 1: substituted on an arc, 2: on an arc, 3: neither
+        self.kind = (0 if self.kappa > 1 else 3) if arc is None else (1 if self.kappa > 1 else 2)
+        # what maps a node: kappa, start, span, end, the arc's o, w, q (0, 1,
+        # 0 off arcs) and kappa - 1
+        self.maps = (self.kappa, start, end - start, end, *(arc or (0.0, 1.0, 0.0)),
+                     self.kappa - 1)
+        self.heap, self.popped = [], None
+        self.total, self.err, self.count, self.tie = 0.0 + 0.0j, 0.0, 0, 0
+
+    def first_panel(self):
+        return [(self.start, self.end) if self.kappa == 1 else (0.0, 1.0)]
+
+    def add(self, panels, values):
+        """Take the (value, error) of the panels of this round: the first
+        panel, or the two halves of the panel popped last."""
+        for (a, b), (v, e) in zip(panels, values):
+            heappush(self.heap, (-e, self.tie, a, b, v, e))
+            self.tie += 1
+        if self.popped is None:
+            self.total, self.err = values[0]
+        else:
+            (v1, e1), (v2, e2) = values
+            v, e = self.popped
+            self.total += (v1 + v2) - v
+            self.err += (e1 + e2) - e
+        self.count += 1
+
+    def is_open(self, rtol) -> bool:
+        return self.err > max(self.atol, rtol * abs(self.total)) and self.count < _MAX_INTERVALS
+
+    def bisect(self):
+        """Pop the worst panel; its two halves are the next round's panels."""
+        _, _, x0, x1, v, e = heappop(self.heap)
+        self.popped = (v, e)
+        mid = 0.5 * (x0 + x1)
+        return [(x0, mid), (mid, x1)]
+
+    def close(self, rtol):
+        if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
+            self.failure = NonConvergent("the integrand is not finite along the chain")
+        elif (self.err > 10.0 * max(self.atol, rtol * abs(self.total), 1e-300)
+              and self.count >= _MAX_INTERVALS):
+            self.failure = NonConvergent(
+                f"interval budget {_MAX_INTERVALS} exhausted with error {self.err:.2e}"
+            )
 
 
-def _integrate_segment(f, seg: Segment, atol, rtol):
-    mid = 0.5 * (seg.a + seg.b)
-    v1, e1, n1 = _integrate_half(f, seg.a, mid, seg.exp_a, 0.5 * atol, rtol)
-    v2, e2, n2 = _integrate_half(f, seg.b, mid, seg.exp_b, 0.5 * atol, rtol)
-    # the second half was traversed backwards
-    return v1 - v2, e1 + e2, n1 + n2
+def _segment_halves(a, b, exp_a, exp_b, atol, arc, sign):
+    """From each end to the midpoint; the second half runs backwards."""
+    mid = 0.5 * (a + b)
+    return [_Half(a, mid, exp_a, arc, 0.5 * atol, sign),
+            _Half(b, mid, exp_b, arc, 0.5 * atol, -sign)]
 
 
-def _integrate_ray(f, ray: Ray, atol, rtol):
-    """Integrate along the Moebius arc u(s) = o + w s / D(s), s in [0, 1],
+def _ray_halves(ray: Ray, atol, sign):
+    """The halves of the Moebius arc u(s) = o + w s / D(s), s in [0, 1],
     with D(s) = (1 - s) + q s, w = exp(i phase) and q = w / (far - o). The
     arc leaves o along the ray and ends at the far end; with no far end
     q = 0 and it is the ray itself under t = s / (1 - s). When the far end
@@ -289,48 +293,155 @@ def _integrate_ray(f, ray: Ray, atol, rtol):
     s = 1 the integrand behaves as (1 - s)^exp_far in both cases."""
     w = cmath.exp(1j * ray.phase)
     q = 0.0 if ray.far is None else w / (ray.far - ray.origin)
-
-    def g(s):
-        d = (1.0 - s) + q * s
-        return f(ray.origin + w * s / d) * w / (d * d)
-
     cuts = [0.0, 1.0]
     if q.imag == 0.0 and q.real < 0.0:
         cuts.insert(1, 1.0 / (1.0 - q.real))
     share = atol / (len(cuts) - 1)
-    total = 0.0 + 0.0j
-    err = 0.0
-    count = 0
+    halves = []
     for a, b in zip(cuts, cuts[1:]):
-        seg = Segment(a, b, ray.exp0 if a == 0.0 else None, ray.exp_far if b == 1.0 else None)
-        v, e, n = _integrate_segment(g, seg, share, rtol)
-        total += v
-        err += e
-        count += n
-    return total, err, count
+        halves += _segment_halves(a, b, ray.exp0 if a == 0.0 else None,
+                                  ray.exp_far if b == 1.0 else None, share,
+                                  (ray.origin, w, q), sign)
+    return halves
 
 
-def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
-    """Sum of piecewise adaptive integrals of a scalar complex function."""
-    total = 0.0 + 0.0j
-    err = 0.0
-    count = 0
+def _halves(pieces, tol):
+    halves = []
     for piece in pieces:
         if isinstance(piece, Segment):
-            v, e, n = _integrate_segment(f, piece, tol, tol)
+            halves += _segment_halves(piece.a, piece.b, piece.exp_a, piece.exp_b, tol, None, 1.0)
         elif isinstance(piece, Ray):
-            v, e, n = _integrate_ray(f, piece, tol, tol)
+            halves += _ray_halves(piece, tol, 1.0)
         elif isinstance(piece, RayPair):
             # the outward ray at the end minus the outward ray at the start
             ends = (None, piece.far, piece.exp_far)
-            v1, e1, n1 = _integrate_ray(f, Ray(0.0, piece.end, *ends), tol, tol)
-            v2, e2, n2 = _integrate_ray(f, Ray(0.0, piece.start, *ends), tol, tol)
-            v, e, n = v1 - v2, e1 + e2, n1 + n2
+            halves += _ray_halves(Ray(0.0, piece.end, *ends), tol, 1.0)
+            halves += _ray_halves(Ray(0.0, piece.start, *ends), tol, -1.0)
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
-        total += v
-        err += e
-        count += n
+    return halves
+
+
+def _gk15(f, rows):
+    """Kronrod and Gauss estimates [k, g] over panels with one call of f on
+    the nodes that are kept. Each row is a panel's midpoint and half width
+    followed by its half's ``maps``; the substituted rows come first, and
+    the rows on arcs are contiguous."""
+    kinds = [row[-1] for row in rows]
+    n0, n1, n2 = (kinds.count(kind) for kind in range(3))
+    sub, arc = slice(0, n0 + n1), slice(n0, n0 + n1 + n2)
+    p = np.array([row[:-1] for row in rows], dtype=np.complex128)
+    half = p[:, 1:2]
+    y = p[:, 0:1] + half * _GK_X
+    keep = None
+    if sub.stop:
+        kap, start, span = p[sub, 2:3].real, p[sub, 3:4], p[sub, 4:5]
+        tau = y[sub].real
+        jac = kap * tau ** p[sub, 9:10].real
+        ys = start + span * tau**kap
+        drop = ys == start
+        if drop.any():
+            # a node whose offset rounds to the start is dropped, not mapped:
+            # the jacobian factor damps its true contribution past double
+            # precision, and on an arc s = 1 is where D vanishes; the end of
+            # the half stands in for it until f is called
+            ys[drop] = np.broadcast_to(p[sub, 5:6], ys.shape)[drop]
+            keep = np.ones(y.shape, dtype=bool)
+            keep[sub] = ~drop
+        y[sub] = ys
+    if arc.stop > arc.start:
+        o, w, q = p[arc, 6:7], p[arc, 7:8], p[arc, 8:9]
+        s = y[arc]
+        d = (1.0 - s) + q * s
+        y[arc] = o + w * s / d
+    if keep is None:
+        fv = np.asarray(f(y.ravel()), dtype=np.complex128).reshape(y.shape)
+    else:
+        fv = np.zeros(y.shape, dtype=np.complex128)
+        fv[keep] = f(y[keep])
+    if arc.stop > arc.start:
+        fv[arc] = fv[arc] * w / (d * d)
+    if sub.stop:
+        fv[sub] = fv[sub] * jac * span
+    return ((fv @ _GK_KG) * half).tolist()
+
+
+def _round(f, halves, panels):
+    """(value, error) of the new panels of each half, in one call of f. When
+    f raises, each half is evaluated alone, in order, up to the first that
+    raises; that half keeps the error as its failure."""
+
+    def rows_of(i, spans):
+        h = halves[i]
+        return [(0.5 * (a + b), 0.5 * (b - a)) + h.maps + (h.kind,) for a, b in spans]
+
+    order = sorted(panels, key=lambda i: halves[i].kind)
+    try:
+        kg = _gk15(f, [row for i in order for row in rows_of(i, panels[i])])
+    except RadonHGFError:
+        order, kg = [], []
+        for i, spans in panels.items():
+            try:
+                kg += _gk15(f, rows_of(i, spans))
+            except RadonHGFError as exc:
+                halves[i].failure = exc
+                break
+            order.append(i)
+    values = {}
+    it = iter(kg)
+    for i in order:
+        values[i] = []
+        for _ in panels[i]:
+            k, g = next(it)
+            diff = abs(k - g)
+            # (200 diff)^1.5 exceeds diff once diff >= 1, and can overflow there
+            values[i].append((k, min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff))
+    return values
+
+
+def _first_failure(halves) -> int:
+    return next((i for i, h in enumerate(halves) if h.failure is not None), len(halves))
+
+
+def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
+    """Sum of piecewise adaptive integrals of a complex function f that maps
+    an array of points to an array of values.
+
+    Each piece splits into halves, each an adaptive GK15 integral that
+    bisects its worst panel until its error is within max(atol, tol |total|)
+    (QUADPACK's rule). The halves run in lock-step rounds: in each round
+    every open half bisects once, and the nodes of all new panels go to one
+    call of f. A half that fails closes every later half; the first failure
+    in chain order is raised, as a sequential walk would raise it.
+    """
+    halves = _halves(pieces, tol)
+    panels = {i: halves[i].first_panel() for i in range(_first_failure(halves))}
+    # a value that overflows makes its half fail as not finite, not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while panels:
+            values = _round(f, halves, panels)
+            limit = _first_failure(halves)
+            live = {}
+            for i, spans in panels.items():
+                if i >= limit:
+                    break
+                h = halves[i]
+                h.add(spans, values[i])
+                if h.is_open(tol):
+                    live[i] = h.bisect()
+                else:
+                    h.close(tol)
+            limit = _first_failure(halves)
+            panels = {i: spans for i, spans in live.items() if i < limit}
+    total = 0.0 + 0.0j
+    err = 0.0
+    count = 0
+    for h in halves:
+        if h.failure is not None:
+            raise h.failure
+        total += h.sign * h.total
+        err += h.err
+        count += h.count
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 
@@ -397,7 +508,7 @@ def integrate_r1(fam: NamedFamily, chain: ChainSpec, tol: float = 1e-10) -> Inte
     pieces = _chain_pieces(chain.kind, (0.0, 1.0)[:ends], [v - 1 for v in e[:ends]])
 
     def f(u):
-        return named_integrand(fam, np.array([[u]]), check_domain=False)
+        return named_integrand_batch(fam, u.reshape(-1, 1, 1))
 
     return integrate_pieces(f, pieces, tol=tol)
 
@@ -605,7 +716,11 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 # ----------------------------------------------------------------------
 
 def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
-    """Fast r = 1 chart integrand u -> chi(ubar z) as plain complex arithmetic."""
+    """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
+    (0-d included): each block's leading form m0 = a0 + u b0 and ratios
+    (a_q + u b_q) / m0 enter the character one numpy operation at a time
+    across the array. A point with m0 = 0, or with an exponential part
+    past exp(700), raises before any power or exponential is taken."""
     if z.r != 1 or pw.r != 1:
         raise ShapeMismatch("scalar chart function requires r = 1")
     blocks = []
@@ -617,13 +732,15 @@ def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
         blocks.append((coeffs, pw.alpha[j], _theta_terms(nk)))
 
     def f(u):
-        acc = 1.0 + 0.0j
+        u = np.asarray(u)
+        # every check runs before the first power or exponential
+        parts = []
         for coeffs, alpha, terms in blocks:
             a0, b0 = coeffs[0]
             m0 = a0 + u * b0
-            if m0 == 0:
+            if not m0.all():
                 raise OnBranchLocus("chart point sits on a branch hypersurface")
-            acc *= m0 ** alpha[0]
+            expo = None
             if len(coeffs) > 1:
                 c = [(aq + u * bq) / m0 for aq, bq in coeffs[1:]]
                 expo = 0.0 + 0.0j
@@ -632,14 +749,19 @@ def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
                     for word, coef in terms[k - 1]:
                         prod = coef
                         for letter in word:
-                            prod *= c[letter - 1]
-                        th += prod
-                    expo += alpha[k] * th
-                if expo.real > 700.0:
+                            prod = prod * c[letter - 1]
+                        th = th + prod
+                    expo = expo + alpha[k] * th
+                if (expo.real > 700.0).any():
                     raise OnBranchLocus(
                         "exponential part overflows: chain runs into a pole"
                     )
-                acc *= cmath.exp(expo)
+            parts.append((m0, alpha[0], expo))
+        acc = 1.0 + 0.0j
+        for m0, lead, expo in parts:
+            acc = acc * m0**lead
+            if expo is not None:
+                acc = acc * np.exp(expo)
         return acc
 
     return f

@@ -3,6 +3,7 @@ import pytest
 
 from radon_hgf.errors import BadIndexSet, ShapeMismatch, SingularFrame
 from radon_hgf.grassmann import (
+    MINOR_RTOL,
     ChartPoint,
     CoordMatrix,
     apply_group,
@@ -163,6 +164,78 @@ def test_general_member_agrees_with_svd_rank():
             for j in range(3)
         ]
         assert general_Z_member(z) == all(rk == 2 for rk in ranks)
+
+
+def _member_per_minor(z, rtol):
+    """The membership test one minor at a time: the LAPACK determinant of
+    each weight-2 minor against its Hadamard bound, in subdiagram order."""
+    failing = []
+    for mu in subdiagrams(z.lam):
+        (i, qi), (j, qj) = mu.columns()
+        zmu = np.concatenate([z.block(i, qi), z.block(j, qj)], axis=1)
+        bound = float(np.prod(np.linalg.norm(zmu, axis=0)))
+        if bound == 0.0 or abs(np.linalg.det(zmu)) <= rtol * bound:
+            failing.append(mu)
+    return not failing, tuple(failing)
+
+
+def _partitions(n, top=None):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, n if top is None else top), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _near_singular(entries, lam, r, mu, eps, v):
+    """Entries whose minor mu has its second block's first column eps v away
+    from the first block's: the minor's determinant is linear in eps."""
+    e = entries.copy()
+    starts = np.cumsum((0,) + lam[:-1]) * r
+    (i, qi), (j, qj) = mu.columns()
+    e[:, starts[j] + qj * r] = e[:, starts[i] + qi * r] + eps * v
+    return e
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_stacked_membership_matches_per_minor_loop(r):
+    gen = RandomStream(40 + r).generator()
+    near = 0
+    # every partition of n <= 5; at n = 1 there is no minor (and no 2r x r
+    # coordinate matrix)
+    for n in range(2, 6):
+        for lam in _partitions(n):
+            entries = gen.standard_normal((2 * r, n * r)) + 1j * gen.standard_normal((2 * r, n * r))
+            points = [(entries, MINOR_RTOL, None)]
+            for mu in subdiagrams(lam):
+                v = gen.standard_normal(2 * r) + 1j * gen.standard_normal(2 * r)
+                for rtol in (MINOR_RTOL, 1e-6):
+                    # scale eps so that the minor's ratio to its bound is
+                    # 0.999 rtol (fails) or 1.001 rtol (passes)
+                    probe = CoordMatrix(lam, r, _near_singular(entries, lam, r, mu, 1e-8, v))
+                    zmu = np.concatenate([probe.block(*mu.columns()[0]),
+                                          probe.block(*mu.columns()[1])], axis=1)
+                    ratio = abs(np.linalg.det(zmu)) / np.prod(np.linalg.norm(zmu, axis=0))
+                    for factor in (0.999, 1.001):
+                        e = _near_singular(entries, lam, r, mu, 1e-8 * factor * rtol / ratio, v)
+                        points.append((e, rtol, (mu, factor < 1.0)))
+            for e, rtol, target in points:
+                try:
+                    z = CoordMatrix(lam, r, e)
+                except ShapeMismatch:
+                    # the minor is the whole matrix, and it is rank deficient
+                    continue
+                ref = _member_per_minor(z, rtol)
+                res = z_lambda_member(z, rtol=rtol)
+                assert (res.member, res.failing) == ref
+                if target is not None:
+                    mu, fails = target
+                    assert (mu in ref[1]) == fails
+                    near += 1
+    # 56 subdiagrams, four points each; at n = 2 the minor is the whole
+    # matrix, which is rank deficient at rtol 1e-10
+    assert near == 56 * 4 - 4
 
 
 def test_membership_requires_m_equals_2r():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,10 +130,36 @@ def test_chart_integrand_matches_character(lam, k, r):
     ]
     batch = chart_integrand_batch(spec, frames)
     scalar = scalar_chart_function(z, pw) if r == 1 else None
+    # the r = 1 evaluator at each point alone (0-d) and on all of them at once
+    along = scalar(us[:, 0, 0]) if r == 1 else None
     for i, ref in enumerate(refs):
         assert abs(batch[i] - ref) <= 1e-13 * abs(ref)
         if scalar is not None:
             assert abs(scalar(us[i, 0, 0]) - ref) <= 1e-13 * abs(ref)
+            assert abs(along[i] - ref) <= 1e-13 * abs(ref)
+
+
+def test_chart_function_raises_at_one_root_node():
+    # the root of block 2 is u = 0; one node of the array sits on it
+    z = CoordMatrix((1, 1, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+    pw = PartitionWeight((1, 1, 1), ((-0.3,), (-0.5,), (-1.2,)), 2, 1, strict=False)
+    f = scalar_chart_function(z, pw)
+    assert np.all(np.isfinite(f(np.array([0.3, 0.7, 2.0]))))
+    with pytest.raises(OnBranchLocus):
+        f(np.array([0.3, 0.0, 0.7]))
+
+
+def test_chart_function_overflow_raises_before_warning():
+    # block 1 is (2,) with m0 = 1 + u and ratio c1 = 1 / (1 + u), so alpha_1
+    # c1 = 1000 at u = -0.999: exp would overflow there
+    z = CoordMatrix((2, 1, 1), 1, np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]]))
+    pw = PartitionWeight((2, 1, 1), ((-1.5, 1.0), (-0.2,), (-0.3,)), 2, 1, strict=False)
+    f = scalar_chart_function(z, pw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(f(np.array([0.5, 2.0]))).all()
+        with pytest.raises(OnBranchLocus):
+            f(np.array([0.5, -0.999, 2.0]))
 
 
 def test_unpinned_kummer_takes_product_argument():

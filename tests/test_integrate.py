@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from radon_hgf.errors import (
     NonConvergent,
     NotInvariant,
     NotInZLambda,
+    OnBranchLocus,
     RadonHGFError,
     ShapeMismatch,
     UnsupportedCount,
@@ -30,6 +32,7 @@ from radon_hgf.integrate import (
     chart_pieces_r1,
     integrate_haar_mc,
     integrate_invariant,
+    integrate_pieces,
     integrate_r1,
     radon_hgf,
     scalar_chart_function,
@@ -541,7 +544,10 @@ def test_half_line_covariance_with_finite_block_root():
 
 
 def test_half_line_through_infinity_matches_quadpack():
-    est = radon_hgf(_FAR_Z, _FAR_PW, ChainSpec("half-line", 1), Budget(tol=5e-13))
+    # the arc passes through inf between two nodes, never at one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = radon_hgf(_FAR_Z, _FAR_PW, ChainSpec("half-line", 1), Budget(tol=5e-13))
     f = scalar_chart_function(_FAR_Z, _FAR_PW)
     root = (-_FAR_Z.entries[0, 0] / _FAR_Z.entries[1, 0]).real
     origin = (-_FAR_Z.entries[0, 2] / _FAR_Z.entries[1, 2]).real
@@ -587,9 +593,106 @@ def test_half_line_algebraic_far_end(g):
     # behind the origin)
     z = CoordMatrix((1, 1, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
     pw = PartitionWeight((1, 1, 1), ((-0.3,), (-0.5,), (-1.2,)), 2, 1, strict=False)
-    est = radon_hgf(apply_group(z, g=g), pw, ChainSpec("half-line", 1), Budget(tol=1e-10))
+    # nodes whose s rounds to 1, where D vanishes, are dropped before the
+    # arc maps them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = radon_hgf(apply_group(z, g=g), pw, ChainSpec("half-line", 1), Budget(tol=1e-10))
     ref = sp.beta(0.5, 0.7)
     assert abs(est.value * np.linalg.det(g) - ref) <= 1e-11 * ref
+
+
+def test_ray_origin_rounding_stays_loud():
+    # with a3 = -0.5 the origin carries kappa = 14, and a node's s stays off
+    # the start while u = o + w s / D rounds onto o, the root of block 2;
+    # the stretch it stands for is not negligible at every a3 < 0, so the
+    # integral raises instead of dropping the node and returning a value,
+    # until exact offsets from the piece start resolve u - o (ROADMAP item 1)
+    pw = PartitionWeight.from_flat((2, 2), (-1.5, 1.0, -0.5, -1.0), 2, 1, strict=False)
+    with pytest.raises(RadonHGFError):
+        radon_hgf(_FAR_Z, pw, ChainSpec("half-line", 1), Budget(tol=1e-10))
+
+
+# (value, panels) recorded with the sequential integrator, which ran one
+# half after another; the lock-step rounds bisect each half in the same
+# order, so the panel counts are equal and the values agree to rounding
+_PDE_BASE = {
+    (1, 1, 1, 1): ((1.25 - 3.35, 1.55 - 1, 3.35 - 1.55 - 1, -1.25), -0.6, "interval-0-1",
+                   0.2194648115417471, 6),
+    (2, 1, 1): ((-2 - 0.45 - 0.55, 0.9, 0.45, 0.55), 0.8, "interval-0-1",
+                0.5665534834698382, 8),
+    (2, 2): ((-2 - 0.35, 1.0, 0.35, -1.0), -0.7, "half-line", 0.6696736998550447, 11),
+}
+
+
+def _pde_base(lam):
+    flat, x, kind, _, _ = _PDE_BASE[lam]
+    z = CoordMatrix(lam, 1, pattern(lam, 1, (np.array([[x]]),)))
+    return z, PartitionWeight.from_flat(lam, flat, 2, 1, strict=False), ChainSpec(kind, 1)
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_pde_base_points_keep_their_mesh(lam):
+    value, panels = _PDE_BASE[lam][3:]
+    est = radon_hgf(*_pde_base(lam), Budget(tol=5e-13))
+    assert est.nodes_or_samples == panels
+    assert abs(est.value - value) <= 1e-14 * abs(value)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("interval-0-1", (0.21026613584155757 + 0.6471326247050171j, 7)),
+    ("half-line", OnBranchLocus),
+    ("full-line", NonConvergent),
+    # both rays run out their interval budget within ten times the
+    # tolerance, and the value is 1.1% off the true 0.2735149953572178j:
+    # each ray loses the stretch where 1 - s rounds to 0 at its far end,
+    # where the weight is (1 - s)^-0.8 (ROADMAP item 1); the pin records
+    # this integrator's mesh and moves when that end is resolved
+    ("rotated-ray", (0.27658318042210567j, 8004)),
+])
+def test_chart_chain_kinds_keep_their_mesh(kind, expected):
+    # the point of test_chart_chain_pieces; the half line and the full line
+    # pass through block roots
+    z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
+    pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            radon_hgf(z, pw, ChainSpec(kind, 1))
+        return
+    est = radon_hgf(z, pw, ChainSpec(kind, 1))
+    assert est.nodes_or_samples == expected[1]
+    assert abs(est.value - expected[0]) <= 1e-14 * abs(expected[0])
+
+
+@pytest.mark.parametrize("fam, kind, value, panels", [
+    (NamedFamily("beta_r", {"a": 2.5, "b": 1.5}), "interval-0-1", 0.19634954084936146, 6),
+    (NamedFamily("gamma_r", {"a": 2.5}), "half-line", 1.3293403881791328, 10),
+    (NamedFamily("gaussian_r", {}), "full-line", 2.506628274630993, 14),
+    (NamedFamily("airy", {}, X=np.array([[0.3]])), "rotated-ray", 1.7517927909661124j, 16),
+    (NamedFamily("bessel", {"c": 2.0}, X=np.array([[-0.5]])), "half-line", 2.7339389374332597, 11),
+])
+def test_integrate_r1_keeps_its_mesh(fam, kind, value, panels):
+    est = integrate_r1(fam, ChainSpec(kind, 1), tol=1e-12)
+    assert est.nodes_or_samples == panels
+    assert abs(est.value - value) <= 1e-14 * abs(value)
+
+
+def test_integrand_called_once_per_round():
+    # the (2,2) base point has two halves, of 6 and 5 panels: a first round
+    # with one panel each, four rounds in which both bisect, and a last
+    # round in which only the first does
+    z, pw, chain = _pde_base((2, 2))
+    f = scalar_chart_function(z, pw)
+    sizes = []
+
+    def counted(u):
+        sizes.append(u.size)
+        return f(u)
+
+    est = integrate_pieces(counted, chart_pieces_r1(z, pw, chain), tol=5e-13)
+    assert est.nodes_or_samples == 11
+    assert sizes == [30, 60, 60, 60, 60, 30]
+    assert len(sizes) < est.nodes_or_samples
 
 
 def test_growing_ray_raises():
