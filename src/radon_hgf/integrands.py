@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedPartition,
 )
 from .grassmann import ChartPoint, CoordMatrix
-from .linalg import as_matrix, det_batch, matmul_batch
+from .linalg import as_matrix, det_batch, inv_batch, matmul_batch
 from .ncpoly import theta_symbolic
 
 INTERVAL = "interval-0-1"
@@ -127,8 +127,8 @@ def named_integrand(fam: NamedFamily, u, check_domain: bool = True) -> complex:
 # batched kernels
 # ----------------------------------------------------------------------
 
-def _pow_batch(z, e):
-    """Principal z**e over an array, with the policy of ``cpow``: a zero
+def _log_batch(z):
+    """Principal log z over an array, with the policy of ``cpow``: a zero
     base raises, a base on the negative real axis warns."""
     # both cases have a base with non-positive real part; one min() clears
     # the common batch
@@ -142,7 +142,12 @@ def _pow_batch(z, e):
                 BranchCutWarning,
                 stacklevel=3,
             )
-    return np.exp(complex(e) * np.log(z))
+    return np.log(z)
+
+
+def _pow_batch(z, e):
+    """Principal z**e over an array, under the policy of ``_log_batch``."""
+    return np.exp(complex(e) * _log_batch(z))
 
 
 def _detpow_batch(m, e):
@@ -179,27 +184,27 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
     z = spec.z
     # the block images t z_q of every block, in one product
     images = matmul_batch(t, z.entries)
-    acc = np.ones(b, dtype=np.complex128)
+    # the determinant powers and the theta traces of every block add up to
+    # one exponent
+    expo = np.zeros(b, dtype=np.complex128)
     start = 0
     for j, nk in enumerate(z.lam):
         block = images[:, :, start : start + nk * r]
         start += nk * r
         m0 = block[:, :, :r]
         alpha = spec.pw.alpha[j]
-        acc *= _detpow_batch(m0, alpha[0])
+        expo += alpha[0] * _log_batch(det_batch(m0))
         if nk > 1:
             # m0^{-1} t z_q for q = 1 .. nk - 1, side by side
-            sol = np.linalg.solve(m0, block[:, :, r:])
+            sol = matmul_batch(inv_batch(m0), block[:, :, r:])
             coeffs = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
-            expo = np.zeros(b, dtype=np.complex128)
             for k, terms in enumerate(_theta_terms(nk), start=1):
                 for word, c in terms:
                     prod = coeffs[word[0] - 1]
                     for letter in word[1:]:
                         prod = matmul_batch(prod, coeffs[letter - 1])
                     expo += (alpha[k] * c) * _trace_batch(prod)
-            acc *= np.exp(expo)
-    return acc
+    return np.exp(expo)
 
 
 # ----------------------------------------------------------------------
@@ -235,9 +240,9 @@ def _kummer(p, u, r, eye, x, xs):
 
 
 def _bessel(p, u, r, eye, x, xs):
-    return np.exp(_trace_batch(u @ x - np.linalg.inv(u))) * _detpow_batch(
-        u, p["c"] - r
-    )
+    # the power first: a singular u raises before it is inverted
+    power = _detpow_batch(u, p["c"] - r)
+    return np.exp(_trace_batch(u @ x - inv_batch(u))) * power
 
 
 def _hermite_weber(p, u, r, eye, x, xs):

@@ -14,7 +14,8 @@ Three strategies:
   whose weight absorbs the determinant powers, summed in closed form by
   Andreief's identity;
 * haar-mc (general r): importance-sampled Monte Carlo over U = V L V*
-  with V Haar-distributed and eigenvalues L drawn from a chain density.
+  with V Haar-distributed and eigenvalues L drawn from a chain density;
+  a unitarily invariant kernel is evaluated at U = L, with no V drawn.
 
 The eigenvalue reduction constant c_r = pi^{r(r-1)/2} / prod_{j<=r} j!
 is validated against the closed product formula by the test suite before
@@ -517,6 +518,17 @@ def integrate_r1(fam: NamedFamily, chain: ChainSpec, tol: float = 1e-10) -> Inte
 # eigenvalue-reduced tensor quadrature (invariant integrands)
 # ----------------------------------------------------------------------
 
+def _scalar_arguments(fam: NamedFamily):
+    """(x, xs) when X and every xs of the family are scalar multiples of the
+    identity, else None. With a per-eigenvalue remainder ``phi`` in the
+    registry, this is when the kernel is unitarily invariant."""
+    x = 0.0 if fam.X is None else scalar_multiple(fam.X)
+    xs = tuple(scalar_multiple(m) for m in fam.xs)
+    if x is None or None in xs:
+        return None
+    return x, xs
+
+
 def _eigen_rule(fam: NamedFamily, r: int):
     """n -> (nodes, weights) of the family's eigenvalue integral: a Gauss
     rule (Jacobi, scaled Laguerre or Hermite) for the real part of its chain
@@ -527,10 +539,10 @@ def _eigen_rule(fam: NamedFamily, r: int):
             f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
             "unsupported (use haar-mc, experimental)"
         )
-    x = 0.0 if fam.X is None else scalar_multiple(fam.X)
-    xs = tuple(scalar_multiple(m) for m in fam.xs)
-    if x is None or None in xs:
+    args = _scalar_arguments(fam)
+    if args is None:
         raise NotInvariant("matrix argument breaks unitary invariance")
+    x, xs = args
     kind = entry.chains[0]
     e = [complex(v) for v in entry.exponents(fam.params, fam.X)]
     weight = _chain_weight(kind, e, r)
@@ -649,6 +661,14 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
                       stream: RandomStream, batch_fn=None) -> IntegralEstimate:
     """Monte Carlo over U = V diag(lam) V^* with V Haar and lam chain-sampled.
 
+    A unitarily invariant kernel (a family with a per-eigenvalue remainder
+    at scalar arguments, and no ``batch_fn``) has the same value at every
+    V, so by Weyl's integration formula its Haar average is its value at
+    diag(lam): those families draw the eigenvalues only. Each substream
+    draws its chunks one after another, so when a substream holds more
+    than one chunk (samples above 16 * 2^15) the later chunks' eigenvalues
+    differ from those of the Haar path, which also draws V.
+
     The sample space is split into a fixed number of counter-jumped
     substreams and reduced in substream order, so the estimate is
     bit-identical for a given (seed, samples) regardless of threading.
@@ -659,8 +679,10 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         # one sample has no spread to estimate an error from
         raise UnsupportedCount(f"Monte Carlo needs at least two samples, got {samples}")
     r = chain.r
+    invariant = False
     if batch_fn is None:
         _family_on(fam, chain)
+        invariant = FAMILIES[fam.tag].phi is not None and _scalar_arguments(fam) is not None
 
         def batch_fn(u):
             return named_integrand_batch(fam, u)
@@ -670,6 +692,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     log_cr = math.log(weyl_constant(r))
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
     part_sizes[-1] += samples - sum(part_sizes)
+    diag = np.arange(r)
 
     def run_part(idx):
         gen = stream.jump(idx + 1).generator()
@@ -680,11 +703,15 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
             count = min(remaining, _MC_CHUNK)
             remaining -= count
             lam, logpdf = sampler(gen, count)
-            gin = (gen.standard_normal((count, r, r))
-                   + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
-            # each (count, r, r) array is dropped after its last use
-            u = conjugate_diag(haar_from_gaussian(gin), lam)
-            del gin
+            if invariant:
+                u = np.zeros((count, r, r), dtype=np.complex128)
+                u[:, diag, diag] = lam
+            else:
+                gin = (gen.standard_normal((count, r, r))
+                       + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
+                # each (count, r, r) array is dropped after its last use
+                u = conjugate_diag(haar_from_gaussian(gin), lam)
+                del gin
             contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam)) - logpdf)
             del u
             acc += complex(np.sum(contrib))

@@ -6,15 +6,15 @@ checks) and Haar-distributed unitary sampling that the rest of the code
 relies on.
 
 The stack kernels (``haar_from_gaussian``, ``conjugate_diag``,
-``matmul_batch``, ``det_batch``) work on (batch, r, r) stacks of small
-matrices, as the Monte Carlo path and the batched integrands produce
-them. numpy's linalg routines and stacked ``@`` make one LAPACK or BLAS
+``matmul_batch``, ``det_batch``, ``inv_batch``) work on (batch, r, r)
+stacks of small matrices, as the Monte Carlo path and the batched
+integrands produce them. numpy's linalg routines and stacked ``@`` make one LAPACK or BLAS
 call per matrix, whose dispatch costs far more than the arithmetic of a
 2 x 2 matrix. These kernels loop in Python over the r indices only, so
 each numpy operation runs across the whole batch; r is read from the
-shape. The determinant has closed forms at r = 1 and 2 and defers to
-LAPACK above, where an LU across the batch would no longer pay. No
-kernel writes into its arguments.
+shape. The determinant and the inverse have closed forms at r = 1 and 2
+and defer to LAPACK above, where an LU across the batch would no longer
+pay. No kernel writes into its arguments.
 """
 
 import numpy as np
@@ -175,3 +175,22 @@ def det_batch(m: np.ndarray) -> np.ndarray:
     if r == 2:
         return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     return np.linalg.det(m)
+
+
+def inv_batch(m: np.ndarray) -> np.ndarray:
+    """Inverses of a (batch, r, r) stack: closed forms at r = 1 and 2 (the
+    adjugate over ad - bc), LAPACK above. An exactly singular matrix gives
+    non-finite entries at r <= 2, as 1 / 0 does, and raises LinAlgError
+    above."""
+    r = m.shape[-1]
+    if r == 1:
+        return 1.0 / m
+    if r == 2:
+        out = np.empty_like(m)
+        out[:, 0, 0] = m[:, 1, 1]
+        out[:, 1, 1] = m[:, 0, 0]
+        out[:, 0, 1] = -m[:, 0, 1]
+        out[:, 1, 0] = -m[:, 1, 0]
+        out /= det_batch(m)[:, None, None]
+        return out
+    return np.linalg.inv(m)

@@ -139,6 +139,24 @@ def test_chart_integrand_matches_character(lam, k, r):
             assert abs(along[i] - ref) <= 1e-13 * abs(ref)
 
 
+def test_chart_batch_raises_at_singular_block_before_inverting():
+    # block 1 of the (2, 1, 1) point has leading form m0 = u, singular at
+    # the second frame; the power raises before m0 is inverted
+    r, lam = 2, (2, 1, 1)
+    gen = RandomStream(5).generator()
+    entries = _cnormal(gen, (2 * r, sum(lam) * r))
+    entries[:, :r] = np.vstack([np.zeros((r, r)), np.eye(r)])
+    pw = PartitionWeight.from_flat(lam, (-3.5, 0.7, -0.2, -0.3), 2 * r, r, strict=False)
+    spec = IntegrandSpec(pw, CoordMatrix(lam, r, entries))
+    us = np.stack([np.eye(r), np.diag([1.0, 0.0])]).astype(np.complex128)
+    frames = np.concatenate([np.broadcast_to(np.eye(r), us.shape), us], axis=2)
+    assert np.isfinite(chart_integrand_batch(spec, frames[:1])).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularBlock):
+            chart_integrand_batch(spec, frames)
+
+
 def test_chart_function_raises_at_one_root_node():
     # the root of block 2 is u = 0; one node of the array sits on it
     z = CoordMatrix((1, 1, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))

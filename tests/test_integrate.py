@@ -21,7 +21,7 @@ from radon_hgf.errors import (
     UnsupportedCount,
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
-from radon_hgf.integrands import NamedFamily
+from radon_hgf.integrands import NamedFamily, named_integrand_batch
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.integrate import (
     Budget,
@@ -222,6 +222,69 @@ def test_mc_value_pinned():
     ref = 6.063882907291953 - 4.061894594696384e-17j
     assert abs(est.value - ref) <= 1e-12 * abs(ref)
     assert abs(est.abs_error_est - 0.17138701220042246) <= 1e-12
+
+
+def test_mc_matrix_argument_value_pinned():
+    # pins the Haar path of a kernel that is not unitarily invariant: gauss
+    # at a non-scalar Hermitian X
+    X = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+    fam = NamedFamily("gauss", {"a": 2.6, "b": 1.2, "c": 5.3}, X=X)
+    est = integrate_haar_mc(fam, ChainSpec("interval-0-1", 2), 4096, RandomStream(7))
+    ref = 0.016800765670707186 + 3.114207731421032e-20j
+    assert abs(est.value - ref) <= 1e-12 * abs(ref)
+    assert abs(est.abs_error_est - 0.00033176654058905995) <= 1e-12 * 0.00033176654058905995
+
+
+# every family with a per-eigenvalue remainder, at scalar arguments
+_INVARIANT_CASES = [
+    ("beta_r", {"a": 3.5, "b": 4.0}, None, (), "interval-0-1"),
+    ("gamma_r", {"a": 3.0}, None, (), "half-line"),
+    ("gaussian_r", {}, None, (), "full-line"),
+    ("gauss", {"a": 2.6, "b": 1.2, "c": 5.3}, 0.4, (), "interval-0-1"),
+    ("kummer", {"a": 2.6, "c": 5.3}, -0.7, (), "interval-0-1"),
+    ("bessel", {"c": 3.5}, -1.0, (), "half-line"),
+    ("lauricella_fd", {"a": 2.6, "c": 5.3, "bs": (0.7, 1.1)}, None, (0.3, -0.5),
+     "interval-0-1"),
+]
+
+
+def _invariant_family(tag, params, x, xs, r):
+    return NamedFamily(tag, params, X=None if x is None else x * np.eye(r),
+                       xs=tuple(v * np.eye(r) for v in xs))
+
+
+@pytest.mark.parametrize("tag, params, x, xs, kind", _INVARIANT_CASES)
+def test_mc_invariant_eigenvalues_match_haar_path(tag, params, x, xs, kind):
+    # the kernel is the same at every V, so drawing the eigenvalues alone
+    # gives the Haar path's value to rounding (one chunk per substream, so
+    # both draw the same eigenvalues)
+    r = 2
+    fam = _invariant_family(tag, params, x, xs, r)
+    chain = ChainSpec(kind, r)
+    fast = integrate_haar_mc(fam, chain, 4096, RandomStream(7))
+    haar = integrate_haar_mc(fam, chain, 4096, RandomStream(7),
+                             batch_fn=lambda u: named_integrand_batch(fam, u))
+    assert abs(fast.value - haar.value) <= 1e-12 * abs(haar.value)
+    assert abs(fast.abs_error_est - haar.abs_error_est) <= 1e-12 * haar.abs_error_est
+
+
+def test_mc_invariant_path_draws_no_unitary(monkeypatch):
+    def no_draw(z):
+        raise AssertionError("Haar unitary drawn")
+
+    monkeypatch.setattr(integrate, "haar_from_gaussian", no_draw)
+    chain = ChainSpec("interval-0-1", 2)
+    for tag, params, x, xs, kind in _INVARIANT_CASES:
+        fam = _invariant_family(tag, params, x, xs, 2)
+        integrate_haar_mc(fam, ChainSpec(kind, 2), 64, RandomStream(1))
+    # a non-scalar X and a caller's batch_fn keep the Haar draw
+    fam = NamedFamily("gauss", {"a": 2.6, "b": 1.2, "c": 5.3}, X=np.diag([0.3, -0.4]))
+    with pytest.raises(AssertionError, match="Haar unitary drawn"):
+        integrate_haar_mc(fam, chain, 64, RandomStream(1))
+    fam = NamedFamily("beta_r", {"a": 3.5, "b": 4.0})
+    with pytest.raises(AssertionError, match="Haar unitary drawn"):
+        integrate_haar_mc(fam, chain, 64, RandomStream(1),
+                          batch_fn=lambda u: named_integrand_batch(fam, u))
 
 
 def _chart_point_with_h(lam, xs, r):

@@ -13,6 +13,7 @@ from radon_hgf.linalg import (
     haar_unitary,
     haar_unitary_batch,
     hermitian_eigen,
+    inv_batch,
     inverse,
     matmul_batch,
 )
@@ -152,6 +153,14 @@ def test_det_batch_exactly_singular_2x2():
         _detpow_batch(m, 0.5)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_inv_batch_matches_lapack(r):
+    m = _gaussian_stack(r, 500, 90 + r)
+    ref = np.linalg.inv(m)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(inv_batch(m) - ref).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
 def test_matmul_batch_single_and_stack():
     x = _gaussian_stack(3, 7, 50)
     y = _gaussian_stack(3, 7, 51)
@@ -175,8 +184,9 @@ def test_conjugate_diag_exactly_hermitian(r):
 def test_stack_kernels_leave_arguments_unchanged(batch):
     z = _gaussian_stack(2, batch, 80)
     y = _gaussian_stack(2, batch, 81)
+    w = _gaussian_stack(3, batch, 83)
     lam = RandomStream(82).generator().standard_normal((batch, 2))
-    args = (z, y, lam)
+    args = (z, y, w, lam)
     before = [a.copy() for a in args]
     haar_from_gaussian(z)
     haar_from_gaussian(z[0])
@@ -185,5 +195,8 @@ def test_stack_kernels_leave_arguments_unchanged(batch):
     matmul_batch(z, y[0])
     det_batch(z)
     det_batch(z[:, :1, :1])
+    inv_batch(z)
+    inv_batch(z[:, :1, :1])
+    inv_batch(w)
     for a, b in zip(args, before):
         assert np.array_equal(a, b)
