@@ -14,7 +14,6 @@ import numpy as np
 
 from .characters import GroupElement, _validate_partition
 from .errors import BadIndexSet, NotInZLambda, ShapeMismatch, SingularFrame
-from .jordan import TruncPoly
 from .linalg import as_matrix, det, det_batch, hadamard_bound
 
 RANK_RTOL = 1e-10
@@ -240,12 +239,3 @@ def apply_group(z: CoordMatrix, g=None, h: GroupElement | None = None) -> CoordM
         e = np.concatenate(cols, axis=1)
     return z.with_entries(e)
 
-
-def block_scalar_element(lam, r: int, factors) -> GroupElement:
-    """Element with constant coefficient ``factors[k]`` and no higher terms."""
-    blocks = []
-    for nk, f in zip(lam, factors):
-        tp = TruncPoly.unit(r, nk)
-        coeffs = (as_matrix(f),) + tp.coeffs[1:]
-        blocks.append(TruncPoly(coeffs))
-    return GroupElement(tuple(blocks))

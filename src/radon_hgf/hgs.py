@@ -6,8 +6,16 @@ partials, each over r+1 distinct entries, computed here by nested
 central differences with per-entry step scaling and optional Richardson
 extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
+
+``apply_DIJ``, ``verify_system`` and the two infinitesimal checks call F
+inside a mesh scope of ``integrate`` (a pool thread enters its own): the
+r = 1 integrals of one stencil lie within a few steps of z0 and refine
+the same bisection tree, so each reuses the tree the last one recorded
+and calls its integrand about once. The values, and so every residual,
+are bit-identical to calls outside the scope.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -22,6 +30,7 @@ from .errors import (
     StencilCrossesBranchLocus,
 )
 from .grassmann import CoordMatrix, apply_group
+from .integrate import _mesh_scope
 from .jordan import TruncPoly, ring_exp
 from .rng import thread_count
 
@@ -60,14 +69,18 @@ def all_pairs(m: int, N: int, r: int):
     ]
 
 
+def _require_step(h):
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be positive and finite, got {h}")
+
+
 @dataclass(frozen=True)
 class StencilPlan:
     h: float = 1e-3
     richardson: bool = True
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("step must be positive")
+        _require_step(self.h)
 
 
 def _perturbed(z: CoordMatrix, deltas) -> CoordMatrix:
@@ -139,12 +152,13 @@ def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,
               plan: StencilPlan = StencilPlan()):
     """(residual, scale): determinant-operator value and the magnitude of
     its largest single term (the conditioning reference for zero tests)."""
-    terms_h = _determinant_terms(F, z0, pair, plan.h)
-    if plan.richardson:
-        terms_h2 = _determinant_terms(F, z0, pair, plan.h / 2.0)
-        terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(terms_h, terms_h2)]
-    else:
-        terms = terms_h
+    with _mesh_scope():
+        terms_h = _determinant_terms(F, z0, pair, plan.h)
+        if plan.richardson:
+            terms_h2 = _determinant_terms(F, z0, pair, plan.h / 2.0)
+            terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(terms_h, terms_h2)]
+        else:
+            terms = terms_h
     residual = sum(terms)
     scale = max(abs(t) for t in terms)
     return complex(residual), float(scale)
@@ -170,10 +184,12 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        # each worker's apply_DIJ enters a scope of its own
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, pairs))
     else:
-        rows = [one(pair) for pair in pairs]
+        with _mesh_scope():
+            rows = [one(pair) for pair in pairs]
     return {"pairs": rows, "pass": all(row["pass"] for row in rows)}
 
 
@@ -198,7 +214,7 @@ def _central(fn, eps: float) -> complex:
 def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
                           pw: PartitionWeight, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(z exp(e E)) at 0 minus dchi(E) F(z)."""
-    r = z0.r
+    _require_step(eps)
 
     def element(t: float) -> GroupElement:
         blocks = []
@@ -210,9 +226,10 @@ def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
     def fn(t):
         return F(apply_group(z0, h=element(t)))
 
-    f0 = F(z0)
-    dchi = dchi_lambda(direction, pw)
-    deriv = _central(fn, eps)
+    with _mesh_scope():
+        f0 = F(z0)
+        dchi = dchi_lambda(direction, pw)
+        deriv = _central(fn, eps)
     residual = deriv - dchi * f0
     reference = abs(f0) * (1.0 + abs(dchi))
     return InfinitesimalResult(complex(residual), float(reference))
@@ -220,6 +237,7 @@ def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
 
 def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(exp(e E) z) at 0 plus r Tr(E) F(z)."""
+    _require_step(eps)
     E = np.asarray(E, dtype=np.complex128)
     if E.shape != (z0.m, z0.m):
         raise BadIndexSet("direction must act on the row space")
@@ -227,8 +245,9 @@ def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> Infinite
     def fn(t):
         return F(apply_group(z0, g=scipy.linalg.expm(t * E)))
 
-    f0 = F(z0)
-    deriv = _central(fn, eps)
+    with _mesh_scope():
+        f0 = F(z0)
+        deriv = _central(fn, eps)
     residual = deriv + z0.r * np.trace(E) * f0
     reference = abs(f0) * (1.0 + z0.r * abs(np.trace(E)))
     return InfinitesimalResult(complex(residual), float(reference))

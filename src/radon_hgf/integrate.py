@@ -8,7 +8,13 @@ Three strategies:
   Moebius arc from its origin to the root of block 1 (inf for a table
   form), not a truncated tail. Each piece splits into halves that run in
   lock-step rounds: every open half bisects its worst panel, and the
-  nodes of all new panels go to one vectorized call of the integrand;
+  nodes of all new panels go to one vectorized call of the integrand.
+  Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
+  ``hgs``), an integral that succeeds records each half's bisection tree
+  under its half signature, and the next integral with that signature
+  evaluates the whole tree in its first call; its rounds then call the
+  integrand only for panels outside it. The values are bit-identical to
+  an unscoped run, and a plain ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -23,6 +29,8 @@ anything else relies on it.
 """
 
 import cmath
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -266,6 +274,35 @@ class _Half:
         mid = 0.5 * (x0 + x1)
         return [(x0, mid), (mid, x1)]
 
+    def tree(self):
+        """Codes of the panels this half bisected, with 1 for the first
+        panel and 2c, 2c + 1 for the halves of panel c, read off the panels
+        left on its heap; None when a midpoint rounded onto an end."""
+        leaves = {(a, b) for _, _, a, b, _, _ in self.heap}
+        todo, cut = [(*self.first_panel()[0], 1)], []
+        while todo:
+            a, b, code = todo.pop()
+            if (a, b) in leaves:
+                continue
+            mid = 0.5 * (a + b)
+            if mid == a or mid == b or len(cut) >= self.count:
+                return None
+            cut.append(code)
+            todo += [(a, mid, 2 * code), (mid, b, 2 * code + 1)]
+        return cut
+
+    def panels_of(self, tree):
+        """The panels this half evaluates after its first one when it
+        bisects the panels of ``tree``, each split as ``bisect`` splits it."""
+        bounds = {1: self.first_panel()[0]}
+        panels = []
+        for code in sorted(tree):  # a panel's code is below its halves'
+            x0, x1 = bounds[code]
+            mid = 0.5 * (x0 + x1)
+            bounds[2 * code], bounds[2 * code + 1] = (x0, mid), (mid, x1)
+            panels += [(x0, mid), (mid, x1)]
+        return panels
+
     def close(self, rtol):
         if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
             self.failure = NonConvergent("the integrand is not finite along the chain")
@@ -367,36 +404,100 @@ def _gk15(f, rows):
     return ((fv @ _GK_KG) * half).tolist()
 
 
-def _round(f, halves, panels):
-    """(value, error) of the new panels of each half, in one call of f. When
-    f raises, each half is evaluated alone, in order, up to the first that
-    raises; that half keeps the error as its failure."""
-
-    def rows_of(i, spans):
-        h = halves[i]
-        return [(0.5 * (a + b), 0.5 * (b - a)) + h.maps + (h.kind,) for a, b in spans]
-
+def _values(f, halves, panels):
+    """(value, error) of the new panels of each half, in one call of f."""
     order = sorted(panels, key=lambda i: halves[i].kind)
-    try:
-        kg = _gk15(f, [row for i in order for row in rows_of(i, panels[i])])
-    except RadonHGFError:
-        order, kg = [], []
-        for i, spans in panels.items():
-            try:
-                kg += _gk15(f, rows_of(i, spans))
-            except RadonHGFError as exc:
-                halves[i].failure = exc
-                break
-            order.append(i)
+    rows = [(0.5 * (a + b), 0.5 * (b - a)) + halves[i].maps + (halves[i].kind,)
+            for i in order for a, b in panels[i]]
+    kg = iter(_gk15(f, rows))
     values = {}
-    it = iter(kg)
     for i in order:
         values[i] = []
         for _ in panels[i]:
-            k, g = next(it)
+            k, g = next(kg)
             diff = abs(k - g)
             # (200 diff)^1.5 exceeds diff once diff >= 1, and can overflow there
             values[i].append((k, min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff))
+    return values
+
+
+def _round(f, halves, panels):
+    """``_values`` of the new panels. When f raises, each half is evaluated
+    alone, in order, up to the first that raises; that half keeps the error
+    as its failure."""
+    try:
+        return _values(f, halves, panels)
+    except RadonHGFError:
+        values = {}
+        for i, spans in panels.items():
+            try:
+                values.update(_values(f, halves, {i: spans}))
+            except RadonHGFError as exc:
+                halves[i].failure = exc
+                break
+        return values
+
+
+# ----------------------------------------------------------------------
+# mesh scope: integrals that share a bisection tree
+# ----------------------------------------------------------------------
+
+# while a scope is active: half signature -> the bisection tree of each half
+# of the last integral with that signature in which every half succeeded
+_MESH = contextvars.ContextVar("radon_hgf_mesh", default=None)
+
+
+@contextlib.contextmanager
+def _mesh_scope():
+    """Let the r = 1 integrals run inside share their adaptive meshes.
+
+    Each integral looks up the trees last recorded for its half signature
+    (the (kind, kappa) of every half), evaluates all their panels in its
+    first call of f, and records its own trees when it succeeds. Entering
+    while a scope is active reuses that scope. Context variables do not
+    pass into pool threads, so a thread enters its own scope."""
+    if _MESH.get() is not None:
+        yield
+        return
+    token = _MESH.set({})
+    try:
+        yield
+    finally:
+        _MESH.reset(token)
+
+
+def _first_round(f, halves, panels, trees):
+    """``_values`` of the first panels, with every panel of the recorded
+    trees in the same call of f. Returns the values and, per half, the
+    panels evaluated ahead with their values. When that call raises, or
+    meets a floating-point event that the caller's errstate does not
+    ignore, the round is redone without them, as ``_round`` alone does it.
+    A Python warning that f issues itself is not intercepted, as the
+    warning filters are shared by all threads; under the "error" filter it
+    raises, and the round is redone. The chart integrand issues none."""
+    ahead = {i: halves[i].panels_of(trees[i]) for i in panels}
+    strict = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
+    try:
+        with np.errstate(**strict):
+            both = _values(f, halves, {i: panels[i] + ahead[i] for i in panels})
+    except Exception:  # whatever a panel ahead did, the round runs as unscoped
+        return _round(f, halves, panels), {}
+    values, ready = {}, {}
+    for i, spans in panels.items():
+        values[i] = both[i][:len(spans)]
+        ready[i] = dict(zip(ahead[i], both[i][len(spans):]))
+    return values, ready
+
+
+def _replay(f, halves, panels, ready):
+    """``_round`` where the panels in ``ready`` were evaluated ahead: f is
+    called on the panels of the other halves only."""
+    missing = {i: spans for i, spans in panels.items()
+               if not all(ab in ready.get(i, ()) for ab in spans)}
+    values = _round(f, halves, missing) if missing else {}
+    for i, spans in panels.items():
+        if i not in missing:
+            values[i] = [ready[i][ab] for ab in spans]
     return values
 
 
@@ -414,13 +515,32 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     every open half bisects once, and the nodes of all new panels go to one
     call of f. A half that fails closes every later half; the first failure
     in chain order is raised, as a sequential walk would raise it.
+
+    Inside a mesh scope (``_mesh_scope``) the first call also evaluates
+    every panel of the trees recorded for the same half signature, later
+    rounds call f only for the panels it did not cover, and a run in which
+    every half succeeds records its own trees. The estimate is the same,
+    bit for bit, as outside a scope.
     """
     halves = _halves(pieces, tol)
     panels = {i: halves[i].first_panel() for i in range(_first_failure(halves))}
+    mesh = _MESH.get()
+    trees = ready = None
+    if mesh is not None:
+        signature = tuple((h.kind, h.kappa) for h in halves)
+        # an integral with a half that failed before its first round will
+        # raise; it takes no panels ahead, and runs call for call unscoped
+        if len(panels) == len(halves):
+            trees = mesh.get(signature)
     # a value that overflows makes its half fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
         while panels:
-            values = _round(f, halves, panels)
+            if ready is not None:
+                values = _replay(f, halves, panels, ready)
+            elif trees is not None:
+                values, ready = _first_round(f, halves, panels, trees)
+            else:
+                values = _round(f, halves, panels)
             limit = _first_failure(halves)
             live = {}
             for i, spans in panels.items():
@@ -443,6 +563,10 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         total += h.sign * h.total
         err += h.err
         count += h.count
+    if mesh is not None:
+        trees = [h.tree() for h in halves]
+        if None not in trees:
+            mesh[signature] = trees
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 

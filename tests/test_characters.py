@@ -12,7 +12,6 @@ from radon_hgf.characters import (
     underline,
 )
 from radon_hgf.errors import BranchCutWarning, InvalidWeight, SingularBlock
-from radon_hgf.grassmann import block_scalar_element
 from radon_hgf.jordan import TruncPoly, trunc_mul
 from radon_hgf.rng import RandomStream
 
@@ -195,8 +194,3 @@ def test_dchi_lambda_matches_finite_difference():
     numeric = (chi_at(eps) - chi_at(-eps)) / (2 * eps)
     assert abs(numeric - exact) < 1e-8
 
-
-def test_block_scalar_element_shape():
-    el = block_scalar_element((2, 1), 2, [np.eye(2) * 2.0, np.eye(2) * 3.0])
-    assert el.lam == (2, 1)
-    assert np.allclose(el.blocks[0].coeffs[0], 2 * np.eye(2))

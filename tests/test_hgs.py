@@ -198,3 +198,29 @@ def test_gl_infinitesimal_upper_direction():
     e = np.array([[0.0, 0.6 * gen.standard_normal()], [0.0, 0.0]])
     res = check_gl_infinitesimal(F, z0, e, eps=1e-3)
     assert res.relative < 1e-5
+
+
+def test_verify_system_same_report_on_threads(monkeypatch):
+    # each worker thread enters a mesh scope of its own
+    _, z0, F = _gauss_setup()
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RADON_HGF_THREADS", threads)
+        reports.append(verify_system(F, z0, all_pairs(2, 4, 1), StencilPlan(h=1e-3)))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")])
+def test_bad_steps_refused(step):
+    pw, z0, _ = _gauss_setup()
+
+    def F(z):
+        raise AssertionError("a refused step evaluates nothing")
+
+    with pytest.raises(ValueError):
+        StencilPlan(h=step)
+    direction = LieDirection(tuple((np.zeros((1, 1)),) for _ in range(4)))
+    with pytest.raises(ValueError):
+        check_h_infinitesimal(F, z0, direction, pw, eps=step)
+    with pytest.raises(ValueError):
+        check_gl_infinitesimal(F, z0, np.zeros((2, 2)), eps=step)

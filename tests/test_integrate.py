@@ -21,6 +21,7 @@ from radon_hgf.errors import (
     UnsupportedCount,
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
+from radon_hgf.hgs import MultiIndexPair, apply_DIJ
 from radon_hgf.integrands import NamedFamily, named_integrand_batch
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.integrate import (
@@ -756,6 +757,118 @@ def test_integrand_called_once_per_round():
     assert est.nodes_or_samples == 11
     assert sizes == [30, 60, 60, 60, 60, 30]
     assert len(sizes) < est.nodes_or_samples
+
+
+# other weights with the same chains and the same real parts at the chain
+# ends, so the same half signature, but other meshes: a deeper tree in the
+# first half, a shallower one in the first half, a deeper one in the second
+_OTHER_FLAT = {
+    (1, 1, 1, 1): (1.25 - 3.35, 1.55 - 1 + 2j, 3.35 - 1.55 - 1, -1.25 - 2j),
+    (2, 1, 1): (-2 - 0.45 - 0.55, -1.5, 0.45, 0.55),
+    (2, 2): (-2 - 0.35, 0.4, 0.35, -1.0),
+}
+
+
+def _signature(z, pw, chain, tol=5e-13):
+    halves = integrate._halves(chart_pieces_r1(z, pw, chain), tol)
+    return tuple((h.kind, h.kappa) for h in halves)
+
+
+def _stencil_points(z0):
+    """The points at which apply_DIJ evaluates F for one pair: two steps,
+    two permutations, four corners each."""
+    points = []
+
+    def F(z):
+        points.append(z)
+        return 0.0
+
+    apply_DIJ(F, z0, MultiIndexPair((1, 2), (2, 3)))
+    assert len(points) == 16
+    return points
+
+
+def _estimate(z, pw, chain):
+    est = radon_hgf(z, pw, chain, Budget(tol=5e-13))
+    return est.value, est.abs_error_est, est.nodes_or_samples
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_mesh_replay_is_bit_identical(lam):
+    z0, pw, chain = _pde_base(lam)
+    other = PartitionWeight.from_flat(lam, _OTHER_FLAT[lam], 2, 1, strict=False)
+    assert _signature(z0, other, chain) == _signature(z0, pw, chain)
+    points = _stencil_points(z0)
+    unscoped = [_estimate(z, pw, chain) for z in points]
+    with integrate._mesh_scope():
+        mesh = integrate._MESH.get()
+        # the hint of the first point is another weight's mesh
+        _estimate(z0, other, chain)
+        hint = mesh[_signature(z0, pw, chain)]
+        scoped = [_estimate(z, pw, chain) for z in points]
+        assert mesh[_signature(z0, pw, chain)] != hint
+    assert scoped == unscoped
+
+
+def test_failing_integral_records_no_mesh():
+    # the full-line point of test_chart_chain_kinds_keep_their_mesh
+    z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
+    pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
+    chain = ChainSpec("full-line", 1)
+    with pytest.raises(NonConvergent) as unscoped:
+        radon_hgf(z, pw, chain)
+    with integrate._mesh_scope():
+        with pytest.raises(NonConvergent) as scoped:
+            radon_hgf(z, pw, chain)
+        assert integrate._MESH.get() == {}
+    assert str(scoped.value) == str(unscoped.value)
+
+
+def test_second_stencil_point_calls_the_integrand_once():
+    z0, pw, chain = _pde_base((2, 2))
+    first, second = _stencil_points(z0)[:2]
+    f = scalar_chart_function(second, pw)
+    sizes = []
+
+    def counted(u):
+        sizes.append(u.size)
+        return f(u)
+
+    pieces = chart_pieces_r1(second, pw, chain)
+    unscoped = integrate_pieces(f, pieces, tol=5e-13)
+    with integrate._mesh_scope():
+        radon_hgf(first, pw, chain, Budget(tol=5e-13))
+        scoped = integrate_pieces(counted, pieces, tol=5e-13)
+    assert len(sizes) == 1
+    assert scoped == unscoped
+
+
+def test_prefetched_node_that_raises_changes_nothing():
+    # exp(u) needs few panels; the hint comes from a pole near 0.3, whose
+    # tree reaches nodes that the run of exp(u) never asks for
+    pieces = [Segment(0.0, 1.0)]
+    asked = set()
+
+    def smooth(u):
+        asked.update(u.tolist())
+        return np.exp(u)
+
+    unscoped = integrate_pieces(smooth, pieces, tol=1e-12)
+    raised = []
+
+    def loud(u):
+        if not asked.issuperset(u.tolist()):
+            raised.append(u.size)
+            raise OnBranchLocus("a node the run of exp(u) never asks for")
+        return np.exp(u)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with integrate._mesh_scope():
+            integrate_pieces(lambda u: 1.0 / (u - 0.3 - 1e-3j), pieces, tol=1e-12)
+            scoped = integrate_pieces(loud, pieces, tol=1e-12)
+    assert raised
+    assert scoped == unscoped
 
 
 def test_growing_ray_raises():
