@@ -129,7 +129,11 @@ def named_integrand(fam: NamedFamily, u, check_domain: bool = True) -> complex:
 
 def _log_batch(z):
     """Principal log z over an array, with the policy of ``cpow``: a zero
-    base raises, a base on the negative real axis warns."""
+    base raises, a base on the negative real axis warns.
+
+    It is log|z| + i atan2(Im z, Re z), which has the branch cut and the
+    signed zeros of numpy's complex log (Kahan 1987) at a fraction of its
+    cost."""
     # both cases have a base with non-positive real part; one min() clears
     # the common batch
     if z.real.min() <= 0.0:
@@ -142,7 +146,10 @@ def _log_batch(z):
                 BranchCutWarning,
                 stacklevel=3,
             )
-    return np.log(z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    np.log(np.abs(z, out=out.real), out=out.real)
+    np.arctan2(z.imag, z.real, out=out.imag)
+    return out
 
 
 def _pow_batch(z, e):
@@ -150,12 +157,18 @@ def _pow_batch(z, e):
     return np.exp(complex(e) * _log_batch(z))
 
 
-def _detpow_batch(m, e):
-    return _pow_batch(det_batch(m), e)
+def _logdet_batch(m):
+    return _log_batch(det_batch(m))
 
 
 def _trace_batch(m):
     return np.einsum("bii->b", m)
+
+
+def _trace_prod(a, b):
+    """Tr(a b) over a stack a and a stack or single matrix b, without
+    forming the products."""
+    return np.einsum("bij,bji->b" if b.ndim == 3 else "bij,ji->b", a, b)
 
 
 def named_integrand_batch(fam: NamedFamily, u) -> np.ndarray:
@@ -193,7 +206,7 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
         start += nk * r
         m0 = block[:, :, :r]
         alpha = spec.pw.alpha[j]
-        expo += alpha[0] * _log_batch(det_batch(m0))
+        expo += alpha[0] * _logdet_batch(m0)
         if nk > 1:
             # m0^{-1} t z_q for q = 1 .. nk - 1, side by side
             sol = matmul_batch(inv_batch(m0), block[:, :, r:])
@@ -212,54 +225,51 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _beta_r(p, u, r, eye, x, xs):
-    return _detpow_batch(u, p["a"] - r) * _detpow_batch(eye - u, p["b"] - r)
+    return np.exp((p["a"] - r) * _logdet_batch(u) + (p["b"] - r) * _logdet_batch(eye - u))
 
 
 def _gamma_r(p, u, r, eye, x, xs):
-    return np.exp(-_trace_batch(u)) * _detpow_batch(u, p["a"] - r)
+    return np.exp((p["a"] - r) * _logdet_batch(u) - _trace_batch(u))
 
 
 def _gaussian_r(p, u, r, eye, x, xs):
-    return np.exp(-0.5 * _trace_batch(u @ u))
+    return np.exp(-0.5 * _trace_prod(u, u))
+
+
+def _beta_type_log(p, u, r, eye):
+    """(a - r) log det u + (c - a - r) log det(1 - u)."""
+    return (p["a"] - r) * _logdet_batch(u) + (p["c"] - p["a"] - r) * _logdet_batch(eye - u)
 
 
 def _gauss(p, u, r, eye, x, xs):
-    return (
-        _detpow_batch(u, p["a"] - r)
-        * _detpow_batch(eye - u, p["c"] - p["a"] - r)
-        * _detpow_batch(eye - u @ x, -p["b"])
-    )
+    return np.exp(_beta_type_log(p, u, r, eye)
+                  - p["b"] * _logdet_batch(eye - matmul_batch(u, x)))
 
 
 def _kummer(p, u, r, eye, x, xs):
-    return (
-        np.exp(_trace_batch(u @ x))
-        * _detpow_batch(u, p["a"] - r)
-        * _detpow_batch(eye - u, p["c"] - p["a"] - r)
-    )
+    return np.exp(_trace_prod(u, x) + _beta_type_log(p, u, r, eye))
 
 
 def _bessel(p, u, r, eye, x, xs):
-    # the power first: a singular u raises before it is inverted
-    power = _detpow_batch(u, p["c"] - r)
-    return np.exp(_trace_batch(u @ x - inv_batch(u))) * power
+    # the log first: a singular u raises before it is inverted
+    expo = (p["c"] - r) * _logdet_batch(u)
+    return np.exp(expo + _trace_prod(u, x) - _trace_batch(inv_batch(u)))
 
 
 def _hermite_weber(p, u, r, eye, x, xs):
-    return np.exp(_trace_batch(u @ x - 0.5 * (u @ u))) * _detpow_batch(
-        u, -p["c"] - r
-    )
+    return np.exp(_trace_prod(u, x) - 0.5 * _trace_prod(u, u)
+                  + (-p["c"] - r) * _logdet_batch(u))
 
 
 def _airy(p, u, r, eye, x, xs):
-    return np.exp(_trace_batch(u @ x - (u @ u @ u) / 3.0))
+    return np.exp(_trace_prod(u, x) - np.einsum("bij,bjk,bki->b", u, u, u) / 3.0)
 
 
 def _lauricella_fd(p, u, r, eye, x, xs):
-    acc = _detpow_batch(u, p["a"] - r) * _detpow_batch(eye - u, p["c"] - p["a"] - r)
+    expo = _beta_type_log(p, u, r, eye)
     for bj, xj in zip(p["bs"], xs):
-        acc *= _detpow_batch(eye - u @ xj, -bj)
-    return acc
+        expo -= bj * _logdet_batch(eye - matmul_batch(u, xj))
+    return np.exp(expo)
 
 
 def _beta_type(p, X):
@@ -287,7 +297,11 @@ class Family:
     """Registry entry of one named kernel.
 
     kernel(params, u, r, eye, X, xs): values over a stacked (batch, r, r) u,
-    with X the zero matrix when the family has none.
+    with X the zero matrix when the family has none. A kernel adds its
+    determinant logs (``_logdet_batch``, the policy of ``_log_batch``) and
+    trace terms into one exponent and takes one complex exp; a product
+    with X is one ``matmul_batch`` against the single X, and a trace of a
+    product is taken by einsum without forming the product.
 
     chains: the chain kinds the family integrates over, the default first.
 

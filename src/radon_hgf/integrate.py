@@ -21,7 +21,9 @@ Three strategies:
   Andreief's identity;
 * haar-mc (general r): importance-sampled Monte Carlo over U = V L V*
   with V Haar-distributed and eigenvalues L drawn from a chain density;
-  a unitarily invariant kernel is evaluated at U = L, with no V drawn.
+  U is formed from the first r - 1 columns of V, which are all that get
+  orthonormalized, and a unitarily invariant kernel is evaluated at
+  U = L, with no V drawn.
 
 The eigenvalue reduction constant c_r = pi^{r(r-1)/2} / prod_{j<=r} j!
 is validated against the closed product formula by the test suite before
@@ -401,7 +403,10 @@ def _gk15(f, rows):
         fv[arc] = fv[arc] * w / (d * d)
     if sub.stop:
         fv[sub] = fv[sub] * jac * span
-    return ((fv @ _GK_KG) * half).tolist()
+    # numpy multiplies a lone row by the vector-matrix path, which rounds
+    # differently from the same row inside a matrix product
+    kg = (np.repeat(fv, 2, axis=0) if len(fv) == 1 else fv) @ _GK_KG
+    return (kg[: len(fv)] * half).tolist()
 
 
 def _values(f, halves, panels):
@@ -791,7 +796,10 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     diag(lam): those families draw the eigenvalues only. Each substream
     draws its chunks one after another, so when a substream holds more
     than one chunk (samples above 16 * 2^15) the later chunks' eigenvalues
-    differ from those of the Haar path, which also draws V.
+    differ from those of the Haar path, which also draws V. The Haar path
+    draws a full r x r Gaussian matrix per sample but orthonormalizes only
+    its first r - 1 columns: with V V^* = 1 they fix U, so the last column
+    of V is never formed.
 
     The sample space is split into a fixed number of counter-jumped
     substreams and reduced in substream order, so the estimate is
@@ -833,8 +841,10 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
             else:
                 gin = (gen.standard_normal((count, r, r))
                        + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
-                # each (count, r, r) array is dropped after its last use
-                u = conjugate_diag(haar_from_gaussian(gin), lam)
+                # U needs the first r - 1 columns of V only; the last column
+                # of gin is drawn all the same, so the stream does not move.
+                # Each (count, r, r) array is dropped after its last use
+                u = conjugate_diag(haar_from_gaussian(gin[:, :, : r - 1]), lam)
                 del gin
             contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam)) - logpdf)
             del u

@@ -12,9 +12,12 @@ integrands produce them. numpy's linalg routines and stacked ``@`` make one LAPA
 call per matrix, whose dispatch costs far more than the arithmetic of a
 2 x 2 matrix. These kernels loop in Python over the r indices only, so
 each numpy operation runs across the whole batch; r is read from the
-shape. The determinant and the inverse have closed forms at r = 1 and 2
-and defer to LAPACK above, where an LU across the batch would no longer
-pay. No kernel writes into its arguments.
+shape. A product with one matrix is a single GEMM over the rows of the
+whole stack. The determinant and the inverse have closed forms at r = 1
+and 2 and defer to LAPACK above, where an LU across the batch would no
+longer pay. The Haar draw orthonormalizes only the columns it is given,
+and U = V diag(lam) V^* is formed from the first r - 1 columns of V,
+which with V V^* = 1 determine it. No kernel writes into its arguments.
 """
 
 import numpy as np
@@ -92,20 +95,23 @@ def haar_unitary_batch(r: int, count: int, stream: RandomStream) -> np.ndarray:
 
 
 def haar_from_gaussian(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of standard complex Gaussian matrices.
+    """Haar unitaries, or their first k columns, from a stack of standard
+    complex Gaussian (r, k) matrices, k <= r.
 
     Q of the QR factorisation whose R has a positive real diagonal; that Q
     is exactly Haar distributed (Mezzadri 2007). Classical Gram-Schmidt
     with each column orthogonalised twice gives it orthogonal to rounding
-    (Giraud, Langou & Rozloznik 2005) and needs no phase fix. A single
-    (r, r) matrix is a stack of one.
+    (Giraud, Langou & Rozloznik 2005) and needs no phase fix. Column j of
+    Q depends on columns 0 .. j of z only, so the first k columns of z give
+    the first k columns of Q bit for bit. A single (r, k) matrix is a stack
+    of one.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim == 2:
         return haar_from_gaussian(z[None])[0]
-    r = z.shape[-1]
+    _, r, k = z.shape
     cols = []  # cols[j][i]: entry (i, j) of Q across the batch
-    for j in range(r):
+    for j in range(k):
         v = [z[:, i, j].copy() for i in range(r)]
         for _ in range(2):
             coefs = [_dot(q, v) for q in cols]
@@ -132,19 +138,23 @@ def _dot(q, v):
 
 
 def conjugate_diag(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """V diag(lam) V^* over a (batch, r, r) stack v and real (batch, r) lam.
+    """V diag(lam) V^* for real (batch, r) lam, from the first r - 1
+    columns v_j of the unitaries V in the (batch, r, k) stack v, k >= r - 1.
 
-    The upper triangle is computed and the lower one filled with its
-    conjugate, so each result is exactly Hermitian with a real diagonal.
+    V V^* = 1 gives U = lam_r 1 + sum_{j < r} (lam_j - lam_r) v_j v_j^*, so
+    the last column is not needed. The upper triangle is computed and the
+    lower one filled with its conjugate, so each result is exactly
+    Hermitian with a real diagonal.
     """
-    r = v.shape[-1]
-    e = [[np.ascontiguousarray(v[:, i, j]) for j in range(r)] for i in range(r)]
-    lj = [np.ascontiguousarray(lam[:, j]) for j in range(r)]
-    out = np.empty(v.shape, dtype=np.complex128)
+    r = lam.shape[-1]
+    last = lam[:, r - 1]
+    e = [[np.ascontiguousarray(v[:, i, j]) for j in range(r - 1)] for i in range(r)]
+    d = [lam[:, j] - last for j in range(r - 1)]
+    out = np.empty((lam.shape[0], r, r), dtype=np.complex128)
     for i in range(r):
-        w = [lj[j] * e[i][j] for j in range(r)]
-        out[:, i, i] = sum(lj[j] * (e[i][j].real ** 2 + e[i][j].imag ** 2)
-                           for j in range(r))
+        w = [d[j] * e[i][j] for j in range(r - 1)]
+        out[:, i, i] = sum((d[j] * (e[i][j].real ** 2 + e[i][j].imag ** 2)
+                            for j in range(r - 1)), last)
         for k in range(i + 1, r):
             upper = _dot(e[k], w)
             out[:, i, k] = upper

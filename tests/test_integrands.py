@@ -20,6 +20,7 @@ from radon_hgf.integrands import (
     INTERVAL,
     IntegrandSpec,
     NamedFamily,
+    _log_batch,
     chart_integrand_batch,
     evaluate_frame,
     evaluate_integrand,
@@ -250,6 +251,50 @@ def test_named_batch_power_policy():
         named_integrand(fam, np.zeros((1, 1)), check_domain=False)
 
 
+def _log_sets():
+    g = RandomStream(91).generator()
+    n = 4000
+    phase = np.exp(1j * g.uniform(-np.pi, np.pi, n))
+    magnitudes = 10.0 ** g.uniform(-300, 300, n) * phase
+    circle = (1.0 + 10.0 ** g.uniform(-16, -2, n) * g.choice([-1.0, 1.0], n)) * phase
+    unit_interval = np.concatenate([g.random(n), 10.0 ** g.uniform(-300, 0, n)]) + 0j
+    x = 10.0 ** g.uniform(-300, 300, n)
+    y = np.concatenate([[0.0] * 4, 10.0 ** g.uniform(-320, 0, n - 4) * x[4:]])
+    y *= np.where(np.arange(n) % 2, -1.0, 1.0)
+    negative_axis = -x + 1j * y
+    negative_axis.imag[:4] = [0.0, -0.0, 0.0, -0.0]
+    return magnitudes, circle, unit_interval, negative_axis
+
+
+def test_split_log_matches_numpy():
+    # log|z| + i atan2(Im z, Re z) against np.log
+    *plain, negative_axis = _log_sets()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in plain:
+            ref = np.log(z)
+            assert (np.abs(_log_batch(z) - ref) <= 4.5e-16 * np.maximum(1.0, np.abs(ref))).all()
+    ref = np.log(negative_axis)
+    with pytest.warns(BranchCutWarning):
+        val = _log_batch(negative_axis)
+    assert (np.abs(val - ref) <= 4.5e-16 * np.maximum(1.0, np.abs(ref))).all()
+    # the side of the cut, signed zeros included, is numpy's
+    assert np.array_equal(val.imag, ref.imag)
+    assert list(np.sign(val.imag[:4])) == [1.0, -1.0, 1.0, -1.0]
+
+
+def test_split_log_policy():
+    with pytest.raises(SingularBlock):
+        _log_batch(np.array([1.0 + 1.0j, 0.0 + 0.0j]))
+    with pytest.raises(SingularBlock):
+        _log_batch(np.array([-0.0 - 0.0j]))
+    with pytest.warns(BranchCutWarning):
+        _log_batch(np.array([1.0 + 0.0j, -2.0 - 0.0j]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _log_batch(np.array([1.0 + 0.0j, -2.0 + 1e-3j, 0.5 - 0.0j]))
+
+
 def test_unknown_family_tag_rejected():
     with pytest.raises(UnsupportedPartition):
         NamedFamily("scaled_gamma", {"a": 2.0})
@@ -302,6 +347,76 @@ def test_family_remainder_matches_kernel(tag):
     ref = np.prod(weight * entry.phi(fam.params, lam, x, xs))
     val = named_integrand(fam, np.diag(lam))
     assert abs(val - ref) < 1e-13 * abs(ref)
+
+
+def _det(m):
+    return complex(np.linalg.det(m))
+
+
+def _tr(m):
+    return complex(np.trace(m))
+
+
+# per tag: parameters, eigenvalue range of the argument (None: a complex
+# matrix), whether the family takes X, the number of xs, and the kernel at
+# one matrix from det, trace, @ and Python's principal complex power
+_KERNEL_CASES = {
+    "beta_r": ({"a": 2.3 + 0.4j, "b": 3.1}, (0.05, 0.95), False, 0,
+               lambda p, u, e, x, xs: _det(u) ** (p["a"] - len(u))
+               * _det(e - u) ** (p["b"] - len(u))),
+    "gamma_r": ({"a": 2.7 + 0.3j}, (0.1, 3.0), False, 0,
+                lambda p, u, e, x, xs: np.exp(-_tr(u)) * _det(u) ** (p["a"] - len(u))),
+    "gaussian_r": ({}, (-2.0, 2.0), False, 0,
+                   lambda p, u, e, x, xs: np.exp(-0.5 * _tr(u @ u))),
+    "gauss": ({"a": 2.4, "b": 0.7 + 0.2j, "c": 5.1}, (0.05, 0.95), True, 0,
+              lambda p, u, e, x, xs: _det(u) ** (p["a"] - len(u))
+              * _det(e - u) ** (p["c"] - p["a"] - len(u)) * _det(e - u @ x) ** -p["b"]),
+    "kummer": ({"a": 2.4, "c": 5.1 - 0.3j}, (0.05, 0.95), True, 0,
+               lambda p, u, e, x, xs: np.exp(_tr(u @ x)) * _det(u) ** (p["a"] - len(u))
+               * _det(e - u) ** (p["c"] - p["a"] - len(u))),
+    "bessel": ({"c": 2.8 + 0.1j}, (0.3, 3.0), True, 0,
+               lambda p, u, e, x, xs: np.exp(_tr(u @ x) - _tr(np.linalg.inv(u)))
+               * _det(u) ** (p["c"] - len(u))),
+    "hermite_weber": ({"c": -1.5 + 0.2j}, (0.2, 2.0), True, 0,
+                      lambda p, u, e, x, xs: np.exp(_tr(u @ x) - 0.5 * _tr(u @ u))
+                      * _det(u) ** (-p["c"] - len(u))),
+    "airy": ({}, None, True, 0,
+             lambda p, u, e, x, xs: np.exp(_tr(u @ x) - _tr(u @ u @ u) / 3.0)),
+    "lauricella_fd": ({"a": 2.4, "bs": (0.7, 1.1 - 0.2j), "c": 5.3}, (0.05, 0.95), False, 2,
+                      lambda p, u, e, x, xs: _det(u) ** (p["a"] - len(u))
+                      * _det(e - u) ** (p["c"] - p["a"] - len(u))
+                      * np.prod([_det(e - u @ xj) ** -bj for bj, xj in zip(p["bs"], xs)])),
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_family_kernel_matches_per_matrix_reference(tag, r):
+    params, bounds, has_x, n_xs, reference = _KERNEL_CASES[tag]
+    count = 24
+    stream = RandomStream(300 + 10 * r + sorted(FAMILIES).index(tag))
+    g = stream.generator()
+
+    def small_matrix():
+        # norm 0.5: 1 - u X stays near 1 for eigenvalues of u in (0, 1)
+        m = g.standard_normal((r, r)) + 1j * g.standard_normal((r, r))
+        return 0.5 * m / np.linalg.norm(m, 2)
+
+    if bounds is None:
+        u = 0.7 * (g.standard_normal((count, r, r)) + 1j * g.standard_normal((count, r, r)))
+    else:
+        lo, hi = bounds
+        lam = lo + (hi - lo) * g.random((count, r))
+        v = haar_unitary_batch(r, count, stream.jump(1))
+        u = (v * lam[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    x = small_matrix() if has_x else None
+    xs = tuple(small_matrix() for _ in range(n_xs))
+    fam = NamedFamily(tag, params, X=x, xs=xs)
+    batch = named_integrand_batch(fam, u)
+    eye = np.eye(r)
+    for k in range(count):
+        ref = reference(params, u[k], eye, x, xs)
+        assert abs(batch[k] - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("lam,tag", [

@@ -741,6 +741,29 @@ def test_integrate_r1_keeps_its_mesh(fam, kind, value, panels):
     assert abs(est.value - value) <= 1e-14 * abs(value)
 
 
+@pytest.mark.parametrize("exponent, arc", [
+    (None, None),
+    (-0.5, None),
+    (None, (0.2, 1j, 0.5 - 0.25j)),
+    (-0.5, (0.2, 1j, 0.5 - 0.25j)),
+])
+def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
+    # a panel's estimates do not depend on the panels that share its call,
+    # also when it is alone in the call
+    half = integrate._Half(0.1, 0.9, exponent, arc, 1e-12, 1.0)
+    panels = [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0), (0.25, 0.5), (0.125, 0.375)]
+    rows = [(0.5 * (a + b), 0.5 * (b - a)) + half.maps + (half.kind,) for a, b in panels]
+
+    def f(u):
+        return np.exp((0.3 + 1j) * u) / (1.7 - u)
+
+    for k, row in enumerate(rows):
+        lone = integrate._gk15(f, [row])
+        others = rows[:k] + rows[k + 1:]
+        assert lone == integrate._gk15(f, [row] + others[:1])[:1]
+        assert lone == integrate._gk15(f, [row] + others)[:1]
+
+
 def test_integrand_called_once_per_round():
     # the (2,2) base point has two halves, of 6 and 5 panels: a first round
     # with one panel each, four rounds in which both bisect, and a last

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radon_hgf.errors import NotHermitian, ShapeMismatch, SingularBlock, SingularMatrix
-from radon_hgf.integrands import _detpow_batch
+from radon_hgf.integrands import _logdet_batch
 from radon_hgf.linalg import (
     conjugate_diag,
     det,
@@ -150,7 +150,7 @@ def test_det_batch_exactly_singular_2x2():
     m = np.array([[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 3.0]]], dtype=np.complex128)
     assert det_batch(m)[0] == 0.0
     with pytest.raises(SingularBlock):
-        _detpow_batch(m, 0.5)
+        _logdet_batch(m)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -170,14 +170,22 @@ def test_matmul_batch_single_and_stack():
     assert np.allclose(matmul_batch(x, rect), x @ rect, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_conjugate_diag_exactly_hermitian(r):
-    v = haar_from_gaussian(_gaussian_stack(r, 300, 60 + r))
+    z = _gaussian_stack(r, 300, 60 + r)
+    v = haar_from_gaussian(z)
     lam = RandomStream(70 + r).generator().standard_normal((300, r))
-    u = conjugate_diag(v, lam)
-    assert np.array_equal(u, np.conj(np.swapaxes(u, 1, 2)))
-    ref = np.einsum("bij,bj,bkj->bik", v, lam, v.conj())
-    assert np.abs(u - ref).max() <= 1e-14
+    ref = (v * lam[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    scale = np.abs(lam).max(axis=1)[:, None, None]
+    # the full V and its first r - 1 columns give the same U
+    for cols in (v, v[:, :, : r - 1]):
+        u = conjugate_diag(cols, lam)
+        assert np.array_equal(u, np.conj(np.swapaxes(u, 1, 2)))
+        assert (np.diagonal(u, axis1=1, axis2=2).imag == 0.0).all()
+        assert (np.abs(u - ref) <= 1e-14 * scale).all()
+    # column j of Q depends on columns 0 .. j of z only
+    for k in range(r + 1):
+        assert np.array_equal(haar_from_gaussian(z[:, :, :k]), v[:, :, :k])
 
 
 @pytest.mark.parametrize("batch", [1, 5])
@@ -190,7 +198,9 @@ def test_stack_kernels_leave_arguments_unchanged(batch):
     before = [a.copy() for a in args]
     haar_from_gaussian(z)
     haar_from_gaussian(z[0])
+    haar_from_gaussian(z[:, :, :1])
     conjugate_diag(z, lam)
+    conjugate_diag(z[:, :, :1], lam)
     matmul_batch(z, y)
     matmul_batch(z, y[0])
     det_batch(z)
