@@ -66,7 +66,6 @@ from .linalg import det, haar_unitary, hermitian_eigen, inverse
 from .ncpoly import NCPolynomial, theta_symbolic
 from .normal_form import NormalFormResult, pattern, reduce3, reduce4, reduce_ones
 from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1, lauricella_fd
-from .quadrature import QuadratureRule, quadrature_nodes
 from .rng import RandomStream
 
 __all__ = [name for name in dir() if not name.startswith("_")]

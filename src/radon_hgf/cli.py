@@ -6,7 +6,7 @@ Every subcommand prints exactly one JSON report on stdout:
      "pass": ..., "wall_time_s": ..., "seed": ..., "version": ...}
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 malformed
-input.  RADON_HGF_THREADS caps worker threads.
+input.  RADON_HGF_THREADS caps the Monte Carlo worker threads.
 """
 
 import argparse

@@ -8,11 +8,11 @@ extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
 
 ``apply_DIJ``, ``verify_system`` and the two infinitesimal checks call F
-inside a mesh scope of ``integrate`` (a pool thread enters its own): the
-r = 1 integrals of one stencil lie within a few steps of z0 and refine
-the same bisection tree, so each reuses the tree the last one recorded
-and calls its integrand about once. The values, and so every residual,
-are bit-identical to calls outside the scope.
+inside a mesh scope of ``integrate``: the r = 1 integrals of one stencil
+lie within a few steps of z0 and refine the same bisection tree, so each
+reuses the tree the last one recorded and calls its integrand about
+once. The values, and so every residual, are bit-identical to calls
+outside the scope.
 """
 
 import math
@@ -32,7 +32,6 @@ from .errors import (
 from .grassmann import CoordMatrix, apply_group
 from .integrate import _mesh_scope
 from .jordan import TruncPoly, ring_exp
-from .rng import thread_count
 
 
 @dataclass(frozen=True)
@@ -180,16 +179,8 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
             "pass": bool(rel < rel_tol),
         }
 
-    threads = thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # each worker's apply_DIJ enters a scope of its own
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, pairs))
-    else:
-        with _mesh_scope():
-            rows = [one(pair) for pair in pairs]
+    with _mesh_scope():
+        rows = [one(pair) for pair in pairs]
     return {"pairs": rows, "pass": all(row["pass"] for row in rows)}
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .characters import PartitionWeight
 from .errors import (
     BranchCutWarning,
+    NotHermitian,
     OnBranchLocus,
     OutOfDomain,
     ShapeMismatch,
@@ -40,7 +41,7 @@ from .errors import (
     UnsupportedPartition,
 )
 from .grassmann import ChartPoint, CoordMatrix
-from .linalg import as_matrix, det_batch, inv_batch, matmul_batch
+from .linalg import as_matrix, det_batch, hermitian_eigen, inv_batch, matmul_batch
 from .ncpoly import theta_symbolic
 
 INTERVAL = "interval-0-1"
@@ -100,13 +101,6 @@ class NamedFamily:
             raise UnsupportedPartition(f"unknown family tag {self.tag!r}")
 
 
-def _hermitian_eigs(u, rtol=1e-10):
-    u = as_matrix(u)
-    if np.linalg.norm(u - u.conj().T) <= rtol * max(np.linalg.norm(u), 1e-300):
-        return np.linalg.eigvalsh(u)
-    return None
-
-
 # open eigenvalue range of a Hermitian argument, by the family's widest chain
 _DOMAIN_BOUNDS = {INTERVAL: (0.0, 1.0), HALF_LINE: (0.0, math.inf)}
 
@@ -116,10 +110,13 @@ def named_integrand(fam: NamedFamily, u, check_domain: bool = True) -> complex:
     u = as_matrix(u)
     if check_domain:
         lo, hi = _DOMAIN_BOUNDS.get(FAMILIES[fam.tag].domain, (-math.inf, math.inf))
-        eigs = _hermitian_eigs(u)
-        # complex chains evaluate off the Hermitian slice
-        if eigs is not None and (eigs[0] <= lo or eigs[-1] >= hi):
-            raise OutOfDomain(f"{fam.tag} needs eigenvalues strictly inside ({lo}, {hi})")
+        try:
+            eigs, _ = hermitian_eigen(u)
+        except NotHermitian:
+            pass  # complex chains evaluate off the Hermitian slice
+        else:
+            if eigs[0] <= lo or eigs[-1] >= hi:
+                raise OutOfDomain(f"{fam.tag} needs eigenvalues strictly inside ({lo}, {hi})")
     return complex(named_integrand_batch(fam, u[None])[0])
 
 

@@ -65,10 +65,9 @@ from .integrands import (
     _theta_terms,
     chart_integrand_batch,
     family_of_normal_form,
-    named_integrand,
     named_integrand_batch,
 )
-from .linalg import conjugate_diag, haar_from_gaussian, haar_unitary_batch, scalar_multiple
+from .linalg import conjugate_diag, haar_from_gaussian, scalar_multiple
 from .normal_form import residual_parameters
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
@@ -459,8 +458,7 @@ def _mesh_scope():
     Each integral looks up the trees last recorded for its half signature
     (the (kind, kappa) of every half), evaluates all their panels in its
     first call of f, and records its own trees when it succeeds. Entering
-    while a scope is active reuses that scope. Context variables do not
-    pass into pool threads, so a thread enters its own scope."""
+    while a scope is active reuses that scope."""
     if _MESH.get() is not None:
         yield
         return
@@ -596,28 +594,76 @@ def _chain_pieces(kind: str, ends, exponents, far=None, exp_far=None):
     return [RayPair(-RAY_HALF_ANGLE, RAY_HALF_ANGLE, far, exp_far)]
 
 
-def _chain_weight(kind: str, exponents, r: int):
-    """Real powers of a chain kind's eigenvalue weight for the registry
-    exponents e: (p, q) of u^p (1 - u)^q on the interval, (p, rate) of
-    u^p exp(-rate u) on the half line (unit rate when there is no e1), ()
-    on the other kinds. Refuses weights that are not integrable, among
-    them a power |u|^(e0 - r) at 0 on the full line."""
+def _chain_law(kind: str, exponents, r: int):
+    """The eigenvalue weight of a chain kind for the registry exponents e,
+    as (rule, sample) of that one weight: rule(n) is its Gauss rule, the
+    phase of the imaginary exponents folded into the weights, and
+    sample(gen, count) draws (count, r) eigenvalues from the density of
+    its real part, with the log-pdf of each row. The weight is u^p (1-u)^q
+    on the interval (Jacobi rule, Beta(p + 1, q + 1) draws), u^p exp(-rate u)
+    on the half line (scaled Laguerre rule, Gamma(p + 1) / rate draws;
+    unit rate when there is no e1) and exp(-u^2 / 2) on the full line
+    (Hermite rule, normal draws), with p, q = Re e - r. Refuses weights
+    that are not integrable, among them a power |u|^(Re e0 - r) at 0 on
+    the full line, and the rotated ray, which has none."""
+    e = [complex(v) for v in exponents]
     if kind == INTERVAL:
-        p, q = (complex(e).real - r for e in exponents[:2])
+        p, q = (v.real - r for v in e[:2])
         if p <= -1 or q <= -1:
             raise IncompatibleChain("interval weight u^p (1-u)^q needs p, q > -1")
-        return p, q
-    if kind == HALF_LINE:
-        p = complex(exponents[0]).real - r
-        rate = complex(exponents[1]).real if len(exponents) > 1 else 1.0
+        a_sh, b_sh = p + 1.0, q + 1.0
+        lnB = math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh)
+
+        def rule(n):
+            lam, w = jacobi_01(n, p, q)
+            return lam, w * np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
+
+        def sample(gen, count):
+            lam = gen.beta(a_sh, b_sh, size=(count, r))
+            logpdf = np.sum(
+                (a_sh - 1.0) * np.log(lam) + (b_sh - 1.0) * np.log1p(-lam) - lnB,
+                axis=1,
+            )
+            return lam, logpdf
+
+    elif kind == HALF_LINE:
+        p = e[0].real - r
+        decay = e[1] if len(e) > 1 else 1.0 + 0.0j
+        rate = decay.real
         if p <= -1:
             raise IncompatibleChain("half-line weight u^p exp(-rate u) needs p > -1")
         if rate <= 0:
             raise IncompatibleChain("half-line weight needs a positive decay rate")
-        return p, rate
-    if kind == FULL_LINE and exponents and complex(exponents[0]).real - r <= -1:
-        raise IncompatibleChain("full-line weight |u|^p near 0 needs p > -1")
-    return ()
+        shape = p + 1.0
+        lnG = math.lgamma(shape) - shape * math.log(rate)
+
+        def rule(n):
+            s_nodes, s_weights = genlaguerre(n, p)
+            lam = s_nodes / rate
+            w = s_weights * rate ** (-p - 1.0)
+            return lam, w * np.exp(1j * (e[0].imag * np.log(lam) - decay.imag * lam))
+
+        def sample(gen, count):
+            lam = gen.gamma(shape, size=(count, r)) / rate
+            logpdf = np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
+            return lam, logpdf
+
+    elif kind == FULL_LINE:
+        if e and e[0].real - r <= -1:
+            raise IncompatibleChain("full-line weight |u|^p near 0 needs p > -1")
+        ln_norm = 0.5 * math.log(2.0 * math.pi)
+
+        def rule(n):
+            return hermite_scaled(n)
+
+        def sample(gen, count):
+            lam = gen.standard_normal((count, r))
+            logpdf = np.sum(-0.5 * lam * lam - ln_norm, axis=1)
+            return lam, logpdf
+
+    else:
+        raise IncompatibleChain(f"no eigenvalue weight for the {kind} chain")
+    return rule, sample
 
 
 def _family_on(fam: NamedFamily, chain: ChainSpec):
@@ -659,9 +705,9 @@ def _scalar_arguments(fam: NamedFamily):
 
 
 def _eigen_rule(fam: NamedFamily, r: int):
-    """n -> (nodes, weights) of the family's eigenvalue integral: a Gauss
-    rule (Jacobi, scaled Laguerre or Hermite) for the real part of its chain
-    weight, the weights times the rest of the per-eigenvalue factor."""
+    """n -> (nodes, weights) of the family's eigenvalue integral: the Gauss
+    rule of its chain weight (``_chain_law``), the weights times the rest
+    of the per-eigenvalue factor."""
     entry = FAMILIES[fam.tag]
     if entry.phi is None:
         raise IncompatibleChain(
@@ -672,65 +718,33 @@ def _eigen_rule(fam: NamedFamily, r: int):
     if args is None:
         raise NotInvariant("matrix argument breaks unitary invariance")
     x, xs = args
-    kind = entry.chains[0]
-    e = [complex(v) for v in entry.exponents(fam.params, fam.X)]
-    weight = _chain_weight(kind, e, r)
+    rule, _ = _chain_law(entry.chains[0], entry.exponents(fam.params, fam.X), r)
 
     def build(n):
-        if kind == INTERVAL:
-            lam, w = jacobi_01(n, *weight)
-            w = w * np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
-        elif kind == HALF_LINE:
-            pa, rate = weight
-            s_nodes, s_weights = genlaguerre(n, pa)
-            lam = s_nodes / rate
-            w = s_weights * rate ** (-pa - 1.0)
-            w = w * np.exp(1j * (e[0].imag * np.log(lam) - e[1].imag * lam))
-        else:
-            lam, w = hermite_scaled(n)
+        lam, w = rule(n)
         return lam, w * entry.phi(fam.params, lam, x, xs)
 
     return build
 
 
-def _invariance_probe(fn_matrix, r: int, domain: str):
-    """Compare fn at two unitary conjugates of one diagonal point of the
-    domain (a chain kind)."""
-    stream = RandomStream(seed=140814)
-    g = stream.generator()
-    if domain == INTERVAL:
-        lam = 0.25 + 0.5 * g.random(r)
-    elif domain == HALF_LINE:
-        lam = 0.5 + g.random(r)
-    else:
-        lam = g.standard_normal(r)
-    v = haar_unitary_batch(r, 2, stream.jump(1))
-    u0 = (v[0] * lam) @ v[0].conj().T
-    u1 = v[1] @ u0 @ v[1].conj().T
-    f0 = fn_matrix(u0)
-    f1 = fn_matrix(u1)
-    if abs(f0 - f1) > 1e-8 * (1.0 + abs(f0)):
-        raise NotInvariant("integrand is not unitarily invariant")
+def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEstimate:
+    """Deterministic eigenvalue-reduced quadrature for invariant integrands.
 
-
-def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
-                        probe: bool = True) -> IntegralEstimate:
-    """Deterministic eigenvalue-reduced quadrature for invariant integrands."""
+    The error estimate is the difference from the rule with half as many
+    nodes (at least r), so ``nodes`` must exceed both."""
     _require_rank(r)
-    build = _eigen_rule(fam, r)
-    if probe:
-        _invariance_probe(
-            lambda U: named_integrand(fam, U, check_domain=False),
-            r,
-            FAMILIES[fam.tag].domain,
+    coarse_nodes = max(r, nodes // 2)
+    if coarse_nodes >= nodes:
+        raise UnsupportedCount(
+            f"eigen-tensor needs more nodes than max(r, nodes // 2) = {coarse_nodes}, got {nodes}"
         )
+    build = _eigen_rule(fam, r)
     cr = weyl_constant(r)
 
     def run(n):
         lam, wg = build(n)
         return cr * tensor_vdm_sum(wg, lam, r)
 
-    coarse_nodes = max(8, r, nodes // 2)
     coarse = run(coarse_nodes)
     fine = run(nodes)
     return IntegralEstimate(fine, abs(fine - coarse), "eigen-tensor",
@@ -743,47 +757,6 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64,
 
 _MC_PARTS = 16
 _MC_CHUNK = 1 << 15
-
-
-def _chain_sampler(chain: ChainSpec, exponents, r: int):
-    """Eigenvalue base density and its log-pdf for the chain kind: the
-    chain weight u^p (1 - u)^q gives Beta(p + 1, q + 1) on the interval,
-    u^p exp(-rate u) gives Gamma(p + 1) / rate on the half line, and the
-    full line draws standard normals."""
-    weight = _chain_weight(chain.kind, exponents, r)
-    if chain.kind == INTERVAL:
-        a_sh, b_sh = (v + 1.0 for v in weight)
-        lnB = math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh)
-
-        def sample(gen, count):
-            lam = gen.beta(a_sh, b_sh, size=(count, r))
-            logpdf = np.sum(
-                (a_sh - 1.0) * np.log(lam) + (b_sh - 1.0) * np.log1p(-lam) - lnB,
-                axis=1,
-            )
-            return lam, logpdf
-
-        return sample
-    if chain.kind == HALF_LINE:
-        shape, rate = weight[0] + 1.0, weight[1]
-        lnG = math.lgamma(shape) - shape * math.log(rate)
-
-        def sample(gen, count):
-            lam = gen.gamma(shape, size=(count, r)) / rate
-            logpdf = np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
-            return lam, logpdf
-
-        return sample
-    if chain.kind == FULL_LINE:
-        ln_norm = 0.5 * math.log(2.0 * math.pi)
-
-        def sample(gen, count):
-            lam = gen.standard_normal((count, r))
-            logpdf = np.sum(-0.5 * lam * lam - ln_norm, axis=1)
-            return lam, logpdf
-
-        return sample
-    raise IncompatibleChain(f"no Monte Carlo density for chain {chain.kind}")
 
 
 def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
@@ -819,7 +792,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         def batch_fn(u):
             return named_integrand_batch(fam, u)
 
-    sampler = _chain_sampler(chain, FAMILIES[fam.tag].exponents(fam.params, fam.X), r)
+    _, sample = _chain_law(chain.kind, FAMILIES[fam.tag].exponents(fam.params, fam.X), r)
 
     log_cr = math.log(weyl_constant(r))
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
@@ -834,7 +807,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         while remaining > 0:
             count = min(remaining, _MC_CHUNK)
             remaining -= count
-            lam, logpdf = sampler(gen, count)
+            lam, logpdf = sample(gen, count)
             if invariant:
                 u = np.zeros((count, r, r), dtype=np.complex128)
                 u[:, diag, diag] = lam
@@ -1017,7 +990,7 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         try:
             fam, factor = _radon_eigen_family(z, pw)
             require_eigen_chain(fam, chain)
-            est = integrate_invariant(fam, r, nodes=budget.nodes, probe=False)
+            est = integrate_invariant(fam, r, nodes=budget.nodes)
             return IntegralEstimate(
                 est.value * factor,
                 est.abs_error_est * abs(factor),

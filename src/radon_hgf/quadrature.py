@@ -1,17 +1,13 @@
-"""Gaussian quadrature rules.
+"""Gaussian quadrature rules for the eigenvalue weights.
 
-Public rules carry their weight function implicitly:
+Each rule absorbs its weight function, fractional powers included: the
+eigenvalue-reduced Hermitian integrals need them to converge at spectral
+rather than algebraic rate.
 
-* ``legendre-on-(0,1)``: weight 1 on (0,1), weights sum to 1
-* ``laguerre-on-(0,inf)``: weight exp(-u) on (0,inf), weights sum to 1
-* ``hermite-on-R``: weight exp(-u^2/2) on R, weights sum to sqrt(2*pi)
-
-The weighted helpers (Jacobi on (0,1), generalized Laguerre) absorb
-fractional power weights into the rule; the eigenvalue-reduced Hermitian
-integrals need them to converge at spectral rather than algebraic rate.
+* ``jacobi_01``: weight u^p (1-u)^q on (0,1)
+* ``genlaguerre``: weight u^p exp(-u) on (0,inf)
+* ``hermite_scaled``: weight exp(-u^2/2) on R, weights sum to sqrt(2*pi)
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sp
@@ -20,41 +16,10 @@ from .errors import UnsupportedCount
 
 MAX_COUNT = 512
 
-LEGENDRE_01 = "legendre-on-(0,1)"
-LAGUERRE = "laguerre-on-(0,inf)"
-HERMITE = "hermite-on-R"
 
-KINDS = (LEGENDRE_01, LAGUERRE, HERMITE)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    kind: str
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f) -> complex:
-        vals = np.asarray([f(x) for x in self.nodes])
-        return complex(np.sum(self.weights * vals))
-
-
-def quadrature_nodes(kind: str, count: int) -> QuadratureRule:
+def _require_count(count: int):
     if not (1 <= count <= MAX_COUNT):
         raise UnsupportedCount(f"count must be in [1, {MAX_COUNT}], got {count}")
-    if kind == LEGENDRE_01:
-        x, w = _sp.roots_legendre(count)
-        nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-    elif kind == LAGUERRE:
-        nodes, weights = _sp.roots_laguerre(count)
-    elif kind == HERMITE:
-        x, w = _sp.roots_hermite(count)
-        # physicists' weight exp(-x^2) rescaled to exp(-u^2/2)
-        nodes = np.sqrt(2.0) * x
-        weights = np.sqrt(2.0) * w
-    else:
-        raise UnsupportedCount(f"unknown rule kind {kind!r}")
-    return QuadratureRule(kind, nodes, weights)
 
 
 def jacobi_01(count: int, p: float, q: float):
@@ -62,8 +27,7 @@ def jacobi_01(count: int, p: float, q: float):
 
     Exact for polynomials of degree <= 2*count - 1 against that weight.
     """
-    if not (1 <= count <= MAX_COUNT):
-        raise UnsupportedCount(f"count must be in [1, {MAX_COUNT}], got {count}")
+    _require_count(count)
     if p <= -1 or q <= -1:
         raise ValueError("jacobi exponents must exceed -1")
     # roots_jacobi: weight (1-x)^alpha (1+x)^beta on (-1,1); x = 2u - 1
@@ -75,8 +39,7 @@ def jacobi_01(count: int, p: float, q: float):
 
 def genlaguerre(count: int, p: float):
     """Nodes/weights for weight u^p exp(-u) on (0,inf)."""
-    if not (1 <= count <= MAX_COUNT):
-        raise UnsupportedCount(f"count must be in [1, {MAX_COUNT}], got {count}")
+    _require_count(count)
     if p <= -1:
         raise ValueError("laguerre exponent must exceed -1")
     return _sp.roots_genlaguerre(count, p)
@@ -84,5 +47,7 @@ def genlaguerre(count: int, p: float):
 
 def hermite_scaled(count: int):
     """Nodes/weights for weight exp(-u^2/2) on R."""
-    rule = quadrature_nodes(HERMITE, count)
-    return rule.nodes, rule.weights
+    _require_count(count)
+    x, w = _sp.roots_hermite(count)
+    # physicists' weight exp(-x^2) rescaled to exp(-u^2/2)
+    return np.sqrt(2.0) * x, np.sqrt(2.0) * w

@@ -50,7 +50,7 @@ def standard_complex(stream: RandomStream, shape) -> np.ndarray:
 
 
 def thread_count() -> int:
-    """Worker threads for the partitioned loops, from RADON_HGF_THREADS (default 1)."""
+    """Worker threads for the Monte Carlo partitions, from RADON_HGF_THREADS (default 1)."""
     raw = os.environ.get("RADON_HGF_THREADS", "").strip() or "1"
     try:
         return int(raw)

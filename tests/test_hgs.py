@@ -200,16 +200,6 @@ def test_gl_infinitesimal_upper_direction():
     assert res.relative < 1e-5
 
 
-def test_verify_system_same_report_on_threads(monkeypatch):
-    # each worker thread enters a mesh scope of its own
-    _, z0, F = _gauss_setup()
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("RADON_HGF_THREADS", threads)
-        reports.append(verify_system(F, z0, all_pairs(2, 4, 1), StencilPlan(h=1e-3)))
-    assert reports[0] == reports[1]
-
-
 @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")])
 def test_bad_steps_refused(step):
     pw, z0, _ = _gauss_setup()

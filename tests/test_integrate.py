@@ -40,7 +40,7 @@ from radon_hgf.integrate import (
     weyl_constant,
 )
 from radon_hgf.normal_form import pattern
-from radon_hgf.oracles import beta, beta_r_closed, gamma, gamma_r_closed, gauss_2f1
+from radon_hgf.oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
 from radon_hgf.rng import RandomStream
 
 
@@ -132,11 +132,32 @@ def test_invariant_rejects_matrix_argument():
         integrate_invariant(fam, 2)
 
 
+def _andreief_r2(moments):
+    # the r = 2 eigenvalue integral is c_2 2! times the Hankel determinant
+    # of the moments m_k of the per-eigenvalue weight
+    m0, m1, m2 = moments
+    return weyl_constant(2) * 2.0 * (m0 * m2 - m1 * m1)
+
+
+# int u^(1.5 + k) exp(-u - 1/u) du = 2 K_(2.5 + k)(2)
+_BESSEL_R2 = _andreief_r2([2.0 * sp.kv(2.5 + k, 2.0) for k in range(3)])
+# int u^(0.6 + k) (1 - u)^0.7 (1 - 0.9 u)^-3.2 du
+#   = B(1.6 + k, 1.7) 2F1(3.2, 1.6 + k; 3.3 + k; 0.9)
+_GAUSS_R2 = _andreief_r2([sp.beta(1.6 + k, 1.7) * sp.hyp2f1(3.2, 1.6 + k, 3.3 + k, 0.9)
+                          for k in range(3)])
+
+
 def test_invariant_error_estimate_is_honest():
-    fam = NamedFamily("gamma_r", {"a": 2.5})
-    est = integrate_invariant(fam, 2, nodes=64)
-    ref = gamma_r_closed(2, 2.5)
-    assert abs(est.value - ref) <= max(est.abs_error_est * 10, 1e-10 * abs(ref))
+    bessel = NamedFamily("bessel", {"c": 3.5}, X=-np.eye(2))
+    gauss = NamedFamily("gauss", {"a": 2.6, "b": 3.2, "c": 5.3}, X=0.9 * np.eye(2))
+    cases = [(NamedFamily("gamma_r", {"a": 2.5}), 64, gamma_r_closed(2, 2.5)),
+             # at 8 and 10 nodes these rules are off by 1e-2 or more
+             (bessel, 8, _BESSEL_R2), (bessel, 10, _BESSEL_R2),
+             (gauss, 8, _GAUSS_R2), (gauss, 10, _GAUSS_R2)]
+    for fam, nodes, ref in cases:
+        est = integrate_invariant(fam, 2, nodes=nodes)
+        bound = max(est.abs_error_est * 10, 1e-10 * abs(ref))
+        assert abs(est.value - ref) <= bound, (fam.tag, nodes)
 
 
 def test_mc_gamma_identity_within_three_sigma():
@@ -511,14 +532,6 @@ def test_divergent_full_line_raises_typed_error():
     pw = PartitionWeight.from_flat((3, 1), (-4, 0, -1, 2), 2, 1, strict=False)
     with pytest.raises(RadonHGFError):
         radon_hgf(z, pw, ChainSpec("full-line", 1))
-
-
-def test_invariance_probe_catches_violations():
-    from radon_hgf.integrate import INTERVAL, _invariance_probe
-
-    _invariance_probe(lambda u: complex(np.trace(u)), 2, INTERVAL)
-    with pytest.raises(NotInvariant):
-        _invariance_probe(lambda u: complex(u[0, 0]), 2, INTERVAL)
 
 
 def test_mc_lauricella_vs_series():
@@ -908,12 +921,30 @@ def test_growing_ray_raises():
      "interval-0-1", 1),
     (NamedFamily("gamma_r", {"a": 1.0}), "half-line", 2),  # p = -1
     (NamedFamily("bessel", {"c": 3.0}, X=np.eye(2)), "half-line", 2),  # rate = -1
+    (NamedFamily("airy", {}), "rotated-ray", 2),  # no eigenvalue weight
 ])
 def test_eigen_rule_and_mc_density_refuse_the_same_weights(fam, kind, r):
     with pytest.raises(IncompatibleChain):
-        integrate_invariant(fam, r, probe=False)
+        integrate_invariant(fam, r)
     with pytest.raises(IncompatibleChain):
         integrate_haar_mc(fam, ChainSpec(kind, r), 16, RandomStream(1))
+
+
+@pytest.mark.parametrize("kind, exponents, weight", [
+    ("interval-0-1", (1.5, 2.5), lambda u: u**0.5 * (1.0 - u) ** 1.5),
+    ("interval-0-1", (0.6, 1.3), lambda u: u**-0.4 * (1.0 - u) ** 0.3),
+    ("half-line", (1.5, 1.0), lambda u: u**0.5 * np.exp(-u)),
+    ("half-line", (2.2, 2.5), lambda u: u**1.2 * np.exp(-2.5 * u)),
+    ("full-line", (), lambda u: np.exp(-0.5 * u * u)),
+])
+def test_chain_law_rule_and_sampler_share_one_weight(kind, exponents, weight):
+    # at r = 1 the density is the weight over its mass, and the mass is
+    # what the Gauss rule's weights add up to
+    rule, sample = integrate._chain_law(kind, exponents, 1)
+    _, w = rule(32)
+    lam, logpdf = sample(RandomStream(3).generator(), 64)
+    mass = weight(lam[:, 0]) * np.exp(-logpdf)
+    assert np.allclose(mass, np.sum(w).real, rtol=1e-12, atol=0.0)
 
 
 def test_counts_out_of_range_raise_typed_errors():
@@ -921,6 +952,10 @@ def test_counts_out_of_range_raise_typed_errors():
         ChainSpec("half-line", 0)
     with pytest.raises(ShapeMismatch):
         integrate_invariant(NamedFamily("gamma_r", {"a": 3.0}), 0)
+    # the error estimate needs a coarser rule of at least r nodes
+    for r, nodes in ((1, 1), (2, 2), (3, 3), (4, 2)):
+        with pytest.raises(UnsupportedCount):
+            integrate_invariant(NamedFamily("gamma_r", {"a": 5.0}), r, nodes=nodes)
     for samples in (0, 1):  # one sample has no spread to estimate an error from
         with pytest.raises(UnsupportedCount):
             integrate_haar_mc(NamedFamily("gamma_r", {"a": 3.0}), ChainSpec("half-line", 2),
