@@ -187,9 +187,10 @@ def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResul
         raise ShapeMismatch("subdiagram minors need m = 2r")
     subs, cols = _minor_columns(z.lam, z.r)
     # the (k, 2r, 2r) stack of minors, one per subdiagram
-    minors = np.moveaxis(z.entries[:, cols], 0, 1)
+    minors = z.entries[:, cols].transpose(1, 0, 2)
     dets = np.abs(det_batch(minors))
-    bounds = np.prod(np.linalg.norm(minors, axis=1), axis=1)
+    # the column norms, as numpy's norm computes them
+    bounds = np.prod(np.sqrt(np.add.reduce((minors.conj() * minors).real, axis=1)), axis=1)
     failing = tuple(
         mu for mu, d, bound in zip(subs, dets.tolist(), bounds.tolist())
         if bound == 0.0 or d <= rtol * bound

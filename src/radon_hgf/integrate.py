@@ -12,9 +12,11 @@ Three strategies:
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
   ``hgs``), an integral that succeeds records each half's bisection tree
   under its half signature, and the next integral with that signature
-  evaluates the whole tree in its first call; its rounds then call the
-  integrand only for panels outside it. The values are bit-identical to
-  an unscoped run, and a plain ``radon_hgf`` call never enters a scope;
+  evaluates the whole tree in its first call. Each half then bisects on
+  its own through those values, and only a half that reaches a panel
+  outside its tree goes on in lock-step rounds. The values are
+  bit-identical to an unscoped run, and a plain ``radon_hgf`` call never
+  enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -251,8 +253,8 @@ class _Half:
         return [(self.start, self.end) if self.kappa == 1 else (0.0, 1.0)]
 
     def add(self, panels, values):
-        """Take the (value, error) of the panels of this round: the first
-        panel, or the two halves of the panel popped last."""
+        """Take the (value, error) of its newest panels: the first panel, or
+        the two halves of the panel popped last."""
         for (a, b), (v, e) in zip(panels, values):
             heappush(self.heap, (-e, self.tie, a, b, v, e))
             self.tie += 1
@@ -269,16 +271,33 @@ class _Half:
         return self.err > max(self.atol, rtol * abs(self.total)) and self.count < _MAX_INTERVALS
 
     def bisect(self):
-        """Pop the worst panel; its two halves are the next round's panels."""
+        """Pop the worst panel; its two halves are the next panels."""
         _, _, x0, x1, v, e = heappop(self.heap)
         self.popped = (v, e)
         mid = 0.5 * (x0 + x1)
         return [(x0, mid), (mid, x1)]
 
+    def advance(self, panels, values, ready, rtol):
+        """Add the values of ``panels``, then bisect on while both halves of
+        the popped panel were evaluated ahead (``ready`` maps a panel to its
+        value). Returns the panels this half needs next, or None once it is
+        closed."""
+        while True:
+            self.add(panels, values)
+            if not self.is_open(rtol):
+                self.close(rtol)
+                return None
+            panels = self.bisect()
+            try:
+                values = [ready[ab] for ab in panels]
+            except KeyError:
+                return panels
+
     def tree(self):
-        """Codes of the panels this half bisected, with 1 for the first
-        panel and 2c, 2c + 1 for the halves of panel c, read off the panels
-        left on its heap; None when a midpoint rounded onto an end."""
+        """Codes of the panels this half bisected in ascending order, with 1
+        for the first panel and 2c, 2c + 1 for the halves of panel c, read
+        off the panels left on its heap; None when a midpoint rounded onto
+        an end."""
         leaves = {(a, b) for _, _, a, b, _, _ in self.heap}
         todo, cut = [(*self.first_panel()[0], 1)], []
         while todo:
@@ -290,14 +309,14 @@ class _Half:
                 return None
             cut.append(code)
             todo += [(a, mid, 2 * code), (mid, b, 2 * code + 1)]
-        return cut
+        return sorted(cut)
 
     def panels_of(self, tree):
         """The panels this half evaluates after its first one when it
         bisects the panels of ``tree``, each split as ``bisect`` splits it."""
         bounds = {1: self.first_panel()[0]}
         panels = []
-        for code in sorted(tree):  # a panel's code is below its halves'
+        for code in tree:  # ascending: a panel's code is below its halves'
             x0, x1 = bounds[code]
             mid = 0.5 * (x0 + x1)
             bounds[2 * code], bounds[2 * code + 1] = (x0, mid), (mid, x1)
@@ -456,9 +475,12 @@ def _mesh_scope():
     """Let the r = 1 integrals run inside share their adaptive meshes.
 
     Each integral looks up the trees last recorded for its half signature
-    (the (kind, kappa) of every half), evaluates all their panels in its
-    first call of f, and records its own trees when it succeeds. Entering
-    while a scope is active reuses that scope."""
+    (the (kind, kappa) of every half) and evaluates all their panels in its
+    first call of f. Each half then replays its tree on its own: it adds
+    the values, tests them, bisects and looks up the two new panels, and
+    calls f again only for a panel outside the tree. An integral that
+    succeeds records its trees, keeping a tree its half bisected exactly.
+    Entering while a scope is active reuses that scope."""
     if _MESH.get() is not None:
         yield
         return
@@ -492,18 +514,6 @@ def _first_round(f, halves, panels, trees):
     return values, ready
 
 
-def _replay(f, halves, panels, ready):
-    """``_round`` where the panels in ``ready`` were evaluated ahead: f is
-    called on the panels of the other halves only."""
-    missing = {i: spans for i, spans in panels.items()
-               if not all(ab in ready.get(i, ()) for ab in spans)}
-    values = _round(f, halves, missing) if missing else {}
-    for i, spans in panels.items():
-        if i not in missing:
-            values[i] = [ready[i][ab] for ab in spans]
-    return values
-
-
 def _first_failure(halves) -> int:
     return next((i for i, h in enumerate(halves) if h.failure is not None), len(halves))
 
@@ -517,46 +527,53 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     (QUADPACK's rule). The halves run in lock-step rounds: in each round
     every open half bisects once, and the nodes of all new panels go to one
     call of f. A half that fails closes every later half; the first failure
-    in chain order is raised, as a sequential walk would raise it.
+    in chain order is raised, as a sequential walk would raise it. The
+    tolerance must be positive and finite.
 
     Inside a mesh scope (``_mesh_scope``) the first call also evaluates
-    every panel of the trees recorded for the same half signature, later
-    rounds call f only for the panels it did not cover, and a run in which
-    every half succeeds records its own trees. The estimate is the same,
-    bit for bit, as outside a scope.
+    every panel of the trees recorded for the same half signature. Each
+    half then bisects on its own through the panels evaluated ahead, and
+    joins the lock-step rounds only for a panel outside them. A run in
+    which every half succeeds records its trees: a half that bisected
+    exactly its recorded tree keeps it. The estimate is the same, bit for
+    bit, as outside a scope.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     halves = _halves(pieces, tol)
     panels = {i: halves[i].first_panel() for i in range(_first_failure(halves))}
     mesh = _MESH.get()
-    trees = ready = None
+    trees, ready = None, {}
     if mesh is not None:
         signature = tuple((h.kind, h.kappa) for h in halves)
         # an integral with a half that failed before its first round will
         # raise; it takes no panels ahead, and runs call for call unscoped
         if len(panels) == len(halves):
             trees = mesh.get(signature)
+    # the halves that needed a call of f after the first
+    called = set()
     # a value that overflows makes its half fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        if panels and trees is not None:
+            values, ready = _first_round(f, halves, panels, trees)
+        elif panels:
+            values = _round(f, halves, panels)
         while panels:
-            if ready is not None:
-                values = _replay(f, halves, panels, ready)
-            elif trees is not None:
-                values, ready = _first_round(f, halves, panels, trees)
-            else:
-                values = _round(f, halves, panels)
-            limit = _first_failure(halves)
             live = {}
+            # a half that fails closes the later ones
             for i, spans in panels.items():
-                if i >= limit:
-                    break
                 h = halves[i]
-                h.add(spans, values[i])
-                if h.is_open(tol):
-                    live[i] = h.bisect()
-                else:
-                    h.close(tol)
-            limit = _first_failure(halves)
-            panels = {i: spans for i, spans in live.items() if i < limit}
+                if h.failure is not None:
+                    break
+                spans = h.advance(spans, values[i], ready.get(i, {}), tol)
+                if h.failure is not None:
+                    break
+                if spans is not None:
+                    live[i] = spans
+            panels = live
+            called.update(live)
+            if panels:
+                values = _round(f, halves, panels)
     total = 0.0 + 0.0j
     err = 0.0
     count = 0
@@ -567,9 +584,13 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         err += h.err
         count += h.count
     if mesh is not None:
-        trees = [h.tree() for h in halves]
-        if None not in trees:
-            mesh[signature] = trees
+        # a half whose every bisection found its panels evaluated ahead, as
+        # many as its tree has codes, bisected that tree
+        kept = [trees[i] if trees is not None and i not in called
+                and h.count - 1 == len(trees[i]) else h.tree()
+                for i, h in enumerate(halves)]
+        if None not in kept:
+            mesh[signature] = kept
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 
@@ -857,12 +878,12 @@ def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
     past exp(700), raises before any power or exponential is taken."""
     if z.r != 1 or pw.r != 1:
         raise ShapeMismatch("scalar chart function requires r = 1")
+    top, bottom = z.entries.tolist()[:2]
     blocks = []
+    start = 0
     for j, nk in enumerate(z.lam):
-        coeffs = []
-        for q in range(nk):
-            col = z.block(j, q)
-            coeffs.append((complex(col[0, 0]), complex(col[1, 0])))
+        coeffs = list(zip(top[start : start + nk], bottom[start : start + nk]))
+        start += nk
         blocks.append((coeffs, pw.alpha[j], _theta_terms(nk)))
 
     def f(u):
@@ -902,10 +923,12 @@ def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
 
 
 def _block_roots_r1(z: CoordMatrix):
+    top, bottom = z.entries.tolist()[:2]
     roots = []
-    for j in range(z.ell):
-        col = z.block(j, 0)
-        a0, b0 = complex(col[0, 0]), complex(col[1, 0])
+    start = 0
+    for nk in z.lam:
+        a0, b0 = top[start], bottom[start]
+        start += nk
         roots.append(None if abs(b0) < 1e-13 * max(1.0, abs(a0)) else -a0 / b0)
     return roots
 

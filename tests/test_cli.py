@@ -195,6 +195,20 @@ def test_radon_command(tmp_path, capsys):
     assert report["results"]["estimate"]["method"] == "adaptive-1d"
 
 
+def test_radon_meaningless_tolerance_exits_2(tmp_path, capsys):
+    z_file = tmp_path / "z.json"
+    z_file.write_text(json.dumps(matrix_to_json(
+        pattern((1, 1, 1, 1), 1, (np.array([[0.4]]),))
+    )))
+    code, report = run_cli(
+        capsys, "radon", "--partition", "1,1,1,1", "--r", "1",
+        "--alpha=-0.8,-0.3,0.4,-1.3", "--z-json", str(z_file),
+        "--chain", "interval-0-1", "--relaxed", "--tol", "nan",
+    )
+    assert code == 2
+    assert "tolerance must be positive and finite, got nan" in report["error"]
+
+
 def test_chi_alpha_json(tmp_path, capsys):
     from radon_hgf.characters import GroupElement
     from radon_hgf.jordan import TruncPoly

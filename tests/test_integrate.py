@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -824,8 +825,8 @@ def _stencil_points(z0):
     return points
 
 
-def _estimate(z, pw, chain):
-    est = radon_hgf(z, pw, chain, Budget(tol=5e-13))
+def _estimate(z, pw, chain, tol=5e-13):
+    est = radon_hgf(z, pw, chain, Budget(tol=tol))
     return est.value, est.abs_error_est, est.nodes_or_samples
 
 
@@ -905,6 +906,122 @@ def test_prefetched_node_that_raises_changes_nothing():
             scoped = integrate_pieces(loud, pieces, tol=1e-12)
     assert raised
     assert scoped == unscoped
+
+
+def _derived_trees(z, pw, chain, tol=5e-13):
+    """The trees that ``_Half.tree`` reads off a run with nothing recorded."""
+    with integrate._mesh_scope():
+        radon_hgf(z, pw, chain, Budget(tol=tol))
+        return integrate._MESH.get()[_signature(z, pw, chain, tol)]
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_replay_past_a_shallower_tree_is_bit_identical(lam):
+    # the halves replay the tree of a coarse tolerance, then bisect on in
+    # lock-step rounds
+    z0, pw, chain = _pde_base(lam)
+    second = _stencil_points(z0)[1]
+    unscoped = _estimate(second, pw, chain, 5e-13)
+    with integrate._mesh_scope():
+        _estimate(z0, pw, chain, 1e-8)
+        scoped = _estimate(second, pw, chain, 5e-13)
+    assert scoped == unscoped
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_replay_of_a_deeper_tree_is_bit_identical(lam):
+    # the halves close inside the recorded tree, and record what they cut
+    z0, pw, chain = _pde_base(lam)
+    second = _stencil_points(z0)[1]
+    unscoped = _estimate(second, pw, chain, 1e-8)
+    with integrate._mesh_scope():
+        _estimate(z0, pw, chain, 5e-13)
+        deep = integrate._MESH.get()[_signature(z0, pw, chain)]
+        scoped = _estimate(second, pw, chain, 1e-8)
+        kept = integrate._MESH.get()[_signature(z0, pw, chain)]
+    assert scoped == unscoped
+    assert kept == _derived_trees(second, pw, chain, 1e-8)
+    assert sum(map(len, kept)) < sum(map(len, deep))
+
+
+def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
+    # the (2,2) base point's halves take 6 and 5 panels; with 4 allowed the
+    # first half gives up while it replays the recorded tree
+    z0, pw, chain = _pde_base((2, 2))
+    second = _stencil_points(z0)[1]
+    with integrate._mesh_scope():
+        _estimate(z0, pw, chain, 5e-13)
+        recorded = dict(integrate._MESH.get())
+        monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
+        with pytest.raises(NonConvergent) as scoped:
+            _estimate(second, pw, chain, 5e-13)
+        assert integrate._MESH.get() == recorded
+    with pytest.raises(NonConvergent) as unscoped:
+        _estimate(second, pw, chain, 5e-13)
+    assert "interval budget 4 exhausted" in str(scoped.value)
+    assert str(scoped.value) == str(unscoped.value)
+
+
+def test_half_that_bisects_its_recorded_tree_keeps_it(monkeypatch):
+    z0, pw, chain = _pde_base((2, 2))
+    points = _stencil_points(z0)
+    derived = [_derived_trees(z, pw, chain) for z in points]
+    reads = []
+    tree = integrate._Half.tree
+
+    def counted(self):
+        reads.append(self)
+        return tree(self)
+
+    monkeypatch.setattr(integrate._Half, "tree", counted)
+    with integrate._mesh_scope():
+        for z, trees in zip(points, derived):
+            radon_hgf(z, pw, chain, Budget(tol=5e-13))
+            assert integrate._MESH.get()[_signature(z0, pw, chain)] == trees
+    # the first point reads both trees off its heaps; most later ones keep
+    # theirs
+    assert 2 <= len(reads) < len(points)
+
+
+def test_half_that_leaves_its_tree_records_its_own():
+    # poles at p and 1 - p: at p = 0.2 and 0.3 each half cuts 14 panels,
+    # but other ones
+    def poles(p):
+        return lambda u: 1.0 / (u - p - 0.01j) + 1.0 / (u - (1.0 - p) - 0.01j)
+
+    pieces = [Segment(0.0, 1.0)]
+    unscoped = integrate_pieces(poles(0.3), pieces, tol=1e-12)
+    with integrate._mesh_scope():
+        integrate_pieces(poles(0.3), pieces, tol=1e-12)
+        (derived,) = integrate._MESH.get().values()
+    with integrate._mesh_scope():
+        integrate_pieces(poles(0.2), pieces, tol=1e-12)
+        (other,) = integrate._MESH.get().values()
+        scoped = integrate_pieces(poles(0.3), pieces, tol=1e-12)
+        (own,) = integrate._MESH.get().values()
+    assert list(map(len, other)) == list(map(len, derived)) and other != derived
+    assert scoped == unscoped
+    assert own == derived
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_meaningless_tolerance_is_refused(tol):
+    # the README example: nan and inf used to return a value good to 1.7e-4
+    # after two panels, 0 and -1 to spend 4000 panels before NonConvergent
+    a, b, c, x = 0.7, 1.3, 2.1, 0.4
+    pw = PartitionWeight((1, 1, 1, 1), ((b - c,), (a - 1,), (c - a - 1,), (-b,)), 2, 1,
+                         strict=False)
+    z = CoordMatrix((1, 1, 1, 1), 1, pattern((1, 1, 1, 1), 1, (np.array([[x]]),)))
+    message = f"tolerance must be positive and finite, got {tol}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        radon_hgf(z, pw, ChainSpec("interval-0-1", 1), Budget(tol=tol))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_r1(NamedFamily("beta_r", {"a": 2.5, "b": 1.5}), ChainSpec("interval-0-1", 1),
+                     tol=tol)
+    calls = []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_pieces(calls.append, [Segment(0.0, 1.0)], tol=tol)
+    assert calls == []
 
 
 def test_growing_ray_raises():
