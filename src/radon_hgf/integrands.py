@@ -41,14 +41,7 @@ from .errors import (
     UnsupportedPartition,
 )
 from .grassmann import ChartPoint, CoordMatrix
-from .linalg import (
-    as_matrix,
-    det_batch,
-    hermitian_eigen,
-    inv_batch,
-    matmul_batch,
-    trace_matmul_batch,
-)
+from .linalg import as_matrix, det_batch, hermitian_eigen, inv_batch, matmul_batch
 from .ncpoly import theta_symbolic
 
 INTERVAL = "interval-0-1"
@@ -211,12 +204,7 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
         m0 = block[:, :, :r]
         alpha = spec.pw.alpha[j]
         expo += alpha[0] * _logdet_batch(m0)
-        if nk == 2:
-            # theta_1 = m0^{-1} t z_1 is the block's one term, and only its
-            # trace enters the exponent
-            [[(_, c)]] = _theta_terms(2)
-            expo += (alpha[1] * c) * trace_matmul_batch(inv_batch(m0), block[:, :, r:])
-        elif nk > 2:
+        if nk > 1:
             # m0^{-1} t z_q for q = 1 .. nk - 1, side by side
             sol = matmul_batch(inv_batch(m0), block[:, :, r:])
             coeffs = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]

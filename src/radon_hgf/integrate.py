@@ -13,10 +13,10 @@ Three strategies:
   ``hgs``), an integral that succeeds records each half's bisection tree
   under its half signature, and the next integral with that signature
   evaluates the whole tree in its first call. Each half then bisects on
-  its own through those values, and only a half that reaches a panel
-  outside its tree goes on in lock-step rounds. The values are
-  bit-identical to an unscoped run, and a plain ``radon_hgf`` call never
-  enters a scope;
+  its own through those values; a half that reaches a panel outside its
+  tree waits for that panel's round, and f is called round by round on
+  the panels that are missing. The values are bit-identical to an
+  unscoped run, and a plain ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -288,16 +288,14 @@ class _Half:
                 self.close(rtol)
                 return None
             panels = self.bisect()
-            try:
-                values = [ready[ab] for ab in panels]
-            except KeyError:
+            values = [ready.get(ab) for ab in panels]
+            if None in values:
                 return panels
 
     def tree(self):
-        """Codes of the panels this half bisected in ascending order, with 1
-        for the first panel and 2c, 2c + 1 for the halves of panel c, read
-        off the panels left on its heap; None when a midpoint rounded onto
-        an end."""
+        """Codes of the panels this half bisected, with 1 for the first
+        panel and 2c, 2c + 1 for the halves of panel c, read off the panels
+        left on its heap; None when a midpoint rounded onto an end."""
         leaves = {(a, b) for _, _, a, b, _, _ in self.heap}
         todo, cut = [(*self.first_panel()[0], 1)], []
         while todo:
@@ -309,14 +307,14 @@ class _Half:
                 return None
             cut.append(code)
             todo += [(a, mid, 2 * code), (mid, b, 2 * code + 1)]
-        return sorted(cut)
+        return cut
 
     def panels_of(self, tree):
         """The panels this half evaluates after its first one when it
         bisects the panels of ``tree``, each split as ``bisect`` splits it."""
         bounds = {1: self.first_panel()[0]}
         panels = []
-        for code in tree:  # ascending: a panel's code is below its halves'
+        for code in sorted(tree):  # a panel's code is below its halves'
             x0, x1 = bounds[code]
             mid = 0.5 * (x0 + x1)
             bounds[2 * code], bounds[2 * code + 1] = (x0, mid), (mid, x1)
@@ -478,9 +476,9 @@ def _mesh_scope():
     (the (kind, kappa) of every half) and evaluates all their panels in its
     first call of f. Each half then replays its tree on its own: it adds
     the values, tests them, bisects and looks up the two new panels, and
-    calls f again only for a panel outside the tree. An integral that
-    succeeds records its trees, keeping a tree its half bisected exactly.
-    Entering while a scope is active reuses that scope."""
+    calls f again only for a panel outside the tree, in its lock-step
+    round. An integral that succeeds records its trees. Entering while a
+    scope is active reuses that scope."""
     if _MESH.get() is not None:
         yield
         return
@@ -532,11 +530,14 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
 
     Inside a mesh scope (``_mesh_scope``) the first call also evaluates
     every panel of the trees recorded for the same half signature. Each
-    half then bisects on its own through the panels evaluated ahead, and
-    joins the lock-step rounds only for a panel outside them. A run in
-    which every half succeeds records its trees: a half that bisected
-    exactly its recorded tree keeps it. The estimate is the same, bit for
-    bit, as outside a scope.
+    half then bisects on its own through the panels evaluated ahead. A
+    half that reaches a panel outside them waits for that panel's round:
+    f is called round by round, the earliest first, on the panels of the
+    halves that wait for it, so each call takes what that lock-step round
+    would have had to evaluate, and a half that fails in a round stops the
+    later halves after that round. A run in which every half succeeds
+    records its trees. The estimate is the same, bit for bit, as outside a
+    scope.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -550,30 +551,37 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         # raise; it takes no panels ahead, and runs call for call unscoped
         if len(panels) == len(halves):
             trees = mesh.get(signature)
-    # the halves that needed a call of f after the first
-    called = set()
     # a value that overflows makes its half fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if panels and trees is not None:
             values, ready = _first_round(f, halves, panels, trees)
         elif panels:
             values = _round(f, halves, panels)
+        waiting = {}
         while panels:
-            live = {}
-            # a half that fails closes the later ones
             for i, spans in panels.items():
-                h = halves[i]
+                # a half after one that raised in the fallback has no values
+                if i in values:
+                    spans = halves[i].advance(spans, values[i], ready.get(i, {}), tol)
+                    if spans is not None:
+                        waiting[i] = spans
+            # a half asks for the panels of round h.count; a half that failed
+            # at round R (count R, or R + 1 once it has added that round)
+            # closes the later halves after round R, as lock-step rounds would
+            cap = math.inf
+            for i, h in enumerate(halves):
+                if h.count >= cap:
+                    waiting.pop(i, None)
                 if h.failure is not None:
-                    break
-                spans = h.advance(spans, values[i], ready.get(i, {}), tol)
-                if h.failure is not None:
-                    break
-                if spans is not None:
-                    live[i] = spans
-            panels = live
-            called.update(live)
-            if panels:
+                    cap = min(cap, h.count)
+            # the next call takes the earliest round, so f sees the same
+            # panels together as in lock-step rounds
+            if waiting:
+                low = min(halves[i].count for i in waiting)
+                panels = {i: waiting.pop(i) for i in sorted(waiting) if halves[i].count == low}
                 values = _round(f, halves, panels)
+            else:
+                panels = {}
     total = 0.0 + 0.0j
     err = 0.0
     count = 0
@@ -584,13 +592,9 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         err += h.err
         count += h.count
     if mesh is not None:
-        # a half whose every bisection found its panels evaluated ahead, as
-        # many as its tree has codes, bisected that tree
-        kept = [trees[i] if trees is not None and i not in called
-                and h.count - 1 == len(trees[i]) else h.tree()
-                for i, h in enumerate(halves)]
-        if None not in kept:
-            mesh[signature] = kept
+        trees = [h.tree() for h in halves]
+        if None not in trees:
+            mesh[signature] = trees
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 

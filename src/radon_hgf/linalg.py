@@ -6,19 +6,18 @@ checks) and Haar-distributed unitary sampling that the rest of the code
 relies on.
 
 The stack kernels (``haar_from_gaussian``, ``conjugate_diag``,
-``matmul_batch``, ``trace_matmul_batch``, ``det_batch``, ``inv_batch``)
-work on (batch, r, r) stacks of small matrices, as the Monte Carlo path
-and the batched integrands produce them. numpy's linalg routines and
-stacked ``@`` make one LAPACK or BLAS call per matrix, whose dispatch
-costs far more than the arithmetic of a 2 x 2 matrix. These kernels
-loop in Python over the r indices only, so each numpy operation runs
-across the whole batch; r is read from the shape. A product with one
-matrix is a single GEMM over the rows of the whole stack. The
-determinant and the inverse have closed forms at r = 1 and 2 and defer
-to LAPACK above, where an LU across the batch would no longer pay. The
-Haar draw orthonormalizes only the columns it is given, and
-U = V diag(lam) V^* is formed from the first r - 1 columns of V, which
-with V V^* = 1 determine it. No kernel writes into its arguments.
+``matmul_batch``, ``det_batch``, ``inv_batch``) work on (batch, r, r)
+stacks of small matrices, as the Monte Carlo path and the batched
+integrands produce them. numpy's linalg routines and stacked ``@`` make one LAPACK or BLAS
+call per matrix, whose dispatch costs far more than the arithmetic of a
+2 x 2 matrix. These kernels loop in Python over the r indices only, so
+each numpy operation runs across the whole batch; r is read from the
+shape. A product with one matrix is a single GEMM over the rows of the
+whole stack. The determinant and the inverse have closed forms at r = 1
+and 2 and defer to LAPACK above, where an LU across the batch would no
+longer pay. The Haar draw orthonormalizes only the columns it is given,
+and U = V diag(lam) V^* is formed from the first r - 1 columns of V,
+which with V V^* = 1 determine it. No kernel writes into its arguments.
 """
 
 import numpy as np
@@ -166,35 +165,15 @@ def conjugate_diag(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def matmul_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for a (batch, n, k) stack x and y either one (k, p) matrix or
     a (batch, k, p) stack. Against one matrix it is a single product of
-    the rows of all of x; against a stack, each entry (i, j) is the sum
-    over the inner index l = 0, 1, ... of x_il y_lj across the batch."""
+    the rows of all of x; against a stack, k broadcast products over the
+    inner index."""
     b, n, k = x.shape
     if y.ndim == 2:
         return (x.reshape(b * n, k) @ y).reshape(b, n, y.shape[1])
-    p = y.shape[2]
-    out = np.empty((b, n, p), dtype=np.result_type(x, y))
-    for i in range(n):
-        for j in range(p):
-            out[:, i, j] = _entry(x, y, i, j)
+    out = x[:, :, 0, None] * y[:, None, 0, :]
+    for l in range(1, k):
+        out += x[:, :, l, None] * y[:, None, l, :]
     return out
-
-
-def trace_matmul_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """tr(x @ y) for (batch, n, k) and (batch, k, n) stacks, without the
-    product: the diagonal entries of ``matmul_batch(x, y)``, summed in
-    order as the trace of that product is."""
-    acc = _entry(x, y, 0, 0)
-    for i in range(1, x.shape[1]):
-        acc = acc + _entry(x, y, i, i)
-    return acc
-
-
-def _entry(x, y, i, j):
-    """sum_l x_il y_lj across the batch, in order l = 0, 1, ..."""
-    acc = x[:, i, 0] * y[:, 0, j]
-    for l in range(1, x.shape[2]):
-        acc += x[:, i, l] * y[:, l, j]
-    return acc
 
 
 def det_batch(m: np.ndarray) -> np.ndarray:

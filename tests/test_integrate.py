@@ -962,46 +962,39 @@ def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
     assert str(scoped.value) == str(unscoped.value)
 
 
-def test_half_that_bisects_its_recorded_tree_keeps_it(monkeypatch):
-    z0, pw, chain = _pde_base((2, 2))
-    points = _stencil_points(z0)
-    derived = [_derived_trees(z, pw, chain) for z in points]
-    reads = []
-    tree = integrate._Half.tree
+def test_failing_half_stops_a_later_half_at_its_round():
+    # the recorded trees cut a milder pole at 0.7 only: the first half
+    # leaves its tree at once and turns nan near 0.21 six rounds on, while
+    # the second half has left its tree too and is calling f
+    def window(u):
+        return (u.real > 0.2095) & (u.real < 0.2105)
 
-    def counted(self):
-        reads.append(self)
-        return tree(self)
+    def poles(u):
+        v = 1.0 / (u - 0.7 - 0.0005j) + 1.0 / (u - 0.21 - 0.001j)
+        v[window(u)] = np.nan
+        return v
 
-    monkeypatch.setattr(integrate._Half, "tree", counted)
-    with integrate._mesh_scope():
-        for z, trees in zip(points, derived):
-            radon_hgf(z, pw, chain, Budget(tol=5e-13))
-            assert integrate._MESH.get()[_signature(z0, pw, chain)] == trees
-    # the first point reads both trees off its heaps; most later ones keep
-    # theirs
-    assert 2 <= len(reads) < len(points)
-
-
-def test_half_that_leaves_its_tree_records_its_own():
-    # poles at p and 1 - p: at p = 0.2 and 0.3 each half cuts 14 panels,
-    # but other ones
-    def poles(p):
-        return lambda u: 1.0 / (u - p - 0.01j) + 1.0 / (u - (1.0 - p) - 0.01j)
+    def logged(calls):
+        return lambda u: calls.append(np.array(u)) or poles(u)
 
     pieces = [Segment(0.0, 1.0)]
-    unscoped = integrate_pieces(poles(0.3), pieces, tol=1e-12)
+    unscoped, scoped = [], []
+    with pytest.raises(NonConvergent) as plain:
+        integrate_pieces(logged(unscoped), pieces, tol=1e-12)
     with integrate._mesh_scope():
-        integrate_pieces(poles(0.3), pieces, tol=1e-12)
-        (derived,) = integrate._MESH.get().values()
-    with integrate._mesh_scope():
-        integrate_pieces(poles(0.2), pieces, tol=1e-12)
-        (other,) = integrate._MESH.get().values()
-        scoped = integrate_pieces(poles(0.3), pieces, tol=1e-12)
-        (own,) = integrate._MESH.get().values()
-    assert list(map(len, other)) == list(map(len, derived)) and other != derived
-    assert scoped == unscoped
-    assert own == derived
+        integrate_pieces(lambda u: 1.0 / (u - 0.7 - 0.05j), pieces, tol=1e-12)
+        recorded = dict(integrate._MESH.get())
+        with pytest.raises(NonConvergent) as replayed:
+            integrate_pieces(logged(scoped), pieces, tol=1e-12)
+        assert integrate._MESH.get() == recorded
+    assert str(replayed.value) == str(plain.value) == "the integrand is not finite along the chain"
+    later = np.concatenate(scoped[1:])
+    assert (later.real > 0.5).any()
+    # no call takes a panel that lock-step rounds never reach, and the round
+    # in which the first half fails is the last that calls f
+    assert set(later.tolist()) <= set(np.concatenate(unscoped).tolist())
+    for calls in (unscoped, scoped):
+        assert [i for i, u in enumerate(calls) if window(u).any()] == [len(calls) - 1]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -16,7 +16,6 @@ from radon_hgf.linalg import (
     inv_batch,
     inverse,
     matmul_batch,
-    trace_matmul_batch,
 )
 from radon_hgf.rng import RandomStream, standard_complex
 
@@ -169,15 +168,6 @@ def test_matmul_batch_single_and_stack():
     assert np.allclose(matmul_batch(x, y[0]), x @ y[0], rtol=0, atol=1e-14)
     rect = standard_complex(RandomStream(52), (3, 2))
     assert np.allclose(matmul_batch(x, rect), x @ rect, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_trace_without_the_product_is_the_trace_of_the_product(r):
-    # the chart integrand takes tr(m0^{-1} t z_1) of a depth-two block
-    # this way; equality keeps its values those of the product's trace
-    x = inv_batch(_gaussian_stack(r, 4000, 70 + r))
-    y = _gaussian_stack(r, 4000, 80 + r)
-    assert np.array_equal(trace_matmul_batch(x, y), np.einsum("bii->b", matmul_batch(x, y)))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
