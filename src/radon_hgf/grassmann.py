@@ -189,8 +189,7 @@ def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResul
     # the (k, 2r, 2r) stack of minors, one per subdiagram
     minors = z.entries[:, cols].transpose(1, 0, 2)
     dets = np.abs(det_batch(minors))
-    # the column norms, as numpy's norm computes them
-    bounds = np.prod(np.sqrt(np.add.reduce((minors.conj() * minors).real, axis=1)), axis=1)
+    bounds = hadamard_bound(minors)
     failing = tuple(
         mu for mu, d, bound in zip(subs, dets.tolist(), bounds.tolist())
         if bound == 0.0 or d <= rtol * bound
@@ -219,8 +218,8 @@ def general_Z_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> bool:
 def apply_group(z: CoordMatrix, g=None, h: GroupElement | None = None) -> CoordMatrix:
     """Left GL(m) action and right block-group action, g z h.
 
-    The right action mixes columns within a block by the Toeplitz rule
-    new z_q = sum_{s + k = q} z_s h_k.
+    The right action mixes columns within a block by the Toeplitz rule of
+    ``block_action``.
     """
     e = z.entries
     if g is not None:
@@ -228,15 +227,23 @@ def apply_group(z: CoordMatrix, g=None, h: GroupElement | None = None) -> CoordM
     if h is not None:
         if h.lam != z.lam:
             raise ShapeMismatch("group element blocks do not match the partition")
-        cols = []
-        zg = z.with_entries(e) if g is not None else z
-        for j, nk in enumerate(z.lam):
-            hb = h.blocks[j]
-            for q in range(nk):
-                acc = np.zeros((z.m, z.r), dtype=np.complex128)
-                for s in range(q + 1):
-                    acc += zg.block(j, s) @ hb.coeffs[q - s]
-                cols.append(acc)
+        cols, start = [], 0
+        for nk, hb in zip(z.lam, h.blocks):
+            stop = start + nk * z.r
+            cols.append(block_action(e[:, start:stop], hb.coeffs, z.r))
+            start = stop
         e = np.concatenate(cols, axis=1)
     return z.with_entries(e)
 
+
+def block_action(cols: np.ndarray, coeffs, r: int) -> np.ndarray:
+    """The columns (z_0, ..., z_{p-1}) of one block, an m x pr array, after
+    the right action of (h_0, ..., h_{p-1}): the Toeplitz rule
+    new z_q = sum_{s + k = q} z_s h_k, summed in the order s = 0, ..., q."""
+    out = []
+    for q in range(len(coeffs)):
+        acc = np.zeros((cols.shape[0], r), dtype=np.complex128)
+        for s in range(q + 1):
+            acc += cols[:, s * r : (s + 1) * r] @ coeffs[q - s]
+        out.append(acc)
+    return np.concatenate(out, axis=1)

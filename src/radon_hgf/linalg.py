@@ -40,10 +40,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def hadamard_bound(a: np.ndarray) -> float:
-    """Product of column 2-norms; upper bound for |det a|."""
-    norms = np.linalg.norm(a, axis=0)
-    return float(np.prod(norms))
+def hadamard_bound(a: np.ndarray):
+    """Product of column 2-norms, an upper bound for |det a|, of one matrix
+    or of each matrix of a (batch, m, m) stack.
+
+    The norms are numpy ``norm``'s own arithmetic, sqrt(sum (conj(x) x).real),
+    without its wrapper."""
+    a = np.asarray(a)
+    return np.multiply.reduce(np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2)), axis=-1)
 
 
 def det(a) -> complex:
@@ -54,11 +58,13 @@ def det(a) -> complex:
 
 
 def inverse(a, rtol: float = SINGULAR_RTOL) -> np.ndarray:
+    """np.linalg.inv(a), or SingularMatrix when |det a| (from ``det_batch``)
+    is at most rtol times the Hadamard bound."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("inverse of a non-square matrix")
     bound = hadamard_bound(a)
-    if bound == 0.0 or abs(np.linalg.det(a)) <= rtol * bound:
+    if bound == 0.0 or abs(det_batch(a[None])[0]) <= rtol * bound:
         raise SingularMatrix("matrix is singular to working tolerance")
     return np.linalg.inv(a)
 

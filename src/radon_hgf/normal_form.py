@@ -6,6 +6,11 @@ that clear the remaining columns.  No alternative pivots are tried, so a
 failed inversion means the input is outside the open stratum and
 surfaces as NotInZLambda.  The recovered residual parameters x are the
 effective variables of the hypergeometric families.
+
+The moves act on the point's entries array: a left move is one product,
+a right move rewrites the columns of its own block only, and the reduced
+entries are validated as a CoordMatrix once, at the end.  A move that
+overflows shows there, or at the next pivot, as DegenerateOrbit.
 """
 
 from dataclasses import dataclass
@@ -14,7 +19,13 @@ import numpy as np
 
 from .characters import GroupElement
 from .errors import DegenerateOrbit, NotInZLambda, ShapeMismatch, SingularMatrix
-from .grassmann import CoordMatrix, apply_group, require_member, z_lambda_member
+from .grassmann import (
+    CoordMatrix,
+    apply_group,
+    block_action,
+    require_member,
+    z_lambda_member,
+)
 from .jordan import TruncPoly, trunc_mul
 from .linalg import inverse
 
@@ -106,43 +117,63 @@ def residual_parameters(z: CoordMatrix):
 
 
 class _Reduction:
-    """Accumulates left GL(2r) and right block-group moves."""
+    """Accumulates left GL(2r) and right block-group moves on the 2r x nr
+    entries array of the point being reduced.
+
+    A left move is one product g @ e on the whole array. A right move of
+    block j rewrites only that block's n_j r columns, by the Toeplitz rule of
+    ``block_action``; the other blocks are left as they are. Every move makes
+    a new array, so blocks read before a move keep their values. The
+    entries are validated as a ``CoordMatrix`` once, in ``result``.
+    """
 
     def __init__(self, z: CoordMatrix):
-        self.z = z
+        self.lam, self.r = z.lam, z.r
+        self.e = z.entries
+        self.starts = [z._block_start(j) for j in range(z.ell)]
         self.g = np.eye(z.m, dtype=np.complex128)
         self.hblocks = [TruncPoly.unit(z.r, nk) for nk in z.lam]
 
     def left(self, g):
-        self.z = apply_group(self.z, g=g)
+        self.e = g @ self.e
         self.g = g @ self.g
 
     def right_block(self, j, coeffs):
-        r, nk = self.z.r, self.z.lam[j]
+        r, nk = self.r, self.lam[j]
         coeffs = list(coeffs) + [np.zeros((r, r))] * (nk - len(coeffs))
         tp = TruncPoly.from_list(coeffs)
-        blocks = [
-            tp if k == j else TruncPoly.unit(self.z.r, n)
-            for k, n in enumerate(self.z.lam)
-        ]
-        self.z = apply_group(self.z, h=GroupElement(tuple(blocks)))
+        start, stop = self.starts[j], self.starts[j] + nk * r
+        e = self.e.copy()
+        e[:, start:stop] = block_action(self.e[:, start:stop], tp.coeffs, r)
+        self.e = e
         self.hblocks[j] = trunc_mul(self.hblocks[j], tp)
 
+    def block(self, j, q):
+        start = self.starts[j] + q * self.r
+        return self.e[:, start : start + self.r]
+
     def upper(self, j, q):
-        return self.z.block(j, q)[: self.z.r, :]
+        return self.block(j, q)[: self.r, :]
 
     def lower(self, j, q):
-        return self.z.block(j, q)[self.z.r :, :]
+        return self.block(j, q)[self.r :, :]
 
     def result(self, xs, form_id, target) -> NormalFormResult:
-        final = self.z.entries
+        final = self.e
+        if not np.isfinite(final).all():
+            raise DegenerateOrbit(f"reduction overflowed to non-finite entries for {form_id}")
         scale = max(1.0, float(np.abs(target).max()), float(np.abs(final).max()))
         residual = float(np.abs(final - target).max()) / scale
-        if residual > RESIDUAL_RTOL:
+        # a nan residual fails this test too
+        if not residual <= RESIDUAL_RTOL:
             raise DegenerateOrbit(
                 f"reduction residual {residual:.2e} exceeds tolerance for {form_id}"
             )
-        if not z_lambda_member(self.z).member:
+        try:
+            reduced = CoordMatrix(self.lam, self.r, final)
+        except ShapeMismatch as exc:
+            raise DegenerateOrbit(f"reduced form is rank deficient ({form_id})") from exc
+        if not z_lambda_member(reduced).member:
             raise DegenerateOrbit(
                 f"reduced form violates the table nondegeneracy conditions ({form_id})"
             )
@@ -160,6 +191,8 @@ def _pivot_inverse(mat, what):
         return inverse(mat)
     except SingularMatrix as exc:
         raise NotInZLambda(f"designated pivot {what} is singular") from exc
+    except ValueError as exc:  # the moves so far overflowed
+        raise DegenerateOrbit(f"designated pivot {what} is not finite") from exc
 
 
 def _shear(r, beta):
@@ -185,19 +218,18 @@ def _all_ones_steps(red: _Reduction) -> tuple:
     """The all-ones pivot recipe: (z1, z2) to the identity, the third block
     to (I, -I), then the top of every later block to I.  Returns the
     residual parameters x_4, ..., x_n."""
-    z = red.z
     g1 = _pivot_inverse(
-        np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z1, z2)"
+        np.concatenate([red.block(0, 0), red.block(1, 0)], axis=1), "(z1, z2)"
     )
     red.left(g1)
     v0, v1 = red.upper(2, 0), red.lower(2, 0)
     h3 = _pivot_inverse(v0, "v0")
     h2 = -v1 @ h3
-    red.left(_row_scale(z.r, _pivot_inverse(h2, "h2")))
+    red.left(_row_scale(red.r, _pivot_inverse(h2, "h2")))
     red.right_block(1, [h2])
     red.right_block(2, [h3])
     xs = []
-    for j in range(3, z.n):
+    for j in range(3, len(red.lam)):
         wj = red.upper(j, 0)
         red.right_block(j, [_pivot_inverse(wj, f"w{j + 1}")])
         xs.append(-red.lower(j, 0))

@@ -7,6 +7,7 @@ from radon_hgf.grassmann import (
     ChartPoint,
     CoordMatrix,
     apply_group,
+    block_action,
     general_Z_member,
     plucker,
     subdiagrams,
@@ -142,6 +143,28 @@ def test_membership_invariant_under_group_action():
     ))
     z2 = apply_group(z, g=g, h=h)
     assert z_lambda_member(z2).member
+
+
+def test_apply_group_is_left_then_right_move():
+    # g z h is g z followed by the Toeplitz rule on each block, bit for bit
+    from radon_hgf.characters import GroupElement
+    from radon_hgf.jordan import TruncPoly
+
+    gen = RandomStream(34).generator()
+    lam, r = (3, 1), 2
+    z = CoordMatrix(lam, r, gen.standard_normal((4, 8)) + 1j * gen.standard_normal((4, 8)))
+    g = np.eye(4) + 0.3 * gen.standard_normal((4, 4))
+    blocks = [[np.eye(r) + 0.3 * gen.standard_normal((r, r)) for _ in range(nk)] for nk in lam]
+    h = GroupElement(tuple(TruncPoly.from_list(b) for b in blocks))
+    both = apply_group(z, g=g, h=h).entries
+    assert np.array_equal(both, apply_group(apply_group(z, g=g), h=h).entries)
+    gz = g @ z.entries
+    h0, h1, h2 = h.blocks[0].coeffs
+    z0, z1, z2 = (gz[:, q * r : (q + 1) * r] for q in range(3))
+    want = np.concatenate([z0 @ h0, z0 @ h1 + z1 @ h0, z0 @ h2 + z1 @ h1 + z2 @ h0], axis=1)
+    assert np.array_equal(block_action(gz[:, :6], h.blocks[0].coeffs, r), want)
+    assert np.array_equal(both[:, :6], want)
+    assert np.array_equal(both[:, 6:], gz[:, 6:] @ h.blocks[1].coeffs[0])
 
 
 def test_general_member():

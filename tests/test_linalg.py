@@ -12,6 +12,7 @@ from radon_hgf.linalg import (
     haar_from_gaussian,
     haar_unitary,
     haar_unitary_batch,
+    hadamard_bound,
     hermitian_eigen,
     inv_batch,
     inverse,
@@ -68,6 +69,40 @@ def test_inverse_residual():
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrix):
         inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_inverse_guard_of_a_pivot(r):
+    """The 2r x 2r pivot (and an r x r one): np.linalg.inv's bits when the
+    determinant clears 1e-12 of the Hadamard bound, SingularMatrix at 1e-13."""
+    gen = RandomStream(70 + r).generator()
+    for n in (r, 2 * r):
+        a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)) + 2 * np.eye(n)
+        assert np.array_equal(inverse(a), np.linalg.inv(a))
+    n = 2 * r
+    u = haar_unitary(n, RandomStream(80 + r))
+    for t, singular in ((1e-13, True), (1e-11, False)):
+        # columns e_0, ..., e_{n-2} and e_0 + t e_{n-1}, turned by u: the
+        # determinant is t in modulus and the Hadamard bound sqrt(1 + t^2)
+        a = np.eye(n, dtype=np.complex128)
+        a[0, n - 1] = 1.0
+        a[n - 1, n - 1] = t
+        a = u @ a
+        if singular:
+            with pytest.raises(SingularMatrix):
+                inverse(a)
+        else:
+            assert np.array_equal(inverse(a), np.linalg.inv(a))
+
+
+def test_hadamard_bound_is_numpy_norm():
+    gen = RandomStream(75).generator()
+    for n in (1, 2, 3, 4, 6, 8):
+        stack = gen.standard_normal((5, n, n)) + 1j * gen.standard_normal((5, n, n))
+        got = hadamard_bound(stack)
+        for a, bound in zip(stack, got):
+            want = float(np.prod(np.linalg.norm(a, axis=0)))
+            assert hadamard_bound(a) == want == bound
 
 
 def test_hermitian_eigen_examples():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radon_hgf.characters import GroupElement
-from radon_hgf.errors import NotInZLambda, ShapeMismatch
+from radon_hgf.errors import DegenerateOrbit, NotInZLambda, ShapeMismatch
 from radon_hgf.grassmann import CoordMatrix, apply_group, z_lambda_member
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.normal_form import (
@@ -124,7 +124,7 @@ def test_proof_recipe_values():
 
 
 @pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1), (3,)])
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_reduce3_synthetic_orbit(lam, r):
     gen = RandomStream(41 + r).generator()
     z0 = CoordMatrix(lam, r, pattern(lam, r))
@@ -143,7 +143,7 @@ def test_reduce3_synthetic_orbit(lam, r):
     ((3, 1), (1, 2, 3)),
     ((4,), (1,)),
 ])
-@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_reduce4_synthetic_orbit(lam, variants, r):
     gen = RandomStream(47 * r + sum(lam)).generator()
     for variant in variants:
@@ -231,6 +231,82 @@ def test_reduce_ones_synthetic_r2_n5():
     g, h = _random_pair(lam, r, gen)
     out = reduce_ones(apply_group(z0, g=g, h=h))
     assert out.residual < 1e-9
+
+
+def test_reduce_ones_synthetic_r3():
+    gen = RandomStream(59).generator()
+    r = 3
+    for n in (4, 5):
+        xs = tuple(np.eye(r) * (1.5 + k) + 0.2 * gen.standard_normal((r, r))
+                   for k in range(n - 3))
+        lam = (1,) * n
+        z0 = CoordMatrix(lam, r, pattern(lam, r, xs))
+        g, h = _random_pair(lam, r, gen)
+        z1 = apply_group(z0, g=g, h=h)
+        out = reduce_ones(z1)
+        assert out.residual < 1e-9
+        final = apply_group(z1, g=out.g, h=out.h)
+        assert np.abs(final.entries - pattern(lam, r, out.x)).max() < 1e-9
+        # at r > 1 the x are recovered up to one common conjugation
+        for got, want in zip(out.x, xs):
+            assert np.allclose(np.sort_complex(np.linalg.eigvals(got)),
+                               np.sort_complex(np.linalg.eigvals(want)), atol=1e-8)
+
+
+# r = 1 points in Z_lambda whose columns differ in scale by up to 1e400: the
+# pivot moves underflow to singular pivots or overflow to non-finite entries
+_BASE = np.array([[1, 0.3, 0.7, -0.4], [0.2, 1.1, -0.5, 0.9]])
+_SCALED = {
+    "1e-150|1e150": _BASE * np.array([1e-150, 1e-150, 1e150, 1e150]),
+    "1e-200|1e200": _BASE * np.array([1e-200, 1e200, 1e200, 1e200]),
+}
+_FORMS4 = [((1, 1, 1, 1), 1), ((2, 1, 1), 1), ((2, 1, 1), 2), ((2, 1, 1), 3), ((2, 2), 1),
+           ((2, 2), 2), ((3, 1), 1), ((3, 1), 2), ((3, 1), 3), ((4,), 1)]
+
+
+# the first three columns of "1e-150|1e150" have rank one
+@pytest.mark.parametrize("scaled,lam,variant", [
+    (scaled, lam, variant) for scaled in sorted(_SCALED) for lam, variant in _FORMS4
+] + [("1e-200|1e200", lam, 1) for lam in ((1, 1, 1), (2, 1), (3,))])
+def test_badly_scaled_point_raises_typed_error(scaled, lam, variant):
+    z = CoordMatrix(lam, 1, _SCALED[scaled][:, : sum(lam)])
+    with pytest.raises((NotInZLambda, DegenerateOrbit)), np.errstate(all="ignore"):
+        reduce3(z) if sum(lam) == 3 else reduce4(z, variant)
+
+
+def test_badly_scaled_error_kinds():
+    # the points are in Z_lambda; the singular pivot shows inside the
+    # reduction, and an overflow is caught before a value comes out
+    z = CoordMatrix((2, 1, 1), 1, _SCALED["1e-150|1e150"])
+    assert z_lambda_member(z).member
+    with pytest.raises(NotInZLambda, match="pivot b"), np.errstate(all="ignore"):
+        reduce4(z, 1)
+    z = CoordMatrix((4,), 1, _SCALED["1e-150|1e150"])
+    with pytest.raises(DegenerateOrbit, match="non-finite"), np.errstate(all="ignore"):
+        reduce4(z, 1)
+    z = CoordMatrix((2, 2), 1, _SCALED["1e-200|1e200"])
+    with pytest.raises(DegenerateOrbit, match="not finite"), np.errstate(all="ignore"):
+        reduce4(z, 1)
+
+
+def test_reduce4_validates_one_coord_matrix(monkeypatch):
+    # the pivot moves work on the entries array; only the reduced form is
+    # validated (rank and finiteness) as a CoordMatrix
+    gen = RandomStream(64).generator()
+    r, lam = 2, (2, 1, 1)
+    x = 1.5 * np.eye(r) + 0.25 * gen.standard_normal((r, r))
+    g, h = _random_pair(lam, r, gen)
+    z = apply_group(CoordMatrix(lam, r, pattern(lam, r, (x,))), g=g, h=h)
+    built = []
+    post_init = CoordMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.lam)
+        post_init(self)
+
+    monkeypatch.setattr(CoordMatrix, "__post_init__", counting)
+    reduce4(z, 1)
+    assert built == [lam]
 
 
 def test_not_in_stratum_raises_with_witness():
