@@ -11,6 +11,7 @@ input.  RADON_HGF_THREADS caps the Monte Carlo worker threads.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -141,7 +142,7 @@ def cmd_eval(args):
         require_eigen_chain(fam, chain)
         est = integrate_invariant(fam, args.r, nodes=args.nodes)
     elif method == "haar-mc":
-        est = integrate_haar_mc(fam, chain, int(float(args.samples)), RandomStream(args.seed))
+        est = integrate_haar_mc(fam, chain, args.samples, RandomStream(args.seed))
     else:
         raise ValueError(f"unknown method {method}")
     return {"estimate": _estimate_json(est)}, None, args.seed
@@ -153,7 +154,7 @@ def cmd_radon(args):
     z = CoordMatrix(lam, args.r, matrix_from_json(load_json(args.z_json)))
     chain = ChainSpec(args.chain, args.r)
     budget = Budget(tol=args.tol, nodes=args.nodes,
-                    samples=int(float(args.samples)),
+                    samples=args.samples,
                     stream=RandomStream(args.seed))
     est = radon_hgf(z, pw, chain, budget, method=args.method)
     return {"estimate": _estimate_json(est)}, None, args.seed
@@ -241,6 +242,17 @@ def cmd_suite(args):
     return {"level": args.level, "criteria_run": len(results)}, checks, None
 
 
+def _sample_count(text: str) -> int:
+    """A finite whole number of samples, also in float notation such as 1e6."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise argparse.ArgumentTypeError(f"expected a finite whole number, got {text!r}")
+    return int(value)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="radon-hgf",
@@ -289,7 +301,7 @@ def build_parser():
     q.add_argument("--method", default="auto",
                    choices=["auto", "adaptive-1d", "eigen-tensor", "haar-mc"])
     q.add_argument("--chain", choices=CHAIN_KINDS)
-    q.add_argument("--samples", default="1e6")
+    q.add_argument("--samples", type=_sample_count, default="1e6")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--nodes", type=int, default=64)
     q.add_argument("--tol", type=float, default=1e-10)
@@ -306,7 +318,7 @@ def build_parser():
     q.add_argument("--method", default="auto",
                    choices=["auto", "eigen-tensor", "haar-mc"])
     q.add_argument("--relaxed", action="store_true")
-    q.add_argument("--samples", default="1e6")
+    q.add_argument("--samples", type=_sample_count, default="1e6")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--nodes", type=int, default=64)
     q.add_argument("--tol", type=float, default=1e-10)

@@ -10,13 +10,12 @@ Three strategies:
   lock-step rounds: every open half bisects its worst panel, and the
   nodes of all new panels go to one vectorized call of the integrand.
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
-  ``hgs``), an integral that succeeds records each half's bisection tree
+  ``hgs``), an integral that succeeds records the leaves of each half
   under its half signature, and the next integral with that signature
-  evaluates the whole tree in its first call. Each half then bisects on
-  its own through those values; a half that reaches a panel outside its
-  tree waits for that panel's round, and f is called round by round on
-  the panels that are missing. The values are bit-identical to an
-  unscoped run, and a plain ``radon_hgf`` call never enters a scope;
+  evaluates those leaves in its first round and refines from there. Its
+  value meets the same tolerance, but may differ from an unscoped one at
+  rounding level; a signature's mesh only gets finer within a scope, and
+  a plain ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -227,11 +226,13 @@ class _Half:
     u, or in s along the Moebius arc u(s) = o + w s / D(s) of a ray, with
     arc = (o, w, q). When the start carries a power with kappa > 1, the
     panels are in tau over [0, 1] under y = start + (end - start) tau^kappa;
-    else they are in y itself. The half enters the sum with its sign; a
-    half that failed keeps the error it raises."""
+    else they are in y itself. A panel is (x0, x1, code), with code 1 for
+    the first panel and 2c, 2c + 1 for the halves of panel c. The half
+    enters the sum with its sign; a half that failed keeps the error it
+    raises."""
 
     __slots__ = ("start", "end", "kappa", "atol", "sign", "failure", "kind", "maps",
-                 "heap", "popped", "total", "err", "count", "tie")
+                 "heap", "popped", "total", "err", "tie")
 
     def __init__(self, start, end, exponent, arc, atol, sign):
         self.start, self.end, self.atol, self.sign = start, end, atol, sign
@@ -247,79 +248,53 @@ class _Half:
         self.maps = (self.kappa, start, end - start, end, *(arc or (0.0, 1.0, 0.0)),
                      self.kappa - 1)
         self.heap, self.popped = [], None
-        self.total, self.err, self.count, self.tie = 0.0 + 0.0j, 0.0, 0, 0
+        self.total, self.err, self.tie = 0.0 + 0.0j, 0.0, 0
 
-    def first_panel(self):
-        return [(self.start, self.end) if self.kappa == 1 else (0.0, 1.0)]
+    @property
+    def count(self) -> int:
+        return len(self.heap)
+
+    def first_panels(self, codes=None):
+        """The first panel, or the panels of the leaf ``codes``, each split
+        from the first panel as ``bisect`` splits it."""
+        x0, x1 = (self.start, self.end) if self.kappa == 1 else (0.0, 1.0)
+        panels = []
+        for code in codes or (1,):
+            a, b = x0, x1
+            for bit in bin(code)[3:]:
+                mid = 0.5 * (a + b)
+                a, b = (a, mid) if bit == "0" else (mid, b)
+            panels.append((a, b, code))
+        return panels
 
     def add(self, panels, values):
-        """Take the (value, error) of its newest panels: the first panel, or
-        the two halves of the panel popped last."""
-        for (a, b), (v, e) in zip(panels, values):
-            heappush(self.heap, (-e, self.tie, a, b, v, e))
+        """Take the (value, error) of its newest panels: the first panels,
+        or the two halves of the panel popped last."""
+        for panel, (v, e) in zip(panels, values):
+            heappush(self.heap, (-e, self.tie, panel, v, e))
             self.tie += 1
         if self.popped is None:
-            self.total, self.err = values[0]
+            self.total = sum(v for v, _ in values)
+            self.err = sum(e for _, e in values)
         else:
             (v1, e1), (v2, e2) = values
             v, e = self.popped
             self.total += (v1 + v2) - v
             self.err += (e1 + e2) - e
-        self.count += 1
 
     def is_open(self, rtol) -> bool:
         return self.err > max(self.atol, rtol * abs(self.total)) and self.count < _MAX_INTERVALS
 
     def bisect(self):
         """Pop the worst panel; its two halves are the next panels."""
-        _, _, x0, x1, v, e = heappop(self.heap)
+        _, _, (x0, x1, code), v, e = heappop(self.heap)
         self.popped = (v, e)
         mid = 0.5 * (x0 + x1)
-        return [(x0, mid), (mid, x1)]
+        return [(x0, mid, 2 * code), (mid, x1, 2 * code + 1)]
 
-    def advance(self, panels, values, ready, rtol):
-        """Add the values of ``panels``, then bisect on while both halves of
-        the popped panel were evaluated ahead (``ready`` maps a panel to its
-        value). Returns the panels this half needs next, or None once it is
-        closed."""
-        while True:
-            self.add(panels, values)
-            if not self.is_open(rtol):
-                self.close(rtol)
-                return None
-            panels = self.bisect()
-            values = [ready.get(ab) for ab in panels]
-            if None in values:
-                return panels
-
-    def tree(self):
-        """Codes of the panels this half bisected, with 1 for the first
-        panel and 2c, 2c + 1 for the halves of panel c, read off the panels
-        left on its heap; None when a midpoint rounded onto an end."""
-        leaves = {(a, b) for _, _, a, b, _, _ in self.heap}
-        todo, cut = [(*self.first_panel()[0], 1)], []
-        while todo:
-            a, b, code = todo.pop()
-            if (a, b) in leaves:
-                continue
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b or len(cut) >= self.count:
-                return None
-            cut.append(code)
-            todo += [(a, mid, 2 * code), (mid, b, 2 * code + 1)]
-        return cut
-
-    def panels_of(self, tree):
-        """The panels this half evaluates after its first one when it
-        bisects the panels of ``tree``, each split as ``bisect`` splits it."""
-        bounds = {1: self.first_panel()[0]}
-        panels = []
-        for code in sorted(tree):  # a panel's code is below its halves'
-            x0, x1 = bounds[code]
-            mid = 0.5 * (x0 + x1)
-            bounds[2 * code], bounds[2 * code + 1] = (x0, mid), (mid, x1)
-            panels += [(x0, mid), (mid, x1)]
-        return panels
+    def leaves(self):
+        """The codes of the panels on its heap, in increasing order."""
+        return sorted(panel[2] for _, _, panel, _, _ in self.heap)
 
     def close(self, rtol):
         if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
@@ -429,7 +404,7 @@ def _values(f, halves, panels):
     """(value, error) of the new panels of each half, in one call of f."""
     order = sorted(panels, key=lambda i: halves[i].kind)
     rows = [(0.5 * (a + b), 0.5 * (b - a)) + halves[i].maps + (halves[i].kind,)
-            for i in order for a, b in panels[i]]
+            for i in order for a, b, _ in panels[i]]
     kg = iter(_gk15(f, rows))
     values = {}
     for i in order:
@@ -460,25 +435,24 @@ def _round(f, halves, panels):
 
 
 # ----------------------------------------------------------------------
-# mesh scope: integrals that share a bisection tree
+# mesh scope: integrals that start from the last one's leaves
 # ----------------------------------------------------------------------
 
-# while a scope is active: half signature -> the bisection tree of each half
-# of the last integral with that signature in which every half succeeded
+# while a scope is active: half signature -> the leaf codes of each half of
+# the last integral with that signature in which every half succeeded
 _MESH = contextvars.ContextVar("radon_hgf_mesh", default=None)
 
 
 @contextlib.contextmanager
 def _mesh_scope():
-    """Let the r = 1 integrals run inside share their adaptive meshes.
+    """Let the r = 1 integrals run inside start from each other's meshes.
 
-    Each integral looks up the trees last recorded for its half signature
-    (the (kind, kappa) of every half) and evaluates all their panels in its
-    first call of f. Each half then replays its tree on its own: it adds
-    the values, tests them, bisects and looks up the two new panels, and
-    calls f again only for a panel outside the tree, in its lock-step
-    round. An integral that succeeds records its trees. Entering while a
-    scope is active reuses that scope."""
+    An integral in which every half succeeds records the leaf codes of
+    each half under its half signature (the (kind, kappa) of every half).
+    The next integral with that signature evaluates those leaves in its
+    first round, each rebuilt from its own half's first panel, and then
+    refines as any integral does. Entering while a scope is active reuses
+    that scope."""
     if _MESH.get() is not None:
         yield
         return
@@ -487,29 +461,6 @@ def _mesh_scope():
         yield
     finally:
         _MESH.reset(token)
-
-
-def _first_round(f, halves, panels, trees):
-    """``_values`` of the first panels, with every panel of the recorded
-    trees in the same call of f. Returns the values and, per half, the
-    panels evaluated ahead with their values. When that call raises, or
-    meets a floating-point event that the caller's errstate does not
-    ignore, the round is redone without them, as ``_round`` alone does it.
-    A Python warning that f issues itself is not intercepted, as the
-    warning filters are shared by all threads; under the "error" filter it
-    raises, and the round is redone. The chart integrand issues none."""
-    ahead = {i: halves[i].panels_of(trees[i]) for i in panels}
-    strict = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
-    try:
-        with np.errstate(**strict):
-            both = _values(f, halves, {i: panels[i] + ahead[i] for i in panels})
-    except Exception:  # whatever a panel ahead did, the round runs as unscoped
-        return _round(f, halves, panels), {}
-    values, ready = {}, {}
-    for i, spans in panels.items():
-        values[i] = both[i][:len(spans)]
-        ready[i] = dict(zip(ahead[i], both[i][len(spans):]))
-    return values, ready
 
 
 def _first_failure(halves) -> int:
@@ -528,60 +479,40 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     in chain order is raised, as a sequential walk would raise it. The
     tolerance must be positive and finite.
 
-    Inside a mesh scope (``_mesh_scope``) the first call also evaluates
-    every panel of the trees recorded for the same half signature. Each
-    half then bisects on its own through the panels evaluated ahead. A
-    half that reaches a panel outside them waits for that panel's round:
-    f is called round by round, the earliest first, on the panels of the
-    halves that wait for it, so each call takes what that lock-step round
-    would have had to evaluate, and a half that fails in a round stops the
-    later halves after that round. A run in which every half succeeds
-    records its trees. The estimate is the same, bit for bit, as outside a
+    Inside a mesh scope (``_mesh_scope``) the first round evaluates, for
+    each half, the leaves recorded by the last integral with the same half
+    signature instead of its first panel, and the rounds refine from there;
+    an integral in which every half succeeds records its leaves. The
+    estimate meets the same tolerance as outside a scope, but it may
+    differ from that one at rounding level, and within a scope the mesh of
+    a signature only gets finer. A plain ``radon_hgf`` call never enters a
     scope.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     halves = _halves(pieces, tol)
-    panels = {i: halves[i].first_panel() for i in range(_first_failure(halves))}
     mesh = _MESH.get()
-    trees, ready = None, {}
-    if mesh is not None:
-        signature = tuple((h.kind, h.kappa) for h in halves)
-        # an integral with a half that failed before its first round will
-        # raise; it takes no panels ahead, and runs call for call unscoped
-        if len(panels) == len(halves):
-            trees = mesh.get(signature)
+    signature = tuple((h.kind, h.kappa) for h in halves)
+    leaves = None if mesh is None else mesh.get(signature)
+    panels = {i: halves[i].first_panels(leaves and leaves[i])
+              for i in range(_first_failure(halves))}
     # a value that overflows makes its half fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        if panels and trees is not None:
-            values, ready = _first_round(f, halves, panels, trees)
-        elif panels:
-            values = _round(f, halves, panels)
-        waiting = {}
         while panels:
+            values = _round(f, halves, panels)
+            limit = _first_failure(halves)
+            live = {}
             for i, spans in panels.items():
-                # a half after one that raised in the fallback has no values
-                if i in values:
-                    spans = halves[i].advance(spans, values[i], ready.get(i, {}), tol)
-                    if spans is not None:
-                        waiting[i] = spans
-            # a half asks for the panels of round h.count; a half that failed
-            # at round R (count R, or R + 1 once it has added that round)
-            # closes the later halves after round R, as lock-step rounds would
-            cap = math.inf
-            for i, h in enumerate(halves):
-                if h.count >= cap:
-                    waiting.pop(i, None)
-                if h.failure is not None:
-                    cap = min(cap, h.count)
-            # the next call takes the earliest round, so f sees the same
-            # panels together as in lock-step rounds
-            if waiting:
-                low = min(halves[i].count for i in waiting)
-                panels = {i: waiting.pop(i) for i in sorted(waiting) if halves[i].count == low}
-                values = _round(f, halves, panels)
-            else:
-                panels = {}
+                if i >= limit:
+                    break
+                h = halves[i]
+                h.add(spans, values[i])
+                if h.is_open(tol):
+                    live[i] = h.bisect()
+                else:
+                    h.close(tol)
+            limit = _first_failure(halves)
+            panels = {i: spans for i, spans in live.items() if i < limit}
     total = 0.0 + 0.0j
     err = 0.0
     count = 0
@@ -592,9 +523,7 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         err += h.err
         count += h.count
     if mesh is not None:
-        trees = [h.tree() for h in halves]
-        if None not in trees:
-            mesh[signature] = trees
+        mesh[signature] = [h.leaves() for h in halves]
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 

@@ -75,13 +75,19 @@ def _layout(lam, variant):
 def pattern(lam, r, xs=(), variant: int = 1) -> np.ndarray:
     """Table pattern for the given partition (and variant for lam |- 4)."""
     lam = tuple(lam)
+    if r < 1:
+        raise ShapeMismatch(f"matrix size r must be at least 1, got {r}")
     top, bottom = _layout(lam, variant)
     slots = sum(token.endswith("x") for token in top + bottom)
     if len(xs) != slots:
         raise ShapeMismatch(f"partition {lam} variant {variant} takes {slots} residual parameters")
+    xs = [np.asarray(x, dtype=np.complex128) for x in xs]
+    for x in xs:
+        if x.shape != (r, r):
+            raise ShapeMismatch(f"residual parameters must be {r} x {r}, got shape {x.shape}")
     eye = np.eye(r, dtype=np.complex128)
     fixed = {"I": eye, "-I": -eye, "0": np.zeros((r, r), dtype=np.complex128)}
-    xs = iter([np.asarray(x, dtype=np.complex128) for x in xs])
+    xs = iter(xs)
 
     def block(token):
         if token in fixed:

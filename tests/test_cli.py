@@ -144,6 +144,30 @@ def test_eval_out_of_range_counts_exit_2(capsys, extra, error):
     assert report["error"].startswith(error)
 
 
+# the arguments are parsed before any file is read
+_MC_ARGV = {
+    "eval": ["eval", "--family", "gamma_r", "--a", "3", "--r", "2", "--method", "haar-mc"],
+    "radon": ["radon", "--partition", "2,1", "--alpha=-1.5,-0.5,-2", "--z-json", "z.json",
+              "--chain", "half-line", "--method", "haar-mc"],
+}
+
+
+@pytest.mark.parametrize("command", list(_MC_ARGV))
+def test_samples_in_float_notation_parse(command):
+    args = build_parser().parse_args(_MC_ARGV[command] + ["--samples", "1e6"])
+    assert args.samples == 10**6 and isinstance(args.samples, int)
+
+
+@pytest.mark.parametrize("command", list(_MC_ARGV))
+@pytest.mark.parametrize("samples", ["inf", "nan", "2.5", "1e6.5", "many"])
+def test_samples_that_are_not_whole_numbers_exit_2(capsys, command, samples):
+    # inf used to die with an uncaught OverflowError, and 2.5 ran 2 samples
+    with pytest.raises(SystemExit) as exc:
+        main(_MC_ARGV[command] + ["--samples", samples])
+    assert exc.value.code == 2
+    assert "expected a finite whole number" in capsys.readouterr().err
+
+
 def test_eval_divergent_full_line_exits_2(capsys):
     # |u|^(-c - r) is not integrable at 0; this run used to report
     # 3.68e10 +- 3.68e10 and exit 0

@@ -796,14 +796,7 @@ def test_integrand_called_once_per_round():
     assert len(sizes) < est.nodes_or_samples
 
 
-# other weights with the same chains and the same real parts at the chain
-# ends, so the same half signature, but other meshes: a deeper tree in the
-# first half, a shallower one in the first half, a deeper one in the second
-_OTHER_FLAT = {
-    (1, 1, 1, 1): (1.25 - 3.35, 1.55 - 1 + 2j, 3.35 - 1.55 - 1, -1.25 - 2j),
-    (2, 1, 1): (-2 - 0.45 - 0.55, -1.5, 0.45, 0.55),
-    (2, 2): (-2 - 0.35, 0.4, 0.35, -1.0),
-}
+_EPS = np.finfo(float).eps
 
 
 def _signature(z, pw, chain, tol=5e-13):
@@ -830,21 +823,59 @@ def _estimate(z, pw, chain, tol=5e-13):
     return est.value, est.abs_error_est, est.nodes_or_samples
 
 
+def _descends(code, leaves):
+    """Whether the panel of ``code`` lies inside one of the ``leaves``."""
+    while code and code not in leaves:
+        code //= 2
+    return code > 0
+
+
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_mesh_replay_is_bit_identical(lam):
+def test_scoped_stencil_values_match_unscoped(lam):
+    # the stencil points of a base point refine the same mesh, so each one
+    # starts from the leaves it would reach anyway: the panel counts are
+    # the same, and the values differ only in the order of the sums
     z0, pw, chain = _pde_base(lam)
-    other = PartitionWeight.from_flat(lam, _OTHER_FLAT[lam], 2, 1, strict=False)
-    assert _signature(z0, other, chain) == _signature(z0, pw, chain)
     points = _stencil_points(z0)
-    unscoped = [_estimate(z, pw, chain) for z in points]
+    unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
     with integrate._mesh_scope():
-        mesh = integrate._MESH.get()
-        # the hint of the first point is another weight's mesh
-        _estimate(z0, other, chain)
-        hint = mesh[_signature(z0, pw, chain)]
-        scoped = [_estimate(z, pw, chain) for z in points]
-        assert mesh[_signature(z0, pw, chain)] != hint
-    assert scoped == unscoped
+        scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
+        assert list(integrate._MESH.get()) == [_signature(z0, pw, chain)]
+    for s, u in zip(scoped, unscoped):
+        assert s.nodes_or_samples == u.nodes_or_samples
+        assert abs(s.value - u.value) <= 4 * _EPS * abs(u.value)
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_seeded_run_from_a_coarse_mesh_meets_the_tolerance(lam):
+    # the halves start from the leaves of a 1e-8 run and refine them
+    z0, pw, chain = _pde_base(lam)
+    second = _stencil_points(z0)[1]
+    value = _estimate(second, pw, chain, 5e-13)[0]
+    with integrate._mesh_scope():
+        _estimate(z0, pw, chain, 1e-8)
+        coarse = integrate._MESH.get()[_signature(z0, pw, chain)]
+        scoped = _estimate(second, pw, chain, 5e-13)
+        fine = integrate._MESH.get()[_signature(z0, pw, chain)]
+    assert abs(scoped[0] - value) <= 5e-13 * abs(value)
+    assert scoped[1] <= 5e-13 * abs(value)
+    assert fine != coarse
+    assert all(_descends(c, old) for new, old in zip(fine, coarse) for c in new)
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_seeded_run_from_a_fine_mesh_keeps_its_leaves(lam):
+    # a 1e-8 run seeded with the leaves of a 5e-13 run closes on them at
+    # once: it uses at least as many panels, and is as good as that run
+    z0, pw, chain = _pde_base(lam)
+    second = _stencil_points(z0)[1]
+    value = _estimate(second, pw, chain, 5e-13)[0]
+    with integrate._mesh_scope():
+        _estimate(z0, pw, chain, 5e-13)
+        fine = integrate._MESH.get()[_signature(z0, pw, chain)]
+        scoped = _estimate(second, pw, chain, 1e-8)
+    assert scoped[2] >= sum(map(len, fine)) > _estimate(second, pw, chain, 1e-8)[2]
+    assert abs(scoped[0] - value) <= 5e-13 * abs(value)
 
 
 def test_failing_integral_records_no_mesh():
@@ -877,81 +908,22 @@ def test_second_stencil_point_calls_the_integrand_once():
         radon_hgf(first, pw, chain, Budget(tol=5e-13))
         scoped = integrate_pieces(counted, pieces, tol=5e-13)
     assert len(sizes) == 1
-    assert scoped == unscoped
-
-
-def test_prefetched_node_that_raises_changes_nothing():
-    # exp(u) needs few panels; the hint comes from a pole near 0.3, whose
-    # tree reaches nodes that the run of exp(u) never asks for
-    pieces = [Segment(0.0, 1.0)]
-    asked = set()
-
-    def smooth(u):
-        asked.update(u.tolist())
-        return np.exp(u)
-
-    unscoped = integrate_pieces(smooth, pieces, tol=1e-12)
-    raised = []
-
-    def loud(u):
-        if not asked.issuperset(u.tolist()):
-            raised.append(u.size)
-            raise OnBranchLocus("a node the run of exp(u) never asks for")
-        return np.exp(u)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with integrate._mesh_scope():
-            integrate_pieces(lambda u: 1.0 / (u - 0.3 - 1e-3j), pieces, tol=1e-12)
-            scoped = integrate_pieces(loud, pieces, tol=1e-12)
-    assert raised
-    assert scoped == unscoped
-
-
-def _derived_trees(z, pw, chain, tol=5e-13):
-    """The trees that ``_Half.tree`` reads off a run with nothing recorded."""
-    with integrate._mesh_scope():
-        radon_hgf(z, pw, chain, Budget(tol=tol))
-        return integrate._MESH.get()[_signature(z, pw, chain, tol)]
-
-
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_replay_past_a_shallower_tree_is_bit_identical(lam):
-    # the halves replay the tree of a coarse tolerance, then bisect on in
-    # lock-step rounds
-    z0, pw, chain = _pde_base(lam)
-    second = _stencil_points(z0)[1]
-    unscoped = _estimate(second, pw, chain, 5e-13)
-    with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 1e-8)
-        scoped = _estimate(second, pw, chain, 5e-13)
-    assert scoped == unscoped
-
-
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_replay_of_a_deeper_tree_is_bit_identical(lam):
-    # the halves close inside the recorded tree, and record what they cut
-    z0, pw, chain = _pde_base(lam)
-    second = _stencil_points(z0)[1]
-    unscoped = _estimate(second, pw, chain, 1e-8)
-    with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 5e-13)
-        deep = integrate._MESH.get()[_signature(z0, pw, chain)]
-        scoped = _estimate(second, pw, chain, 1e-8)
-        kept = integrate._MESH.get()[_signature(z0, pw, chain)]
-    assert scoped == unscoped
-    assert kept == _derived_trees(second, pw, chain, 1e-8)
-    assert sum(map(len, kept)) < sum(map(len, deep))
+    assert scoped.nodes_or_samples == unscoped.nodes_or_samples
+    assert abs(scoped.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
 
 
 def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
-    # the (2,2) base point's halves take 6 and 5 panels; with 4 allowed the
-    # first half gives up while it replays the recorded tree
+    # the (2,2) base point's halves take 5 and 6 panels at 5e-13, and 4
+    # each at 1e-8; with 4 allowed, the first half starts from the 4
+    # leaves of a 1e-8 run and gives up at once, as it does unscoped after
+    # three bisections
     z0, pw, chain = _pde_base((2, 2))
     second = _stencil_points(z0)[1]
     with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 5e-13)
+        _estimate(z0, pw, chain, 1e-8)
         recorded = dict(integrate._MESH.get())
+        [leaves] = recorded.values()
+        assert list(map(len, leaves)) == [4, 4]
         monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
         with pytest.raises(NonConvergent) as scoped:
             _estimate(second, pw, chain, 5e-13)
@@ -963,9 +935,9 @@ def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
 
 
 def test_failing_half_stops_a_later_half_at_its_round():
-    # the recorded trees cut a milder pole at 0.7 only: the first half
-    # leaves its tree at once and turns nan near 0.21 six rounds on, while
-    # the second half has left its tree too and is calling f
+    # the recorded leaves resolve a milder pole at 0.7 only: the first half
+    # refines them towards 0.21 until it turns nan there, while the second
+    # half is still calling f
     def window(u):
         return (u.real > 0.2095) & (u.real < 0.2105)
 
@@ -984,15 +956,12 @@ def test_failing_half_stops_a_later_half_at_its_round():
     with integrate._mesh_scope():
         integrate_pieces(lambda u: 1.0 / (u - 0.7 - 0.05j), pieces, tol=1e-12)
         recorded = dict(integrate._MESH.get())
-        with pytest.raises(NonConvergent) as replayed:
+        with pytest.raises(NonConvergent) as seeded:
             integrate_pieces(logged(scoped), pieces, tol=1e-12)
         assert integrate._MESH.get() == recorded
-    assert str(replayed.value) == str(plain.value) == "the integrand is not finite along the chain"
-    later = np.concatenate(scoped[1:])
-    assert (later.real > 0.5).any()
-    # no call takes a panel that lock-step rounds never reach, and the round
-    # in which the first half fails is the last that calls f
-    assert set(later.tolist()) <= set(np.concatenate(unscoped).tolist())
+    assert str(seeded.value) == str(plain.value) == "the integrand is not finite along the chain"
+    assert (np.concatenate(scoped[1:]).real > 0.5).any()
+    # the round in which the first half fails is the last that calls f
     for calls in (unscoped, scoped):
         assert [i for i, u in enumerate(calls) if window(u).any()] == [len(calls) - 1]
 

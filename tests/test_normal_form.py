@@ -83,6 +83,17 @@ def test_table_rejects_parameter_count_and_variant():
             reduce4(CoordMatrix(lam, 1, pattern(lam, 1, (x,))), variant)
 
 
+@pytest.mark.parametrize("r, xs", [
+    (1, (0.3,)),  # a scalar where a 1 x 1 matrix belongs
+    (2, (np.eye(3),)),
+    (-1, (np.eye(1),)),
+])
+def test_pattern_refuses_bad_sizes_with_a_typed_error(r, xs):
+    # each of these used to raise numpy's bare ValueError
+    with pytest.raises(ShapeMismatch):
+        pattern((4,), r, xs)
+
+
 @pytest.mark.parametrize("lam", [(1, 1, 1), (2, 1), (3,), (1, 1, 1, 1), (2, 1, 1), (2, 2),
                                  (3, 1), (4,), (1, 1, 1, 1, 1)])
 @pytest.mark.parametrize("r", [1, 2])
