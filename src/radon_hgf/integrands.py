@@ -3,12 +3,10 @@
 The chart integrand of a coordinate matrix is the block-group character
 of the block images t z of a frame t: a product of determinant powers
 (the multivalued part) times the exponential of a trace polynomial (the
-confluent part).  ``chart_integrand_batch`` evaluates it over stacked
-frames, and ``evaluate_frame`` / ``evaluate_integrand`` are its
-single-point calls.  At r = 1 the adaptive quadrature evaluates the
-chart integrand through ``integrate.scalar_chart_function``, which works
-on the complex points u themselves, not on 1 x 2 frames, over all the
-nodes of a round at once.  The named families are the concrete
+confluent part).  ``chart_exponent`` is its one form, the log over
+stacked frames at every r; ``chart_integrand_batch`` is its exponential,
+and ``evaluate_frame`` / ``evaluate_integrand`` are its single-point
+calls.  The named families are the concrete
 matrix-integral counterparts of the classical hypergeometric kernels,
 and ``family_of_normal_form`` records the exact weight dictionary that
 identifies them with the table normal forms.
@@ -22,16 +20,15 @@ the CLI defaults are all read from it.
 """
 
 import math
-import warnings
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
-from .characters import PartitionWeight
+from .characters import PartitionWeight, _log_batch
 from .errors import (
-    BranchCutWarning,
     NotHermitian,
     OnBranchLocus,
     OutOfDomain,
@@ -124,36 +121,6 @@ def named_integrand(fam: NamedFamily, u, check_domain: bool = True) -> complex:
 # batched kernels
 # ----------------------------------------------------------------------
 
-def _log_batch(z):
-    """Principal log z over an array, with the policy of ``cpow``: a zero
-    base raises, a base on the negative real axis warns.
-
-    It is log|z| + i atan2(Im z, Re z), which has the branch cut and the
-    signed zeros of numpy's complex log (Kahan 1987) at a fraction of its
-    cost."""
-    # both cases have a base with non-positive real part; one min() clears
-    # the common batch
-    if z.real.min() <= 0.0:
-        if not z.all():
-            raise SingularBlock("zero base in complex power")
-        if np.any((z.real < 0) & (np.abs(z.imag) <= 1e-14 * np.abs(z.real))):
-            warnings.warn(
-                "determinant on the negative real axis: principal branch is "
-                "discontinuous here",
-                BranchCutWarning,
-                stacklevel=3,
-            )
-    out = np.empty(z.shape, dtype=np.complex128)
-    np.log(np.abs(z, out=out.real), out=out.real)
-    np.arctan2(z.imag, z.real, out=out.imag)
-    return out
-
-
-def _pow_batch(z, e):
-    """Principal z**e over an array, under the policy of ``_log_batch``."""
-    return np.exp(complex(e) * _log_batch(z))
-
-
 def _logdet_batch(m):
     return _log_batch(det_batch(m))
 
@@ -178,43 +145,89 @@ def named_integrand_batch(fam: NamedFamily, u) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _theta_terms(p: int):
-    """Symbolic theta term lists (word, float coefficient), built once per p."""
+    """Per theta_k, its terms tr(c_{w_1} ... c_{w_n}) as (letter indices
+    w - 1, float coefficient), built once per p."""
     if p < 2:
         return ()
-    sym = theta_symbolic(p).symbolic
-    return tuple(
-        tuple((w, float(c)) for w, c in th.sorted_terms()) for th in sym
-    )
+    return tuple(tuple(([q - 1 for q in w], float(c)) for w, c in th.sorted_terms())
+                 for th in theta_symbolic(p).symbolic)
+
+
+def _trace_solve(m0, det, m1):
+    """tr(m0^{-1} m1) over (..., r, r) stacks, without the product at r <= 2."""
+    if m0.shape[-1] == 1:
+        return m1[..., 0, 0] / det
+    if m0.shape[-1] == 2:
+        return (m0[..., 1, 1] * m1[..., 0, 0] - m0[..., 0, 1] * m1[..., 1, 0]
+                - m0[..., 1, 0] * m1[..., 0, 1] + m0[..., 0, 0] * m1[..., 1, 1]) / det
+    return np.einsum("...ij,...ji->...", np.linalg.inv(m0), m1)
+
+
+@lru_cache(maxsize=64)
+def _chart_layout(pw: PartitionWeight):
+    """The columns of z in the order the chart exponent reads them (the
+    leading forms, blocks of length 2 first, then the rest of each block),
+    the leading weights, the weights of theta_1 = tr(m0^{-1} m_1), all that a
+    block of length 2 needs, and per longer block its place and terms."""
+    r = pw.r
+    starts = [r * sum(pw.lam[:j]) for j in range(len(pw.lam))]
+    blocks = sorted(range(len(pw.lam)), key=lambda j: pw.lam[j] != 2)
+    cols = [c for j in blocks for c in range(starts[j], starts[j] + r)]
+    pairs, longer = [], []
+    for i, j in enumerate(blocks):
+        nk, alpha = pw.lam[j], pw.alpha[j]
+        terms = [(word, alpha[k] * c)
+                 for k, theta in enumerate(_theta_terms(nk), start=1) for word, c in theta]
+        if nk == 2:
+            pairs.append(terms[0][1])
+        elif nk > 2:
+            longer.append((i, len(cols), nk, terms))
+        cols += range(starts[j] + r, starts[j] + nk * r)
+    return np.array(cols), np.array([pw.alpha[j][0] for j in blocks]), np.array(pairs), longer
+
+
+def chart_exponent(spec: IntegrandSpec):
+    """The log of the chart integrand over a stacked (batch, r, m) frame t:
+    sum_j alpha_{j,0} log det m0_j + sum_{j,k} alpha_{j,k} theta_k, with
+    m_q = t z_q the images of block j and theta_k the trace polynomial of
+    the ratios m0_j^{-1} m_q. The logs of all blocks are one ``_log_batch``
+    call, before any ratio is formed. At r = 1 an image is t_0 z_0 + t_1 z_1,
+    so at t = (1, u) it rounds as a + u b does; above, one GEMM."""
+    order, lead, pairs, longer = _chart_layout(spec.pw)
+    r, ell, n, rows = spec.z.r, spec.z.ell, len(pairs), spec.z.entries[:, order]
+
+    def exponent(t):
+        if r == 1:
+            images = t[:, :, :1] * rows[0] + t[:, :, 1:] * rows[1]
+        else:
+            images = matmul_batch(t, rows)
+        # the leading forms of all blocks, a (batch, blocks, r, r) view
+        m0 = images[:, :, : ell * r].reshape(len(t), r, ell, r).swapaxes(1, 2)
+        det = det_batch(m0)
+        out = _log_batch(det) @ lead
+        if n:
+            m1 = images[:, :, ell * r : (ell + n) * r].reshape(len(t), r, n, r).swapaxes(1, 2)
+            out += _trace_solve(m0[:, :n], det[:, :n], m1) @ pairs
+        for j, o, nk, terms in longer:
+            rest = images[:, :, o : o + (nk - 1) * r]
+            if r == 1:  # the ratios are scalars, and a trace is their product
+                c = rest[:, 0] / det[:, j, None]
+                for word, weight in terms:
+                    out += weight * reduce(operator.mul, [c[:, q] for q in word])
+            else:
+                sol = matmul_batch(inv_batch(m0[:, j]), rest)
+                c = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
+                for word, weight in terms:
+                    out += weight * _trace_batch(reduce(matmul_batch, [c[q] for q in word]))
+        return out
+
+    return exponent
 
 
 def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
     """Integrand over a stacked (batch, r, m) frame t; at t = (1, u) it is the
     chart integrand at u."""
-    b, r, _ = t.shape
-    z = spec.z
-    # the block images t z_q of every block, in one product
-    images = matmul_batch(t, z.entries)
-    # the determinant powers and the theta traces of every block add up to
-    # one exponent
-    expo = np.zeros(b, dtype=np.complex128)
-    start = 0
-    for j, nk in enumerate(z.lam):
-        block = images[:, :, start : start + nk * r]
-        start += nk * r
-        m0 = block[:, :, :r]
-        alpha = spec.pw.alpha[j]
-        expo += alpha[0] * _logdet_batch(m0)
-        if nk > 1:
-            # m0^{-1} t z_q for q = 1 .. nk - 1, side by side
-            sol = matmul_batch(inv_batch(m0), block[:, :, r:])
-            coeffs = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
-            for k, terms in enumerate(_theta_terms(nk), start=1):
-                for word, c in terms:
-                    prod = coeffs[word[0] - 1]
-                    for letter in word[1:]:
-                        prod = matmul_batch(prod, coeffs[letter - 1])
-                    expo += (alpha[k] * c) * _trace_batch(prod)
-    return np.exp(expo)
+    return np.exp(chart_exponent(spec)(t))
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +298,7 @@ def _no_remainder(p, lam, x, xs):
 def _lauricella_phi(p, lam, x, xs):
     acc = np.ones(lam.shape, dtype=np.complex128)
     for bj, xj in zip(p["bs"], xs):
-        acc *= _pow_batch(1.0 - lam * xj, -bj)
+        acc *= np.exp(-bj * _log_batch(1.0 - lam * xj))
     return acc
 
 
@@ -331,7 +344,7 @@ FAMILIES = {
     "gaussian_r": Family(_gaussian_r, (FULL_LINE,), phi=_no_remainder),
     "gauss": Family(
         _gauss, (INTERVAL,), _beta_type,
-        lambda p, lam, x, xs: _pow_batch(1.0 - lam * x, -p["b"]),
+        lambda p, lam, x, xs: np.exp(-p["b"] * _log_batch(1.0 - lam * x)),
     ),
     "kummer": Family(
         _kummer, (INTERVAL,), _beta_type, lambda p, lam, x, xs: np.exp(lam * x)

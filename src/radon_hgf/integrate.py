@@ -50,6 +50,7 @@ from .errors import (
     OnBranchLocus,
     RadonHGFError,
     ShapeMismatch,
+    SingularBlock,
     UnpinnedAlpha,
     UnsupportedCount,
 )
@@ -63,8 +64,7 @@ from .integrands import (
     ROTATED_RAY,
     IntegrandSpec,
     NamedFamily,
-    _theta_terms,
-    chart_integrand_batch,
+    chart_exponent,
     family_of_normal_form,
     named_integrand_batch,
 )
@@ -805,52 +805,25 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 
 def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
     """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
-    (0-d included): each block's leading form m0 = a0 + u b0 and ratios
-    (a_q + u b_q) / m0 enter the character one numpy operation at a time
-    across the array. A point with m0 = 0, or with an exponential part
-    past exp(700), raises before any power or exponential is taken."""
+    (0-d included): ``chart_exponent`` at the frames (1, u). A point on a
+    block root, or whose exponent passes 700, raises ``OnBranchLocus``
+    before any exponential is taken."""
     if z.r != 1 or pw.r != 1:
         raise ShapeMismatch("scalar chart function requires r = 1")
-    top, bottom = z.entries.tolist()[:2]
-    blocks = []
-    start = 0
-    for j, nk in enumerate(z.lam):
-        coeffs = list(zip(top[start : start + nk], bottom[start : start + nk]))
-        start += nk
-        blocks.append((coeffs, pw.alpha[j], _theta_terms(nk)))
+    exponent = chart_exponent(IntegrandSpec(pw, z))
 
     def f(u):
         u = np.asarray(u)
-        # every check runs before the first power or exponential
-        parts = []
-        for coeffs, alpha, terms in blocks:
-            a0, b0 = coeffs[0]
-            m0 = a0 + u * b0
-            if not m0.all():
-                raise OnBranchLocus("chart point sits on a branch hypersurface")
-            expo = None
-            if len(coeffs) > 1:
-                c = [(aq + u * bq) / m0 for aq, bq in coeffs[1:]]
-                expo = 0.0 + 0.0j
-                for k in range(1, len(coeffs)):
-                    th = 0.0 + 0.0j
-                    for word, coef in terms[k - 1]:
-                        prod = coef
-                        for letter in word:
-                            prod = prod * c[letter - 1]
-                        th = th + prod
-                    expo = expo + alpha[k] * th
-                if (expo.real > 700.0).any():
-                    raise OnBranchLocus(
-                        "exponential part overflows: chain runs into a pole"
-                    )
-            parts.append((m0, alpha[0], expo))
-        acc = 1.0 + 0.0j
-        for m0, lead, expo in parts:
-            acc = acc * m0**lead
-            if expo is not None:
-                acc = acc * np.exp(expo)
-        return acc
+        t = np.empty((u.size, 1, 2), dtype=np.complex128)
+        t[:, 0, 0] = 1.0
+        t[:, 0, 1] = u.ravel()
+        try:
+            expo = exponent(t)
+        except SingularBlock as exc:
+            raise OnBranchLocus("chart point sits on a branch hypersurface") from exc
+        if (expo.real > 700.0).any():
+            raise OnBranchLocus("exponential part overflows: chain runs into a pole")
+        return np.exp(expo).reshape(u.shape)
 
     return f
 
@@ -957,13 +930,11 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             if method == "eigen-tensor":
                 raise
     # Monte Carlo fallback on the chart integrand
-    spec = IntegrandSpec(pw, z)
+    exponent = chart_exponent(IntegrandSpec(pw, z))
     eye = np.eye(r, dtype=np.complex128)
 
     def batch_fn(u):
-        return chart_integrand_batch(
-            spec, np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
-        )
+        return np.exp(exponent(np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)))
 
     # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate on
     # the half line

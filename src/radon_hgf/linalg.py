@@ -183,13 +183,13 @@ def matmul_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def det_batch(m: np.ndarray) -> np.ndarray:
-    """Determinants of a (batch, r, r) stack: closed forms at r = 1 and 2
+    """Determinants of a (..., r, r) stack: closed forms at r = 1 and 2
     (ad - bc), LAPACK above."""
     r = m.shape[-1]
     if r == 1:
-        return m[:, 0, 0].copy()
+        return m[..., 0, 0].copy()
     if r == 2:
-        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return np.linalg.det(m)
 
 

@@ -83,19 +83,52 @@ def test_branch_locus_raises():
         evaluate_integrand(spec, ChartPoint(np.array([[0.0]])))
 
 
-def test_frame_homogeneity():
-    # scaling the frame by g multiplies the value by (det g)^{-m}
+@pytest.mark.parametrize("r", [1, 2])
+def test_frame_homogeneity(r):
+    # scaling the frame by g multiplies the value by (det g)^{-m}, m = 2r;
+    # at r = 1 the frame g t is (g, g u), not (1, u)
     gen = RandomStream(74).generator()
-    spec = _spec((2, 1), 2, (-2 * 2 - 0.7, -1.0, 0.7))
-    u = _herm(2, 0.4, 1.6, RandomStream(75))
-    t = np.concatenate([np.eye(2), u], axis=1)
-    g = np.eye(2) + 0.1 * gen.standard_normal((2, 2))
+    spec = _spec((2, 1), r, (-2 * r - 0.7, -1.0, 0.7))
+    u = _herm(r, 0.4, 1.6, RandomStream(75))
+    t = np.concatenate([np.eye(r), u], axis=1)
+    g = np.eye(r) + 0.1 * gen.standard_normal((r, r))
     while np.linalg.det(g).real <= 0:
-        g = np.eye(2) + 0.1 * gen.standard_normal((2, 2))
+        g = np.eye(r) + 0.1 * gen.standard_normal((r, r))
     v_base = evaluate_frame(spec, t)
     v_scaled = evaluate_frame(spec, g @ t)
-    ref = np.linalg.det(g) ** (-4.0) * v_base
+    ref = np.linalg.det(g) ** (-2.0 * r) * v_base
     assert abs(v_scaled - ref) < 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_chart_branch_policy(r):
+    # block 2 of the (1, 1, 1) table form has the leading form u: zero at
+    # u = diag(0.5, 0), on the negative real axis at u = diag(0.5, -2)
+    spec = _spec((1, 1, 1), r, (-2 * r + 0.7, -0.4, -0.3))
+    eye = np.eye(r)
+
+    def frames(last):
+        u = np.diag([0.5] * (r - 1) + [last]).astype(np.complex128)
+        return np.concatenate([eye, u], axis=1)[None]
+
+    with pytest.raises(SingularBlock):
+        chart_integrand_batch(spec, frames(0.0))
+    with pytest.raises(OnBranchLocus):
+        evaluate_frame(spec, frames(0.0)[0])
+    with pytest.warns(BranchCutWarning):
+        chart_integrand_batch(spec, frames(-2.0))
+    if r == 1:
+        f = scalar_chart_function(spec.z, spec.pw)
+        with pytest.raises(OnBranchLocus):
+            f(np.array([0.5, 0.0]))
+        with pytest.warns(BranchCutWarning):
+            f(np.array([-2.0]))
+        # the r = 1 integrand is the batch at the frames (1, u), bit for bit
+        us = np.array([0.3, 1.7 - 0.4j, -2.0, 5.0 + 1e-3j])
+        t = np.stack([np.ones_like(us), us], axis=-1)[:, None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchCutWarning)
+            assert np.array_equal(f(us), chart_integrand_batch(spec, t))
 
 
 # the table partitions and their numbers of residual parameters

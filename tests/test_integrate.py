@@ -685,7 +685,8 @@ def test_ray_origin_rounding_stays_loud():
     # the start while u = o + w s / D rounds onto o, the root of block 2;
     # the stretch it stands for is not negligible at every a3 < 0, so the
     # integral raises instead of dropping the node and returning a value,
-    # until exact offsets from the piece start resolve u - o (ROADMAP item 1)
+    # until exact offsets from the piece start resolve u - o and end the
+    # truncation of nodes whose offset rounds to an endpoint
     pw = PartitionWeight.from_flat((2, 2), (-1.5, 1.0, -0.5, -1.0), 2, 1, strict=False)
     with pytest.raises(RadonHGFError):
         radon_hgf(_FAR_Z, pw, ChainSpec("half-line", 1), Budget(tol=1e-10))
@@ -724,8 +725,9 @@ def test_pde_base_points_keep_their_mesh(lam):
     # both rays run out their interval budget within ten times the
     # tolerance, and the value is 1.1% off the true 0.2735149953572178j:
     # each ray loses the stretch where 1 - s rounds to 0 at its far end,
-    # where the weight is (1 - s)^-0.8 (ROADMAP item 1); the pin records
-    # this integrator's mesh and moves when that end is resolved
+    # where the weight is (1 - s)^-0.8, as nodes whose offset rounds to an
+    # endpoint are truncated; the pin records this integrator's mesh and
+    # moves when that end is resolved
     ("rotated-ray", (0.27658318042210567j, 8004)),
 ])
 def test_chart_chain_kinds_keep_their_mesh(kind, expected):
