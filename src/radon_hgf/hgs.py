@@ -10,8 +10,8 @@ determinant term, so conditioning is visible in every report.
 ``apply_DIJ``, ``verify_system`` and the two infinitesimal checks call F
 inside a mesh scope of ``integrate``: the r = 1 integrals of one stencil
 lie within a few steps of z0 and need much the same mesh, so each starts
-from the leaves the last one left and seldom refines them. A value meets
-the same tolerance as outside the scope, but may differ from it at
+from the breakpoints the last one left and seldom refines them. A value
+meets the same tolerance as outside the scope, but may differ from it at
 rounding level, and the mesh of a half signature only gets finer within
 the scope. A plain ``radon_hgf`` call never enters a scope.
 """

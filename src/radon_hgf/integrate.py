@@ -4,18 +4,21 @@ Three strategies:
 
 * adaptive-1d (r = 1): Gauss-Kronrod subdivision over concrete chains
   whose endpoints follow the branch-point roots of the coordinate
-  matrix, with power substitutions at singular endpoints; a ray is one
-  Moebius arc from its origin to the root of block 1 (inf for a table
-  form), not a truncated tail. Each piece splits into halves that run in
+  matrix; a ray is one Moebius arc from its origin to the root of block
+  1 (inf for a table form), not a truncated tail. Each piece splits into
+  halves, each over tau in [0, 1] under one map y = start + span tau^kappa,
+  a power substitution when the start is singular (kappa > 1) and a
+  straight one otherwise, followed by the arc on rays. The halves run in
   lock-step rounds: every open half bisects its worst panel, and the
   nodes of all new panels go to one vectorized call of the integrand.
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
-  ``hgs``), an integral that succeeds records the leaves of each half
-  under its half signature, and the next integral with that signature
-  evaluates those leaves in its first round and refines from there. Its
-  value meets the same tolerance, but may differ from an unscoped one at
-  rounding level; a signature's mesh only gets finer within a scope, and
-  a plain ``radon_hgf`` call never enters a scope;
+  ``hgs``), an integral that succeeds records the tau breakpoints of each
+  half under its half signature, and the next integral with that
+  signature evaluates the panels between them in its first round and
+  refines from there. Its value meets the same tolerance, but may differ
+  from an unscoped one at rounding level; a signature's mesh only gets
+  finer within a scope, and a plain ``radon_hgf`` call never enters a
+  scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -222,50 +225,29 @@ class RayPair:
 
 
 class _Half:
-    """One adaptive integral from start to end: along a straight segment in
-    u, or in s along the Moebius arc u(s) = o + w s / D(s) of a ray, with
-    arc = (o, w, q). When the start carries a power with kappa > 1, the
-    panels are in tau over [0, 1] under y = start + (end - start) tau^kappa;
-    else they are in y itself. A panel is (x0, x1, code), with code 1 for
-    the first panel and 2c, 2c + 1 for the halves of panel c. The half
-    enters the sum with its sign; a half that failed keeps the error it
-    raises."""
+    """One adaptive integral from start to end, over tau in [0, 1] under
+    y = start + (end - start) tau^kappa, with kappa = 1 unless the start
+    carries a power. Along a straight segment y is u; along a ray it is s
+    on the Moebius arc u(s) = o + w s / D(s), with arc = (o, w, q). A panel
+    is (tau0, tau1). The half enters the sum with its sign; a half that
+    failed keeps the error it raises."""
 
-    __slots__ = ("start", "end", "kappa", "atol", "sign", "failure", "kind", "maps",
+    __slots__ = ("start", "end", "arc", "kappa", "atol", "sign", "failure",
                  "heap", "popped", "total", "err", "tie")
 
     def __init__(self, start, end, exponent, arc, atol, sign):
-        self.start, self.end, self.atol, self.sign = start, end, atol, sign
+        self.start, self.end, self.arc, self.atol, self.sign = start, end, arc, atol, sign
         self.failure = None
         try:
             self.kappa = _power_kappa(exponent)
         except DivergentEndpoint as exc:
             self.kappa, self.failure = 1, exc
-        # 0: substituted, 1: substituted on an arc, 2: on an arc, 3: neither
-        self.kind = (0 if self.kappa > 1 else 3) if arc is None else (1 if self.kappa > 1 else 2)
-        # what maps a node: kappa, start, span, end, the arc's o, w, q (0, 1,
-        # 0 off arcs) and kappa - 1
-        self.maps = (self.kappa, start, end - start, end, *(arc or (0.0, 1.0, 0.0)),
-                     self.kappa - 1)
         self.heap, self.popped = [], None
         self.total, self.err, self.tie = 0.0 + 0.0j, 0.0, 0
 
     @property
     def count(self) -> int:
         return len(self.heap)
-
-    def first_panels(self, codes=None):
-        """The first panel, or the panels of the leaf ``codes``, each split
-        from the first panel as ``bisect`` splits it."""
-        x0, x1 = (self.start, self.end) if self.kappa == 1 else (0.0, 1.0)
-        panels = []
-        for code in codes or (1,):
-            a, b = x0, x1
-            for bit in bin(code)[3:]:
-                mid = 0.5 * (a + b)
-                a, b = (a, mid) if bit == "0" else (mid, b)
-            panels.append((a, b, code))
-        return panels
 
     def add(self, panels, values):
         """Take the (value, error) of its newest panels: the first panels,
@@ -287,14 +269,14 @@ class _Half:
 
     def bisect(self):
         """Pop the worst panel; its two halves are the next panels."""
-        _, _, (x0, x1, code), v, e = heappop(self.heap)
+        _, _, (x0, x1), v, e = heappop(self.heap)
         self.popped = (v, e)
         mid = 0.5 * (x0 + x1)
-        return [(x0, mid, 2 * code), (mid, x1, 2 * code + 1)]
+        return [(x0, mid), (mid, x1)]
 
-    def leaves(self):
-        """The codes of the panels on its heap, in increasing order."""
-        return sorted(panel[2] for _, _, panel, _, _ in self.heap)
+    def breakpoints(self):
+        """The ends of the panels on its heap, from 0 to 1."""
+        return [0.0] + sorted(panel[1] for _, _, panel, _, _ in self.heap)
 
     def close(self, rtol):
         if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
@@ -353,81 +335,72 @@ def _halves(pieces, tol):
     return halves
 
 
-def _gk15(f, rows):
-    """Kronrod and Gauss estimates [k, g] over panels with one call of f on
-    the nodes that are kept. Each row is a panel's midpoint and half width
-    followed by its half's ``maps``; the substituted rows come first, and
-    the rows on arcs are contiguous."""
-    kinds = [row[-1] for row in rows]
-    n0, n1, n2 = (kinds.count(kind) for kind in range(3))
-    sub, arc = slice(0, n0 + n1), slice(n0, n0 + n1 + n2)
-    p = np.array([row[:-1] for row in rows], dtype=np.complex128)
-    half = p[:, 1:2]
-    y = p[:, 0:1] + half * _GK_X
+def _node_maps(halves):
+    """The node map of each half, as columns built once per integral:
+    kappa, whether the half is on an arc, and its start, span, end and
+    the arc's o, w, q, which are (0, 1, 0) off arcs."""
+    return (np.array([[h.kappa] for h in halves], dtype=float),
+            np.array([[h.arc is not None] for h in halves]),
+            np.array([(h.start, h.end - h.start, h.end, *(h.arc or (0.0, 1.0, 0.0)))
+                      for h in halves], dtype=np.complex128))
+
+
+def _gk15(f, maps, panels):
+    """(value, error) of the new panels of each half, in one call of f on
+    the nodes that are kept. A node tau of a panel of half i goes to
+    y = start + span tau^kappa under row i of ``maps`` and, on an arc, on
+    to u = o + w y / D with D = (1 - y) + q y."""
+    owner = np.array([i for i, spans in panels.items() for _ in spans])
+    ends = np.array([panel for spans in panels.values() for panel in spans])
+    kappa, on_arc, points = (m[owner] for m in maps)
+    start, span, end, o, w, q = points.T[:, :, None]
+    half = 0.5 * (ends[:, 1:] - ends[:, :1])
+    tau = 0.5 * (ends[:, :1] + ends[:, 1:]) + half * _GK_X
+    y = start + span * tau**kappa
+    drop = y == start
     keep = None
-    if sub.stop:
-        kap, start, span = p[sub, 2:3].real, p[sub, 3:4], p[sub, 4:5]
-        tau = y[sub].real
-        jac = kap * tau ** p[sub, 9:10].real
-        ys = start + span * tau**kap
-        drop = ys == start
-        if drop.any():
-            # a node whose offset rounds to the start is dropped, not mapped:
-            # the jacobian factor damps its true contribution past double
-            # precision, and on an arc s = 1 is where D vanishes; the end of
-            # the half stands in for it until f is called
-            ys[drop] = np.broadcast_to(p[sub, 5:6], ys.shape)[drop]
-            keep = np.ones(y.shape, dtype=bool)
-            keep[sub] = ~drop
-        y[sub] = ys
-    if arc.stop > arc.start:
-        o, w, q = p[arc, 6:7], p[arc, 7:8], p[arc, 8:9]
-        s = y[arc]
-        d = (1.0 - s) + q * s
-        y[arc] = o + w * s / d
+    if drop.any():
+        # a node whose offset rounds to the start is dropped, not mapped:
+        # the jacobian factor damps its true contribution past double
+        # precision, and on an arc s = 1 is where D vanishes; the end of
+        # the half stands in for it until f is called
+        y[drop] = np.broadcast_to(end, y.shape)[drop]
+        keep = ~drop
+    arcs = on_arc.any()
+    if arcs:
+        # D = 1 off arcs, where u = y
+        d = np.where(on_arc, (1.0 - y) + q * y, 1.0)
+        y = o + w * y / d
     if keep is None:
         fv = np.asarray(f(y.ravel()), dtype=np.complex128).reshape(y.shape)
     else:
         fv = np.zeros(y.shape, dtype=np.complex128)
         fv[keep] = f(y[keep])
-    if arc.stop > arc.start:
-        fv[arc] = fv[arc] * w / (d * d)
-    if sub.stop:
-        fv[sub] = fv[sub] * jac * span
+    if arcs:
+        fv = fv * w / (d * d)
+    fv = fv * (kappa * tau ** (kappa - 1.0)) * span
     # numpy multiplies a lone row by the vector-matrix path, which rounds
     # differently from the same row inside a matrix product
     kg = (np.repeat(fv, 2, axis=0) if len(fv) == 1 else fv) @ _GK_KG
-    return (kg[: len(fv)] * half).tolist()
+    k, g = (kg[: len(fv)] * half).T
+    diff = np.abs(k - g)
+    # the minimum is diff once diff >= 1, where (200 diff)^1.5 may overflow
+    err = np.minimum(diff, (200.0 * diff) ** 1.5)
+    rows = zip(k.tolist(), err.tolist())
+    return {i: [next(rows) for _ in spans] for i, spans in panels.items()}
 
 
-def _values(f, halves, panels):
-    """(value, error) of the new panels of each half, in one call of f."""
-    order = sorted(panels, key=lambda i: halves[i].kind)
-    rows = [(0.5 * (a + b), 0.5 * (b - a)) + halves[i].maps + (halves[i].kind,)
-            for i in order for a, b, _ in panels[i]]
-    kg = iter(_gk15(f, rows))
-    values = {}
-    for i in order:
-        values[i] = []
-        for _ in panels[i]:
-            k, g = next(kg)
-            diff = abs(k - g)
-            # (200 diff)^1.5 exceeds diff once diff >= 1, and can overflow there
-            values[i].append((k, min(diff, (200.0 * diff) ** 1.5) if diff < 1.0 else diff))
-    return values
-
-
-def _round(f, halves, panels):
-    """``_values`` of the new panels. When f raises, each half is evaluated
+def _round(f, halves, maps, panels):
+    """``_gk15`` of the new panels. When f raises, each half is evaluated
     alone, in order, up to the first that raises; that half keeps the error
     as its failure."""
     try:
-        return _values(f, halves, panels)
+        return _gk15(f, maps, panels)
     except RadonHGFError:
         values = {}
         for i, spans in panels.items():
             try:
-                values.update(_values(f, halves, {i: spans}))
+                values.update(_gk15(f, maps, {i: spans}))
             except RadonHGFError as exc:
                 halves[i].failure = exc
                 break
@@ -435,11 +408,11 @@ def _round(f, halves, panels):
 
 
 # ----------------------------------------------------------------------
-# mesh scope: integrals that start from the last one's leaves
+# mesh scope: integrals that start from the last one's breakpoints
 # ----------------------------------------------------------------------
 
-# while a scope is active: half signature -> the leaf codes of each half of
-# the last integral with that signature in which every half succeeded
+# while a scope is active: half signature -> the breakpoints of each half
+# of the last integral with that signature in which every half succeeded
 _MESH = contextvars.ContextVar("radon_hgf_mesh", default=None)
 
 
@@ -447,12 +420,12 @@ _MESH = contextvars.ContextVar("radon_hgf_mesh", default=None)
 def _mesh_scope():
     """Let the r = 1 integrals run inside start from each other's meshes.
 
-    An integral in which every half succeeds records the leaf codes of
-    each half under its half signature (the (kind, kappa) of every half).
-    The next integral with that signature evaluates those leaves in its
-    first round, each rebuilt from its own half's first panel, and then
-    refines as any integral does. Entering while a scope is active reuses
-    that scope."""
+    An integral in which every half succeeds records the sorted tau
+    breakpoints of each half under its half signature (whether every half
+    is on an arc, and its kappa). The next integral with that signature
+    evaluates the panels between those breakpoints in its first round,
+    and then refines as any integral does. Entering while a scope is
+    active reuses that scope."""
     if _MESH.get() is not None:
         yield
         return
@@ -480,26 +453,26 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     tolerance must be positive and finite.
 
     Inside a mesh scope (``_mesh_scope``) the first round evaluates, for
-    each half, the leaves recorded by the last integral with the same half
-    signature instead of its first panel, and the rounds refine from there;
-    an integral in which every half succeeds records its leaves. The
-    estimate meets the same tolerance as outside a scope, but it may
-    differ from that one at rounding level, and within a scope the mesh of
-    a signature only gets finer. A plain ``radon_hgf`` call never enters a
-    scope.
+    each half, the panels between the breakpoints recorded by the last
+    integral with the same half signature instead of all of [0, 1], and
+    the rounds refine from there; an integral in which every half succeeds
+    records its breakpoints. The estimate meets the same tolerance as
+    outside a scope, but it may differ from that one at rounding level,
+    and within a scope the mesh of a signature only gets finer. A plain
+    ``radon_hgf`` call never enters a scope.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     halves = _halves(pieces, tol)
+    maps = _node_maps(halves)
     mesh = _MESH.get()
-    signature = tuple((h.kind, h.kappa) for h in halves)
-    leaves = None if mesh is None else mesh.get(signature)
-    panels = {i: halves[i].first_panels(leaves and leaves[i])
-              for i in range(_first_failure(halves))}
+    signature = tuple((h.arc is not None, h.kappa) for h in halves)
+    breaks = (mesh or {}).get(signature) or [(0.0, 1.0)] * len(halves)
+    panels = {i: list(zip(breaks[i], breaks[i][1:])) for i in range(_first_failure(halves))}
     # a value that overflows makes its half fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
         while panels:
-            values = _round(f, halves, panels)
+            values = _round(f, halves, maps, panels)
             limit = _first_failure(halves)
             live = {}
             for i, spans in panels.items():
@@ -523,7 +496,7 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
         err += h.err
         count += h.count
     if mesh is not None:
-        mesh[signature] = [h.leaves() for h in halves]
+        mesh[signature] = [h.breakpoints() for h in halves]
     return IntegralEstimate(total, err, "adaptive-1d", count)
 
 

@@ -52,9 +52,11 @@ def standard_complex(stream: RandomStream, shape) -> np.ndarray:
 def thread_count() -> int:
     """Worker threads for the Monte Carlo partitions, from RADON_HGF_THREADS (default 1)."""
     raw = os.environ.get("RADON_HGF_THREADS", "").strip() or "1"
+    message = f"RADON_HGF_THREADS must be a positive integer, got {raw!r}"
     try:
-        return int(raw)
+        count = int(raw)
     except ValueError:
-        raise ValueError(
-            f"RADON_HGF_THREADS must be an integer, got {raw!r}"
-        ) from None
+        raise ValueError(message) from None
+    if count < 1:
+        raise ValueError(message)
+    return count

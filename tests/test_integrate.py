@@ -194,10 +194,12 @@ def test_mc_threaded_matches_serial(monkeypatch):
 
 
 def test_mc_threads_malformed_names_variable(monkeypatch):
+    # a count below 1 is refused too: 0 and -3 used to run serial
     fam = NamedFamily("gaussian_r", {})
-    monkeypatch.setenv("RADON_HGF_THREADS", "abc")
-    with pytest.raises(ValueError, match="RADON_HGF_THREADS"):
-        integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(42))
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("RADON_HGF_THREADS", raw)
+        with pytest.raises(ValueError, match=f"RADON_HGF_THREADS must be a positive integer, got '{raw}'"):
+            integrate_haar_mc(fam, ChainSpec("full-line", 2), 1000, RandomStream(42))
 
 
 def test_mc_rejects_chain_outside_family():
@@ -757,27 +759,33 @@ def test_integrate_r1_keeps_its_mesh(fam, kind, value, panels):
     assert abs(est.value - value) <= 1e-14 * abs(value)
 
 
+_ARC = (0.2, 1j, 0.5 - 0.25j)
+
+
 @pytest.mark.parametrize("exponent, arc", [
     (None, None),
     (-0.5, None),
-    (None, (0.2, 1j, 0.5 - 0.25j)),
-    (-0.5, (0.2, 1j, 0.5 - 0.25j)),
+    (None, _ARC),
+    (-0.5, _ARC),
 ])
 def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
-    # a panel's estimates do not depend on the panels that share its call,
-    # also when it is alone in the call
-    half = integrate._Half(0.1, 0.9, exponent, arc, 1e-12, 1.0)
-    panels = [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0), (0.25, 0.5), (0.125, 0.375)]
-    rows = [(0.5 * (a + b), 0.5 * (b - a)) + half.maps + (half.kind,) for a, b in panels]
+    # a panel's estimates do not depend on the panels that share its call:
+    # alone, it rounds as in one call with panels of its own half and of
+    # halves in all four (kappa > 1, on arc) combinations
+    halves = [integrate._Half(0.1, 0.9, exponent, arc, 1e-12, 1.0)]
+    halves += [integrate._Half(0.6, 0.2, e, on, 1e-12, -1.0)
+               for e in (None, -0.5) for on in (None, _ARC)]
+    assert [(h.kappa > 1, h.arc is not None) for h in halves[1:]] == [
+        (False, False), (False, True), (True, False), (True, True)]
+    maps = integrate._node_maps(halves)
+    spans = [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0), (0.25, 0.5), (0.125, 0.375)]
 
     def f(u):
         return np.exp((0.3 + 1j) * u) / (1.7 - u)
 
-    for k, row in enumerate(rows):
-        lone = integrate._gk15(f, [row])
-        others = rows[:k] + rows[k + 1:]
-        assert lone == integrate._gk15(f, [row] + others[:1])[:1]
-        assert lone == integrate._gk15(f, [row] + others)[:1]
+    batch = integrate._gk15(f, maps, {i: spans for i in range(len(halves))})
+    for k, span in enumerate(spans):
+        assert integrate._gk15(f, maps, {0: [span]}) == {0: [batch[0][k]]}
 
 
 def test_integrand_called_once_per_round():
@@ -803,7 +811,7 @@ _EPS = np.finfo(float).eps
 
 def _signature(z, pw, chain, tol=5e-13):
     halves = integrate._halves(chart_pieces_r1(z, pw, chain), tol)
-    return tuple((h.kind, h.kappa) for h in halves)
+    return tuple((h.arc is not None, h.kappa) for h in halves)
 
 
 def _stencil_points(z0):
@@ -823,13 +831,6 @@ def _stencil_points(z0):
 def _estimate(z, pw, chain, tol=5e-13):
     est = radon_hgf(z, pw, chain, Budget(tol=tol))
     return est.value, est.abs_error_est, est.nodes_or_samples
-
-
-def _descends(code, leaves):
-    """Whether the panel of ``code`` lies inside one of the ``leaves``."""
-    while code and code not in leaves:
-        code //= 2
-    return code > 0
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
@@ -862,7 +863,7 @@ def test_seeded_run_from_a_coarse_mesh_meets_the_tolerance(lam):
     assert abs(scoped[0] - value) <= 5e-13 * abs(value)
     assert scoped[1] <= 5e-13 * abs(value)
     assert fine != coarse
-    assert all(_descends(c, old) for new, old in zip(fine, coarse) for c in new)
+    assert all(set(old) <= set(new) for new, old in zip(fine, coarse))
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
@@ -876,7 +877,7 @@ def test_seeded_run_from_a_fine_mesh_keeps_its_leaves(lam):
         _estimate(z0, pw, chain, 5e-13)
         fine = integrate._MESH.get()[_signature(z0, pw, chain)]
         scoped = _estimate(second, pw, chain, 1e-8)
-    assert scoped[2] >= sum(map(len, fine)) > _estimate(second, pw, chain, 1e-8)[2]
+    assert scoped[2] >= sum(len(b) - 1 for b in fine) > _estimate(second, pw, chain, 1e-8)[2]
     assert abs(scoped[0] - value) <= 5e-13 * abs(value)
 
 
@@ -924,8 +925,8 @@ def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
     with integrate._mesh_scope():
         _estimate(z0, pw, chain, 1e-8)
         recorded = dict(integrate._MESH.get())
-        [leaves] = recorded.values()
-        assert list(map(len, leaves)) == [4, 4]
+        [breaks] = recorded.values()
+        assert [len(b) - 1 for b in breaks] == [4, 4]
         monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
         with pytest.raises(NonConvergent) as scoped:
             _estimate(second, pw, chain, 5e-13)
