@@ -194,7 +194,7 @@ def test_mc_threaded_matches_serial(monkeypatch):
 
 
 def test_mc_threads_malformed_names_variable(monkeypatch):
-    # a count below 1 is refused too: 0 and -3 used to run serial
+    # a count below 1 is refused like one that is not an integer
     fam = NamedFamily("gaussian_r", {})
     for raw in ("abc", "0", "-3"):
         monkeypatch.setenv("RADON_HGF_THREADS", raw)
