@@ -7,13 +7,15 @@ central differences with per-entry step scaling and optional Richardson
 extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
 
-``apply_DIJ``, ``verify_system`` and the two infinitesimal checks call F
-inside a mesh scope of ``integrate``: the r = 1 integrals of one stencil
-lie within a few steps of z0 and need much the same mesh, so each starts
-from the breakpoints the last one left and seldom refines them. A value
-meets the same tolerance as outside the scope, but may differ from it at
-rounding level, and the mesh of a half signature only gets finer within
-the scope. A plain ``radon_hgf`` call never enters a scope.
+``apply_DIJ``, ``verify_system`` and the two infinitesimal checks build
+all their stencil points first and register them in a mesh scope of
+``integrate`` before F is first called; F then runs once per distinct
+point, in stencil order. F is opaque, so the registration is what lets
+the first r = 1 ``radon_hgf`` call inside F integrate every registered
+point as one stack, over panels that the points share, and serve the
+later calls from it. A value meets the same tolerance as outside the
+scope, and equals the unscoped one where the point gets the panels it
+would reach alone. A plain ``radon_hgf`` call never enters a scope.
 """
 
 import math
@@ -31,7 +33,7 @@ from .errors import (
     StencilCrossesBranchLocus,
 )
 from .grassmann import CoordMatrix, apply_group
-from .integrate import _mesh_scope
+from .integrate import _mesh_scope, _point_key
 from .jordan import TruncPoly, ring_exp
 
 
@@ -90,33 +92,33 @@ def _perturbed(z: CoordMatrix, deltas) -> CoordMatrix:
     return z.with_entries(e)
 
 
-def _determinant_terms(F, z0: CoordMatrix, pair: MultiIndexPair, h: float):
-    """Signed mixed partials of the determinant expansion at step h."""
+def _require_pair(z0: CoordMatrix, pair: MultiIndexPair):
+    if pair.I[-1] > z0.m or pair.J[-1] > z0.N:
+        raise BadIndexSet(
+            f"pair I = {pair.I}, J = {pair.J} exceeds the {z0.m} x {z0.N} coordinate matrix"
+        )
+
+
+def _determinant_stencil(z0: CoordMatrix, pair: MultiIndexPair, h: float):
+    """The corners of the determinant expansion at step h, as (points,
+    terms): the distinct corner points in stencil order, and per
+    permutation its sign, its central-difference denominator and its
+    corners as (corner sign, index into points)."""
     rows = [i - 1 for i in pair.I]
     cols = [j - 1 for j in pair.J]
     steps = {
         (i, j): h * (1.0 + abs(z0.entries[i, j])) for i in rows for j in cols
     }
-    cache = {}
-
-    def feval(deltas):
-        key = tuple(sorted(((ij, complex(d)) for ij, d in deltas)))
-        if key not in cache:
-            try:
-                cache[key] = F(_perturbed(z0, deltas))
-            except (OnBranchLocus, NotInZLambda) as exc:
-                raise StencilCrossesBranchLocus(str(exc)) from exc
-        return cache[key]
-
+    index = {}
+    points = []
     k = pair.order
     terms = []
     for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
         entries = [(rows[perm[q]], cols[q]) for q in range(k)]
-        acc = 0.0 + 0.0j
         denom = 1.0
         for e in entries:
             denom *= 2.0 * steps[e]
+        corners = []
         for corner in range(1 << k):
             s = 1.0
             deltas = []
@@ -126,9 +128,66 @@ def _determinant_terms(F, z0: CoordMatrix, pair: MultiIndexPair, h: float):
                 else:
                     deltas.append((e, -steps[e]))
                     s = -s
-            acc += s * feval(deltas)
-        terms.append(sign * acc / denom)
-    return terms
+            key = tuple(sorted(((ij, complex(d)) for ij, d in deltas)))
+            if key not in index:
+                index[key] = len(points)
+                points.append(_perturbed(z0, deltas))
+            corners.append((s, index[key]))
+        terms.append((_perm_sign(perm), denom, corners))
+    return points, terms
+
+
+def _determinant_terms(terms, values):
+    """Signed mixed partials of the determinant expansion from F at the
+    stencil's points."""
+    out = []
+    for sign, denom, corners in terms:
+        acc = 0.0 + 0.0j
+        for s, i in corners:
+            acc += s * values[i]
+        out.append(sign * acc / denom)
+    return out
+
+
+def _evaluate(F, points):
+    """F at each point, registered in one mesh scope before the first call;
+    F runs once per distinct point, in order."""
+    seen = {}
+    values = []
+    with _mesh_scope(points):
+        for z in points:
+            key = _point_key(z)
+            if key not in seen:
+                seen[key] = F(z)
+            values.append(seen[key])
+    return values
+
+
+def _operators(F, z0: CoordMatrix, pairs, plan):
+    """(residual, scale) of each pair, from one evaluation of F over the
+    stencils of all of them. A point on the branch locus or outside Z_lambda
+    raises ``StencilCrossesBranchLocus``, for the first such point in
+    stencil order."""
+    for pair in pairs:
+        _require_pair(z0, pair)
+    steps = (plan.h, plan.h / 2.0) if plan.richardson else (plan.h,)
+    stencils = [[_determinant_stencil(z0, pair, h) for h in steps] for pair in pairs]
+    try:
+        values = _evaluate(F, [z for per_pair in stencils for points, _ in per_pair
+                               for z in points])
+    except (OnBranchLocus, NotInZLambda) as exc:
+        raise StencilCrossesBranchLocus(str(exc)) from exc
+    values = iter(values)
+    out = []
+    for per_pair in stencils:
+        terms = [_determinant_terms(terms, [next(values) for _ in points])
+                 for points, terms in per_pair]
+        if plan.richardson:
+            terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(*terms)]
+        else:
+            [terms] = terms
+        out.append((complex(sum(terms)), float(max(abs(t) for t in terms))))
+    return out
 
 
 def _perm_sign(perm) -> int:
@@ -152,36 +211,29 @@ def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,
               plan: StencilPlan = StencilPlan()):
     """(residual, scale): determinant-operator value and the magnitude of
     its largest single term (the conditioning reference for zero tests)."""
-    with _mesh_scope():
-        terms_h = _determinant_terms(F, z0, pair, plan.h)
-        if plan.richardson:
-            terms_h2 = _determinant_terms(F, z0, pair, plan.h / 2.0)
-            terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(terms_h, terms_h2)]
-        else:
-            terms = terms_h
-    residual = sum(terms)
-    scale = max(abs(t) for t in terms)
-    return complex(residual), float(scale)
+    [out] = _operators(F, z0, [pair], plan)
+    return out
 
 
 def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
                   rel_tol: float = 1e-4):
-    """Run every pair; report per-pair residual/scale and an overall verdict."""
-
-    def one(pair):
-        residual, scale = apply_DIJ(F, z0, pair, plan)
+    """Run every pair; report per-pair residual/scale and an overall verdict.
+    The stencils of all pairs are evaluated together, so F runs once per
+    distinct point of the whole check."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    pairs = list(pairs)
+    rows = []
+    for pair, (residual, scale) in zip(pairs, _operators(F, z0, pairs, plan)):
         rel = abs(residual) / max(scale, 1e-300)
-        return {
+        rows.append({
             "I": list(pair.I),
             "J": list(pair.J),
             "residual": [residual.real, residual.imag],
             "scale": scale,
             "relative": rel,
             "pass": bool(rel < rel_tol),
-        }
-
-    with _mesh_scope():
-        rows = [one(pair) for pair in pairs]
+        })
     return {"pairs": rows, "pass": all(row["pass"] for row in rows)}
 
 
@@ -195,12 +247,20 @@ class InfinitesimalResult:
         return abs(self.residual) / max(self.reference, 1e-300)
 
 
-def _central(fn, eps: float) -> complex:
-    """Richardson-extrapolated central difference of fn at 0."""
-    def d(step):
-        return (fn(step) - fn(-step)) / (2.0 * step)
+def _central_steps(eps: float):
+    """The steps at which ``_central`` reads fn, in the order it reads them."""
+    return (eps / 2.0, -(eps / 2.0), eps, -eps)
 
-    return (4.0 * d(eps / 2.0) - d(eps)) / 3.0
+
+def _central(values, eps: float) -> complex:
+    """Richardson-extrapolated central difference at 0 of fn, from its
+    values at ``_central_steps(eps)``."""
+    plus2, minus2, plus, minus = values
+
+    def d(fp, fm, step):
+        return (fp - fm) / (2.0 * step)
+
+    return (4.0 * d(plus2, minus2, eps / 2.0) - d(plus, minus, eps)) / 3.0
 
 
 def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
@@ -215,14 +275,10 @@ def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
             blocks.append(ring_exp(TruncPoly.from_list(coeffs)))
         return GroupElement(tuple(blocks))
 
-    def fn(t):
-        return F(apply_group(z0, h=element(t)))
-
-    with _mesh_scope():
-        f0 = F(z0)
-        dchi = dchi_lambda(direction, pw)
-        deriv = _central(fn, eps)
-    residual = deriv - dchi * f0
+    dchi = dchi_lambda(direction, pw)
+    points = [z0] + [apply_group(z0, h=element(t)) for t in _central_steps(eps)]
+    f0, *values = _evaluate(F, points)
+    residual = _central(values, eps) - dchi * f0
     reference = abs(f0) * (1.0 + abs(dchi))
     return InfinitesimalResult(complex(residual), float(reference))
 
@@ -233,13 +289,8 @@ def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> Infinite
     E = np.asarray(E, dtype=np.complex128)
     if E.shape != (z0.m, z0.m):
         raise BadIndexSet("direction must act on the row space")
-
-    def fn(t):
-        return F(apply_group(z0, g=scipy.linalg.expm(t * E)))
-
-    with _mesh_scope():
-        f0 = F(z0)
-        deriv = _central(fn, eps)
-    residual = deriv + z0.r * np.trace(E) * f0
+    points = [z0] + [apply_group(z0, g=scipy.linalg.expm(t * E)) for t in _central_steps(eps)]
+    f0, *values = _evaluate(F, points)
+    residual = _central(values, eps) + z0.r * np.trace(E) * f0
     reference = abs(f0) * (1.0 + z0.r * abs(np.trace(E)))
     return InfinitesimalResult(complex(residual), float(reference))

@@ -186,19 +186,29 @@ def _chart_layout(pw: PartitionWeight):
     return np.array(cols), np.array([pw.alpha[j][0] for j in blocks]), np.array(pairs), longer
 
 
-def chart_exponent(spec: IntegrandSpec):
+def chart_exponent(spec: IntegrandSpec, stack=None):
     """The log of the chart integrand over a stacked (batch, r, m) frame t:
     sum_j alpha_{j,0} log det m0_j + sum_{j,k} alpha_{j,k} theta_k, with
     m_q = t z_q the images of block j and theta_k the trace polynomial of
     the ratios m0_j^{-1} m_q. The logs of all blocks are one ``_log_batch``
     call, before any ratio is formed. At r = 1 an image is t_0 z_0 + t_1 z_1,
-    so at t = (1, u) it rounds as a + u b does; above, one GEMM."""
-    order, lead, pairs, longer = _chart_layout(spec.pw)
-    r, ell, n, rows = spec.z.r, spec.z.ell, len(pairs), spec.z.entries[:, order]
+    so at t = (1, u) it rounds as a + u b does; above, one GEMM.
 
-    def exponent(t):
+    At r = 1, ``stack`` may hold the (K, 2, N) entries of K points of z's
+    shape: the exponent then takes (t, which) and reads frame i against
+    the entries of point which[i] (which may be None when K = 1)."""
+    order, lead, pairs, longer = _chart_layout(spec.pw)
+    r, ell, n = spec.z.r, spec.z.ell, len(pairs)
+    if stack is None:
+        rows = spec.z.entries[:, order]
+    else:
+        # (2, K, 1, N): one row pair per point, against (batch, 1, 1) frames
+        rows = np.moveaxis(stack[:, :, order], 1, 0)[:, :, None]
+
+    def exponent(t, which=None):
         if r == 1:
-            images = t[:, :, :1] * rows[0] + t[:, :, 1:] * rows[1]
+            a, b = rows if which is None else rows[:, which]
+            images = t[:, :, :1] * a + t[:, :, 1:] * b
         else:
             images = matmul_batch(t, rows)
         # the leading forms of all blocks, a (batch, blocks, r, r) view

@@ -12,13 +12,11 @@ Three strategies:
   lock-step rounds: every open half bisects its worst panel, and the
   nodes of all new panels go to one vectorized call of the integrand.
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
-  ``hgs``), an integral that succeeds records the tau breakpoints of each
-  half under its half signature, and the next integral with that
-  signature evaluates the panels between them in its first round and
-  refines from there. Its value meets the same tolerance, but may differ
-  from an unscoped one at rounding level; a signature's mesh only gets
-  finer within a scope, and a plain ``radon_hgf`` call never enters a
-  scope;
+  ``hgs``, which register the points at which they will call F), the
+  first call at a registered point integrates all registered points as
+  one stack: the same loop with a point axis, whose points share the tau
+  panels of each half and one integrand call per round. A plain
+  ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -84,6 +82,9 @@ from .rng import RandomStream, thread_count
 RAY_HALF_ANGLE = 2.0 * math.pi / 3.0
 # subdivisions of one adaptive integral before it gives up
 _MAX_INTERVALS = 4000
+# rounds of a stack of points (``_stack``) after which its open points
+# run alone
+_STACK_ROUNDS = 64
 
 
 def _require_rank(r: int):
@@ -176,6 +177,10 @@ _GK_KG = np.array([
 ], dtype=np.complex128).T
 
 
+# the one panel every half starts from
+_FIRST_PANEL = np.array([[[0.0, 1.0]]])
+
+
 def _power_kappa(exponent) -> int:
     """Substitution order for an endpoint factor (u - a)^exponent."""
     if exponent is None:
@@ -225,15 +230,14 @@ class RayPair:
 
 
 class _Half:
-    """One adaptive integral from start to end, over tau in [0, 1] under
-    y = start + (end - start) tau^kappa, with kappa = 1 unless the start
-    carries a power. Along a straight segment y is u; along a ray it is s
-    on the Moebius arc u(s) = o + w s / D(s), with arc = (o, w, q). A panel
-    is (tau0, tau1). The half enters the sum with its sign; a half that
-    failed keeps the error it raises."""
+    """One adaptive integral of one point from start to end, over tau in
+    [0, 1] under y = start + (end - start) tau^kappa, with kappa = 1 unless
+    the start carries a power. Along a straight segment y is u; along a ray
+    it is s on the Moebius arc u(s) = o + w s / D(s), with arc = (o, w, q).
+    The half enters the point's sum with its sign; it fails from the start
+    when its endpoint exponent is not integrable."""
 
-    __slots__ = ("start", "end", "arc", "kappa", "atol", "sign", "failure",
-                 "heap", "popped", "total", "err", "tie")
+    __slots__ = ("start", "end", "arc", "kappa", "atol", "sign", "failure")
 
     def __init__(self, start, end, exponent, arc, atol, sign):
         self.start, self.end, self.arc, self.atol, self.sign = start, end, arc, atol, sign
@@ -242,50 +246,13 @@ class _Half:
             self.kappa = _power_kappa(exponent)
         except DivergentEndpoint as exc:
             self.kappa, self.failure = 1, exc
-        self.heap, self.popped = [], None
-        self.total, self.err, self.tie = 0.0 + 0.0j, 0.0, 0
 
     @property
-    def count(self) -> int:
-        return len(self.heap)
-
-    def add(self, panels, values):
-        """Take the (value, error) of its newest panels: the first panels,
-        or the two halves of the panel popped last."""
-        for panel, (v, e) in zip(panels, values):
-            heappush(self.heap, (-e, self.tie, panel, v, e))
-            self.tie += 1
-        if self.popped is None:
-            self.total = sum(v for v, _ in values)
-            self.err = sum(e for _, e in values)
-        else:
-            (v1, e1), (v2, e2) = values
-            v, e = self.popped
-            self.total += (v1 + v2) - v
-            self.err += (e1 + e2) - e
-
-    def is_open(self, rtol) -> bool:
-        return self.err > max(self.atol, rtol * abs(self.total)) and self.count < _MAX_INTERVALS
-
-    def bisect(self):
-        """Pop the worst panel; its two halves are the next panels."""
-        _, _, (x0, x1), v, e = heappop(self.heap)
-        self.popped = (v, e)
-        mid = 0.5 * (x0 + x1)
-        return [(x0, mid), (mid, x1)]
-
-    def breakpoints(self):
-        """The ends of the panels on its heap, from 0 to 1."""
-        return [0.0] + sorted(panel[1] for _, _, panel, _, _ in self.heap)
-
-    def close(self, rtol):
-        if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
-            self.failure = NonConvergent("the integrand is not finite along the chain")
-        elif (self.err > 10.0 * max(self.atol, rtol * abs(self.total), 1e-300)
-              and self.count >= _MAX_INTERVALS):
-            self.failure = NonConvergent(
-                f"interval budget {_MAX_INTERVALS} exhausted with error {self.err:.2e}"
-            )
+    def signature(self):
+        """What the halves of the points of one stack share: whether it is
+        on an arc, its substitution order, its sign and its share of the
+        tolerance."""
+        return self.arc is not None, self.kappa, self.sign, self.atol
 
 
 def _segment_halves(a, b, exp_a, exp_b, atol, arc, sign):
@@ -335,109 +302,405 @@ def _halves(pieces, tol):
     return halves
 
 
-def _node_maps(halves):
-    """The node map of each half, as columns built once per integral:
-    kappa, whether the half is on an arc, and its start, span, end and
-    the arc's o, w, q, which are (0, 1, 0) off arcs."""
-    return (np.array([[h.kappa] for h in halves], dtype=float),
-            np.array([[h.arc is not None] for h in halves]),
-            np.array([(h.start, h.end - h.start, h.end, *(h.arc or (0.0, 1.0, 0.0)))
-                      for h in halves], dtype=np.complex128))
+def _node_maps(stack):
+    """The node maps of a stack of K points, ``stack[k]`` the halves of
+    point k, as arrays built once per stack. The points whose halves share
+    a signature share rows, a row being one half of that signature.
+    Returns the maps that ``_gk15`` reads: per row its kappa and whether it
+    is on an arc, and per row and point the start, span, end and arc
+    o, w, q of the point's half, which are (0, 1, 0) off arcs and at a
+    point of another signature, as an (H, K, 6) array; then per row its
+    share of the tolerance, and per point the range of its rows."""
+    heads, rows = stack[0], [range(len(stack[0]))]
+    if len(stack) > 1:
+        start, heads, rows = {}, [], []
+        for halves in stack:
+            signature = tuple(h.signature for h in halves)
+            if signature not in start:
+                start[signature] = len(heads)
+                heads += halves
+            rows.append(range(start[signature], start[signature] + len(halves)))
+    meta = np.array([(h.kappa, h.arc is not None, h.atol) for h in heads])
+    cols = [[(0.0, 1.0, 0.0, 0.0, 1.0, 0.0)] * len(stack) for _ in heads]
+    for k, halves in enumerate(stack):
+        for i, h in zip(rows[k], halves):
+            cols[i][k] = (h.start, h.end - h.start, h.end, *(h.arc or (0.0, 1.0, 0.0)))
+    maps = meta[:, 0], meta[:, 1] != 0.0, np.array(cols, dtype=np.complex128)
+    return maps, meta[:, 2], rows
 
 
-def _gk15(f, maps, panels):
-    """(value, error) of the new panels of each half, in one call of f on
-    the nodes that are kept. A node tau of a panel of half i goes to
-    y = start + span tau^kappa under row i of ``maps`` and, on an arc, on
-    to u = o + w y / D with D = (1 - y) + q y."""
-    owner = np.array([i for i, spans in panels.items() for _ in spans])
-    ends = np.array([panel for spans in panels.values() for panel in spans])
-    kappa, on_arc, points = (m[owner] for m in maps)
-    start, span, end, o, w, q = points.T[:, :, None]
-    half = 0.5 * (ends[:, 1:] - ends[:, :1])
-    tau = 0.5 * (ends[:, :1] + ends[:, 1:]) + half * _GK_X
-    y = start + span * tau**kappa
+def _gk15(f, maps, hs, ends, hi, ki):
+    """(value, error) of the new panels of the (half, point) pairs
+    (hs[hi], ki), as one (pairs, panels, 2) complex array whose errors have
+    no imaginary part, in one call of f on the nodes that are kept.
+    ``ends`` holds the new (tau0, tau1) panels of each half in hs, which
+    its points share. A node tau goes to y = start + span tau^kappa under
+    the columns of its pair and, on an arc, on to u = o + w y / D with
+    D = (1 - y) + q y. f takes the nodes and the point of each node, None
+    for a stack of one point."""
+    kappa, on_arc, cols = maps
+    half = 0.5 * (ends[..., 1] - ends[..., 0])
+    tau = (0.5 * (ends[..., 0] + ends[..., 1]))[..., None] + half[..., None] * _GK_X
+    kap = kappa[hs, None, None]
+    # what depends on tau alone is shared by the points of a half, and
+    # needs no gather when each half has one pair
+    tk, jac, arc = tau**kap, kap * tau ** (kap - 1.0), on_arc[hs]
+    if len(hi) != len(hs):
+        tk, jac, half, arc = tk[hi], jac[hi], half[hi], arc[hi]
+    start, span, end, o, w, q = cols[hs[hi], ki].T[:, :, None, None]
+    y = start + span * tk
     drop = y == start
     keep = None
-    if drop.any():
+    if np.count_nonzero(drop):
         # a node whose offset rounds to the start is dropped, not mapped:
         # the jacobian factor damps its true contribution past double
         # precision, and on an arc s = 1 is where D vanishes; the end of
         # the half stands in for it until f is called
         y[drop] = np.broadcast_to(end, y.shape)[drop]
         keep = ~drop
-    arcs = on_arc.any()
+    arcs = np.count_nonzero(arc)
     if arcs:
-        # D = 1 off arcs, where u = y
-        d = np.where(on_arc, (1.0 - y) + q * y, 1.0)
+        d = (1.0 - y) + q * y
+        if arcs < len(arc):
+            # D = 1 off arcs, where u = y
+            d = np.where(arc[:, None, None], d, 1.0)
         y = o + w * y / d
+    stacked = cols.shape[1] > 1
     if keep is None:
-        fv = np.asarray(f(y.ravel()), dtype=np.complex128).reshape(y.shape)
+        which = np.repeat(ki, y[0].size) if stacked else None
+        fv = np.asarray(f(y.ravel(), which), dtype=np.complex128).reshape(y.shape)
     else:
+        which = np.broadcast_to(ki[:, None, None], y.shape)[keep] if stacked else None
         fv = np.zeros(y.shape, dtype=np.complex128)
-        fv[keep] = f(y[keep])
+        fv[keep] = f(y[keep], which)
     if arcs:
         fv = fv * w / (d * d)
-    fv = fv * (kappa * tau ** (kappa - 1.0)) * span
+    fv = (fv * jac * span).reshape(-1, 15)
     # numpy multiplies a lone row by the vector-matrix path, which rounds
     # differently from the same row inside a matrix product
     kg = (np.repeat(fv, 2, axis=0) if len(fv) == 1 else fv) @ _GK_KG
-    k, g = (kg[: len(fv)] * half).T
-    diff = np.abs(k - g)
+    out = kg[: len(fv)] * half.reshape(-1, 1)
+    diff = np.abs(out[:, 0] - out[:, 1])
     # the minimum is diff once diff >= 1, where (200 diff)^1.5 may overflow
-    err = np.minimum(diff, (200.0 * diff) ** 1.5)
-    rows = zip(k.tolist(), err.tolist())
-    return {i: [next(rows) for _ in spans] for i, spans in panels.items()}
+    out[:, 1] = np.minimum(diff, (200.0 * diff) ** 1.5)
+    return out.reshape(len(hi), -1, 2)
 
 
-def _round(f, halves, maps, panels):
-    """``_gk15`` of the new panels. When f raises, each half is evaluated
-    alone, in order, up to the first that raises; that half keeps the error
-    as its failure."""
+def _round(f, maps, hs, ends, hi, ki, fail):
+    """``_gk15`` of the new panels of the open pairs, as (evaluated,
+    estimates), with evaluated None when every pair was. When f raises,
+    the points are evaluated alone, in order, and within the first that
+    raises each half alone, up to the first that raises; that pair fails
+    with the error, and the pairs after it go unevaluated."""
     try:
-        return _gk15(f, maps, panels)
+        return None, _gk15(f, maps, hs, ends, hi, ki)
     except RadonHGFError:
-        values = {}
-        for i, spans in panels.items():
+        pass
+    parts = []
+    points = np.unique(ki)
+    for k in points.tolist():
+        sel = np.flatnonzero(ki == k)
+        if len(points) > 1:
             try:
-                values.update(_gk15(f, maps, {i: spans}))
+                parts.append((sel, _gk15(f, maps, hs, ends, hi[sel], ki[sel])))
+                continue
+            except RadonHGFError:
+                pass
+        for j in sel.tolist():
+            one = np.arange(j, j + 1)
+            try:
+                parts.append((one, _gk15(f, maps, hs, ends, hi[one], ki[one])))
             except RadonHGFError as exc:
-                halves[i].failure = exc
+                fail(int(hs[hi[j]]), k, exc)
                 break
-        return values
+        else:
+            continue
+        break
+    if not parts:
+        return np.zeros(0, dtype=int), np.zeros((0, ends.shape[1], 2), dtype=np.complex128)
+    sel, est = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(sel)
+    return sel[order], est[order]
+
+
+def _lockstep(f, stack, tol, cap=None):
+    """Adaptive GK15 integrals of a stack of K points in lock-step rounds,
+    ``stack[k]`` the halves of point k, over tau panels that the points of
+    each half share; the points whose halves share a signature share those
+    halves (``_node_maps``).
+
+    f(u, which) is the integrand at nodes u of the points which (None for
+    one point). A (half, point) pair closes once its error is within
+    max(atol, tol |total|) (QUADPACK's rule) or its half holds
+    _MAX_INTERVALS panels. In each round every half with an open pair
+    bisects its worst panel, the one whose largest error over the open
+    pairs is largest, and the new panels of all open pairs go to one call
+    of f; a half takes part in every round until its last pair closes, so
+    it holds as many panels as rounds have run. A failing pair closes the
+    later halves of its point and every later point, as if the points ran
+    one after another. Returns per point an ``IntegralEstimate``, the
+    first error of its halves in chain order, or None when an earlier
+    point's failure closed it. After ``cap`` rounds the points that are
+    still open stop, each with a ``NonConvergent`` that closes no other
+    point.
+
+    The state is a grid of the halves that go on by the K points, and a
+    value and its error travel together as one complex pair (the error
+    with no imaginary part), so that each step of the bookkeeping is one
+    array operation whatever K is."""
+    maps, atol, rows = _node_maps(stack)
+    H, K = len(atol), len(stack)
+    # per pair h * K + k, once it closed: its total, error and panels
+    closed = {}
+    alive = np.ones((H, K), dtype=bool)
+    if len(rows[-1]) < H:
+        alive[...] = False
+        for k, r in enumerate(rows):
+            alive[r.start : r.stop, k] = True
+    failed = {}
+    # the (value, error) of every panel at each point, one row per panel;
+    # a half's heap holds its panels as (-key, tie, tau0, tau1, row, open)
+    store = np.empty((8 * H, K, 2), dtype=np.complex128)
+    stored = tie = rounds = 0
+    heaps = [[] for _ in range(H)]
+
+    def fail(h, k, exc):
+        if k not in failed or h < failed[k][0]:
+            failed[k] = (h, exc)
+        alive[h:, k] = False
+        alive[:, k + 1:] = False
+
+    for k, halves in enumerate(stack):
+        i = next((i for i, h in enumerate(halves) if h.failure is not None), None)
+        if i is not None:
+            fail(rows[k][i], k, halves[i].failure)
+            break
+    # the halves that go on, their open pairs and tolerance shares, and
+    # from the second round the running (total, error) of each pair and
+    # the (value, error) of the panel its half bisected
+    hs = np.flatnonzero(alive.any(axis=1)) if failed or len(rows[-1]) < H else np.arange(H)
+    on, share = alive[hs], atol[hs, None]
+    hi, ki = np.nonzero(on)
+    ends = _FIRST_PANEL.repeat(len(hs), axis=0)
+    spans = [(0.0, 1.0)] * len(hs)
+    # a value that overflows makes its pair fail as not finite, not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(hs):
+            rounds += 1
+            P = ends.shape[1]
+            evaluated, est = _round(f, maps, hs, ends, hi, ki, fail)
+            full = evaluated is None and len(hi) == on.size
+            if full:
+                new = est.reshape(len(hs), K, P, 2)
+            else:
+                if evaluated is not None:
+                    hi, ki = hi[evaluated], ki[evaluated]
+                    on = np.zeros_like(on)
+                    on[hi, ki] = True
+                new = np.zeros((len(hs), K, P, 2), dtype=np.complex128)
+                new[hi, ki] = est
+            acc = new[:, :, 0] if rounds == 1 else acc + ((new[:, :, 0] + new[:, :, 1]) - bisected)
+            going = acc[..., 1].real > np.fmax(share, tol * np.abs(acc[..., 0]))
+            if rounds >= _MAX_INTERVALS:
+                going[...] = False
+            if not full:
+                going &= on
+            # the open pairs change when one closes, or did not run
+            changed = not full or np.count_nonzero(going) < going.size
+            sh, sk = np.nonzero(on & ~going) if changed else (hs[:0], hs[:0])
+            if len(sh):
+                done = hs[sh] * K + sk
+                alive.reshape(-1)[done] = False
+                fails = False
+                for pt, (total, error) in zip(done.tolist(), acc[sh, sk].tolist()):
+                    error = error.real
+                    closed[pt] = total, error, rounds
+                    if not (cmath.isfinite(total) and math.isfinite(error)):
+                        exc = NonConvergent("the integrand is not finite along the chain")
+                    elif (rounds >= _MAX_INTERVALS and error > 10.0 * max(
+                            atol[pt // K], tol * abs(total), 1e-300)):
+                        exc = NonConvergent(f"interval budget {_MAX_INTERVALS} exhausted "
+                                            f"with error {error:.2e}")
+                    else:
+                        continue
+                    fail(pt // K, pt % K, exc)
+                    fails = True
+                if fails:
+                    going = alive[hs]
+            # each half keeps its new panels, a closed pair's at 0, rated by
+            # the largest error of a pair that is still open
+            if stored + len(hs) * P > len(store):
+                store = np.concatenate([store, np.empty_like(store)])
+            fresh = store[stored : stored + len(hs) * P].reshape(len(hs), P, K, 2)
+            fresh[...] = new.swapaxes(1, 2)
+            if K == 1:
+                # a half's one pair: its error is the key
+                keys, n_on = new[:, 0, :, 1].real.tolist(), going[:, 0].tolist()
+            elif not changed:
+                keys, n_on = fresh[..., 1].real.max(axis=2).tolist(), [K] * len(hs)
+            else:
+                keys = np.where(going[:, None, :], fresh[..., 1].real, -np.inf).max(axis=2).tolist()
+                n_on = going.sum(axis=1).tolist()
+            nxt, new_ends, popped = [], [], []
+            for j, i in enumerate(hs.tolist()):
+                if not n_on[j]:
+                    continue
+                heap = heaps[i]
+                for p, key in enumerate(keys[j]):
+                    heappush(heap, (-key, tie, spans[j][2 * p], spans[j][2 * p + 1],
+                                    stored + j * P + p, n_on[j]))
+                    tie += 1
+                while True:
+                    entry = heappop(heap)
+                    if entry[5] != n_on[j]:
+                        # pairs closed since it was pushed: its key is now
+                        # the largest error over the open ones, no larger
+                        key = float(store[entry[4], alive[i], 1].real.max())
+                        entry = (-key, *entry[1:5], n_on[j])
+                        if heap and entry[:2] > heap[0][:2]:
+                            heappush(heap, entry)
+                            continue
+                    break
+                x0, x1 = entry[2], entry[3]
+                mid = 0.5 * (x0 + x1)
+                nxt.append(j)
+                new_ends.append((x0, mid, mid, x1))
+                popped.append(entry[4])
+            stored += len(hs) * P
+            if len(nxt) < len(hs):
+                hs, acc, share, going = hs[nxt], acc[nxt], share[nxt], going[nxt]
+            if changed:
+                on = going
+                hi, ki = np.nonzero(on)
+            if rounds == cap:
+                for k in np.flatnonzero(on.any(axis=0)).tolist():
+                    failed.setdefault(k, (H, NonConvergent(f"open after {cap} stacked rounds")))
+                break
+            spans = new_ends
+            ends = np.array(new_ends).reshape(len(hs), 2, 2)
+            bisected = store[popped]
+    limit = min((k for k, (h, _) in failed.items() if h < H), default=K)
+    out = []
+    for k in range(K):
+        if k > limit or k in failed:
+            out.append(None if k > limit else failed[k][1])
+            continue
+        # its halves in chain order, added as one walk would add them
+        value, error, panels = 0.0 + 0.0j, 0.0, 0
+        for i, half in zip(rows[k], stack[k]):
+            total, err, count = closed[i * K + k]
+            value += half.sign * total
+            error += err
+            panels += count
+        out.append(IntegralEstimate(value, error, "adaptive-1d", panels))
+    return out
 
 
 # ----------------------------------------------------------------------
-# mesh scope: integrals that start from the last one's breakpoints
+# mesh scope: the stencil points of a check, integrated as one stack
 # ----------------------------------------------------------------------
 
-# while a scope is active: half signature -> the breakpoints of each half
-# of the last integral with that signature in which every half succeeded
-_MESH = contextvars.ContextVar("radon_hgf_mesh", default=None)
+def _point_key(z: CoordMatrix):
+    """A point by value: its partition, r and entries."""
+    return z.lam, z.r, z.entries.shape, z.entries.tobytes()
+
+
+class _Scope:
+    """The points a check registered, by key in stencil order, and the
+    outcome of each stack run so far, by (weight, chain, tolerance)."""
+
+    __slots__ = ("points", "stacks")
+
+    def __init__(self, points):
+        self.points, self.stacks = points, {}
+
+
+_SCOPE = contextvars.ContextVar("radon_hgf_scope", default=None)
 
 
 @contextlib.contextmanager
-def _mesh_scope():
-    """Let the r = 1 integrals run inside start from each other's meshes.
+def _mesh_scope(points):
+    """Register the points at which a check will call F, in stencil order.
 
-    An integral in which every half succeeds records the sorted tau
-    breakpoints of each half under its half signature (whether every half
-    is on an arc, and its kappa). The next integral with that signature
-    evaluates the panels between those breakpoints in its first round,
-    and then refines as any integral does. Entering while a scope is
-    active reuses that scope."""
-    if _MESH.get() is not None:
+    F is opaque, so the check names its points before the first call.
+    Inside the scope the first r = 1 ``radon_hgf`` call at a registered
+    point integrates every registered point as one stack (``_stack``) for
+    its weight, chain and tolerance, and the later calls at registered
+    points with those are served from that stack; one with another weight,
+    chain or tolerance runs its own stack. Entering with points that the
+    active scope holds already reuses it; entering with others opens a
+    scope of their own until it exits."""
+    registry = {}
+    for z in points:
+        registry.setdefault(_point_key(z), z)
+    active = _SCOPE.get()
+    if active is not None and registry.keys() <= active.points.keys():
         yield
         return
-    token = _MESH.set({})
+    token = _SCOPE.set(_Scope(registry))
     try:
         yield
     finally:
-        _MESH.reset(token)
+        _SCOPE.reset(token)
 
 
-def _first_failure(halves) -> int:
-    return next((i for i, h in enumerate(halves) if h.failure is not None), len(halves))
+def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
+    """The outcome of each point, by key: its estimate or the error that
+    ``radon_hgf`` raises for it. The points of pw's shape are checked in
+    stencil order, up to the first that fails its checks, and integrated
+    as one ``_lockstep`` of at most _STACK_ROUNDS rounds. A point that
+    fails there, or is still open at the end, runs alone, and its outcome
+    is that run's: a point whose bisection the others drive can hold up
+    the points that share its halves, and the shared mesh decides whether
+    a node lands on a branch point. A point that fails alone closes every
+    later point, which then has no outcome."""
+    checked, keys, members, halves = {}, [], [], []
+    for key, z in points.items():
+        if z.lam != pw.lam or z.r != 1 or z.m != 2:
+            continue
+        try:
+            require_member(z)
+            pieces = chart_pieces_r1(z, pw, chain)
+        except RadonHGFError as exc:
+            checked[key] = exc
+            break
+        keys.append(key)
+        members.append((z, pieces))
+        halves.append(_halves(pieces, tol))
+    outcome = {}
+    if keys:
+        stacked = _lockstep(scalar_chart_function([z for z, _ in members], pw), halves, tol,
+                            _STACK_ROUNDS)
+        for key, (z, pieces), out in zip(keys, members, stacked):
+            if isinstance(out, RadonHGFError):
+                try:
+                    out = integrate_pieces(scalar_chart_function(z, pw), pieces, tol)
+                except RadonHGFError as exc:
+                    out = exc
+            if out is None:
+                return outcome
+            outcome[key] = out
+            if isinstance(out, RadonHGFError):
+                return outcome
+    outcome.update(checked)
+    return outcome
+
+
+def _stacked(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec, tol: float):
+    """The outcome of z from the active scope's stack for (pw, chain, tol),
+    run at the first call that asks for it; None when there is no scope,
+    z is not registered, the tolerance is meaningless or an earlier point's
+    failure closed z."""
+    scope = _SCOPE.get()
+    if scope is None or not (math.isfinite(tol) and tol > 0):
+        return None
+    key = _point_key(z)
+    if key not in scope.points:
+        return None
+    run = (pw, chain, tol)
+    if run not in scope.stacks:
+        scope.stacks[run] = _stack(scope.points, pw, chain, tol)
+    return scope.stacks[run].get(key)
 
 
 def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
@@ -450,54 +713,15 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     every open half bisects once, and the nodes of all new panels go to one
     call of f. A half that fails closes every later half; the first failure
     in chain order is raised, as a sequential walk would raise it. The
-    tolerance must be positive and finite.
-
-    Inside a mesh scope (``_mesh_scope``) the first round evaluates, for
-    each half, the panels between the breakpoints recorded by the last
-    integral with the same half signature instead of all of [0, 1], and
-    the rounds refine from there; an integral in which every half succeeds
-    records its breakpoints. The estimate meets the same tolerance as
-    outside a scope, but it may differ from that one at rounding level,
-    and within a scope the mesh of a signature only gets finer. A plain
-    ``radon_hgf`` call never enters a scope.
+    tolerance must be positive and finite. This is the one-point case of
+    the stacks that ``_mesh_scope`` runs for the stencil checks.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    halves = _halves(pieces, tol)
-    maps = _node_maps(halves)
-    mesh = _MESH.get()
-    signature = tuple((h.arc is not None, h.kappa) for h in halves)
-    breaks = (mesh or {}).get(signature) or [(0.0, 1.0)] * len(halves)
-    panels = {i: list(zip(breaks[i], breaks[i][1:])) for i in range(_first_failure(halves))}
-    # a value that overflows makes its half fail as not finite, not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        while panels:
-            values = _round(f, halves, maps, panels)
-            limit = _first_failure(halves)
-            live = {}
-            for i, spans in panels.items():
-                if i >= limit:
-                    break
-                h = halves[i]
-                h.add(spans, values[i])
-                if h.is_open(tol):
-                    live[i] = h.bisect()
-                else:
-                    h.close(tol)
-            limit = _first_failure(halves)
-            panels = {i: spans for i, spans in live.items() if i < limit}
-    total = 0.0 + 0.0j
-    err = 0.0
-    count = 0
-    for h in halves:
-        if h.failure is not None:
-            raise h.failure
-        total += h.sign * h.total
-        err += h.err
-        count += h.count
-    if mesh is not None:
-        mesh[signature] = [h.breakpoints() for h in halves]
-    return IntegralEstimate(total, err, "adaptive-1d", count)
+    [out] = _lockstep(lambda u, which: f(u), [_halves(pieces, tol)], tol)
+    if isinstance(out, RadonHGFError):
+        raise out
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -776,22 +1000,32 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 # Grassmannian integrals
 # ----------------------------------------------------------------------
 
-def scalar_chart_function(z: CoordMatrix, pw: PartitionWeight):
+def scalar_chart_function(z, pw: PartitionWeight):
     """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
-    (0-d included): ``chart_exponent`` at the frames (1, u). A point on a
+    (0-d included): ``chart_exponent`` at the frames (1, u). Given a
+    sequence of coordinate matrices of one shape for z, it returns the
+    integrand of the stack, f(u, which), whose value at u[i] is that of
+    point which[i] (which may be None for a sequence of one). A point on a
     block root, or whose exponent passes 700, raises ``OnBranchLocus``
     before any exponential is taken."""
-    if z.r != 1 or pw.r != 1:
+    points = [z] if isinstance(z, CoordMatrix) else list(z)
+    first = points[0]
+    if first.r != 1 or pw.r != 1:
         raise ShapeMismatch("scalar chart function requires r = 1")
-    exponent = chart_exponent(IntegrandSpec(pw, z))
+    stack = None
+    if not isinstance(z, CoordMatrix):
+        if any(p.lam != first.lam or p.entries.shape != first.entries.shape for p in points):
+            raise ShapeMismatch("stacked coordinate matrices must share one shape")
+        stack = np.stack([p.entries for p in points])
+    exponent = chart_exponent(IntegrandSpec(pw, first), stack)
 
-    def f(u):
+    def f(u, which=None):
         u = np.asarray(u)
         t = np.empty((u.size, 1, 2), dtype=np.complex128)
         t[:, 0, 0] = 1.0
         t[:, 0, 1] = u.ravel()
         try:
-            expo = exponent(t)
+            expo = exponent(t, which)
         except SingularBlock as exc:
             raise OnBranchLocus("chart point sits on a branch hypersurface") from exc
         if (expo.real > 700.0).any():
@@ -876,15 +1110,23 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
 
     r = 1 uses root-following adaptive quadrature; r >= 2 uses the
     eigenvalue reduction on recognized normal forms, falling back to
-    Haar Monte Carlo.
+    Haar Monte Carlo. Inside a mesh scope (``_mesh_scope``) an r = 1 call
+    at a registered point returns that point's outcome from the stack of
+    all registered points.
     """
     if z.lam != pw.lam or z.r != pw.r:
         raise ShapeMismatch("coordinate matrix and weight partition disagree")
     if chain.r != z.r:
         raise ShapeMismatch(f"chain of size r = {chain.r} for a coordinate matrix of r = {z.r}")
-    if z.m == 2 * z.r:
-        require_member(z)
     r = z.r
+    if r == 1:
+        found = _stacked(z, pw, chain, budget.tol)
+        if isinstance(found, RadonHGFError):
+            raise found
+        if found is not None:
+            return found
+    if z.m == 2 * r:
+        require_member(z)
     if r == 1:
         f = scalar_chart_function(z, pw)
         return integrate_pieces(f, chart_pieces_r1(z, pw, chain), tol=budget.tol)

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import radon_hgf
 from radon_hgf.cli import build_parser, main
 from radon_hgf.io import (
     element_to_json,
@@ -344,9 +346,13 @@ def test_invalid_weight_exits_2(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the package these tests import, installed or not
+    source = str(Path(radon_hgf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-m", "radon_hgf.cli", "theta", "--p", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0
     json.loads(out.stdout)

@@ -1,9 +1,13 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from radon_hgf.characters import LieDirection, PartitionWeight
+from radon_hgf.characters import GroupElement, LieDirection, PartitionWeight
 from radon_hgf.errors import BadIndexSet, StencilCrossesBranchLocus
-from radon_hgf.grassmann import CoordMatrix
+from radon_hgf.grassmann import CoordMatrix, apply_group
 from radon_hgf.hgs import (
     MultiIndexPair,
     StencilPlan,
@@ -14,6 +18,7 @@ from radon_hgf.hgs import (
     verify_system,
 )
 from radon_hgf.integrate import Budget, ChainSpec, radon_hgf
+from radon_hgf.jordan import TruncPoly, ring_exp
 from radon_hgf.normal_form import pattern
 from radon_hgf.rng import RandomStream
 
@@ -214,3 +219,138 @@ def test_bad_steps_refused(step):
         check_h_infinitesimal(F, z0, direction, pw, eps=step)
     with pytest.raises(ValueError):
         check_gl_infinitesimal(F, z0, np.zeros((2, 2)), eps=step)
+
+
+def test_pair_outside_the_matrix_is_refused_before_any_call():
+    # rows past m or columns past N used to raise numpy's bare IndexError
+    _, z0, _ = _gauss_setup()
+
+    def F(z):
+        raise AssertionError("a refused pair evaluates nothing")
+
+    for pair in (MultiIndexPair((1, 3), (1, 2)), MultiIndexPair((1, 2), (4, 5))):
+        with pytest.raises(BadIndexSet, match="exceeds the 2 x 4 coordinate matrix"):
+            apply_DIJ(F, z0, pair)
+        with pytest.raises(BadIndexSet):
+            verify_system(F, z0, [all_pairs(2, 4, 1)[0], pair])
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
+def test_meaningless_rel_tol_is_refused(rel_tol):
+    # 0, -1 and nan used to report every pair as failed
+    _, z0, _ = _gauss_setup()
+
+    def F(z):
+        raise AssertionError("a refused tolerance evaluates nothing")
+
+    with pytest.raises(ValueError, match=f"rel_tol must be positive and finite, got {rel_tol}"):
+        verify_system(F, z0, all_pairs(2, 4, 1), rel_tol=rel_tol)
+
+
+def _stencil_entries(z0, pair, plan):
+    """The entries at which apply_DIJ evaluates F, in stencil order: per
+    step, per permutation of the rows, per corner of the signs."""
+    rows, cols = [i - 1 for i in pair.I], [j - 1 for j in pair.J]
+    out = []
+    for h in (plan.h, plan.h / 2.0) if plan.richardson else (plan.h,):
+        for perm in permutations(range(pair.order)):
+            for corner in range(1 << pair.order):
+                e = z0.entries.copy()
+                for q in range(pair.order):
+                    i, j = rows[perm[q]], cols[q]
+                    step = h * (1.0 + abs(z0.entries[i, j]))
+                    e[i, j] += step if corner >> q & 1 else -step
+                out.append(e)
+    return out
+
+
+def _recording():
+    seen = []
+
+    def F(z):
+        seen.append(z.entries)
+        return complex(np.sum(z.entries))
+
+    return seen, F
+
+
+def _same_points(seen, expected):
+    assert len(seen) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+    assert len({e.tobytes() for e in seen}) == len(seen)
+
+
+def test_F_runs_once_per_stencil_point_in_order():
+    _, z0, _ = _gauss_setup()
+    plan = StencilPlan(h=1e-3)
+    pairs = all_pairs(2, 4, 1)
+    seen, F = _recording()
+    apply_DIJ(F, z0, pairs[2], plan)
+    _same_points(seen, _stencil_entries(z0, pairs[2], plan))
+    seen, F = _recording()
+    verify_system(F, z0, pairs, plan)
+    _same_points(seen, [e for pair in pairs for e in _stencil_entries(z0, pair, plan)])
+    # a pair given twice shares its points, which F sees once
+    seen, F = _recording()
+    report = verify_system(F, z0, [pairs[2], pairs[2]], plan)
+    _same_points(seen, _stencil_entries(z0, pairs[2], plan))
+    assert report["pairs"][0] == report["pairs"][1]
+
+
+def test_infinitesimal_checks_run_F_once_per_point_in_order():
+    lam = (1, 1, 1)
+    pw = PartitionWeight(lam, ((-2.9,), (0.4,), (0.5,)), 2, 1, strict=False)
+    z0 = CoordMatrix(lam, 1, pattern(lam, 1))
+    direction = LieDirection(((np.array([[0.7]]),), (np.array([[-0.3]]),), (np.array([[0.2]]),)))
+    eps = 1e-3
+    steps = (eps / 2.0, -(eps / 2.0), eps, -eps)
+
+    def element(t):
+        return GroupElement(tuple(
+            ring_exp(TruncPoly.from_list([t * np.asarray(c, dtype=np.complex128) for c in eb]))
+            for eb in direction.blocks))
+
+    seen, F = _recording()
+    check_h_infinitesimal(F, z0, direction, pw, eps=eps)
+    _same_points(seen, [z0.entries] + [apply_group(z0, h=element(t)).entries for t in steps])
+    E = np.array([[0.2, -0.5], [0.3, 0.1]], dtype=np.complex128)
+    seen, F = _recording()
+    check_gl_infinitesimal(F, z0, E, eps=eps)
+    _same_points(seen, [z0.entries]
+                 + [apply_group(z0, g=scipy.linalg.expm(t * E)).entries for t in steps])
+
+
+# residual and scale of each pair of all_pairs(2, 4, 1) at the _gauss_setup
+# point for an F that moves z by a fixed frame before radon_hgf, as the
+# stencils read them before the registered points were stacked; its points
+# are not registered, so each runs alone
+_MOVED_RESIDUALS = [
+    (-6.34936547783127e-13, 0.26219079487366853),
+    (3.127276215764141e-12, 0.5627028875974438),
+    (8.071765478234738e-12, 0.15991154668507357),
+    (-1.0837442054878466e-11, 0.2543377802364035),
+    (-2.186245628976735e-11, 0.12115907520346574),
+    (1.730615650785694e-11, 0.22315798773385653),
+]
+
+
+def test_moved_F_and_negative_control_read_as_before():
+    pw, z0, _ = _gauss_setup()
+    chain = ChainSpec("interval-0-1", 1)
+    g = np.array([[1.0, 0.1], [0.05, 1.0]])
+
+    def F(z):
+        return radon_hgf(apply_group(z, g=g), pw, chain, Budget(tol=5e-13)).value
+
+    report = verify_system(F, z0, all_pairs(2, 4, 1))
+    assert report["pass"]
+    for row, (before, before_scale) in zip(report["pairs"], _MOVED_RESIDUALS):
+        # the values move at rounding level, which the stencil amplifies
+        assert abs(row["scale"] - before_scale) <= 1e-9 * before_scale
+        assert abs(complex(*row["residual"]) - before) <= 3e-9 * before_scale
+    # criterion 11's negative control
+    for h, before in ((4e-3, 1.000000000000288), (2e-3, 0.9999999999977681),
+                      (1e-3, 0.9999999999977681)):
+        resid, scale = apply_DIJ(lambda z: z.entries[0, 0] * z.entries[1, 1], z0,
+                                 all_pairs(2, 4, 1)[0], StencilPlan(h=h, richardson=False))
+        assert resid == before and scale == before

@@ -22,7 +22,7 @@ from radon_hgf.errors import (
     UnsupportedCount,
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
-from radon_hgf.hgs import MultiIndexPair, apply_DIJ
+from radon_hgf.hgs import MultiIndexPair, StencilPlan, all_pairs, apply_DIJ, verify_system
 from radon_hgf.integrands import NamedFamily, named_integrand_batch
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.integrate import (
@@ -777,15 +777,19 @@ def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
                for e in (None, -0.5) for on in (None, _ARC)]
     assert [(h.kappa > 1, h.arc is not None) for h in halves[1:]] == [
         (False, False), (False, True), (True, False), (True, True)]
-    maps = integrate._node_maps(halves)
+    maps = integrate._node_maps([halves])[0]
     spans = [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0), (0.25, 0.5), (0.125, 0.375)]
 
-    def f(u):
+    def f(u, which):
         return np.exp((0.3 + 1j) * u) / (1.7 - u)
 
-    batch = integrate._gk15(f, maps, {i: spans for i in range(len(halves))})
+    every = np.arange(len(halves))
+    batch = integrate._gk15(f, maps, every, np.array([spans] * len(halves)), every,
+                            np.zeros(len(halves), dtype=int))
+    one = np.zeros(1, dtype=int)
     for k, span in enumerate(spans):
-        assert integrate._gk15(f, maps, {0: [span]}) == {0: [batch[0][k]]}
+        alone = integrate._gk15(f, maps, one, np.array([[span]]), one, one)
+        assert alone.tolist() == [[batch[0, k].tolist()]]
 
 
 def test_integrand_called_once_per_round():
@@ -809,11 +813,6 @@ def test_integrand_called_once_per_round():
 _EPS = np.finfo(float).eps
 
 
-def _signature(z, pw, chain, tol=5e-13):
-    halves = integrate._halves(chart_pieces_r1(z, pw, chain), tol)
-    return tuple((h.arc is not None, h.kappa) for h in halves)
-
-
 def _stencil_points(z0):
     """The points at which apply_DIJ evaluates F for one pair: two steps,
     two permutations, four corners each."""
@@ -828,119 +827,176 @@ def _stencil_points(z0):
     return points
 
 
-def _estimate(z, pw, chain, tol=5e-13):
-    est = radon_hgf(z, pw, chain, Budget(tol=tol))
-    return est.value, est.abs_error_est, est.nodes_or_samples
+def _counting_integrands(monkeypatch):
+    """Count the calls of every r = 1 chart integrand made from now on."""
+    calls = []
+    make = integrate.scalar_chart_function
+
+    def counting(z, pw):
+        f = make(z, pw)
+
+        def g(u, which=None):
+            calls.append(np.size(u))
+            return f(u, which)
+
+        return g
+
+    monkeypatch.setattr(integrate, "scalar_chart_function", counting)
+    return calls
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
 def test_scoped_stencil_values_match_unscoped(lam):
-    # the stencil points of a base point refine the same mesh, so each one
-    # starts from the leaves it would reach anyway: the panel counts are
+    # the stencil points of a base point refine the same mesh, so the stack
+    # gives each one the panels it would reach alone: the panel counts are
     # the same, and the values differ only in the order of the sums
     z0, pw, chain = _pde_base(lam)
     points = _stencil_points(z0)
     unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
-    with integrate._mesh_scope():
+    with integrate._mesh_scope(points):
         scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
-        assert list(integrate._MESH.get()) == [_signature(z0, pw, chain)]
     for s, u in zip(scoped, unscoped):
         assert s.nodes_or_samples == u.nodes_or_samples
         assert abs(s.value - u.value) <= 4 * _EPS * abs(u.value)
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_seeded_run_from_a_coarse_mesh_meets_the_tolerance(lam):
-    # the halves start from the leaves of a 1e-8 run and refine them
+def test_verify_system_integrand_calls_are_bounded(monkeypatch, lam):
+    # all 96 stencil points of a check are one stack, which calls the
+    # integrand once per round; one integral per point took about 99 calls
     z0, pw, chain = _pde_base(lam)
-    second = _stencil_points(z0)[1]
-    value = _estimate(second, pw, chain, 5e-13)[0]
-    with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 1e-8)
-        coarse = integrate._MESH.get()[_signature(z0, pw, chain)]
-        scoped = _estimate(second, pw, chain, 5e-13)
-        fine = integrate._MESH.get()[_signature(z0, pw, chain)]
-    assert abs(scoped[0] - value) <= 5e-13 * abs(value)
-    assert scoped[1] <= 5e-13 * abs(value)
-    assert fine != coarse
-    assert all(set(old) <= set(new) for new, old in zip(fine, coarse))
+    calls = _counting_integrands(monkeypatch)
+
+    def F(z):
+        return radon_hgf(z, pw, chain, Budget(tol=5e-13)).value
+
+    report = verify_system(F, z0, all_pairs(2, 4, 1))
+    assert report["pass"]
+    assert 1 <= len(calls) <= 10
 
 
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_seeded_run_from_a_fine_mesh_keeps_its_leaves(lam):
-    # a 1e-8 run seeded with the leaves of a 5e-13 run closes on them at
-    # once: it uses at least as many panels, and is as good as that run
-    z0, pw, chain = _pde_base(lam)
-    second = _stencil_points(z0)[1]
-    value = _estimate(second, pw, chain, 5e-13)[0]
-    with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 5e-13)
-        fine = integrate._MESH.get()[_signature(z0, pw, chain)]
-        scoped = _estimate(second, pw, chain, 1e-8)
-    assert scoped[2] >= sum(len(b) - 1 for b in fine) > _estimate(second, pw, chain, 1e-8)[2]
-    assert abs(scoped[0] - value) <= 5e-13 * abs(value)
+def test_unregistered_point_runs_alone(monkeypatch):
+    # a point that is not registered takes the one-point path and matches
+    # an unscoped call; another tolerance at a registered point runs a
+    # stack of its own
+    z0, pw, chain = _pde_base((2, 2))
+    points = _stencil_points(z0)
+    calls = _counting_integrands(monkeypatch)
+    with integrate._mesh_scope(points[:8]):
+        radon_hgf(points[0], pw, chain, Budget(tol=5e-13))
+        first = len(calls)
+        alone = radon_hgf(points[8], pw, chain, Budget(tol=5e-13))
+        scoped_calls = calls[first:]
+        coarse = radon_hgf(points[1], pw, chain, Budget(tol=1e-8))
+        assert len(integrate._SCOPE.get().stacks) == 2
+    del calls[:]
+    assert alone == radon_hgf(points[8], pw, chain, Budget(tol=5e-13))
+    assert scoped_calls == calls
+    unscoped = radon_hgf(points[1], pw, chain, Budget(tol=1e-8))
+    assert coarse.nodes_or_samples == unscoped.nodes_or_samples
+    assert abs(coarse.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
 
 
-def test_failing_integral_records_no_mesh():
-    # the full-line point of test_chart_chain_kinds_keep_their_mesh
+def test_failing_point_raises_as_unscoped():
+    # the full-line point of test_chart_chain_kinds_keep_their_mesh, as the
+    # first of a stack with the base point of the other chain kinds
     z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
     pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
     chain = ChainSpec("full-line", 1)
+    later = z.with_entries(z.entries + 1e-3)
     with pytest.raises(NonConvergent) as unscoped:
         radon_hgf(z, pw, chain)
-    with integrate._mesh_scope():
+    with integrate._mesh_scope([z, later]):
         with pytest.raises(NonConvergent) as scoped:
             radon_hgf(z, pw, chain)
-        assert integrate._MESH.get() == {}
+        outcomes = integrate._SCOPE.get().stacks[(pw, chain, Budget().tol)]
     assert str(scoped.value) == str(unscoped.value)
+    # the failure closed the later point, which has no outcome
+    assert list(outcomes) == [integrate._point_key(z)]
 
 
-def test_second_stencil_point_calls_the_integrand_once():
+def test_stacked_point_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
+    # the (2,2) base point's halves take 6 and 5 panels at 5e-13; with 4
+    # allowed, its stack gives up after four rounds, as it does alone
     z0, pw, chain = _pde_base((2, 2))
-    first, second = _stencil_points(z0)[:2]
-    f = scalar_chart_function(second, pw)
-    sizes = []
-
-    def counted(u):
-        sizes.append(u.size)
-        return f(u)
-
-    pieces = chart_pieces_r1(second, pw, chain)
-    unscoped = integrate_pieces(f, pieces, tol=5e-13)
-    with integrate._mesh_scope():
-        radon_hgf(first, pw, chain, Budget(tol=5e-13))
-        scoped = integrate_pieces(counted, pieces, tol=5e-13)
-    assert len(sizes) == 1
-    assert scoped.nodes_or_samples == unscoped.nodes_or_samples
-    assert abs(scoped.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
-
-
-def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
-    # the (2,2) base point's halves take 5 and 6 panels at 5e-13, and 4
-    # each at 1e-8; with 4 allowed, the first half starts from the 4
-    # leaves of a 1e-8 run and gives up at once, as it does unscoped after
-    # three bisections
-    z0, pw, chain = _pde_base((2, 2))
-    second = _stencil_points(z0)[1]
-    with integrate._mesh_scope():
-        _estimate(z0, pw, chain, 1e-8)
-        recorded = dict(integrate._MESH.get())
-        [breaks] = recorded.values()
-        assert [len(b) - 1 for b in breaks] == [4, 4]
-        monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
-        with pytest.raises(NonConvergent) as scoped:
-            _estimate(second, pw, chain, 5e-13)
-        assert integrate._MESH.get() == recorded
+    points = _stencil_points(z0)
+    monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
     with pytest.raises(NonConvergent) as unscoped:
-        _estimate(second, pw, chain, 5e-13)
+        radon_hgf(points[0], pw, chain, Budget(tol=5e-13))
+    with integrate._mesh_scope(points):
+        with pytest.raises(NonConvergent) as scoped:
+            radon_hgf(points[0], pw, chain, Budget(tol=5e-13))
     assert "interval budget 4 exhausted" in str(scoped.value)
     assert str(scoped.value) == str(unscoped.value)
 
 
+def test_points_open_after_the_stack_cap_run_alone(monkeypatch):
+    # a stack stops after _STACK_ROUNDS rounds, and each point still open
+    # runs alone, as an unscoped call does
+    z0, pw, chain = _pde_base((2, 1, 1))
+    points = _stencil_points(z0)
+    unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
+    monkeypatch.setattr(integrate, "_STACK_ROUNDS", 2)
+    calls = _counting_integrands(monkeypatch)
+    with integrate._mesh_scope(points):
+        scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
+    assert scoped == unscoped
+    # two stacked rounds, then four rounds of each point alone
+    assert len(calls) == 2 + 4 * len(points)
+
+
+def test_no_point_after_a_failing_one_is_integrated(monkeypatch):
+    # the stencil of test_stencil_crossing_branch_locus: a node of one
+    # point lands on a block root; after the round in which that point
+    # fails, the stack's integrand sees only earlier points
+    pw = PartitionWeight((1, 1, 1), ((-1.3,), (-0.4,), (-0.3,)), 2, 1, strict=False)
+    z0 = CoordMatrix((1, 1, 1), 1, pattern((1, 1, 1), 1))
+    chain = ChainSpec("interval-0-1", 1)
+    points = []
+    apply_DIJ(lambda z: points.append(z) or 0.0, z0, MultiIndexPair((1, 2), (1, 2)),
+              StencilPlan(h=1.2))
+    registry = {integrate._point_key(z): z for z in points}
+    calls = []
+    make = integrate.scalar_chart_function
+
+    def recording(zs, pw):
+        f = make(zs, pw)
+        if isinstance(zs, CoordMatrix):
+            return f
+
+        def g(u, which=None):
+            seen = set(np.asarray(which).tolist())
+            try:
+                out = f(u, which)
+            except OnBranchLocus:
+                calls.append((seen, True))
+                raise
+            calls.append((seen, False))
+            return out
+
+        return g
+
+    monkeypatch.setattr(integrate, "scalar_chart_function", recording)
+    outcomes = integrate._stack(registry, pw, chain, 1e-10)
+    keys = list(registry)
+    failing = next(i for i, key in enumerate(keys)
+                   if isinstance(outcomes.get(key), RadonHGFError))
+    assert isinstance(outcomes[keys[failing]], OnBranchLocus)
+    assert all(key not in outcomes for key in keys[failing + 1:])
+    last = max(i for i, (seen, raised) in enumerate(calls) if raised and seen == {failing})
+    assert all(max(seen) < failing for seen, _ in calls[last + 1:])
+    # the next point runs out its interval budget when it runs alone, at
+    # one call per bisection
+    assert len(calls) < 100
+    with pytest.raises(NonConvergent):
+        radon_hgf(points[failing + 1], pw, chain, Budget(tol=1e-10))
+    with pytest.raises(OnBranchLocus):
+        radon_hgf(points[failing], pw, chain, Budget(tol=1e-10))
+
+
 def test_failing_half_stops_a_later_half_at_its_round():
-    # the recorded leaves resolve a milder pole at 0.7 only: the first half
-    # refines them towards 0.21 until it turns nan there, while the second
-    # half is still calling f
+    # the first half refines towards 0.21 until it turns nan there, while
+    # the second half is still calling f
     def window(u):
         return (u.real > 0.2095) & (u.real < 0.2105)
 
@@ -949,24 +1005,14 @@ def test_failing_half_stops_a_later_half_at_its_round():
         v[window(u)] = np.nan
         return v
 
-    def logged(calls):
-        return lambda u: calls.append(np.array(u)) or poles(u)
-
-    pieces = [Segment(0.0, 1.0)]
-    unscoped, scoped = [], []
+    calls = []
     with pytest.raises(NonConvergent) as plain:
-        integrate_pieces(logged(unscoped), pieces, tol=1e-12)
-    with integrate._mesh_scope():
-        integrate_pieces(lambda u: 1.0 / (u - 0.7 - 0.05j), pieces, tol=1e-12)
-        recorded = dict(integrate._MESH.get())
-        with pytest.raises(NonConvergent) as seeded:
-            integrate_pieces(logged(scoped), pieces, tol=1e-12)
-        assert integrate._MESH.get() == recorded
-    assert str(seeded.value) == str(plain.value) == "the integrand is not finite along the chain"
-    assert (np.concatenate(scoped[1:]).real > 0.5).any()
+        integrate_pieces(lambda u: calls.append(np.array(u)) or poles(u), [Segment(0.0, 1.0)],
+                         tol=1e-12)
+    assert str(plain.value) == "the integrand is not finite along the chain"
+    assert (np.concatenate(calls[1:]).real > 0.5).any()
     # the round in which the first half fails is the last that calls f
-    for calls in (unscoped, scoped):
-        assert [i for i, u in enumerate(calls) if window(u).any()] == [len(calls) - 1]
+    assert [i for i, u in enumerate(calls) if window(u).any()] == [len(calls) - 1]
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
