@@ -875,6 +875,54 @@ def test_verify_system_integrand_calls_are_bounded(monkeypatch, lam):
     assert 1 <= len(calls) <= 10
 
 
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_seeded_run_from_a_coarse_mesh_meets_the_tolerance(lam):
+    # the scope holds the 1e-8 stack of the stencil when a 5e-13 call comes;
+    # no coarse panel seeds that call: it runs a stack of its own, meets its
+    # tolerance, and uses more panels than the coarse stack gave the point
+    z0, pw, chain = _pde_base(lam)
+    points = _stencil_points(z0)
+    second = points[1]
+    value = radon_hgf(second, pw, chain, Budget(tol=5e-13)).value
+    with integrate._mesh_scope(points):
+        radon_hgf(z0, pw, chain, Budget(tol=1e-8))
+        coarse = radon_hgf(second, pw, chain, Budget(tol=1e-8))
+        scoped = radon_hgf(second, pw, chain, Budget(tol=5e-13))
+        assert len(integrate._SCOPE.get().stacks) == 2
+    assert abs(scoped.value - value) <= 5e-13 * abs(value)
+    assert scoped.abs_error_est <= 5e-13 * abs(value)
+    assert scoped.nodes_or_samples > coarse.nodes_or_samples
+
+
+def test_second_stencil_point_calls_the_integrand_once(monkeypatch):
+    # stacked with the first stencil point, the second is evaluated in the
+    # one integrand call of each round: it adds no call of its own, and its
+    # F call is served from the stack without calling the integrand
+    z0, pw, chain = _pde_base((2, 2))
+    first, second = _stencil_points(z0)[:2]
+    calls = _counting_integrands(monkeypatch)
+    unscoped = radon_hgf(second, pw, chain, Budget(tol=5e-13))
+    rounds = len(calls)
+    del calls[:]
+    radon_hgf(first, pw, chain, Budget(tol=5e-13))
+    assert len(calls) == rounds
+    seen = []
+    make = integrate.scalar_chart_function
+
+    def recording(zs, pw):
+        f = make(zs, pw)
+        return lambda u, which=None: seen.append(set(np.asarray(which).tolist())) or f(u, which)
+
+    monkeypatch.setattr(integrate, "scalar_chart_function", recording)
+    with integrate._mesh_scope([first, second]):
+        radon_hgf(first, pw, chain, Budget(tol=5e-13))
+        assert seen == [{0, 1}] * rounds
+        scoped = radon_hgf(second, pw, chain, Budget(tol=5e-13))
+    assert len(seen) == rounds
+    assert scoped.nodes_or_samples == unscoped.nodes_or_samples
+    assert abs(scoped.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
+
+
 def test_unregistered_point_runs_alone(monkeypatch):
     # a point that is not registered takes the one-point path and matches
     # an unscoped call; another tolerance at a registered point runs a
@@ -897,9 +945,9 @@ def test_unregistered_point_runs_alone(monkeypatch):
     assert abs(coarse.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
 
 
-def test_failing_point_raises_as_unscoped():
+def test_failing_integral_records_no_mesh():
     # the full-line point of test_chart_chain_kinds_keep_their_mesh, as the
-    # first of a stack with the base point of the other chain kinds
+    # first of a stack with a later point: the scope keeps its error only
     z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
     pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
     chain = ChainSpec("full-line", 1)
@@ -915,9 +963,10 @@ def test_failing_point_raises_as_unscoped():
     assert list(outcomes) == [integrate._point_key(z)]
 
 
-def test_stacked_point_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
+def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
     # the (2,2) base point's halves take 6 and 5 panels at 5e-13; with 4
-    # allowed, its stack gives up after four rounds, as it does alone
+    # allowed, its stack gives up after four rounds, as it does alone, and
+    # the F call is served that error from the stack
     z0, pw, chain = _pde_base((2, 2))
     points = _stencil_points(z0)
     monkeypatch.setattr(integrate, "_MAX_INTERVALS", 4)
