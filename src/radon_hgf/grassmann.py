@@ -20,6 +20,34 @@ RANK_RTOL = 1e-10
 MINOR_RTOL = 1e-10
 
 
+def _checked_entries(entries, lam: tuple, r: int, ndim: int = 2) -> np.ndarray:
+    """The entries of one coordinate matrix (ndim 2) or of a stack of them
+    (ndim 3) as a complex (K, m, N) array, after the one check they all
+    pass: finite entries, N = |lam| r columns, m <= N, and full row rank,
+    s_min > RANK_RTOL s_max, by one batched SVD. The first matrix of the
+    stack that fails raises what it raises alone."""
+    e = np.asarray(entries, dtype=np.complex128)
+    if e.ndim != ndim:
+        raise ShapeMismatch(f"expected a {ndim}-d array, got shape {e.shape}")
+    all_finite = np.isfinite(e).all()
+    if ndim == 2:
+        e = e[None]
+    # the matrices before the first one with a non-finite entry
+    finite = e if all_finite else e[: np.isfinite(e).all(axis=(1, 2)).argmin()]
+    if len(finite):
+        n = sum(lam)
+        if e.shape[2] != n * r:
+            raise ShapeMismatch(f"expected {n * r} columns for partition {lam} at r={r}")
+        if e.shape[1] > e.shape[2]:
+            raise ShapeMismatch("coordinate matrix must have rank equal to row count")
+        s = np.linalg.svd(finite, compute_uv=False)
+        if any(row[-1] <= RANK_RTOL * row[0] for row in s.tolist()):
+            raise ShapeMismatch("coordinate matrix is rank deficient")
+    if len(finite) < len(e):
+        raise ValueError("non-finite matrix entries")
+    return e
+
+
 @dataclass(frozen=True)
 class CoordMatrix:
     lam: tuple
@@ -29,18 +57,22 @@ class CoordMatrix:
     def __post_init__(self):
         lam = _validate_partition(self.lam)
         object.__setattr__(self, "lam", lam)
-        e = as_matrix(self.entries)
-        object.__setattr__(self, "entries", e)
-        n = sum(lam)
-        if e.shape[1] != n * self.r:
-            raise ShapeMismatch(
-                f"expected {n * self.r} columns for partition {lam} at r={self.r}"
-            )
-        if e.shape[0] > e.shape[1]:
-            raise ShapeMismatch("coordinate matrix must have rank equal to row count")
-        s = np.linalg.svd(e, compute_uv=False)
-        if s[-1] <= RANK_RTOL * s[0]:
-            raise ShapeMismatch("coordinate matrix is rank deficient")
+        object.__setattr__(self, "entries", _checked_entries(self.entries, lam, self.r)[0])
+
+    @classmethod
+    def stack(cls, lam, r: int, entries) -> list:
+        """One coordinate matrix per row of a (K, m, N) entries array,
+        checked in one pass (``_checked_entries``); each holds a view of its
+        row."""
+        lam = _validate_partition(lam)
+        out = []
+        for e in _checked_entries(entries, lam, r, ndim=3):
+            z = object.__new__(cls)
+            object.__setattr__(z, "lam", lam)
+            object.__setattr__(z, "r", r)
+            object.__setattr__(z, "entries", e)
+            out.append(z)
+        return out
 
     @property
     def m(self) -> int:
@@ -177,24 +209,37 @@ class MembershipResult:
         return self.member
 
 
-def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResult:
-    """Test the weight-2 subdiagram minors of a 2r x nr coordinate matrix.
-
-    Minors are compared against their Hadamard bound, so the test is
-    scale-free.
-    """
-    if z.m != 2 * z.r:
+def _vanishing_minors(lam: tuple, r: int, entries: np.ndarray, rtol: float):
+    """The weight-2 subdiagrams of lam, and whether the minor of each
+    vanishes: |det| at most rtol times its Hadamard bound, so the test is
+    scale-free. Takes one 2r x nr coordinate matrix, or a (K, 2r, nr)
+    stack of them whose minors are one (K, k, 2r, 2r) stack; the flags run
+    matrix by matrix, in subdiagram order."""
+    if entries.shape[-2] != 2 * r:
         raise ShapeMismatch("subdiagram minors need m = 2r")
-    subs, cols = _minor_columns(z.lam, z.r)
-    # the (k, 2r, 2r) stack of minors, one per subdiagram
-    minors = z.entries[:, cols].transpose(1, 0, 2)
-    dets = np.abs(det_batch(minors))
-    bounds = hadamard_bound(minors)
-    failing = tuple(
-        mu for mu, d, bound in zip(subs, dets.tolist(), bounds.tolist())
-        if bound == 0.0 or d <= rtol * bound
-    )
+    subs, cols = _minor_columns(lam, r)
+    minors = entries[..., cols].swapaxes(-3, -2)
+    dets = np.abs(det_batch(minors)).ravel().tolist()
+    bounds = hadamard_bound(minors).ravel().tolist()
+    return subs, [bound == 0.0 or d <= rtol * bound for d, bound in zip(dets, bounds)]
+
+
+def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResult:
+    """Test the weight-2 subdiagram minors of a 2r x nr coordinate matrix
+    against their Hadamard bounds."""
+    subs, vanishing = _vanishing_minors(z.lam, z.r, z.entries, rtol)
+    failing = tuple(mu for mu, v in zip(subs, vanishing) if v)
     return MembershipResult(not failing, failing)
+
+
+def member_mask(lam: tuple, r: int, entries) -> list:
+    """Whether each matrix of a (K, 2r, nr) entries stack for partition lam
+    lies in Z_lambda, by one test of all their minors; the test of
+    ``z_lambda_member``, so ``require_member`` raises for exactly the
+    matrices where the mask is False."""
+    subs, vanishing = _vanishing_minors(lam, r, entries, MINOR_RTOL)
+    k = len(subs)
+    return [not any(vanishing[i : i + k]) for i in range(0, len(vanishing), k)]
 
 
 def require_member(z: CoordMatrix):

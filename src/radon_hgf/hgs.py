@@ -10,16 +10,23 @@ determinant term, so conditioning is visible in every report.
 ``apply_DIJ``, ``verify_system`` and the two infinitesimal checks build
 all their stencil points first and register them in a mesh scope of
 ``integrate`` before F is first called; F then runs once per distinct
-point, in stencil order. F is opaque, so the registration is what lets
-the first r = 1 ``radon_hgf`` call inside F integrate every registered
-point as one stack, over panels that the points share, and serve the
-later calls from it. A value meets the same tolerance as outside the
-scope, and equals the unscoped one where the point gets the panels it
-would reach alone. A plain ``radon_hgf`` call never enters a scope.
+point, in stencil order. The determinant stencils of all pairs and steps
+are one (K, m, N) entries array, z0's entries with each corner's own
+entries moved, and their coordinate matrices are checked in one pass
+(``CoordMatrix.stack``); the first corner that fails raises what it
+raises alone, before any F call. F is opaque, so the registration is
+what lets the first r = 1 ``radon_hgf`` call inside F integrate every
+registered point as one stack, with one membership test and one block
+root computation for all of them, over panels that the points share,
+and serve the later calls from it. A value meets the same tolerance as
+outside the scope, and equals the unscoped one where the point gets the
+panels it would reach alone. A plain ``radon_hgf`` call never enters a
+scope.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -85,13 +92,6 @@ class StencilPlan:
         _require_step(self.h)
 
 
-def _perturbed(z: CoordMatrix, deltas) -> CoordMatrix:
-    e = z.entries.copy()
-    for (i, j), d in deltas:
-        e[i, j] += d
-    return z.with_entries(e)
-
-
 def _require_pair(z0: CoordMatrix, pair: MultiIndexPair):
     if pair.I[-1] > z0.m or pair.J[-1] > z0.N:
         raise BadIndexSet(
@@ -99,59 +99,72 @@ def _require_pair(z0: CoordMatrix, pair: MultiIndexPair):
         )
 
 
-def _determinant_stencil(z0: CoordMatrix, pair: MultiIndexPair, h: float):
-    """The corners of the determinant expansion at step h, as (points,
-    terms): the distinct corner points in stencil order, and per
-    permutation its sign, its central-difference denominator and its
-    corners as (corner sign, index into points)."""
-    rows = [i - 1 for i in pair.I]
-    cols = [j - 1 for j in pair.J]
-    steps = {
-        (i, j): h * (1.0 + abs(z0.entries[i, j])) for i in rows for j in cols
-    }
-    index = {}
-    points = []
+@lru_cache(maxsize=None)
+def _expansion(k: int):
+    """The permutations of range(k) as a (k!, k) array with their signs,
+    and the 2^k corners of a mixed partial over k entries: per corner and
+    entry q the sign of its step, + where bit q of the corner is set, as a
+    (2^k, k) array, and per corner its sign, - once per step down."""
+    perms = list(permutations(range(k)))
+    corners = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return (np.array(perms), [_perm_sign(p) for p in perms], 2.0 * corners - 1.0,
+            [(-1.0) ** (k - int(c.sum())) for c in corners])
+
+
+def _determinant_stencil(z0: CoordMatrix, pair: MultiIndexPair, steps):
+    """The corners of the determinant expansion of one pair, in stencil
+    order (step, permutation, corner), each moving k entries of z0 by
+    +-h (1 + |z0 entry|): as (rows, cols, deltas), each of shape
+    (corners, k), and the terms, per step and permutation its sign, its
+    central-difference denominator and the sign of each of its corners."""
+    perms, signs, pm, corner_signs = _expansion(pair.order)
     k = pair.order
-    terms = []
-    for perm in permutations(range(k)):
-        entries = [(rows[perm[q]], cols[q]) for q in range(k)]
-        denom = 1.0
-        for e in entries:
-            denom *= 2.0 * steps[e]
-        corners = []
-        for corner in range(1 << k):
-            s = 1.0
-            deltas = []
-            for q, e in enumerate(entries):
-                if corner >> q & 1:
-                    deltas.append((e, steps[e]))
-                else:
-                    deltas.append((e, -steps[e]))
-                    s = -s
-            key = tuple(sorted(((ij, complex(d)) for ij, d in deltas)))
-            if key not in index:
-                index[key] = len(points)
-                points.append(_perturbed(z0, deltas))
-            corners.append((s, index[key]))
-        terms.append((_perm_sign(perm), denom, corners))
-    return points, terms
+    rows = np.array(pair.I)[perms] - 1
+    cols = np.broadcast_to(np.array(pair.J) - 1, rows.shape)
+    # (steps, k!, k): the step of entry q under each permutation
+    step = np.multiply.outer(np.array(steps), 1.0 + np.abs(z0.entries[rows, cols]))
+    denom = np.ones(step.shape[:2])
+    for q in range(k):
+        denom = denom * (2.0 * step[..., q])
+    deltas = step[:, :, None, :] * pm
+    shape = deltas.shape
+    terms = [list(zip(signs, d, [corner_signs] * len(signs))) for d in denom.tolist()]
+    return (np.broadcast_to(rows[None, :, None], shape).reshape(-1, k),
+            np.broadcast_to(cols[None, :, None], shape).reshape(-1, k),
+            deltas.reshape(-1, k), terms)
+
+
+def _stencil_points(z0: CoordMatrix, stencils):
+    """The corners of stencils (``_determinant_stencil``), in stencil order,
+    as one checked stack of coordinate matrices (``CoordMatrix.stack``):
+    each is z0's entries with its own entries moved."""
+    total = sum(len(rows) for rows, *_ in stencils)
+    corners = np.repeat(z0.entries[None], total, axis=0)
+    start = 0
+    for rows, cols, deltas, _ in stencils:
+        at = np.arange(start, start + len(rows))[:, None]
+        # only the moved entries are written, so the others keep their bits
+        corners[at, rows, cols] += deltas
+        start += len(rows)
+    return CoordMatrix.stack(z0.lam, z0.r, corners)
 
 
 def _determinant_terms(terms, values):
-    """Signed mixed partials of the determinant expansion from F at the
-    stencil's points."""
+    """Signed mixed partials of the determinant expansion at one step, each
+    term taking the values of its corners from the iterator ``values``."""
     out = []
-    for sign, denom, corners in terms:
+    for sign, denom, corner_signs in terms:
         acc = 0.0 + 0.0j
-        for s, i in corners:
-            acc += s * values[i]
+        for s in corner_signs:
+            acc += s * next(values)
         out.append(sign * acc / denom)
     return out
 
 
 def _evaluate(F, points):
     """F at each point, registered in one mesh scope before the first call;
-    F runs once per distinct point, in order."""
+    F runs once per distinct point, in order. Returns the values and the
+    number of distinct points."""
     seen = {}
     values = []
     with _mesh_scope(points):
@@ -160,34 +173,35 @@ def _evaluate(F, points):
             if key not in seen:
                 seen[key] = F(z)
             values.append(seen[key])
-    return values
+    return values, len(seen)
 
 
 def _operators(F, z0: CoordMatrix, pairs, plan):
     """(residual, scale) of each pair, from one evaluation of F over the
-    stencils of all of them. A point on the branch locus or outside Z_lambda
-    raises ``StencilCrossesBranchLocus``, for the first such point in
-    stencil order."""
+    stencils of all of them, and the number of distinct points. The points
+    are built and checked as one stack before F is first called. A point
+    on the branch locus or outside Z_lambda raises
+    ``StencilCrossesBranchLocus``, for the first such point in stencil
+    order."""
     for pair in pairs:
         _require_pair(z0, pair)
     steps = (plan.h, plan.h / 2.0) if plan.richardson else (plan.h,)
-    stencils = [[_determinant_stencil(z0, pair, h) for h in steps] for pair in pairs]
+    stencils = [_determinant_stencil(z0, pair, steps) for pair in pairs]
+    points = _stencil_points(z0, stencils)
     try:
-        values = _evaluate(F, [z for per_pair in stencils for points, _ in per_pair
-                               for z in points])
+        values, distinct = _evaluate(F, points)
     except (OnBranchLocus, NotInZLambda) as exc:
         raise StencilCrossesBranchLocus(str(exc)) from exc
     values = iter(values)
     out = []
-    for per_pair in stencils:
-        terms = [_determinant_terms(terms, [next(values) for _ in points])
-                 for points, terms in per_pair]
+    for *_, per_step in stencils:
+        terms = [_determinant_terms(terms, values) for terms in per_step]
         if plan.richardson:
             terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(*terms)]
         else:
             [terms] = terms
         out.append((complex(sum(terms)), float(max(abs(t) for t in terms))))
-    return out
+    return out, distinct
 
 
 def _perm_sign(perm) -> int:
@@ -211,20 +225,22 @@ def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,
               plan: StencilPlan = StencilPlan()):
     """(residual, scale): determinant-operator value and the magnitude of
     its largest single term (the conditioning reference for zero tests)."""
-    [out] = _operators(F, z0, [pair], plan)
+    [out], _ = _operators(F, z0, [pair], plan)
     return out
 
 
 def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
                   rel_tol: float = 1e-4):
-    """Run every pair; report per-pair residual/scale and an overall verdict.
-    The stencils of all pairs are evaluated together, so F runs once per
+    """Run every pair; report per-pair residual/scale, the number of
+    distinct points at which F ran ("points") and an overall verdict. The
+    stencils of all pairs are evaluated together, so F runs once per
     distinct point of the whole check."""
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     pairs = list(pairs)
+    operators, points = _operators(F, z0, pairs, plan)
     rows = []
-    for pair, (residual, scale) in zip(pairs, _operators(F, z0, pairs, plan)):
+    for pair, (residual, scale) in zip(pairs, operators):
         rel = abs(residual) / max(scale, 1e-300)
         rows.append({
             "I": list(pair.I),
@@ -234,7 +250,7 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
             "relative": rel,
             "pass": bool(rel < rel_tol),
         })
-    return {"pairs": rows, "pass": all(row["pass"] for row in rows)}
+    return {"pairs": rows, "points": points, "pass": all(row["pass"] for row in rows)}
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
 
     dchi = dchi_lambda(direction, pw)
     points = [z0] + [apply_group(z0, h=element(t)) for t in _central_steps(eps)]
-    f0, *values = _evaluate(F, points)
+    (f0, *values), _ = _evaluate(F, points)
     residual = _central(values, eps) - dchi * f0
     reference = abs(f0) * (1.0 + abs(dchi))
     return InfinitesimalResult(complex(residual), float(reference))
@@ -290,7 +306,7 @@ def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> Infinite
     if E.shape != (z0.m, z0.m):
         raise BadIndexSet("direction must act on the row space")
     points = [z0] + [apply_group(z0, g=scipy.linalg.expm(t * E)) for t in _central_steps(eps)]
-    f0, *values = _evaluate(F, points)
+    (f0, *values), _ = _evaluate(F, points)
     residual = _central(values, eps) + z0.r * np.trace(E) * f0
     reference = abs(f0) * (1.0 + z0.r * abs(np.trace(E)))
     return InfinitesimalResult(complex(residual), float(reference))

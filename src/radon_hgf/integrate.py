@@ -36,8 +36,10 @@ import cmath
 import contextlib
 import contextvars
 import math
+import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .errors import (
     UnpinnedAlpha,
     UnsupportedCount,
 )
-from .grassmann import CoordMatrix, require_member
+from .grassmann import CoordMatrix, member_mask, require_member
 from .integrands import (
     CHAIN_KINDS,
     FAMILIES,
@@ -646,21 +648,30 @@ def _mesh_scope(points):
 
 def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     """The outcome of each point, by key: its estimate or the error that
-    ``radon_hgf`` raises for it. The points of pw's shape are checked in
-    stencil order, up to the first that fails its checks, and integrated
-    as one ``_lockstep`` of at most _STACK_ROUNDS rounds. A point that
-    fails there, or is still open at the end, runs alone, and its outcome
-    is that run's: a point whose bisection the others drive can hold up
-    the points that share its halves, and the shared mesh decides whether
-    a node lands on a branch point. A point that fails alone closes every
-    later point, which then has no outcome."""
+    ``radon_hgf`` raises for it. The points of pw's shape are one entries
+    stack, whose membership in Z_lambda (``member_mask``) and block roots
+    are each taken in one array operation; the first point in stencil
+    order that fails its checks keeps the error it raises alone. The
+    points before it are integrated as one ``_lockstep`` of at most
+    _STACK_ROUNDS rounds. A point that fails there, or is still open at
+    the end, runs alone, and its outcome is that run's: a point whose
+    bisection the others drive can hold up the points that share its
+    halves, and the shared mesh decides whether a node lands on a branch
+    point. A point that fails alone closes every later point, which then
+    has no outcome."""
+    points = [(key, z) for key, z in points.items()
+              if z.lam == pw.lam and z.r == 1 and z.m == 2]
+    if not points:
+        return {}
+    entries = np.stack([z.entries for _, z in points])
+    member = member_mask(pw.lam, 1, entries)
+    roots, infinite = _block_roots(pw.lam, entries)
     checked, keys, members, halves = {}, [], [], []
-    for key, z in points.items():
-        if z.lam != pw.lam or z.r != 1 or z.m != 2:
-            continue
+    for (key, z), inside, point_roots, at_infinity in zip(points, member, roots, infinite):
         try:
-            require_member(z)
-            pieces = chart_pieces_r1(z, pw, chain)
+            if not inside:
+                require_member(z)
+            pieces = _roots_pieces(point_roots, at_infinity, pw, chain)
         except RadonHGFError as exc:
             checked[key] = exc
             break
@@ -1035,15 +1046,40 @@ def scalar_chart_function(z, pw: PartitionWeight):
     return f
 
 
-def _block_roots_r1(z: CoordMatrix):
-    top, bottom = z.entries.tolist()[:2]
-    roots = []
-    start = 0
-    for nk in z.lam:
-        a0, b0 = top[start], bottom[start]
-        start += nk
-        roots.append(None if abs(b0) < 1e-13 * max(1.0, abs(a0)) else -a0 / b0)
-    return roots
+# Python's complex division as a ufunc over object arrays
+_QUOTIENT = np.frompyfunc(operator.truediv, 2, 1)
+
+
+def _block_roots(lam: tuple, entries: np.ndarray):
+    """The root -a0 / b0 of each block's leading form a0 + b0 u, for each
+    matrix of a (K, 2, N) entries stack at r = 1, as (roots, infinite):
+    per matrix the list of its blocks' roots, and whether each is at
+    infinity, where |b0| <= 1e-13 |(a0, b0)|, a test that does not depend
+    on the column's scale. The quotients are one ufunc call of Python's
+    complex division, whose last bit differs from numpy's on about 40% of
+    inputs, so a root is the same alone, in a stack and as -a0 / b0 on
+    Python complex numbers; a root at infinity divides by 1."""
+    # the column of each block's leading form
+    c = np.take(entries, list(accumulate((0,) + lam[:-1])), axis=2)
+    mag = np.abs(c)
+    infinite = mag[:, 1] <= 1e-13 * np.hypot(mag[:, 0], mag[:, 1])
+    roots = _QUOTIENT(-c[:, 0], np.where(infinite, 1.0, c[:, 1]))
+    return roots.tolist(), infinite.tolist()
+
+
+def _roots_pieces(roots, infinite, pw: PartitionWeight, chain: ChainSpec):
+    """The chain pieces of one point from its block roots and whether each
+    is at infinity (``_block_roots``)."""
+    ends = _CHAIN_ENDS[chain.kind]
+    if len(roots) < 1 + ends:
+        raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
+    if any(infinite[1 : 1 + ends]):
+        raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
+    first = pw.alpha[0]
+    exp_far = first[0] if all(a == 0 for a in first[1:]) else None
+    return _chain_pieces(chain.kind, roots[1 : 1 + ends],
+                         [pw.alpha[j][0] for j in range(1, 1 + ends)],
+                         None if infinite[0] else roots[0], exp_far)
 
 
 def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
@@ -1052,16 +1088,8 @@ def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
     end at the root of block 1, which the table form puts at inf, with the
     leading weight of block 1 as the exponent there when the block's
     character is a pure power (else it has an essential singularity)."""
-    ends = _CHAIN_ENDS[chain.kind]
-    if z.ell < 1 + ends:
-        raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
-    roots = _block_roots_r1(z)
-    if None in roots[1 : 1 + ends]:
-        raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
-    first = pw.alpha[0]
-    exp_far = first[0] if all(a == 0 for a in first[1:]) else None
-    return _chain_pieces(chain.kind, roots[1 : 1 + ends],
-                         [pw.alpha[j][0] for j in range(1, 1 + ends)], roots[0], exp_far)
+    (roots,), (infinite,) = _block_roots(z.lam, z.entries[None])
+    return _roots_pieces(roots, infinite, pw, chain)
 
 
 def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):

@@ -307,6 +307,7 @@ def test_verify_pde_command(tmp_path, capsys):
     assert code == 0
     assert report["pass"] is True
     assert len(report["results"]["pairs"]) == 6
+    assert report["results"]["points"] == 96
 
 
 def test_check_failure_exits_1(tmp_path, capsys):

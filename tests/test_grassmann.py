@@ -9,6 +9,7 @@ from radon_hgf.grassmann import (
     apply_group,
     block_action,
     general_Z_member,
+    member_mask,
     plucker,
     subdiagrams,
     tau_factor,
@@ -285,3 +286,60 @@ def test_coord_matrix_rejects_rank_deficient():
     e[0] = [1.0, 2.0, 3.0]
     with pytest.raises(ShapeMismatch):
         CoordMatrix((1, 1, 1), 1, e)
+
+
+def _outcome(build):
+    """The type and text of what build() raises, or None."""
+    try:
+        build()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+def test_stack_raises_what_its_first_failing_matrix_raises_alone():
+    lam = (1, 1, 1)
+    good = pattern(lam, 1).astype(complex)
+    flat = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], dtype=complex)
+    bad = good.copy()
+    bad[1, 2] = np.nan
+    for stack in ([good, flat, bad], [good, bad, flat], [bad, good], [flat], [good, good]):
+        expected = next(
+            (out for out in (_outcome(lambda e=e: CoordMatrix(lam, 1, e)) for e in stack) if out),
+            None)
+        assert _outcome(lambda: CoordMatrix.stack(lam, 1, np.stack(stack))) == expected
+    assert _outcome(lambda: CoordMatrix.stack(lam, 1, np.stack([bad, flat]))) == (
+        ValueError, "non-finite matrix entries")
+    # a wrong column count fails every matrix, after a non-finite first one
+    wide = np.ones((2, 2, 4), dtype=complex)
+    assert _outcome(lambda: CoordMatrix.stack(lam, 1, wide))[0] is ShapeMismatch
+    wide[0, 0, 0] = np.inf
+    assert _outcome(lambda: CoordMatrix.stack(lam, 1, wide))[0] is ValueError
+    with pytest.raises(ShapeMismatch, match="expected a 3-d array"):
+        CoordMatrix.stack(lam, 1, good)
+
+
+def test_stack_holds_the_matrices_built_alone():
+    lam = (2, 2)
+    e = np.stack([pattern(lam, 1, (np.array([[x]]),)) for x in (0.3, -0.7)]).astype(complex)
+    zs = CoordMatrix.stack([2, 2], 1, e)
+    for z, entries in zip(zs, e):
+        alone = CoordMatrix(lam, 1, entries)
+        assert (z.lam, z.r, z.entries.tobytes()) == (alone.lam, alone.r, alone.entries.tobytes())
+    assert CoordMatrix.stack(lam, 1, e[:0]) == []
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_member_mask_is_z_lambda_member_per_matrix(r):
+    gen = RandomStream(60 + r).generator()
+    for lam in ((1, 1, 1), (2, 1), (1, 1, 1, 1), (2, 2)):
+        n = sum(lam)
+        e = gen.standard_normal((8, 2 * r, n * r)) + 1j * gen.standard_normal((8, 2 * r, n * r))
+        subs = subdiagrams(lam)
+        # every other matrix has one minor with two equal columns
+        for k in range(0, 8, 2):
+            mu = subs[k // 2 % len(subs)]
+            e[k] = _near_singular(e[k], lam, r, mu, 0.0, np.zeros(2 * r))
+        expected = [z_lambda_member(z).member for z in CoordMatrix.stack(lam, r, e)]
+        assert member_mask(lam, r, e) == expected
+        assert expected == [False, True] * 4

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 from radon_hgf.characters import GroupElement, LieDirection, PartitionWeight
-from radon_hgf.errors import BadIndexSet, StencilCrossesBranchLocus
-from radon_hgf.grassmann import CoordMatrix, apply_group
+from radon_hgf.errors import BadIndexSet, NotInZLambda, ShapeMismatch, StencilCrossesBranchLocus
+from radon_hgf.grassmann import CoordMatrix, apply_group, require_member, z_lambda_member
 from radon_hgf.hgs import (
     MultiIndexPair,
     StencilPlan,
@@ -295,6 +295,76 @@ def test_F_runs_once_per_stencil_point_in_order():
     report = verify_system(F, z0, [pairs[2], pairs[2]], plan)
     _same_points(seen, _stencil_entries(z0, pairs[2], plan))
     assert report["pairs"][0] == report["pairs"][1]
+
+
+def test_report_counts_the_distinct_points():
+    _, z0, _ = _gauss_setup()
+    pairs = all_pairs(2, 4, 1)
+    _, F = _recording()
+    assert verify_system(F, z0, pairs)["points"] == 96
+    assert verify_system(F, z0, [pairs[2], pairs[2]])["points"] == 16
+    assert verify_system(F, z0, pairs[:1], StencilPlan(richardson=False))["points"] == 8
+
+
+def test_stencil_outside_z_lambda_raises_the_first_points_message():
+    # at h = 1 corners of both pairs leave Z_lambda, on different minors;
+    # the error is what require_member raises alone at the first such
+    # point in stencil order, and F runs at every point up to it
+    lam = (1, 1, 1)
+    pw = PartitionWeight(lam, ((-2.9,), (0.4,), (0.5,)), 2, 1, strict=False)
+    z0 = CoordMatrix(lam, 1, pattern(lam, 1))
+    chain = ChainSpec("interval-0-1", 1)
+    plan = StencilPlan(h=1.0)
+    a, b = MultiIndexPair((1, 2), (1, 3)), MultiIndexPair((1, 2), (2, 3))
+    messages = set()
+    for pairs in ([a, b], [b, a]):
+        points = [e for pair in pairs for e in _stencil_entries(z0, pair, plan)]
+        first = next(i for i, e in enumerate(points)
+                     if not z_lambda_member(CoordMatrix(lam, 1, e)).member)
+        with pytest.raises(NotInZLambda) as alone:
+            require_member(CoordMatrix(lam, 1, points[first]))
+        seen = []
+
+        def F(z):
+            seen.append(z.entries)
+            return radon_hgf(z, pw, chain, Budget(tol=1e-8)).value
+
+        with pytest.raises(StencilCrossesBranchLocus) as stacked:
+            verify_system(F, z0, pairs, plan)
+        assert str(stacked.value) == str(alone.value)
+        assert isinstance(stacked.value.__cause__, NotInZLambda)
+        _same_points(seen, points[: first + 1])
+        messages.add(str(alone.value))
+    assert len(messages) == 2
+
+
+@pytest.mark.parametrize("h, message", [
+    (1e308, "non-finite matrix entries"),
+    (1.0, "coordinate matrix is rank deficient"),
+])
+def test_bad_corner_raises_as_alone_before_any_call(h, message):
+    # a step of 1e308 (1 + |z|) overflows; at h = 1 a corner of the
+    # reversed pairs is rank deficient: either raises what building the
+    # first such corner alone raises, before F is called
+    z0 = CoordMatrix((1, 1, 1), 1, pattern((1, 1, 1), 1))
+    pairs = all_pairs(2, 3, 1)[::-1]
+    plan = StencilPlan(h=h)
+
+    def F(z):
+        raise AssertionError("a bad corner evaluates nothing")
+
+    expected = None
+    with np.errstate(over="ignore"):
+        for e in (e for pair in pairs for e in _stencil_entries(z0, pair, plan)):
+            try:
+                CoordMatrix(z0.lam, 1, e)
+            except (ValueError, ShapeMismatch) as exc:
+                expected = exc
+                break
+        assert str(expected) == message
+        with pytest.raises(type(expected)) as raised:
+            verify_system(F, z0, pairs, plan)
+    assert str(raised.value) == message
 
 
 def test_infinitesimal_checks_run_F_once_per_point_in_order():
