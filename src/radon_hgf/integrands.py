@@ -186,37 +186,44 @@ def _chart_layout(pw: PartitionWeight):
     return np.array(cols), np.array([pw.alpha[j][0] for j in blocks]), np.array(pairs), longer
 
 
-def chart_exponent(spec: IntegrandSpec, stack=None):
-    """The log of the chart integrand over a stacked (batch, r, m) frame t:
+def chart_exponent(pw: PartitionWeight, entries):
+    """The log of the chart integrand of weight pw at the coordinate matrix
+    with the (m, N) ``entries``, over a stacked (batch, r, m) frame t:
     sum_j alpha_{j,0} log det m0_j + sum_{j,k} alpha_{j,k} theta_k, with
     m_q = t z_q the images of block j and theta_k the trace polynomial of
     the ratios m0_j^{-1} m_q. The logs of all blocks are one ``_log_batch``
     call, before any ratio is formed. At r = 1 an image is t_0 z_0 + t_1 z_1,
     so at t = (1, u) it rounds as a + u b does; above, one GEMM.
 
-    At r = 1, ``stack`` may hold the (K, 2, N) entries of K points of z's
-    shape: the exponent then takes (t, which) and reads frame i against
-    the entries of point which[i] (which may be None when K = 1)."""
-    order, lead, pairs, longer = _chart_layout(spec.pw)
-    r, ell, n = spec.z.r, spec.z.ell, len(pairs)
-    if stack is None:
-        rows = spec.z.entries[:, order]
+    At r = 1, ``entries`` may hold the (K, 2, N) entries of K points: the
+    exponent then takes (t, which), where which labels the first axis of t
+    with a point (it may be None when K = 1). A (batch, 1, 2) t has one
+    point per frame; a (rows, nodes, 1, 2) t has one per row, whose (2, N)
+    coefficients are read once and broadcast over the row's frames. The
+    values come out flat, row after row."""
+    order, lead, pairs, longer = _chart_layout(pw)
+    r, ell, n = pw.r, len(pw.lam), len(pairs)
+    if entries.ndim == 2:
+        rows = entries[:, order]
     else:
         # (2, K, 1, N): one row pair per point, against (batch, 1, 1) frames
-        rows = np.moveaxis(stack[:, :, order], 1, 0)[:, :, None]
+        rows = np.moveaxis(entries[:, :, order], 1, 0)[:, :, None]
 
     def exponent(t, which=None):
         if r == 1:
             a, b = rows if which is None else rows[:, which]
-            images = t[:, :, :1] * a + t[:, :, 1:] * b
+            if t.ndim == 4:
+                a, b = a[:, None], b[:, None]
+            images = (t[..., :1] * a + t[..., 1:] * b).reshape(-1, 1, a.shape[-1])
         else:
             images = matmul_batch(t, rows)
+        batch = len(images)
         # the leading forms of all blocks, a (batch, blocks, r, r) view
-        m0 = images[:, :, : ell * r].reshape(len(t), r, ell, r).swapaxes(1, 2)
+        m0 = images[:, :, : ell * r].reshape(batch, r, ell, r).swapaxes(1, 2)
         det = det_batch(m0)
         out = _log_batch(det) @ lead
         if n:
-            m1 = images[:, :, ell * r : (ell + n) * r].reshape(len(t), r, n, r).swapaxes(1, 2)
+            m1 = images[:, :, ell * r : (ell + n) * r].reshape(batch, r, n, r).swapaxes(1, 2)
             out += _trace_solve(m0[:, :n], det[:, :n], m1) @ pairs
         for j, o, nk, terms in longer:
             rest = images[:, :, o : o + (nk - 1) * r]
@@ -237,7 +244,7 @@ def chart_exponent(spec: IntegrandSpec, stack=None):
 def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
     """Integrand over a stacked (batch, r, m) frame t; at t = (1, u) it is the
     chart integrand at u."""
-    return np.exp(chart_exponent(spec)(t))
+    return np.exp(chart_exponent(spec.pw, spec.z.entries)(t))
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ Three strategies:
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
   ``hgs``, which register the points at which they will call F), the
   first call at a registered point integrates all registered points as
-  one stack: the same loop with a point axis, whose points share the tau
-  panels of each half and one integrand call per round. A plain
+  one stack, placed on their chains as arrays: the same loop with a point
+  axis, whose points share the tau panels of each half and one integrand
+  call per round, with a row of nodes per (half, point) pair. A plain
   ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
@@ -37,6 +38,7 @@ import contextlib
 import contextvars
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -231,104 +233,112 @@ class RayPair:
     exp_far: complex | None = None
 
 
-class _Half:
-    """One adaptive integral of one point from start to end, over tau in
-    [0, 1] under y = start + (end - start) tau^kappa, with kappa = 1 unless
-    the start carries a power. Along a straight segment y is u; along a ray
-    it is s on the Moebius arc u(s) = o + w s / D(s), with arc = (o, w, q).
-    The half enters the point's sum with its sign; it fails from the start
-    when its endpoint exponent is not integrable."""
+# the arc (o, w, q) of a half off the arcs, on which D = 1 and u = y
+_NO_ARC = (0.0, 1.0, 0.0)
 
-    __slots__ = ("start", "end", "arc", "kappa", "atol", "sign", "failure")
-
-    def __init__(self, start, end, exponent, arc, atol, sign):
-        self.start, self.end, self.arc, self.atol, self.sign = start, end, arc, atol, sign
-        self.failure = None
-        try:
-            self.kappa = _power_kappa(exponent)
-        except DivergentEndpoint as exc:
-            self.kappa, self.failure = 1, exc
-
-    @property
-    def signature(self):
-        """What the halves of the points of one stack share: whether it is
-        on an arc, its substitution order, its sign and its share of the
-        tolerance."""
-        return self.arc is not None, self.kappa, self.sign, self.atol
+_Placement = namedtuple("_Placement", "maps atol signs failures rows own")
 
 
-def _segment_halves(a, b, exp_a, exp_b, atol, arc, sign):
-    """From each end to the midpoint; the second half runs backwards."""
+def _split(a, b, exp_a, exp_b, atol, sign, arc=_NO_ARC):
+    """The halves from a and from b to their midpoint: per half its (exponent,
+    on arc, tolerance share, sign) and columns (start, span, end, o, w, q)."""
     mid = 0.5 * (a + b)
-    return [_Half(a, mid, exp_a, arc, 0.5 * atol, sign),
-            _Half(b, mid, exp_b, arc, 0.5 * atol, -sign)]
+    return [((exp_a, arc is not _NO_ARC, 0.5 * atol, sign), (a, mid - a, mid, *arc)),
+            ((exp_b, arc is not _NO_ARC, 0.5 * atol, -sign), (b, mid - b, mid, *arc))]
 
 
-def _ray_halves(ray: Ray, atol, sign):
-    """The halves of the Moebius arc u(s) = o + w s / D(s), s in [0, 1],
-    with D(s) = (1 - s) + q s, w = exp(i phase) and q = w / (far - o). The
-    arc leaves o along the ray and ends at the far end; with no far end
-    q = 0 and it is the ray itself under t = s / (1 - s). When the far end
-    lies behind o the arc passes through inf at s* = 1 / (1 - q), where the
-    integrand's homogeneity (leading weights summing to -2) keeps f du
-    smooth; the integral is split there, so that no node evaluates it. Near
-    s = 1 the integrand behaves as (1 - s)^exp_far in both cases."""
-    w = cmath.exp(1j * ray.phase)
-    q = 0.0 if ray.far is None else w / (ray.far - ray.origin)
-    cuts = [0.0, 1.0]
-    if q.imag == 0.0 and q.real < 0.0:
-        cuts.insert(1, 1.0 / (1.0 - q.real))
-    share = atol / (len(cuts) - 1)
-    halves = []
-    for a, b in zip(cuts, cuts[1:]):
-        halves += _segment_halves(a, b, ray.exp0 if a == 0.0 else None,
-                                  ray.exp_far if b == 1.0 else None, share,
-                                  (ray.origin, w, q), sign)
-    return halves
+def _place(pieces, tol, K=1):
+    """The halves of a chain at K points, whose pieces hold Python numbers
+    or (K,) object arrays of them, None marking a far end at infinity, so
+    that a point is placed by the same arithmetic in a stack and alone. A
+    segment splits into halves, each over tau in [0, 1] under
+    y = start + (end - start) tau^kappa, kappa > 1 when the start carries
+    a power (``_power_kappa``). A ray is the Moebius arc u(s) = o + w s / D(s),
+    s in [0, 1], with D(s) = (1 - s) + q s, w = exp(i phase) and
+    q = w / (far - o): it leaves o along the ray and ends at the far end
+    (with no far end q = 0, the ray under t = s / (1 - s)). When the far
+    end lies behind o the arc passes through inf at s* = 1 / (1 - q), where
+    the integrand's homogeneity (leading weights summing to -2) keeps f du
+    smooth; the ray is cut there into two stretches of s with half its
+    tolerance each, so that no node evaluates it. A stretch of s splits as
+    a segment does; near s = 1 the integrand behaves as (1 - s)^exp_far.
 
-
-def _halves(pieces, tol):
-    halves = []
+    The points whose rays are cut alike share rows, in the order of their
+    first points. Returns a ``_Placement``: ``maps`` = (kappa, on_arc, cols),
+    per row its kappa and arc flag, and per row and point the start, span,
+    end, o, w, q of the point's half, an (H, K, 6) array holding
+    (0, 1, 0, *_NO_ARC) at other rows; per row its tolerance share, sign and
+    the error its endpoint exponent raises (or None); per point its range
+    of rows; and the (H, K) mask of each point's rows."""
+    strands, code = [], 0  # per segment or ray its sign, piece and arc; per point its cuts
     for piece in pieces:
-        if isinstance(piece, Segment):
-            halves += _segment_halves(piece.a, piece.b, piece.exp_a, piece.exp_b, tol, None, 1.0)
-        elif isinstance(piece, Ray):
-            halves += _ray_halves(piece, tol, 1.0)
-        elif isinstance(piece, RayPair):
+        if isinstance(piece, RayPair):
             # the outward ray at the end minus the outward ray at the start
             ends = (None, piece.far, piece.exp_far)
-            halves += _ray_halves(Ray(0.0, piece.end, *ends), tol, 1.0)
-            halves += _ray_halves(Ray(0.0, piece.start, *ends), tol, -1.0)
+            strands += [(1.0, Ray(0.0, piece.end, *ends)), (-1.0, Ray(0.0, piece.start, *ends))]
+        elif isinstance(piece, (Segment, Ray)):
+            strands.append((1.0, piece))
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
-    return halves
+    for i, (sign, piece) in enumerate(strands):
+        arc = _NO_ARC
+        if isinstance(piece, Ray):
+            # q in Python's complex division, 0 at a far end at infinity
+            w, o, far = cmath.exp(1j * piece.phase), piece.origin, piece.far
+            if isinstance(far, np.ndarray):
+                inf = np.equal(far, None)
+                q = np.asarray(_QUOTIENT(w, np.where(inf, o + w, far) - o), dtype=complex)
+                q[inf] = 0.0
+            else:
+                q = 0.0 if far is None else w / (far - o)
+            arc = o, w, q
+            code = code + ((q.imag == 0.0) & (q.real < 0.0)) * (1 << i)
+        strands[i] = sign, piece, arc
+    code = code.tolist() if isinstance(code, np.ndarray) else [code] * K
+    groups, blocks, meta = dict.fromkeys(code), {}, []
+    for g in groups:
+        # the group's points, and their numbers
+        points = np.flatnonzero(np.equal(code, g)) if len(groups) > 1 else slice(None)
 
+        def pick(v):
+            return v[points] if isinstance(v, np.ndarray) else v
 
-def _node_maps(stack):
-    """The node maps of a stack of K points, ``stack[k]`` the halves of
-    point k, as arrays built once per stack. The points whose halves share
-    a signature share rows, a row being one half of that signature.
-    Returns the maps that ``_gk15`` reads: per row its kappa and whether it
-    is on an arc, and per row and point the start, span, end and arc
-    o, w, q of the point's half, which are (0, 1, 0) off arcs and at a
-    point of another signature, as an (H, K, 6) array; then per row its
-    share of the tolerance, and per point the range of its rows."""
-    heads, rows = stack[0], [range(len(stack[0]))]
-    if len(stack) > 1:
-        start, heads, rows = {}, [], []
-        for halves in stack:
-            signature = tuple(h.signature for h in halves)
-            if signature not in start:
-                start[signature] = len(heads)
-                heads += halves
-            rows.append(range(start[signature], start[signature] + len(halves)))
-    meta = np.array([(h.kappa, h.arc is not None, h.atol) for h in heads])
-    cols = [[(0.0, 1.0, 0.0, 0.0, 1.0, 0.0)] * len(stack) for _ in heads]
-    for k, halves in enumerate(stack):
-        for i, h in zip(rows[k], halves):
-            cols[i][k] = (h.start, h.end - h.start, h.end, *(h.arc or (0.0, 1.0, 0.0)))
-    maps = meta[:, 0], meta[:, 1] != 0.0, np.array(cols, dtype=np.complex128)
-    return maps, meta[:, 2], rows
+        halves = []
+        for i, (sign, piece, arc) in enumerate(strands):
+            if arc is _NO_ARC:
+                halves += _split(pick(piece.a), pick(piece.b), piece.exp_a, piece.exp_b, tol, sign)
+                continue
+            arc = tuple(pick(v) for v in arc)
+            if g >> i & 1:
+                s = 1.0 / (1.0 - arc[2].real)
+                halves += (_split(0.0, s, piece.exp0, None, 0.5 * tol, sign, arc)
+                           + _split(s, 1.0, None, piece.exp_far, 0.5 * tol, sign, arc))
+            else:
+                halves += _split(0.0, 1.0, piece.exp0, piece.exp_far, tol, sign, arc)
+        blocks[g] = range(len(meta), len(meta) + len(halves)), points, halves
+        meta += [m for m, _ in halves]
+    cols, own = np.empty((len(meta), K, 6), dtype=np.complex128), np.zeros((len(meta), K), bool)
+    if len(blocks) > 1:
+        cols[...] = (0.0, 1.0, 0.0, *_NO_ARC)
+    for rows, points, halves in blocks.values():
+        own[rows.start : rows.stop, points] = True
+        values = [c for _, c in halves]
+        if not any(isinstance(v, np.ndarray) for c in values for v in c):
+            cols[rows.start : rows.stop, points] = np.array(values)[:, None]
+            continue
+        for i, columns in zip(rows, values):
+            for j, v in enumerate(columns):
+                cols[i, points, j] = v
+    table, failures = [], [None] * len(meta)
+    for i, (exponent, on_arc, atol, _) in enumerate(meta):
+        try:
+            table.append((_power_kappa(exponent), on_arc, atol))
+        except DivergentEndpoint as exc:
+            table.append((1, on_arc, atol))
+            failures[i] = exc
+    table = np.array(table, dtype=float)
+    return _Placement((table[:, 0], table[:, 1] != 0.0, cols), table[:, 2], [m[3] for m in meta],
+                      failures, [blocks[g][0] for g in code], own)
 
 
 def _gk15(f, maps, hs, ends, hi, ki):
@@ -338,8 +348,9 @@ def _gk15(f, maps, hs, ends, hi, ki):
     ``ends`` holds the new (tau0, tau1) panels of each half in hs, which
     its points share. A node tau goes to y = start + span tau^kappa under
     the columns of its pair and, on an arc, on to u = o + w y / D with
-    D = (1 - y) + q y. f takes the nodes and the point of each node, None
-    for a stack of one point."""
+    D = (1 - y) + q y. f takes the nodes and the points that label their
+    first axis (None for a stack of one, whose nodes come flat): a stack's
+    nodes come as (pairs, nodes) rows, or flat when some are dropped."""
     kappa, on_arc, cols = maps
     half = 0.5 * (ends[..., 1] - ends[..., 0])
     tau = (0.5 * (ends[..., 0] + ends[..., 1]))[..., None] + half[..., None] * _GK_X
@@ -369,8 +380,8 @@ def _gk15(f, maps, hs, ends, hi, ki):
         y = o + w * y / d
     stacked = cols.shape[1] > 1
     if keep is None:
-        which = np.repeat(ki, y[0].size) if stacked else None
-        fv = np.asarray(f(y.ravel(), which), dtype=np.complex128).reshape(y.shape)
+        u = y.reshape(len(y), -1) if stacked else y.ravel()
+        fv = np.asarray(f(u, ki if stacked else None), dtype=np.complex128).reshape(y.shape)
     else:
         which = np.broadcast_to(ki[:, None, None], y.shape)[keep] if stacked else None
         fv = np.zeros(y.shape, dtype=np.complex128)
@@ -425,41 +436,34 @@ def _round(f, maps, hs, ends, hi, ki, fail):
     return sel[order], est[order]
 
 
-def _lockstep(f, stack, tol, cap=None):
+def _lockstep(f, place, tol, cap=None):
     """Adaptive GK15 integrals of a stack of K points in lock-step rounds,
-    ``stack[k]`` the halves of point k, over tau panels that the points of
-    each half share; the points whose halves share a signature share those
-    halves (``_node_maps``).
+    over the halves of ``place`` (``_place``), whose tau panels the points
+    of each half share.
 
-    f(u, which) is the integrand at nodes u of the points which (None for
-    one point). A (half, point) pair closes once its error is within
-    max(atol, tol |total|) (QUADPACK's rule) or its half holds
-    _MAX_INTERVALS panels. In each round every half with an open pair
-    bisects its worst panel, the one whose largest error over the open
-    pairs is largest, and the new panels of all open pairs go to one call
-    of f; a half takes part in every round until its last pair closes, so
-    it holds as many panels as rounds have run. A failing pair closes the
-    later halves of its point and every later point, as if the points ran
-    one after another. Returns per point an ``IntegralEstimate``, the
-    first error of its halves in chain order, or None when an earlier
-    point's failure closed it. After ``cap`` rounds the points that are
-    still open stop, each with a ``NonConvergent`` that closes no other
-    point.
+    f(u, which) is the integrand at nodes u whose first axis the points
+    which label (``_gk15``), None for one point. A (half, point) pair
+    closes once its error is within max(atol, tol |total|) (QUADPACK's
+    rule) or its half holds _MAX_INTERVALS panels. In each round every
+    half with an open pair bisects its worst panel, the one whose largest
+    error over the open pairs is largest, and the new panels of all open
+    pairs go to one call of f; a half takes part in every round until its
+    last pair closes, so it holds as many panels as rounds have run. A
+    failing pair closes the later halves of its point and every later
+    point, as if the points ran one after another. Returns per point an
+    ``IntegralEstimate``, the first error of its halves in chain order, or
+    None when an earlier point's failure closed it. After ``cap`` rounds
+    the points that are still open stop, each with a ``NonConvergent``
+    that closes no other point.
 
     The state is a grid of the halves that go on by the K points, and a
     value and its error travel together as one complex pair (the error
     with no imaginary part), so that each step of the bookkeeping is one
     array operation whatever K is."""
-    maps, atol, rows = _node_maps(stack)
-    H, K = len(atol), len(stack)
+    maps, atol, signs, failures, rows, own = place
+    H, K = own.shape
     # per pair h * K + k, once it closed: its total, error and panels
-    closed = {}
-    alive = np.ones((H, K), dtype=bool)
-    if len(rows[-1]) < H:
-        alive[...] = False
-        for k, r in enumerate(rows):
-            alive[r.start : r.stop, k] = True
-    failed = {}
+    closed, failed, alive = {}, {}, own.copy()
     # the (value, error) of every panel at each point, one row per panel;
     # a half's heap holds its panels as (-key, tie, tau0, tau1, row, open)
     store = np.empty((8 * H, K, 2), dtype=np.complex128)
@@ -472,10 +476,10 @@ def _lockstep(f, stack, tol, cap=None):
         alive[h:, k] = False
         alive[:, k + 1:] = False
 
-    for k, halves in enumerate(stack):
-        i = next((i for i, h in enumerate(halves) if h.failure is not None), None)
+    for k, r in enumerate(rows if any(failures) else ()):
+        i = next((i for i in r if failures[i] is not None), None)
         if i is not None:
-            fail(rows[k][i], k, halves[i].failure)
+            fail(i, k, failures[i])
             break
     # the halves that go on, their open pairs and tolerance shares, and
     # from the second round the running (total, error) of each pair and
@@ -589,9 +593,9 @@ def _lockstep(f, stack, tol, cap=None):
             continue
         # its halves in chain order, added as one walk would add them
         value, error, panels = 0.0 + 0.0j, 0.0, 0
-        for i, half in zip(rows[k], stack[k]):
+        for i in rows[k]:
             total, err, count = closed[i * K + k]
-            value += half.sign * total
+            value += signs[i] * total
             error += err
             panels += count
         out.append(IntegralEstimate(value, error, "adaptive-1d", panels))
@@ -649,12 +653,12 @@ def _mesh_scope(points):
 def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     """The outcome of each point, by key: its estimate or the error that
     ``radon_hgf`` raises for it. The points of pw's shape are one entries
-    stack, whose membership in Z_lambda (``member_mask``) and block roots
-    are each taken in one array operation; the first point in stencil
-    order that fails its checks keeps the error it raises alone. The
-    points before it are integrated as one ``_lockstep`` of at most
-    _STACK_ROUNDS rounds. A point that fails there, or is still open at
-    the end, runs alone, and its outcome is that run's: a point whose
+    stack, whose membership in Z_lambda (``member_mask``), block roots and
+    chain halves (``_place``) are each taken in array operations; the first
+    point in stencil order that fails its checks keeps the error it raises
+    alone. The points before it are integrated as one ``_lockstep`` of at
+    most _STACK_ROUNDS rounds. A point that fails there, or is still open
+    at the end, runs alone, and its outcome is that run's: a point whose
     bisection the others drive can hold up the points that share its
     halves, and the shared mesh decides whether a node lands on a branch
     point. A point that fails alone closes every later point, which then
@@ -664,28 +668,28 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     if not points:
         return {}
     entries = np.stack([z.entries for _, z in points])
-    member = member_mask(pw.lam, 1, entries)
+    member = np.array(member_mask(pw.lam, 1, entries))
     roots, infinite = _block_roots(pw.lam, entries)
-    checked, keys, members, halves = {}, [], [], []
-    for (key, z), inside, point_roots, at_infinity in zip(points, member, roots, infinite):
+    ends = _CHAIN_ENDS[chain.kind]
+    bad = ~member | (infinite[:, 1 : 1 + ends].any(axis=1) if roots.shape[1] > ends else True)
+    count = int(np.argmax(bad)) if bad.any() else len(points)
+    checked, outcome = {}, {}
+    if count < len(points):
+        key, z = points[count]
         try:
-            if not inside:
+            if not member[count]:
                 require_member(z)
-            pieces = _roots_pieces(point_roots, at_infinity, pw, chain)
+            _roots_pieces(roots[count], infinite[count], pw, chain)
         except RadonHGFError as exc:
             checked[key] = exc
-            break
-        keys.append(key)
-        members.append((z, pieces))
-        halves.append(_halves(pieces, tol))
-    outcome = {}
-    if keys:
-        stacked = _lockstep(scalar_chart_function([z for z, _ in members], pw), halves, tol,
-                            _STACK_ROUNDS)
-        for key, (z, pieces), out in zip(keys, members, stacked):
+    if count:
+        place = _place(_roots_pieces(roots[:count], infinite[:count], pw, chain), tol, count)
+        stacked = _lockstep(scalar_chart_function(entries[:count], pw), place, tol, _STACK_ROUNDS)
+        for k, ((key, z), out) in enumerate(zip(points, stacked)):
             if isinstance(out, RadonHGFError):
                 try:
-                    out = integrate_pieces(scalar_chart_function(z, pw), pieces, tol)
+                    out = integrate_pieces(scalar_chart_function(z, pw),
+                                           _roots_pieces(roots[k], infinite[k], pw, chain), tol)
                 except RadonHGFError as exc:
                     out = exc
             if out is None:
@@ -729,7 +733,7 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    [out] = _lockstep(lambda u, which: f(u), [_halves(pieces, tol)], tol)
+    [out] = _lockstep(lambda u, which: f(u), _place(pieces, tol), tol)
     if isinstance(out, RadonHGFError):
         raise out
     return out
@@ -1013,28 +1017,24 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 
 def scalar_chart_function(z, pw: PartitionWeight):
     """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
-    (0-d included): ``chart_exponent`` at the frames (1, u). Given a
-    sequence of coordinate matrices of one shape for z, it returns the
-    integrand of the stack, f(u, which), whose value at u[i] is that of
-    point which[i] (which may be None for a sequence of one). A point on a
+    (0-d included): ``chart_exponent`` at the frames (1, u). Given the
+    (K, 2, N) entries of K points for z, it is the integrand of the stack,
+    f(u, which), where which labels the first axis of u with points: one
+    per node of a flat u, or one per row of a (rows, nodes) u, whose nodes
+    take that point's coefficients (None for a stack of one). A point on a
     block root, or whose exponent passes 700, raises ``OnBranchLocus``
     before any exponential is taken."""
-    points = [z] if isinstance(z, CoordMatrix) else list(z)
-    first = points[0]
-    if first.r != 1 or pw.r != 1:
-        raise ShapeMismatch("scalar chart function requires r = 1")
-    stack = None
-    if not isinstance(z, CoordMatrix):
-        if any(p.lam != first.lam or p.entries.shape != first.entries.shape for p in points):
-            raise ShapeMismatch("stacked coordinate matrices must share one shape")
-        stack = np.stack([p.entries for p in points])
-    exponent = chart_exponent(IntegrandSpec(pw, first), stack)
+    entries = IntegrandSpec(pw, z).z.entries if isinstance(z, CoordMatrix) else np.asarray(z)
+    if pw.r != 1 or entries.shape[-2:] != (2, sum(pw.lam)):
+        raise ShapeMismatch("scalar chart function requires r = 1, with 2 x N entries")
+    exponent = chart_exponent(pw, entries)
 
     def f(u, which=None):
         u = np.asarray(u)
-        t = np.empty((u.size, 1, 2), dtype=np.complex128)
-        t[:, 0, 0] = 1.0
-        t[:, 0, 1] = u.ravel()
+        rows = which is not None and u.ndim == 2
+        t = np.empty(u.shape + (1, 2) if rows else (u.size, 1, 2), dtype=np.complex128)
+        t[..., 0, 0] = 1.0
+        t[..., 0, 1] = u if rows else u.ravel()
         try:
             expo = exponent(t, which)
         except SingularBlock as exc:
@@ -1053,33 +1053,33 @@ _QUOTIENT = np.frompyfunc(operator.truediv, 2, 1)
 def _block_roots(lam: tuple, entries: np.ndarray):
     """The root -a0 / b0 of each block's leading form a0 + b0 u, for each
     matrix of a (K, 2, N) entries stack at r = 1, as (roots, infinite):
-    per matrix the list of its blocks' roots, and whether each is at
-    infinity, where |b0| <= 1e-13 |(a0, b0)|, a test that does not depend
-    on the column's scale. The quotients are one ufunc call of Python's
-    complex division, whose last bit differs from numpy's on about 40% of
-    inputs, so a root is the same alone, in a stack and as -a0 / b0 on
-    Python complex numbers; a root at infinity divides by 1."""
+    (K, blocks) arrays of the roots, as Python complex numbers, and of
+    whether each is at infinity, where |b0| <= 1e-13 |(a0, b0)|, a test
+    that does not depend on the column's scale. The quotients are one ufunc
+    call of Python's complex division, whose last bit differs from numpy's
+    on about 40% of inputs, so a root is the same alone, in a stack and as
+    -a0 / b0 on Python complex numbers; a root at infinity divides by 1."""
     # the column of each block's leading form
     c = np.take(entries, list(accumulate((0,) + lam[:-1])), axis=2)
     mag = np.abs(c)
     infinite = mag[:, 1] <= 1e-13 * np.hypot(mag[:, 0], mag[:, 1])
-    roots = _QUOTIENT(-c[:, 0], np.where(infinite, 1.0, c[:, 1]))
-    return roots.tolist(), infinite.tolist()
+    return _QUOTIENT(-c[:, 0], np.where(infinite, 1.0, c[:, 1])), infinite
 
 
 def _roots_pieces(roots, infinite, pw: PartitionWeight, chain: ChainSpec):
-    """The chain pieces of one point from its block roots and whether each
-    is at infinity (``_block_roots``)."""
+    """The chain pieces from block roots and whether each is at infinity
+    (``_block_roots``): of one point, from one row, or of the points of
+    rows of a stack, whose numbers are then (K,) arrays (``_place``)."""
     ends = _CHAIN_ENDS[chain.kind]
-    if len(roots) < 1 + ends:
+    if roots.shape[-1] < 1 + ends:
         raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
-    if any(infinite[1 : 1 + ends]):
+    if infinite[..., 1 : 1 + ends].any():
         raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
     first = pw.alpha[0]
     exp_far = first[0] if all(a == 0 for a in first[1:]) else None
-    return _chain_pieces(chain.kind, roots[1 : 1 + ends],
+    return _chain_pieces(chain.kind, [roots[..., j][()] for j in range(1, 1 + ends)],
                          [pw.alpha[j][0] for j in range(1, 1 + ends)],
-                         None if infinite[0] else roots[0], exp_far)
+                         np.where(infinite[..., 0], None, roots[..., 0])[()], exp_far)
 
 
 def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
@@ -1173,7 +1173,7 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             if method == "eigen-tensor":
                 raise
     # Monte Carlo fallback on the chart integrand
-    exponent = chart_exponent(IntegrandSpec(pw, z))
+    exponent = chart_exponent(pw, IntegrandSpec(pw, z).z.entries)
     eye = np.eye(r, dtype=np.complex128)
 
     def batch_fn(u):

@@ -173,6 +173,40 @@ def test_chart_integrand_matches_character(lam, k, r):
             assert abs(along[i] - ref) <= 1e-13 * abs(ref)
 
 
+# the partitions of the three pde-r1 families, then the r = 1 (3, 1) and
+# (4,) forms, whose blocks of length above 2 reach the longer-block branch
+# of the chart exponent
+@pytest.mark.parametrize("lam", [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)])
+def test_stack_integrand_reads_rows_and_flat_nodes_alike(lam):
+    # which labels the first axis of u: a (rows, nodes) u takes one point
+    # per row, whose coefficients are broadcast over its nodes, and a flat
+    # u one point per node, gathered node by node; numpy runs another
+    # inner loop for each, and the products must round alike
+    gen = RandomStream(40 + sum(lam) + len(lam)).generator()
+    base = pattern(lam, 1, (0.5 * _cnormal(gen, (1, 1)),))
+    entries = base + 0.2 * _cnormal(gen, (3, 2, sum(lam)))
+    flat = 0.5 * _cnormal(gen, sum(lam))
+    lead = np.cumsum((0,) + lam[:-1])
+    flat[0] = -2 - flat[lead[1:]].sum()
+    pw = PartitionWeight.from_flat(lam, flat, 2, 1, strict=False)
+    f = scalar_chart_function(entries, pw)
+    u = _cnormal(gen, (6, 30))
+    u[::2] = u[::2].real
+    which = np.array([0, 1, 2, 2, 0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchCutWarning)
+        rows = f(u, which)
+        nodes = f(u.ravel(), np.repeat(which, u.shape[1]))
+    assert rows.shape == u.shape
+    assert rows.tobytes() == nodes.reshape(u.shape).tobytes()
+    # and each row is its point's own integrand, bit for bit
+    for k in range(3):
+        alone = scalar_chart_function(CoordMatrix(lam, 1, entries[k]), pw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BranchCutWarning)
+            assert rows[which == k].tobytes() == alone(u[which == k]).tobytes()
+
+
 def test_chart_batch_raises_at_singular_block_before_inverting():
     # block 1 of the (2, 1, 1) point has leading form m0 = u, singular at
     # the second frame; the power raises before m0 is inverted

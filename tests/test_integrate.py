@@ -1,6 +1,8 @@
+import cmath
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -812,7 +814,9 @@ def test_integrate_r1_keeps_its_mesh(fam, kind, value, panels):
     assert abs(est.value - value) <= 1e-14 * abs(value)
 
 
-_ARC = (0.2, 1j, 0.5 - 0.25j)
+# a ray from 0.2 along i whose Moebius arc ends at -0.6 + 1.6i: it is not
+# cut, and its halves are on the arc o + w s / D(s)
+_ARC = dict(origin=0.2, phase=math.pi / 2, far=-0.6 + 1.6j)
 
 
 @pytest.mark.parametrize("exponent, arc", [
@@ -823,26 +827,135 @@ _ARC = (0.2, 1j, 0.5 - 0.25j)
 ])
 def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
     # a panel's estimates do not depend on the panels that share its call:
-    # alone, it rounds as in one call with panels of its own half and of
-    # halves in all four (kappa > 1, on arc) combinations
-    halves = [integrate._Half(0.1, 0.9, exponent, arc, 1e-12, 1.0)]
-    halves += [integrate._Half(0.6, 0.2, e, on, 1e-12, -1.0)
-               for e in (None, -0.5) for on in (None, _ARC)]
-    assert [(h.kappa > 1, h.arc is not None) for h in halves[1:]] == [
-        (False, False), (False, True), (True, False), (True, True)]
-    maps = integrate._node_maps([halves])[0]
+    # alone, the first half's panel rounds as in one call with panels of
+    # its own half and of halves in all four (kappa > 1, on arc)
+    # combinations, the halves of a segment and of a ray
+    first = Segment(0.1, 1.5, exponent) if arc is None else Ray(exp0=exponent, **arc)
+    place = integrate._place([first, Segment(0.6, -0.2, None, -0.5),
+                              Ray(exp_far=-0.5, **_ARC)], 1e-12)
+    kappa, on_arc, _ = maps = place.maps
+    assert (kappa[0] > 1, on_arc[0]) == (exponent is not None, arc is not None)
+    assert [(kappa[i] > 1, on_arc[i]) for i in range(2, 6)] == [
+        (False, False), (True, False), (False, True), (True, True)]
     spans = [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0), (0.25, 0.5), (0.125, 0.375)]
 
     def f(u, which):
         return np.exp((0.3 + 1j) * u) / (1.7 - u)
 
-    every = np.arange(len(halves))
-    batch = integrate._gk15(f, maps, every, np.array([spans] * len(halves)), every,
-                            np.zeros(len(halves), dtype=int))
+    every = np.arange(len(kappa))
+    batch = integrate._gk15(f, maps, every, np.array([spans] * len(kappa)), every,
+                            np.zeros(len(kappa), dtype=int))
     one = np.zeros(1, dtype=int)
     for k, span in enumerate(spans):
         alone = integrate._gk15(f, maps, one, np.array([[span]]), one, one)
         assert alone.tolist() == [[batch[0, k].tolist()]]
+
+
+def _python_halves(piece, tol):
+    """The halves of a segment or a ray as Python arithmetic on one point
+    places them: per half its columns (start, span, end, o, w, q), kappa,
+    tolerance share and sign."""
+    def split(a, b, exp_a, exp_b, atol, arc, sign):
+        mid = 0.5 * (a + b)
+        return [(a, mid, exp_a, 0.5 * atol, sign, arc), (b, mid, exp_b, 0.5 * atol, -sign, arc)]
+
+    if isinstance(piece, Segment):
+        halves = split(piece.a, piece.b, piece.exp_a, piece.exp_b, tol, (0.0, 1.0, 0.0), 1.0)
+    else:
+        w = cmath.exp(1j * piece.phase)
+        q = 0.0 if piece.far is None else w / (piece.far - piece.origin)
+        cuts = [0.0, 1.0]
+        if q.imag == 0.0 and q.real < 0.0:
+            cuts.insert(1, 1.0 / (1.0 - q.real))
+        share = tol / (len(cuts) - 1)
+        halves = []
+        for a, b in zip(cuts, cuts[1:]):
+            halves += split(a, b, piece.exp0 if a == 0.0 else None,
+                            piece.exp_far if b == 1.0 else None, share, (piece.origin, w, q), 1.0)
+    return (np.array([(a, mid - a, mid, *arc) for a, mid, *_, arc in halves], dtype=np.complex128),
+            np.array([integrate._power_kappa(h[2]) for h in halves], dtype=float),
+            np.array([h[3] for h in halves]), [h[4] for h in halves])
+
+
+def _signed_zeros(gen, count):
+    """Complex numbers whose parts are normal draws or zeros of either sign."""
+    parts = gen.standard_normal((2, count))
+    parts[gen.random((2, count)) < 0.3] = 0.0
+    parts[gen.random((2, count)) < 0.5] *= -1.0
+    return [complex(x, y) for x, y in parts.T]
+
+
+def test_placement_rounds_as_python_on_each_point():
+    # a stack's columns are those of Python arithmetic on each point alone,
+    # signed zeros included: the midpoint 0.5 (a + b), the quotient
+    # q = w / (far - o) and the cut 1 / (1 - Re q) of a ray whose far end
+    # lies behind its origin; rays to inf (None), ahead and behind mix. The
+    # numbers come as object arrays of Python numbers, as block roots do
+    gen = np.random.default_rng(3)
+    K, tol = 300, 5e-13
+    a, b = _signed_zeros(gen, K), _signed_zeros(gen, K)
+    origin = [complex(x.real, y.imag) for x, y in zip(a, b)]
+    # at inf, then along the real line ahead of or behind the origin, then
+    # off it
+    far = [None if i % 5 == 0 else o + (1.0 + abs(x)) * (1.0 if i % 3 else -1.0) if i % 2
+           else o + complex(1.0 + abs(x.real), x.imag) for i, (o, x) in enumerate(zip(origin, b))]
+    pieces = [Segment(np.array(a, dtype=object), np.array(b, dtype=object), -0.5, None),
+              Ray(np.array(origin, dtype=object), 0.0, None, np.array(far, dtype=object), -0.3)]
+    place = integrate._place(pieces, tol, K)
+    kappa, _, cols = place.maps
+    for k in range(K):
+        ref = [_python_halves(Segment(a[k], b[k], -0.5, None), tol),
+               _python_halves(Ray(origin[k], 0.0, None, far[k], -0.3), tol)]
+        rows = slice(place.rows[k].start, place.rows[k].stop)
+        assert cols[rows, k].tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
+        assert kappa[rows].tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
+        assert place.atol[rows].tobytes() == np.concatenate([r[2] for r in ref]).tobytes()
+        assert place.signs[rows] == ref[0][3] + ref[1][3]
+    assert sorted({len(r) for r in place.rows}) == [4, 6]
+
+
+# the point of test_chart_chain_pieces, whose block 1 root is at inf
+_CHAIN_Z = CoordMatrix((1, 1, 1, 1), 1, np.array([[1.0, 0.5, -1.0, 2.0], [0.0, 1.0, 2.0, 1.0]]))
+_CHAIN_PW = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
+
+
+@pytest.mark.parametrize("case", ["interval", "half-line", "far behind", "full-line",
+                                  "rotated-ray"])
+def test_stack_placement_equals_one_point_placement(case):
+    # every point's rows in the placement of a stencil stack hold what the
+    # placement of that point alone, from chart_pieces_r1, holds, bit for
+    # bit: maps, kappa, arc flags, shares, signs and no failures
+    if case == "interval":
+        z0, pw, chain = _pde_base((1, 1, 1, 1))
+    elif case == "half-line":
+        z0, pw, chain = _pde_base((2, 2))
+    elif case == "far behind":
+        z0, pw, chain = _FAR_Z, _FAR_PW, ChainSpec("half-line", 1)
+    else:
+        z0, pw, chain = _CHAIN_Z, _CHAIN_PW, ChainSpec(case, 1)
+    points = _registered_points(z0)
+    roots, infinite = integrate._block_roots(pw.lam, np.stack([z.entries for z in points]))
+    place = integrate._place(integrate._roots_pieces(roots, infinite, pw, chain), 5e-13,
+                             len(points))
+    for k, z in enumerate(points):
+        alone = integrate._place(chart_pieces_r1(z, pw, chain), 5e-13)
+        rows = slice(place.rows[k].start, place.rows[k].stop)
+        assert np.flatnonzero(place.own[:, k]).tolist() == list(place.rows[k])
+        assert place.maps[2][rows, k].tobytes() == alone.maps[2][:, 0].tobytes()
+        for mine, theirs in zip((*place.maps[:2], place.atol), (*alone.maps[:2], alone.atol)):
+            assert mine[rows].tobytes() == theirs.tobytes()
+        assert place.signs[rows] == alone.signs
+        assert place.failures[rows] == alone.failures == [None] * len(alone.signs)
+    groups = Counter((r.start, r.stop) for r in place.rows)
+    if case == "half-line":
+        # the rays of 12 points are cut where the arc passes through inf
+        assert sorted(groups.values()) == [12, 84]
+    elif case == "far behind":
+        assert list(groups) == [(0, 4)]
+    elif case == "full-line":
+        # at some points the stencil moves the root of block 1 from inf onto
+        # the real line behind the origin of one of the rays, which is cut
+        assert len(groups) > 1
 
 
 def test_integrand_called_once_per_round():
@@ -898,19 +1011,56 @@ def _counting_integrands(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_scoped_stencil_values_match_unscoped(lam):
-    # the stencil points of a base point refine the same mesh, so the stack
-    # gives each one the panels it would reach alone: the panel counts are
-    # the same, and the values differ only in the order of the sums
+def _perturbed_base(lam, seed):
+    """A perturbed base point of the family lam, drawn as the pde-r1
+    benchmark draws one cycle: by scale 0.06 from one generator over the
+    three families in turn, with the pole of the first (2,2) block kept off
+    the ray."""
     z0, pw, chain = _pde_base(lam)
-    points = _stencil_points(z0)
+    gen = np.random.default_rng(seed)
+    for family in _PDE_BASE:
+        entries = _pde_base(family)[0].entries + 0.06 * gen.standard_normal((2, 4))
+        if family == lam:
+            break
+    if lam == (2, 2):
+        entries[1, 0] = abs(entries[1, 0]) + 0.02
+    return z0.with_entries(entries), pw, chain
+
+
+def _registered_points(z0):
+    """The 96 distinct points that verify_system registers at z0."""
+    points = []
+    report = verify_system(lambda z: points.append(z) or 1.0, z0, all_pairs(2, 4, 1))
+    assert report["points"] == len(points) == 96
+    return points
+
+
+# the points of a stack whose estimates are not those of their lone runs:
+# the stack bisects each half where the largest error of its points is, so
+# a point can take its panels in another order than alone, and its sums
+# then round differently, within an ulp of its value or error
+_STACK_ORDER_DIFFERS = {((2, 2), 2): [39, 44, 68, 77, 86, 88]}
+
+
+@pytest.mark.parametrize("lam, seed", [
+    pytest.param(lam, seed, id=f"lam{i}" if seed is None else f"lam{i}-{seed}")
+    for seed in (None, 0, 1, 2) for i, lam in enumerate(_PDE_BASE)
+])
+def test_scoped_stencil_values_match_unscoped(lam, seed):
+    # every point of a check's stack, at a base point and at perturbed
+    # ones, has the panels that it has alone, and the estimate that it has
+    # alone bit for bit, unless the shared mesh gave it those panels in
+    # another order
+    z0, pw, chain = _pde_base(lam) if seed is None else _perturbed_base(lam, seed)
+    points = _registered_points(z0)
     unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
     with integrate._mesh_scope(points):
         scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
     for s, u in zip(scoped, unscoped):
         assert s.nodes_or_samples == u.nodes_or_samples
         assert abs(s.value - u.value) <= 4 * _EPS * abs(u.value)
+    differ = [k for k, (s, u) in enumerate(zip(scoped, unscoped)) if s != u]
+    assert differ == _STACK_ORDER_DIFFERS.get((lam, seed), [])
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
@@ -930,11 +1080,15 @@ def test_verify_system_integrand_calls_are_bounded(monkeypatch, lam):
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
 def test_verify_system_checks_its_points_once(monkeypatch, lam):
-    # the 96 stencil points of a check are built by one entries check and
-    # tested for membership in Z_lambda by one test of all their minors;
-    # point by point, each ran 96 times
+    # the 96 stencil points of a check are built by one entries check,
+    # tested for membership in Z_lambda by one test of all their minors,
+    # and placed on their chain from one block-roots call, by one set of
+    # chain pieces whose numbers are arrays over the points; point by
+    # point, each ran 96 times. The stack's integrand reads each row of
+    # nodes with one point, so it gets a point per row, not per node
     z0, pw, chain = _pde_base(lam)
-    counts = {"_checked_entries": 0, "_vanishing_minors": 0}
+    counts = {"_checked_entries": 0, "_vanishing_minors": 0, "_block_roots": 0,
+              "_chain_pieces": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -942,8 +1096,23 @@ def test_verify_system_checks_its_points_once(monkeypatch, lam):
             return original(*args, **kwargs)
         return counted
 
-    for name in counts:
-        monkeypatch.setattr(grassmann, name, counting(name, getattr(grassmann, name)))
+    for module, names in ((grassmann, counts.keys() - {"_block_roots", "_chain_pieces"}),
+                          (integrate, ("_block_roots", "_chain_pieces"))):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    shapes = []
+    make = integrate.scalar_chart_function
+
+    def recording(z, pw):
+        f = make(z, pw)
+
+        def g(u, which=None):
+            shapes.append((np.shape(u), None if which is None else len(which)))
+            return f(u, which)
+
+        return g
+
+    monkeypatch.setattr(integrate, "scalar_chart_function", recording)
 
     def F(z):
         return radon_hgf(z, pw, chain, Budget(tol=5e-13)).value
@@ -951,7 +1120,9 @@ def test_verify_system_checks_its_points_once(monkeypatch, lam):
     report = verify_system(F, z0, all_pairs(2, 4, 1))
     assert report["pass"]
     assert report["points"] == 96
-    assert counts == {"_checked_entries": 1, "_vanishing_minors": 1}
+    assert counts == {"_checked_entries": 1, "_vanishing_minors": 1, "_block_roots": 1,
+                      "_chain_pieces": 1}
+    assert shapes and all(len(shape) == 2 and which == shape[0] for shape, which in shapes)
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
