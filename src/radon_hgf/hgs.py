@@ -17,11 +17,10 @@ entries moved, and their coordinate matrices are checked in one pass
 raises alone, before any F call. F is opaque, so the registration is
 what lets the first r = 1 ``radon_hgf`` call inside F integrate every
 registered point as one stack, with one membership test and one block
-root computation for all of them, over panels that the points share,
-and serve the later calls from it. A value meets the same tolerance as
-outside the scope, and equals the unscoped one where the point gets the
-panels it would reach alone. A plain ``radon_hgf`` call never enters a
-scope.
+root computation for all of them and one integrand call per round, and
+serve the later calls from it. Each point keeps its own panels, so a
+value is the unscoped one, bit for bit. A plain ``radon_hgf`` call never
+enters a scope.
 """
 
 import math

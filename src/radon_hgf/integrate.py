@@ -14,10 +14,11 @@ Three strategies:
   Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
   ``hgs``, which register the points at which they will call F), the
   first call at a registered point integrates all registered points as
-  one stack, placed on their chains as arrays: the same loop with a point
-  axis, whose points share the tau panels of each half and one integrand
-  call per round, with a row of nodes per (half, point) pair. A plain
-  ``radon_hgf`` call never enters a scope;
+  one stack, placed on their chains as arrays: the same loop over every
+  (half, point) pair, each with a bisection tree of its own, and one
+  integrand call per round with a row of nodes per pair. A stacked value
+  is the value of the point alone, bit for bit. A plain ``radon_hgf``
+  call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -40,7 +41,6 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import accumulate
 
 import numpy as np
@@ -86,9 +86,6 @@ from .rng import RandomStream, thread_count
 RAY_HALF_ANGLE = 2.0 * math.pi / 3.0
 # subdivisions of one adaptive integral before it gives up
 _MAX_INTERVALS = 4000
-# rounds of a stack of points (``_stack``) after which its open points
-# run alone
-_STACK_ROUNDS = 64
 
 
 def _require_rank(r: int):
@@ -236,7 +233,7 @@ class RayPair:
 # the arc (o, w, q) of a half off the arcs, on which D = 1 and u = y
 _NO_ARC = (0.0, 1.0, 0.0)
 
-_Placement = namedtuple("_Placement", "maps atol signs failures rows own")
+_Placement = namedtuple("_Placement", "maps atol signs failures rows")
 
 
 def _split(a, b, exp_a, exp_b, atol, sign, arc=_NO_ARC):
@@ -263,14 +260,12 @@ def _place(pieces, tol, K=1):
     tolerance each, so that no node evaluates it. A stretch of s splits as
     a segment does; near s = 1 the integrand behaves as (1 - s)^exp_far.
 
-    The points whose rays are cut alike share rows, in the order of their
-    first points. Returns a ``_Placement``: ``maps`` = (kappa, on_arc, cols),
-    per row its kappa and arc flag, and per row and point the start, span,
-    end, o, w, q of the point's half, an (H, K, 6) array holding
-    (0, 1, 0, *_NO_ARC) at other rows; per row its tolerance share, sign and
-    the error its endpoint exponent raises (or None); per point its range
-    of rows; and the (H, K) mask of each point's rows."""
-    strands, code = [], 0  # per segment or ray its sign, piece and arc; per point its cuts
+    Returns a ``_Placement`` with one row per (half, point) pair, each
+    point's halves contiguous and in chain order: ``maps`` = (kappa,
+    on_arc, cols), per row its kappa, its arc flag and its start, span,
+    end, o, w, q; per row its tolerance share, sign and the error its
+    endpoint exponent raises (or None); and per point its range of rows."""
+    strands = []  # per segment or ray its sign and piece
     for piece in pieces:
         if isinstance(piece, RayPair):
             # the outward ray at the end minus the outward ray at the start
@@ -280,9 +275,13 @@ def _place(pieces, tol, K=1):
             strands.append((1.0, piece))
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
-    for i, (sign, piece) in enumerate(strands):
-        arc = _NO_ARC
-        if isinstance(piece, Ray):
+    # per half of a group of points: the points, (kappa, on arc, tolerance
+    # share), sign, the error of its endpoint exponent and its columns
+    everyone, records = np.arange(K), []
+    for sign, piece in strands:
+        if isinstance(piece, Segment):
+            groups = [(everyone, _split(piece.a, piece.b, piece.exp_a, piece.exp_b, tol, sign))]
+        else:
             # q in Python's complex division, 0 at a far end at infinity
             w, o, far = cmath.exp(1j * piece.phase), piece.origin, piece.far
             if isinstance(far, np.ndarray):
@@ -291,76 +290,66 @@ def _place(pieces, tol, K=1):
                 q[inf] = 0.0
             else:
                 q = 0.0 if far is None else w / (far - o)
-            arc = o, w, q
-            code = code + ((q.imag == 0.0) & (q.real < 0.0)) * (1 << i)
-        strands[i] = sign, piece, arc
-    code = code.tolist() if isinstance(code, np.ndarray) else [code] * K
-    groups, blocks, meta = dict.fromkeys(code), {}, []
-    for g in groups:
-        # the group's points, and their numbers
-        points = np.flatnonzero(np.equal(code, g)) if len(groups) > 1 else slice(None)
-
-        def pick(v):
-            return v[points] if isinstance(v, np.ndarray) else v
-
-        halves = []
-        for i, (sign, piece, arc) in enumerate(strands):
-            if arc is _NO_ARC:
-                halves += _split(pick(piece.a), pick(piece.b), piece.exp_a, piece.exp_b, tol, sign)
-                continue
-            arc = tuple(pick(v) for v in arc)
-            if g >> i & 1:
-                s = 1.0 / (1.0 - arc[2].real)
-                halves += (_split(0.0, s, piece.exp0, None, 0.5 * tol, sign, arc)
-                           + _split(s, 1.0, None, piece.exp_far, 0.5 * tol, sign, arc))
-            else:
-                halves += _split(0.0, 1.0, piece.exp0, piece.exp_far, tol, sign, arc)
-        blocks[g] = range(len(meta), len(meta) + len(halves)), points, halves
-        meta += [m for m, _ in halves]
-    cols, own = np.empty((len(meta), K, 6), dtype=np.complex128), np.zeros((len(meta), K), bool)
-    if len(blocks) > 1:
-        cols[...] = (0.0, 1.0, 0.0, *_NO_ARC)
-    for rows, points, halves in blocks.values():
-        own[rows.start : rows.stop, points] = True
-        values = [c for _, c in halves]
-        if not any(isinstance(v, np.ndarray) for c in values for v in c):
-            cols[rows.start : rows.stop, points] = np.array(values)[:, None]
-            continue
-        for i, columns in zip(rows, values):
-            for j, v in enumerate(columns):
-                cols[i, points, j] = v
-    table, failures = [], [None] * len(meta)
-    for i, (exponent, on_arc, atol, _) in enumerate(meta):
-        try:
-            table.append((_power_kappa(exponent), on_arc, atol))
-        except DivergentEndpoint as exc:
-            table.append((1, on_arc, atol))
-            failures[i] = exc
-    table = np.array(table, dtype=float)
-    return _Placement((table[:, 0], table[:, 1] != 0.0, cols), table[:, 2], [m[3] for m in meta],
-                      failures, [blocks[g][0] for g in code], own)
+            cut = np.zeros(K, dtype=bool) | ((q.imag == 0.0) & (q.real < 0.0))
+            groups = []
+            for points in (everyone[~cut], everyone[cut]):
+                if not len(points):
+                    continue
+                arc = tuple(v[points] if isinstance(v, np.ndarray) else v for v in (o, w, q))
+                if cut[points[0]]:
+                    s = 1.0 / (1.0 - arc[2].real)
+                    halves = (_split(0.0, s, piece.exp0, None, 0.5 * tol, sign, arc)
+                              + _split(s, 1.0, None, piece.exp_far, 0.5 * tol, sign, arc))
+                else:
+                    halves = _split(0.0, 1.0, piece.exp0, piece.exp_far, tol, sign, arc)
+                groups.append((points, halves))
+        for points, halves in groups:
+            for (exponent, on_arc, atol, sign), columns in halves:
+                try:
+                    kappa, exc = _power_kappa(exponent), None
+                except DivergentEndpoint as err:
+                    kappa, exc = 1, err
+                records.append((points, (kappa, on_arc, atol), sign, exc, columns))
+    # the columns of the records' rows one after another, in one conversion
+    # when they hold Python numbers only; then the rows sorted by point,
+    # stably, so that each point's halves stay in chain order
+    sizes = [len(r[0]) for r in records]
+    offsets, values = list(accumulate(sizes, initial=0)), [r[4] for r in records]
+    if any(isinstance(v, np.ndarray) for columns in values for v in columns):
+        cols = np.empty((offsets[-1], 6), dtype=np.complex128)
+        for a, b, columns in zip(offsets, offsets[1:], values):
+            for i, v in enumerate(columns):
+                cols[a:b, i] = v
+    else:
+        cols = np.array(values, dtype=np.complex128).repeat(sizes, axis=0)
+    point = np.concatenate([r[0] for r in records])
+    order = np.argsort(point, kind="stable")
+    record = np.repeat(np.arange(len(records)), sizes)[order]
+    table = np.array([(*r[1], r[2]) for r in records])[record]
+    failures = [r[3] for r in records]
+    starts = list(accumulate(np.bincount(point, minlength=K).tolist(), initial=0))
+    return _Placement((table[:, 0], table[:, 1] != 0.0, cols[order]), table[:, 2],
+                      table[:, 3].tolist(), [failures[r] for r in record.tolist()],
+                      list(map(range, starts, starts[1:])))
 
 
-def _gk15(f, maps, hs, ends, hi, ki):
-    """(value, error) of the new panels of the (half, point) pairs
-    (hs[hi], ki), as one (pairs, panels, 2) complex array whose errors have
-    no imaginary part, in one call of f on the nodes that are kept.
-    ``ends`` holds the new (tau0, tau1) panels of each half in hs, which
-    its points share. A node tau goes to y = start + span tau^kappa under
-    the columns of its pair and, on an arc, on to u = o + w y / D with
-    D = (1 - y) + q y. f takes the nodes and the points that label their
-    first axis (None for a stack of one, whose nodes come flat): a stack's
-    nodes come as (pairs, nodes) rows, or flat when some are dropped."""
+def _gk15(f, maps, pairs, ends, which):
+    """(value, error) of the new panels of the (half, point) pairs, rows
+    ``pairs`` of the placement, as one (pairs, panels, 2) complex array
+    whose errors have no imaginary part, in one call of f on the nodes that
+    are kept. ``ends`` holds the new (tau0, tau1) panels of each pair. A
+    node tau goes to y = start + span tau^kappa under the columns of its
+    pair and, on an arc, on to u = o + w y / D with D = (1 - y) + q y. f
+    takes the nodes and the points that label their first axis: ``which``,
+    the point of each pair, or None for a stack of one, whose nodes come
+    flat; a stack's nodes come as (pairs, nodes) rows, or flat when some
+    are dropped."""
     kappa, on_arc, cols = maps
     half = 0.5 * (ends[..., 1] - ends[..., 0])
     tau = (0.5 * (ends[..., 0] + ends[..., 1]))[..., None] + half[..., None] * _GK_X
-    kap = kappa[hs, None, None]
-    # what depends on tau alone is shared by the points of a half, and
-    # needs no gather when each half has one pair
-    tk, jac, arc = tau**kap, kap * tau ** (kap - 1.0), on_arc[hs]
-    if len(hi) != len(hs):
-        tk, jac, half, arc = tk[hi], jac[hi], half[hi], arc[hi]
-    start, span, end, o, w, q = cols[hs[hi], ki].T[:, :, None, None]
+    kap = kappa[pairs, None, None]
+    tk, jac, arc = tau**kap, kap * tau ** (kap - 1.0), on_arc[pairs]
+    start, span, end, o, w, q = cols[pairs].T[:, :, None, None]
     y = start + span * tk
     drop = y == start
     keep = None
@@ -378,14 +367,13 @@ def _gk15(f, maps, hs, ends, hi, ki):
             # D = 1 off arcs, where u = y
             d = np.where(arc[:, None, None], d, 1.0)
         y = o + w * y / d
-    stacked = cols.shape[1] > 1
     if keep is None:
-        u = y.reshape(len(y), -1) if stacked else y.ravel()
-        fv = np.asarray(f(u, ki if stacked else None), dtype=np.complex128).reshape(y.shape)
+        u = y.ravel() if which is None else y.reshape(len(y), -1)
+        fv = np.asarray(f(u, which), dtype=np.complex128).reshape(y.shape)
     else:
-        which = np.broadcast_to(ki[:, None, None], y.shape)[keep] if stacked else None
         fv = np.zeros(y.shape, dtype=np.complex128)
-        fv[keep] = f(y[keep], which)
+        fv[keep] = f(y[keep], None if which is None
+                     else np.broadcast_to(which[:, None, None], y.shape)[keep])
     if arcs:
         fv = fv * w / (d * d)
     fv = (fv * jac * span).reshape(-1, 15)
@@ -396,205 +384,151 @@ def _gk15(f, maps, hs, ends, hi, ki):
     diff = np.abs(out[:, 0] - out[:, 1])
     # the minimum is diff once diff >= 1, where (200 diff)^1.5 may overflow
     out[:, 1] = np.minimum(diff, (200.0 * diff) ** 1.5)
-    return out.reshape(len(hi), -1, 2)
+    return out.reshape(len(pairs), -1, 2)
 
 
-def _round(f, maps, hs, ends, hi, ki, fail):
+def _round(f, maps, pairs, ends, which, fail):
     """``_gk15`` of the new panels of the open pairs, as (evaluated,
     estimates), with evaluated None when every pair was. When f raises,
     the points are evaluated alone, in order, and within the first that
-    raises each half alone, up to the first that raises; that pair fails
+    raises each pair alone, up to the first that raises; that pair fails
     with the error, and the pairs after it go unevaluated."""
     try:
-        return None, _gk15(f, maps, hs, ends, hi, ki)
+        return None, _gk15(f, maps, pairs, ends, which)
     except RadonHGFError:
         pass
+
+    def run(sel):
+        return sel, _gk15(f, maps, pairs[sel], ends[sel], None if which is None else which[sel])
+
     parts = []
-    points = np.unique(ki)
-    for k in points.tolist():
-        sel = np.flatnonzero(ki == k)
-        if len(points) > 1:
+    points = np.zeros(len(pairs), dtype=int) if which is None else which
+    for k in dict.fromkeys(points.tolist()):
+        sel = np.flatnonzero(points == k)
+        if len(sel) < len(pairs):
             try:
-                parts.append((sel, _gk15(f, maps, hs, ends, hi[sel], ki[sel])))
+                parts.append(run(sel))
                 continue
             except RadonHGFError:
                 pass
         for j in sel.tolist():
-            one = np.arange(j, j + 1)
             try:
-                parts.append((one, _gk15(f, maps, hs, ends, hi[one], ki[one])))
+                parts.append(run(np.arange(j, j + 1)))
             except RadonHGFError as exc:
-                fail(int(hs[hi[j]]), k, exc)
+                fail(int(pairs[j]), exc)
                 break
         else:
             continue
         break
     if not parts:
         return np.zeros(0, dtype=int), np.zeros((0, ends.shape[1], 2), dtype=np.complex128)
-    sel, est = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(sel)
-    return sel[order], est[order]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _lockstep(f, place, tol, cap=None):
+def _lockstep(f, place, tol):
     """Adaptive GK15 integrals of a stack of K points in lock-step rounds,
-    over the halves of ``place`` (``_place``), whose tau panels the points
-    of each half share.
+    one bisection tree per (half, point) pair of ``place`` (``_place``).
 
     f(u, which) is the integrand at nodes u whose first axis the points
-    which label (``_gk15``), None for one point. A (half, point) pair
-    closes once its error is within max(atol, tol |total|) (QUADPACK's
-    rule) or its half holds _MAX_INTERVALS panels. In each round every
-    half with an open pair bisects its worst panel, the one whose largest
-    error over the open pairs is largest, and the new panels of all open
-    pairs go to one call of f; a half takes part in every round until its
-    last pair closes, so it holds as many panels as rounds have run. A
-    failing pair closes the later halves of its point and every later
-    point, as if the points ran one after another. Returns per point an
-    ``IntegralEstimate``, the first error of its halves in chain order, or
-    None when an earlier point's failure closed it. After ``cap`` rounds
-    the points that are still open stop, each with a ``NonConvergent``
-    that closes no other point.
+    which label (``_gk15``), None for one point. A pair closes once its
+    error is within max(atol, tol |total|) (QUADPACK's rule) or it holds
+    _MAX_INTERVALS panels. In each round every open pair bisects its own
+    worst panel, the one with the largest error (the earliest made among
+    equals), and the new panels of all open pairs go to one call of f. So
+    each pair takes the panels, and its point the estimate, that it takes
+    alone. A failing pair closes the later halves of its point and every
+    later point, as if the points ran one after another. Returns per point
+    an ``IntegralEstimate``, the first error of its halves in chain order,
+    or None when an earlier point's failure closed it.
 
-    The state is a grid of the halves that go on by the K points, and a
-    value and its error travel together as one complex pair (the error
-    with no imaginary part), so that each step of the bookkeeping is one
-    array operation whatever K is."""
-    maps, atol, signs, failures, rows, own = place
-    H, K = own.shape
-    # per pair h * K + k, once it closed: its total, error and panels
-    closed, failed, alive = {}, {}, own.copy()
-    # the (value, error) of every panel at each point, one row per panel;
-    # a half's heap holds its panels as (-key, tie, tau0, tau1, row, open)
-    store = np.empty((8 * H, K, 2), dtype=np.complex128)
-    stored = tie = rounds = 0
-    heaps = [[] for _ in range(H)]
+    Every open pair has bisected once per round, so the open pairs hold
+    equally many panels: their trees are arrays with a row per pair and a
+    column per panel in the order made, and a value and its error travel
+    together as one complex pair (the error with no imaginary part), so
+    that each step of the bookkeeping is one array operation whatever K
+    is."""
+    maps, atol, signs, failures, rows = place
+    K = len(rows)
+    point = np.repeat(np.arange(K), [len(r) for r in rows])
+    # per pair once it closed: its total, error and panels; per failed
+    # point: its first failing pair and the error
+    closed, failed, alive = {}, {}, np.ones(len(point), dtype=bool)
 
-    def fail(h, k, exc):
-        if k not in failed or h < failed[k][0]:
-            failed[k] = (h, exc)
-        alive[h:, k] = False
-        alive[:, k + 1:] = False
+    def fail(i, exc):
+        k = int(point[i])
+        if k not in failed or i < failed[k][0]:
+            failed[k] = (i, exc)
+        alive[i:] = False
 
-    for k, r in enumerate(rows if any(failures) else ()):
-        i = next((i for i in r if failures[i] is not None), None)
-        if i is not None:
-            fail(i, k, failures[i])
-            break
-    # the halves that go on, their open pairs and tolerance shares, and
-    # from the second round the running (total, error) of each pair and
-    # the (value, error) of the panel its half bisected
-    hs = np.flatnonzero(alive.any(axis=1)) if failed or len(rows[-1]) < H else np.arange(H)
-    on, share = alive[hs], atol[hs, None]
-    hi, ki = np.nonzero(on)
-    ends = _FIRST_PANEL.repeat(len(hs), axis=0)
-    spans = [(0.0, 1.0)] * len(hs)
+    first = next((i for i, exc in enumerate(failures) if exc is not None), None)
+    if first is not None:
+        fail(first, failures[first])
+    # the open pairs, their new panels, tolerance shares and running
+    # (total, error), and per panel made its (value, error), the error -inf
+    # once bisected, and its ends; bisected holds each pair's last one
+    on = np.flatnonzero(alive)
+    ends, share = _FIRST_PANEL.repeat(len(on), axis=0), atol[on]
+    acc = bisected = np.zeros((len(on), 2), dtype=np.complex128)
+    vals, taus = np.empty((len(on), 16, 2), dtype=np.complex128), np.empty((len(on), 16, 2))
+    every, made, rounds = np.arange(len(on)), 0, 0
     # a value that overflows makes its pair fail as not finite, not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(hs):
+        while len(on):
             rounds += 1
-            P = ends.shape[1]
-            evaluated, est = _round(f, maps, hs, ends, hi, ki, fail)
-            full = evaluated is None and len(hi) == on.size
-            if full:
-                new = est.reshape(len(hs), K, P, 2)
-            else:
-                if evaluated is not None:
-                    hi, ki = hi[evaluated], ki[evaluated]
-                    on = np.zeros_like(on)
-                    on[hi, ki] = True
-                new = np.zeros((len(hs), K, P, 2), dtype=np.complex128)
-                new[hi, ki] = est
-            acc = new[:, :, 0] if rounds == 1 else acc + ((new[:, :, 0] + new[:, :, 1]) - bisected)
-            going = acc[..., 1].real > np.fmax(share, tol * np.abs(acc[..., 0]))
+            evaluated, new = _round(f, maps, on, ends, point[on] if K > 1 else None, fail)
+            if evaluated is not None:
+                on, ends, share, acc, bisected, vals, taus = (
+                    v[evaluated] for v in (on, ends, share, acc, bisected, vals, taus))
+                every = np.arange(len(on))
+            acc = new[:, 0] if rounds == 1 else acc + ((new[:, 0] + new[:, 1]) - bisected)
+            going = acc[:, 1].real > np.fmax(share, tol * np.abs(acc[:, 0]))
             if rounds >= _MAX_INTERVALS:
-                going[...] = False
-            if not full:
-                going &= on
-            # the open pairs change when one closes, or did not run
-            changed = not full or np.count_nonzero(going) < going.size
-            sh, sk = np.nonzero(on & ~going) if changed else (hs[:0], hs[:0])
-            if len(sh):
-                done = hs[sh] * K + sk
-                alive.reshape(-1)[done] = False
-                fails = False
-                for pt, (total, error) in zip(done.tolist(), acc[sh, sk].tolist()):
+                going[:] = False
+            if not going.all():
+                stop = np.flatnonzero(~going)
+                for i, (total, error) in zip(on[stop].tolist(), acc[stop].tolist()):
                     error = error.real
-                    closed[pt] = total, error, rounds
+                    closed[i] = total, error, rounds
                     if not (cmath.isfinite(total) and math.isfinite(error)):
                         exc = NonConvergent("the integrand is not finite along the chain")
                     elif (rounds >= _MAX_INTERVALS and error > 10.0 * max(
-                            atol[pt // K], tol * abs(total), 1e-300)):
+                            atol[i], tol * abs(total), 1e-300)):
                         exc = NonConvergent(f"interval budget {_MAX_INTERVALS} exhausted "
                                             f"with error {error:.2e}")
                     else:
                         continue
-                    fail(pt // K, pt % K, exc)
-                    fails = True
-                if fails:
-                    going = alive[hs]
-            # each half keeps its new panels, a closed pair's at 0, rated by
-            # the largest error of a pair that is still open
-            if stored + len(hs) * P > len(store):
-                store = np.concatenate([store, np.empty_like(store)])
-            fresh = store[stored : stored + len(hs) * P].reshape(len(hs), P, K, 2)
-            fresh[...] = new.swapaxes(1, 2)
-            if K == 1:
-                # a half's one pair: its error is the key
-                keys, n_on = new[:, 0, :, 1].real.tolist(), going[:, 0].tolist()
-            elif not changed:
-                keys, n_on = fresh[..., 1].real.max(axis=2).tolist(), [K] * len(hs)
-            else:
-                keys = np.where(going[:, None, :], fresh[..., 1].real, -np.inf).max(axis=2).tolist()
-                n_on = going.sum(axis=1).tolist()
-            nxt, new_ends, popped = [], [], []
-            for j, i in enumerate(hs.tolist()):
-                if not n_on[j]:
-                    continue
-                heap = heaps[i]
-                for p, key in enumerate(keys[j]):
-                    heappush(heap, (-key, tie, spans[j][2 * p], spans[j][2 * p + 1],
-                                    stored + j * P + p, n_on[j]))
-                    tie += 1
-                while True:
-                    entry = heappop(heap)
-                    if entry[5] != n_on[j]:
-                        # pairs closed since it was pushed: its key is now
-                        # the largest error over the open ones, no larger
-                        key = float(store[entry[4], alive[i], 1].real.max())
-                        entry = (-key, *entry[1:5], n_on[j])
-                        if heap and entry[:2] > heap[0][:2]:
-                            heappush(heap, entry)
-                            continue
+                    fail(i, exc)
+                going &= alive[on]
+                if not going.any():
                     break
-                x0, x1 = entry[2], entry[3]
-                mid = 0.5 * (x0 + x1)
-                nxt.append(j)
-                new_ends.append((x0, mid, mid, x1))
-                popped.append(entry[4])
-            stored += len(hs) * P
-            if len(nxt) < len(hs):
-                hs, acc, share, going = hs[nxt], acc[nxt], share[nxt], going[nxt]
-            if changed:
-                on = going
-                hi, ki = np.nonzero(on)
-            if rounds == cap:
-                for k in np.flatnonzero(on.any(axis=0)).tolist():
-                    failed.setdefault(k, (H, NonConvergent(f"open after {cap} stacked rounds")))
-                break
-            spans = new_ends
-            ends = np.array(new_ends).reshape(len(hs), 2, 2)
-            bisected = store[popped]
-    limit = min((k for k, (h, _) in failed.items() if h < H), default=K)
+                on, ends, new, share, acc, vals, taus = (
+                    v[going] for v in (on, ends, new, share, acc, vals, taus))
+                every = np.arange(len(on))
+            # each pair keeps its new panels and bisects its worst one
+            P = new.shape[1]
+            if made + P > vals.shape[1]:
+                vals = np.concatenate([vals, np.empty_like(vals)], axis=1)
+                taus = np.concatenate([taus, np.empty_like(taus)], axis=1)
+            vals[:, made : made + P] = new
+            taus[:, made : made + P] = ends
+            made += P
+            worst = vals[:, :made, 1].real.argmax(axis=1)
+            bisected = vals[every, worst]
+            vals[every, worst, 1] = -np.inf
+            # (x0, x1) -> (x0, mid), (mid, x1)
+            ends = taus[every, worst].repeat(2, axis=1)
+            ends[:, 1:3] = 0.5 * (ends[:, :1] + ends[:, 3:])
+            ends = ends.reshape(-1, 2, 2)
+    limit = min(failed, default=K)
     out = []
-    for k in range(K):
-        if k > limit or k in failed:
+    for k, r in enumerate(rows):
+        if k >= limit:
             out.append(None if k > limit else failed[k][1])
             continue
         # its halves in chain order, added as one walk would add them
         value, error, panels = 0.0 + 0.0j, 0.0, 0
-        for i in rows[k]:
-            total, err, count = closed[i * K + k]
+        for i in r:
+            total, err, count = closed[i]
             value += signs[i] * total
             error += err
             panels += count
@@ -656,13 +590,9 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     stack, whose membership in Z_lambda (``member_mask``), block roots and
     chain halves (``_place``) are each taken in array operations; the first
     point in stencil order that fails its checks keeps the error it raises
-    alone. The points before it are integrated as one ``_lockstep`` of at
-    most _STACK_ROUNDS rounds. A point that fails there, or is still open
-    at the end, runs alone, and its outcome is that run's: a point whose
-    bisection the others drive can hold up the points that share its
-    halves, and the shared mesh decides whether a node lands on a branch
-    point. A point that fails alone closes every later point, which then
-    has no outcome."""
+    alone. The points before it are integrated as one ``_lockstep``, in
+    which each point has the outcome of its lone run, bit for bit. A point
+    that fails closes every later point, which then has no outcome."""
     points = [(key, z) for key, z in points.items()
               if z.lam == pw.lam and z.r == 1 and z.m == 2]
     if not points:
@@ -684,14 +614,8 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
             checked[key] = exc
     if count:
         place = _place(_roots_pieces(roots[:count], infinite[:count], pw, chain), tol, count)
-        stacked = _lockstep(scalar_chart_function(entries[:count], pw), place, tol, _STACK_ROUNDS)
-        for k, ((key, z), out) in enumerate(zip(points, stacked)):
-            if isinstance(out, RadonHGFError):
-                try:
-                    out = integrate_pieces(scalar_chart_function(z, pw),
-                                           _roots_pieces(roots[k], infinite[k], pw, chain), tol)
-                except RadonHGFError as exc:
-                    out = exc
+        stacked = _lockstep(scalar_chart_function(entries[:count], pw), place, tol)
+        for (key, _), out in zip(points, stacked):
             if out is None:
                 return outcome
             outcome[key] = out

@@ -2,7 +2,6 @@ import cmath
 import math
 import re
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -843,11 +842,10 @@ def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
         return np.exp((0.3 + 1j) * u) / (1.7 - u)
 
     every = np.arange(len(kappa))
-    batch = integrate._gk15(f, maps, every, np.array([spans] * len(kappa)), every,
-                            np.zeros(len(kappa), dtype=int))
+    batch = integrate._gk15(f, maps, every, np.array([spans] * len(kappa)), None)
     one = np.zeros(1, dtype=int)
     for k, span in enumerate(spans):
-        alone = integrate._gk15(f, maps, one, np.array([[span]]), one, one)
+        alone = integrate._gk15(f, maps, one, np.array([[span]]), None)
         assert alone.tolist() == [[batch[0, k].tolist()]]
 
 
@@ -907,7 +905,7 @@ def test_placement_rounds_as_python_on_each_point():
         ref = [_python_halves(Segment(a[k], b[k], -0.5, None), tol),
                _python_halves(Ray(origin[k], 0.0, None, far[k], -0.3), tol)]
         rows = slice(place.rows[k].start, place.rows[k].stop)
-        assert cols[rows, k].tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
+        assert cols[rows].tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
         assert kappa[rows].tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
         assert place.atol[rows].tobytes() == np.concatenate([r[2] for r in ref]).tobytes()
         assert place.signs[rows] == ref[0][3] + ref[1][3]
@@ -924,7 +922,8 @@ _CHAIN_PW = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 
 def test_stack_placement_equals_one_point_placement(case):
     # every point's rows in the placement of a stencil stack hold what the
     # placement of that point alone, from chart_pieces_r1, holds, bit for
-    # bit: maps, kappa, arc flags, shares, signs and no failures
+    # bit: maps, kappa, arc flags, shares, signs and no failures; the rows
+    # of each point follow those of the point before
     if case == "interval":
         z0, pw, chain = _pde_base((1, 1, 1, 1))
     elif case == "half-line":
@@ -940,22 +939,24 @@ def test_stack_placement_equals_one_point_placement(case):
     for k, z in enumerate(points):
         alone = integrate._place(chart_pieces_r1(z, pw, chain), 5e-13)
         rows = slice(place.rows[k].start, place.rows[k].stop)
-        assert np.flatnonzero(place.own[:, k]).tolist() == list(place.rows[k])
-        assert place.maps[2][rows, k].tobytes() == alone.maps[2][:, 0].tobytes()
+        assert rows.start == (place.rows[k - 1].stop if k else 0)
+        assert place.maps[2][rows].tobytes() == alone.maps[2].tobytes()
         for mine, theirs in zip((*place.maps[:2], place.atol), (*alone.maps[:2], alone.atol)):
             assert mine[rows].tobytes() == theirs.tobytes()
         assert place.signs[rows] == alone.signs
         assert place.failures[rows] == alone.failures == [None] * len(alone.signs)
-    groups = Counter((r.start, r.stop) for r in place.rows)
+    # a ray that is cut gives its point two halves more
+    strands = 2 if case in ("full-line", "rotated-ray") else 1
+    cut = sum(len(r) > 2 * strands for r in place.rows)
     if case == "half-line":
         # the rays of 12 points are cut where the arc passes through inf
-        assert sorted(groups.values()) == [12, 84]
+        assert cut == 12
     elif case == "far behind":
-        assert list(groups) == [(0, 4)]
+        assert cut == len(points)
     elif case == "full-line":
         # at some points the stencil moves the root of block 1 from inf onto
         # the real line behind the origin of one of the rays, which is cut
-        assert len(groups) > 1
+        assert cut >= 1
 
 
 def test_integrand_called_once_per_round():
@@ -1035,47 +1036,56 @@ def _registered_points(z0):
     return points
 
 
-# the points of a stack whose estimates are not those of their lone runs:
-# the stack bisects each half where the largest error of its points is, so
-# a point can take its panels in another order than alone, and its sums
-# then round differently, within an ulp of its value or error
-_STACK_ORDER_DIFFERS = {((2, 2), 2): [39, 44, 68, 77, 86, 88]}
-
-
-@pytest.mark.parametrize("lam, seed", [
+# the base points of the three families, and each perturbed as the pde-r1
+# benchmark draws one cycle with three seeds
+_STENCIL_CASES = [
     pytest.param(lam, seed, id=f"lam{i}" if seed is None else f"lam{i}-{seed}")
     for seed in (None, 0, 1, 2) for i, lam in enumerate(_PDE_BASE)
-])
+]
+
+
+def _stencil_case(lam, seed):
+    return _pde_base(lam) if seed is None else _perturbed_base(lam, seed)
+
+
+@pytest.mark.parametrize("lam, seed", _STENCIL_CASES)
 def test_scoped_stencil_values_match_unscoped(lam, seed):
-    # every point of a check's stack, at a base point and at perturbed
-    # ones, has the panels that it has alone, and the estimate that it has
-    # alone bit for bit, unless the shared mesh gave it those panels in
-    # another order
-    z0, pw, chain = _pde_base(lam) if seed is None else _perturbed_base(lam, seed)
+    # every point of a check's stack bisects its own halves, so it has the
+    # panels that it has alone, in the same order, and the estimate that it
+    # has alone bit for bit
+    z0, pw, chain = _stencil_case(lam, seed)
     points = _registered_points(z0)
     unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
     with integrate._mesh_scope(points):
         scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
     for s, u in zip(scoped, unscoped):
-        assert s.nodes_or_samples == u.nodes_or_samples
-        assert abs(s.value - u.value) <= 4 * _EPS * abs(u.value)
-    differ = [k for k, (s, u) in enumerate(zip(scoped, unscoped)) if s != u]
-    assert differ == _STACK_ORDER_DIFFERS.get((lam, seed), [])
+        assert s == u
 
 
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
-def test_verify_system_integrand_calls_are_bounded(monkeypatch, lam):
+@pytest.mark.parametrize("lam, seed", _STENCIL_CASES)
+def test_verify_system_integrand_calls_are_bounded(monkeypatch, lam, seed):
     # all 96 stencil points of a check are one stack, which calls the
-    # integrand once per round; one integral per point took about 99 calls
-    z0, pw, chain = _pde_base(lam)
+    # integrand once per round for all its open points: as many calls as
+    # the point with the most rounds makes alone, and the nodes of all the
+    # lone runs; one integral per point took about 99 calls
+    z0, pw, chain = _stencil_case(lam, seed)
+    points = _registered_points(z0)
     calls = _counting_integrands(monkeypatch)
+    rounds, nodes = [], 0
+    for z in points:
+        del calls[:]
+        radon_hgf(z, pw, chain, Budget(tol=5e-13))
+        rounds.append(len(calls))
+        nodes += sum(calls)
+    del calls[:]
 
     def F(z):
         return radon_hgf(z, pw, chain, Budget(tol=5e-13)).value
 
     report = verify_system(F, z0, all_pairs(2, 4, 1))
     assert report["pass"]
-    assert 1 <= len(calls) <= 10
+    assert len(calls) == max(rounds)
+    assert sum(calls) == nodes
 
 
 @pytest.mark.parametrize("lam", list(_PDE_BASE))
@@ -1229,19 +1239,29 @@ def test_replayed_half_that_runs_out_of_panels_raises_as_unscoped(monkeypatch):
     assert str(scoped.value) == str(unscoped.value)
 
 
-def test_points_open_after_the_stack_cap_run_alone(monkeypatch):
-    # a stack stops after _STACK_ROUNDS rounds, and each point still open
-    # runs alone, as an unscoped call does
-    z0, pw, chain = _pde_base((2, 1, 1))
-    points = _stencil_points(z0)
-    unscoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
-    monkeypatch.setattr(integrate, "_STACK_ROUNDS", 2)
-    calls = _counting_integrands(monkeypatch)
-    with integrate._mesh_scope(points):
-        scoped = [radon_hgf(z, pw, chain, Budget(tol=5e-13)) for z in points]
-    assert scoped == unscoped
-    # two stacked rounds, then four rounds of each point alone
-    assert len(calls) == 2 + 4 * len(points)
+def test_point_is_not_held_up_by_a_runaway_point():
+    # two points of one segment, the first sharply peaked at 0.3 and the
+    # second smooth, with a broad bump at 0.1: the second closes in the
+    # rounds it takes alone, while the first goes on bisecting its own
+    # halves, and its estimate is that of its one-point run (on panels
+    # shared with the first, it took 26 panels where it takes 6 alone)
+    def peaked(u):
+        return 1.0 / ((u - 0.3) * (u - 0.3) + 1e-8)
+
+    def smooth(u):
+        return 1.0 / ((u - 0.1) * (u - 0.1) + 0.01)
+
+    def f(u, which):
+        which = np.asarray(which)
+        return np.where((which[:, None] if u.ndim == 2 else which) == 0, peaked(u), smooth(u))
+
+    tol = 1e-10
+    ends = [np.array([x, x], dtype=object) for x in (0.0, 1.0)]
+    runaway, point = integrate._lockstep(f, integrate._place([Segment(*ends)], tol, 2), tol)
+    alone = integrate_pieces(smooth, [Segment(0.0, 1.0)], tol)
+    assert point == alone
+    assert runaway == integrate_pieces(peaked, [Segment(0.0, 1.0)], tol)
+    assert runaway.nodes_or_samples > 4 * alone.nodes_or_samples
 
 
 def test_no_point_after_a_failing_one_is_integrated(monkeypatch):
