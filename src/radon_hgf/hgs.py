@@ -17,8 +17,8 @@ entries moved, and their coordinate matrices are checked in one pass
 raises alone, before any F call. F is opaque, so the registration is
 what lets the first r = 1 ``radon_hgf`` call inside F integrate every
 registered point as one stack, with one membership test and one block
-root computation for all of them and one integrand call per round, and
-serve the later calls from it. Each point keeps its own panels, so a
+root computation for all of them and one integrand call per round, a
+row of nodes per (half, point) pair, and serve the later calls from it. Each point keeps its own panels, so a
 value is the unscoped one, bit for bit. A plain ``radon_hgf`` call never
 enters a scope.
 """
@@ -233,10 +233,13 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
     """Run every pair; report per-pair residual/scale, the number of
     distinct points at which F ran ("points") and an overall verdict. The
     stencils of all pairs are evaluated together, so F runs once per
-    distinct point of the whole check."""
+    distinct point of the whole check. No pairs raise ``BadIndexSet``: a
+    check of nothing does not pass."""
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     pairs = list(pairs)
+    if not pairs:
+        raise BadIndexSet("verify_system needs at least one pair")
     operators, points = _operators(F, z0, pairs, plan)
     rows = []
     for pair, (residual, scale) in zip(pairs, operators):

@@ -196,11 +196,10 @@ def chart_exponent(pw: PartitionWeight, entries):
     so at t = (1, u) it rounds as a + u b does; above, one GEMM.
 
     At r = 1, ``entries`` may hold the (K, 2, N) entries of K points: the
-    exponent then takes (t, which), where which labels the first axis of t
-    with a point (it may be None when K = 1). A (batch, 1, 2) t has one
-    point per frame; a (rows, nodes, 1, 2) t has one per row, whose (2, N)
-    coefficients are read once and broadcast over the row's frames. The
-    values come out flat, row after row."""
+    exponent then takes (t, which), a (rows, nodes, 1, 2) t whose rows
+    which labels with points, each row's (2, N) coefficients read once and
+    broadcast over its frames (which may be None when K = 1, for a
+    (batch, 1, 2) t). The values come out flat, row after row."""
     order, lead, pairs, longer = _chart_layout(pw)
     r, ell, n = pw.r, len(pw.lam), len(pairs)
     if entries.ndim == 2:
@@ -211,9 +210,7 @@ def chart_exponent(pw: PartitionWeight, entries):
 
     def exponent(t, which=None):
         if r == 1:
-            a, b = rows if which is None else rows[:, which]
-            if t.ndim == 4:
-                a, b = a[:, None], b[:, None]
+            a, b = rows if which is None else rows[:, which, None]
             images = (t[..., :1] * a + t[..., 1:] * b).reshape(-1, 1, a.shape[-1])
         else:
             images = matmul_batch(t, rows)

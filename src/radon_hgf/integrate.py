@@ -16,9 +16,9 @@ Three strategies:
   first call at a registered point integrates all registered points as
   one stack, placed on their chains as arrays: the same loop over every
   (half, point) pair, each with a bisection tree of its own, and one
-  integrand call per round with a row of nodes per pair. A stacked value
-  is the value of the point alone, bit for bit. A plain ``radon_hgf``
-  call never enters a scope;
+  integrand call per round with a row of nodes per pair, each row taking
+  its point's coefficients. A stacked value is the value of the point
+  alone, bit for bit. A plain ``radon_hgf`` call never enters a scope;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -275,6 +275,8 @@ def _place(pieces, tol, K=1):
             strands.append((1.0, piece))
         else:
             raise IncompatibleChain(f"unknown chain piece {piece!r}")
+    if not strands:
+        raise IncompatibleChain("a chain needs at least one piece")
     # per half of a group of points: the points, (kappa, on arc, tolerance
     # share), sign, the error of its endpoint exponent and its columns
     everyone, records = np.arange(K), []
@@ -336,14 +338,16 @@ def _place(pieces, tol, K=1):
 def _gk15(f, maps, pairs, ends, which):
     """(value, error) of the new panels of the (half, point) pairs, rows
     ``pairs`` of the placement, as one (pairs, panels, 2) complex array
-    whose errors have no imaginary part, in one call of f on the nodes that
-    are kept. ``ends`` holds the new (tau0, tau1) panels of each pair. A
-    node tau goes to y = start + span tau^kappa under the columns of its
-    pair and, on an arc, on to u = o + w y / D with D = (1 - y) + q y. f
-    takes the nodes and the points that label their first axis: ``which``,
-    the point of each pair, or None for a stack of one, whose nodes come
-    flat; a stack's nodes come as (pairs, nodes) rows, or flat when some
-    are dropped."""
+    whose errors have no imaginary part, in one call of f on every node.
+    ``ends`` holds the new (tau0, tau1) panels of each pair. A node tau
+    goes to y = start + span tau^kappa under the columns of its pair and,
+    on an arc, on to u = o + w y / D with D = (1 - y) + q y. f takes the
+    nodes and ``which``, the point of each pair: the nodes of a stack come
+    as (pairs, nodes) rows, one point per row, and those of a stack of one
+    (which None) flat. A node whose offset rounds to the start is dropped:
+    the jacobian factor damps its true contribution past double precision,
+    and on an arc s = 1 is where D vanishes. The end of the half stands in
+    for it in the call, and its value is 0."""
     kappa, on_arc, cols = maps
     half = 0.5 * (ends[..., 1] - ends[..., 0])
     tau = (0.5 * (ends[..., 0] + ends[..., 1]))[..., None] + half[..., None] * _GK_X
@@ -352,14 +356,9 @@ def _gk15(f, maps, pairs, ends, which):
     start, span, end, o, w, q = cols[pairs].T[:, :, None, None]
     y = start + span * tk
     drop = y == start
-    keep = None
-    if np.count_nonzero(drop):
-        # a node whose offset rounds to the start is dropped, not mapped:
-        # the jacobian factor damps its true contribution past double
-        # precision, and on an arc s = 1 is where D vanishes; the end of
-        # the half stands in for it until f is called
+    dropped = np.count_nonzero(drop)
+    if dropped:
         y[drop] = np.broadcast_to(end, y.shape)[drop]
-        keep = ~drop
     arcs = np.count_nonzero(arc)
     if arcs:
         d = (1.0 - y) + q * y
@@ -367,13 +366,10 @@ def _gk15(f, maps, pairs, ends, which):
             # D = 1 off arcs, where u = y
             d = np.where(arc[:, None, None], d, 1.0)
         y = o + w * y / d
-    if keep is None:
-        u = y.ravel() if which is None else y.reshape(len(y), -1)
-        fv = np.asarray(f(u, which), dtype=np.complex128).reshape(y.shape)
-    else:
-        fv = np.zeros(y.shape, dtype=np.complex128)
-        fv[keep] = f(y[keep], None if which is None
-                     else np.broadcast_to(which[:, None, None], y.shape)[keep])
+    u = y.ravel() if which is None else y.reshape(len(y), -1)
+    fv = np.asarray(f(u, which), dtype=np.complex128).reshape(y.shape)
+    if dropped:
+        fv[drop] = 0.0
     if arcs:
         fv = fv * w / (d * d)
     fv = (fv * jac * span).reshape(-1, 15)
@@ -388,41 +384,24 @@ def _gk15(f, maps, pairs, ends, which):
 
 
 def _round(f, maps, pairs, ends, which, fail):
-    """``_gk15`` of the new panels of the open pairs, as (evaluated,
-    estimates), with evaluated None when every pair was. When f raises,
-    the points are evaluated alone, in order, and within the first that
-    raises each pair alone, up to the first that raises; that pair fails
-    with the error, and the pairs after it go unevaluated."""
+    """``_gk15`` of the new panels of the open pairs. When f raises, the
+    pairs are evaluated alone, in order, up to the first that raises: that
+    pair fails with the error, and the estimates are those of the pairs
+    before it, which a lone row rounds as in a batch."""
     try:
-        return None, _gk15(f, maps, pairs, ends, which)
+        return _gk15(f, maps, pairs, ends, which)
     except RadonHGFError:
         pass
-
-    def run(sel):
-        return sel, _gk15(f, maps, pairs[sel], ends[sel], None if which is None else which[sel])
-
-    parts = []
-    points = np.zeros(len(pairs), dtype=int) if which is None else which
-    for k in dict.fromkeys(points.tolist()):
-        sel = np.flatnonzero(points == k)
-        if len(sel) < len(pairs):
-            try:
-                parts.append(run(sel))
-                continue
-            except RadonHGFError:
-                pass
-        for j in sel.tolist():
-            try:
-                parts.append(run(np.arange(j, j + 1)))
-            except RadonHGFError as exc:
-                fail(int(pairs[j]), exc)
-                break
-        else:
-            continue
-        break
-    if not parts:
-        return np.zeros(0, dtype=int), np.zeros((0, ends.shape[1], 2), dtype=np.complex128)
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    parts = [np.zeros((0, ends.shape[1], 2), dtype=np.complex128)]
+    for j in range(len(pairs)):
+        one = slice(j, j + 1)
+        try:
+            parts.append(_gk15(f, maps, pairs[one], ends[one],
+                               None if which is None else which[one]))
+        except RadonHGFError as exc:
+            fail(int(pairs[j]), exc)
+            break
+    return np.concatenate(parts)
 
 
 def _lockstep(f, place, tol):
@@ -475,10 +454,10 @@ def _lockstep(f, place, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         while len(on):
             rounds += 1
-            evaluated, new = _round(f, maps, on, ends, point[on] if K > 1 else None, fail)
-            if evaluated is not None:
+            new = _round(f, maps, on, ends, point[on] if K > 1 else None, fail)
+            if len(new) < len(on):
                 on, ends, share, acc, bisected, vals, taus = (
-                    v[evaluated] for v in (on, ends, share, acc, bisected, vals, taus))
+                    v[: len(new)] for v in (on, ends, share, acc, bisected, vals, taus))
                 every = np.arange(len(on))
             acc = new[:, 0] if rounds == 1 else acc + ((new[:, 0] + new[:, 1]) - bisected)
             going = acc[:, 1].real > np.fmax(share, tol * np.abs(acc[:, 0]))
@@ -567,16 +546,11 @@ def _mesh_scope(points):
     point integrates every registered point as one stack (``_stack``) for
     its weight, chain and tolerance, and the later calls at registered
     points with those are served from that stack; one with another weight,
-    chain or tolerance runs its own stack. Entering with points that the
-    active scope holds already reuses it; entering with others opens a
-    scope of their own until it exits."""
+    chain or tolerance runs its own stack. A scope entered inside another
+    holds its own points until it exits."""
     registry = {}
     for z in points:
         registry.setdefault(_point_key(z), z)
-    active = _SCOPE.get()
-    if active is not None and registry.keys() <= active.points.keys():
-        yield
-        return
     token = _SCOPE.set(_Scope(registry))
     try:
         yield
@@ -943,11 +917,11 @@ def scalar_chart_function(z, pw: PartitionWeight):
     """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
     (0-d included): ``chart_exponent`` at the frames (1, u). Given the
     (K, 2, N) entries of K points for z, it is the integrand of the stack,
-    f(u, which), where which labels the first axis of u with points: one
-    per node of a flat u, or one per row of a (rows, nodes) u, whose nodes
-    take that point's coefficients (None for a stack of one). A point on a
-    block root, or whose exponent passes 700, raises ``OnBranchLocus``
-    before any exponential is taken."""
+    f(u, which), where u holds (rows, nodes) and which labels each row with
+    the point whose coefficients its nodes take (None for a stack of one,
+    whose nodes may have any shape). A point on a block root, or whose
+    exponent passes 700, raises ``OnBranchLocus`` before any exponential
+    is taken."""
     entries = IntegrandSpec(pw, z).z.entries if isinstance(z, CoordMatrix) else np.asarray(z)
     if pw.r != 1 or entries.shape[-2:] != (2, sum(pw.lam)):
         raise ShapeMismatch("scalar chart function requires r = 1, with 2 x N entries")
@@ -955,10 +929,9 @@ def scalar_chart_function(z, pw: PartitionWeight):
 
     def f(u, which=None):
         u = np.asarray(u)
-        rows = which is not None and u.ndim == 2
-        t = np.empty(u.shape + (1, 2) if rows else (u.size, 1, 2), dtype=np.complex128)
+        t = np.empty((u.size, 1, 2) if which is None else u.shape + (1, 2), dtype=np.complex128)
         t[..., 0, 0] = 1.0
-        t[..., 0, 1] = u if rows else u.ravel()
+        t[..., 0, 1] = u.ravel() if which is None else u
         try:
             expo = exponent(t, which)
         except SingularBlock as exc:
@@ -1062,9 +1035,12 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
 
     r = 1 uses root-following adaptive quadrature; r >= 2 uses the
     eigenvalue reduction on recognized normal forms, falling back to
-    Haar Monte Carlo. Inside a mesh scope (``_mesh_scope``) an r = 1 call
-    at a registered point returns that point's outcome from the stack of
-    all registered points.
+    Haar Monte Carlo. Off a variant-1 table form that fallback integrates
+    the chart integrand over a fixed eigenvalue domain (0 < U < 1, or
+    U > 0 on the half line) whatever z is, so its value is not F(z), which
+    is det(g)^r chi(h)^-1 F(nf) at the table form nf = g z h. Inside a
+    mesh scope (``_mesh_scope``) an r = 1 call at a registered point
+    returns that point's outcome from the stack of all registered points.
     """
     if z.lam != pw.lam or z.r != pw.r:
         raise ShapeMismatch("coordinate matrix and weight partition disagree")

@@ -235,6 +235,17 @@ def test_pair_outside_the_matrix_is_refused_before_any_call():
             verify_system(F, z0, [all_pairs(2, 4, 1)[0], pair])
 
 
+def test_verify_system_of_no_pairs_is_refused_before_any_call():
+    # it used to report a vacuous pass over no pairs
+    _, z0, _ = _gauss_setup()
+
+    def F(z):
+        raise AssertionError("a refused check evaluates nothing")
+
+    with pytest.raises(BadIndexSet, match="at least one pair"):
+        verify_system(F, z0, [])
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])
 def test_meaningless_rel_tol_is_refused(rel_tol):
     # 0, -1 and nan used to report every pair as failed

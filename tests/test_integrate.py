@@ -1264,6 +1264,36 @@ def test_point_is_not_held_up_by_a_runaway_point():
     assert runaway.nodes_or_samples > 4 * alone.nodes_or_samples
 
 
+def test_stack_that_drops_nodes_equals_its_lone_runs():
+    # under the start exponent -0.9 a half maps tau to start + span tau^40,
+    # so the offsets of its nodes near tau = 0 round to the start: those
+    # nodes are dropped, and the end of the half stands in for them in the
+    # call. The stack still calls f with a row per (half, point) pair, and
+    # each point's estimate is its one-point run
+    starts = np.array([0.5, 0.25 + 0.5j, -1.0 + 0.1j])
+    ends = starts + np.array([1.0, 0.75 - 0.5j, 2.0])
+    tol = 1e-13
+
+    def g(u, a):
+        return np.exp((0.3 + 1j) * u) / (3.0 - u + a)
+
+    calls = []
+
+    def f(u, which):
+        calls.append((u, which))
+        return g(u, starts[which][:, None])
+
+    segment = Segment(*(np.array(v.tolist(), dtype=object) for v in (starts, ends)), -0.9)
+    stack = integrate._lockstep(f, integrate._place([segment], tol, 3), tol)
+    assert all(u.ndim == 2 and len(which) == len(u) for u, which in calls)
+    mids = 0.5 * (starts + ends)
+    for k in range(3):
+        assert any((u[which == k] == mids[k]).any() for u, which in calls)
+        alone = integrate_pieces(lambda u: g(u, starts[k]), [Segment(starts[k], ends[k], -0.9)],
+                                 tol)
+        assert stack[k] == alone
+
+
 def test_no_point_after_a_failing_one_is_integrated(monkeypatch):
     # the stencil of test_stencil_crossing_branch_locus: a node of one
     # point lands on a block root; after the round in which that point
@@ -1351,6 +1381,14 @@ def test_meaningless_tolerance_is_refused(tol):
     calls = []
     with pytest.raises(ValueError, match=re.escape(message)):
         integrate_pieces(calls.append, [Segment(0.0, 1.0)], tol=tol)
+    assert calls == []
+
+
+def test_chain_of_no_pieces_is_refused():
+    # it used to raise numpy's ValueError from an empty concatenation
+    calls = []
+    with pytest.raises(IncompatibleChain, match="at least one piece"):
+        integrate_pieces(calls.append, [])
     assert calls == []
 
 
