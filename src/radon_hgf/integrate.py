@@ -142,31 +142,34 @@ def weyl_constant(r: int) -> float:
 # Gauss-Kronrod 15(7) adaptive integration in lock-step rounds
 # ----------------------------------------------------------------------
 
+# QUADPACK dqk15's 33-digit constants: the nonnegative nodes of the
+# 15-point Kronrod rule on [-1, 1], the 7-point Gauss nodes among them at
+# odd places, their Kronrod weights and the Gauss weights
 _GK_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _GK_WK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _GK_WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 # the 15 nodes of a panel on [-1, 1] as (+x, -x) pairs with 0 last, and

@@ -849,6 +849,26 @@ def test_gk15_lone_panel_rounds_as_in_a_batch(exponent, arc):
         assert alone.tolist() == [[batch[0, k].tolist()]]
 
 
+def test_gk15_rules_are_exact_to_their_degrees():
+    # the Kronrod rule integrates u^k over [-1, 1] to double precision up
+    # to k = 22, and the embedded Gauss rule, on the 7-point Gauss-Legendre
+    # nodes, up to k = 13; with 15-digit constants the Kronrod weights
+    # summed to 2 - 6.0e-15
+    x, (kronrod, gauss) = integrate._GK_X, integrate._GK_KG.real.T
+    on = gauss != 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(np.sort(x[on]), nodes, rtol=0, atol=_EPS)
+    assert np.allclose(gauss[on][np.argsort(x[on])], weights, rtol=0, atol=2 * _EPS)
+    for k in range(23):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(kronrod @ x**k - exact) <= _EPS
+        if k <= 13:
+            assert abs(gauss @ x**k - exact) <= _EPS
+    # a constant integrates to itself, within its claimed error
+    est = integrate_pieces(lambda u: 1 + 0 * u, [Segment(0.0, 1.0)])
+    assert abs(est.value - 1.0) <= max(est.abs_error_est, _EPS)
+
+
 def _python_halves(piece, tol):
     """The halves of a segment or a ray as Python arithmetic on one point
     places them: per half its columns (start, span, end, o, w, q), kappa,
