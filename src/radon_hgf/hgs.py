@@ -18,9 +18,9 @@ raises alone, before any F call. F is opaque, so the registration is
 what lets the first r = 1 ``radon_hgf`` call inside F integrate every
 registered point as one stack, with one membership test and one block
 root computation for all of them and one integrand call per round, a
-row of nodes per (half, point) pair, and serve the later calls from it. Each point keeps its own panels, so a
-value is the unscoped one, bit for bit. A plain ``radon_hgf`` call never
-enters a scope.
+row of nodes per (half, point) pair, and serve the later calls from it.
+Each point keeps its own panels, so a value is the unscoped one, bit for
+bit. A plain ``radon_hgf`` call never enters a scope.
 """
 
 import math

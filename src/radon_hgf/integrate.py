@@ -629,8 +629,9 @@ def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     every open half bisects once, and the nodes of all new panels go to one
     call of f. A half that fails closes every later half; the first failure
     in chain order is raised, as a sequential walk would raise it. The
-    tolerance must be positive and finite. This is the one-point case of
-    the stacks that ``_mesh_scope`` runs for the stencil checks.
+    tolerance must be positive and finite, and a chain of no pieces raises
+    ``IncompatibleChain``. This is the one-point case of the stacks that
+    ``_mesh_scope`` runs for the stencil checks.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -932,9 +933,10 @@ def scalar_chart_function(z, pw: PartitionWeight):
 
     def f(u, which=None):
         u = np.asarray(u)
-        t = np.empty((u.size, 1, 2) if which is None else u.shape + (1, 2), dtype=np.complex128)
+        nodes = u.ravel() if which is None else u
+        t = np.empty(nodes.shape + (1, 2), dtype=np.complex128)
         t[..., 0, 0] = 1.0
-        t[..., 0, 1] = u.ravel() if which is None else u
+        t[..., 0, 1] = nodes
         try:
             expo = exponent(t, which)
         except SingularBlock as exc:
