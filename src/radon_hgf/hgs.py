@@ -14,13 +14,11 @@ point, in stencil order. The determinant stencils of all pairs and steps
 are one (K, m, N) entries array, z0's entries with each corner's own
 entries moved, and their coordinate matrices are checked in one pass
 (``CoordMatrix.stack``); the first corner that fails raises what it
-raises alone, before any F call. F is opaque, so the registration is
-what lets the first r = 1 ``radon_hgf`` call inside F integrate every
-registered point as one stack, with one membership test and one block
-root computation for all of them and one integrand call per round, a
-row of nodes per (half, point) pair, and serve the later calls from it.
-Each point keeps its own panels, so a value is the unscoped one, bit for
-bit. A plain ``radon_hgf`` call never enters a scope.
+raises alone, before any F call. Every r = 1 ``radon_hgf`` call
+integrates a stack of points; F is opaque, so the registration is what
+makes that stack every registered point instead of one, integrated at
+the first call inside F and serving the later ones. Each point keeps its
+own panels, so a value is the same in either stack, bit for bit.
 """
 
 import math

@@ -198,20 +198,19 @@ def chart_exponent(pw: PartitionWeight, entries):
     At r = 1, ``entries`` may hold the (K, 2, N) entries of K points: the
     exponent then takes (t, which), a (rows, nodes, 1, 2) t whose rows
     which labels with points, each row's (2, N) coefficients read once and
-    broadcast over its frames (which may be None when K = 1, for a
-    (batch, 1, 2) t). The values come out flat, row after row."""
+    broadcast over its frames. The values come out flat, row after row."""
     order, lead, pairs, longer = _chart_layout(pw)
     r, ell, n = pw.r, len(pw.lam), len(pairs)
     if entries.ndim == 2:
         rows = entries[:, order]
     else:
-        # (2, K, 1, N): one row pair per point, against (batch, 1, 1) frames
-        rows = np.moveaxis(entries[:, :, order], 1, 0)[:, :, None]
+        # (2, K, 1, N): one row pair per point, against the (nodes, 1) frames of its rows
+        rows = entries[:, :, order].transpose(1, 0, 2)[:, :, None]
 
     def exponent(t, which=None):
         if r == 1:
-            a, b = rows if which is None else rows[:, which, None]
-            images = (t[..., :1] * a + t[..., 1:] * b).reshape(-1, 1, a.shape[-1])
+            a, b = rows if which is None else rows.take(which, axis=1)
+            images = (t[..., 0, :1] * a + t[..., 0, 1:] * b).reshape(-1, 1, a.shape[-1])
         else:
             images = matmul_batch(t, rows)
         batch = len(images)

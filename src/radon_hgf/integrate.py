@@ -11,14 +11,12 @@ Three strategies:
   straight one otherwise, followed by the arc on rays. The halves run in
   lock-step rounds: every open half bisects its worst panel, and the
   nodes of all new panels go to one vectorized call of the integrand.
-  Inside a mesh scope (``_mesh_scope``, entered by the stencil checks in
-  ``hgs``, which register the points at which they will call F), the
-  first call at a registered point integrates all registered points as
-  one stack, placed on their chains as arrays: the same loop over every
-  (half, point) pair, each with a bisection tree of its own, and one
-  integrand call per round with a row of nodes per pair, each row taking
-  its point's coefficients. A stacked value is the value of the point
-  alone, bit for bit. A plain ``radon_hgf`` call never enters a scope;
+  Every call integrates a stack of points (``_stack``), each (half,
+  point) pair with its own bisection tree and a row of nodes per pair: a
+  plain call a stack of one, and a call inside a mesh scope
+  (``_mesh_scope``, entered by the stencil checks in ``hgs``) the stack
+  of all registered points. A point's value is the same in either, bit
+  for bit;
 * eigen-tensor (unitarily invariant integrands): reduction to an r-fold
   eigenvalue integral against the squared Vandermonde over a Gauss rule
   whose weight absorbs the determinant powers, summed in closed form by
@@ -238,6 +236,10 @@ _NO_ARC = (0.0, 1.0, 0.0)
 
 _Placement = namedtuple("_Placement", "maps atol signs failures rows")
 
+# q = w / (far - o) of a ray's arc in Python's complex arithmetic, over
+# Python numbers or object arrays of them; 0 at a far end at infinity (None)
+_ARC_Q = np.frompyfunc(lambda w, o, far: 0.0 if far is None else w / (far - o), 3, 1)
+
 
 def _split(a, b, exp_a, exp_b, atol, sign, arc=_NO_ARC):
     """The halves from a and from b to their midpoint: per half its (exponent,
@@ -287,15 +289,9 @@ def _place(pieces, tol, K=1):
         if isinstance(piece, Segment):
             groups = [(everyone, _split(piece.a, piece.b, piece.exp_a, piece.exp_b, tol, sign))]
         else:
-            # q in Python's complex division, 0 at a far end at infinity
-            w, o, far = cmath.exp(1j * piece.phase), piece.origin, piece.far
-            if isinstance(far, np.ndarray):
-                inf = np.equal(far, None)
-                q = np.asarray(_QUOTIENT(w, np.where(inf, o + w, far) - o), dtype=complex)
-                q[inf] = 0.0
-            else:
-                q = 0.0 if far is None else w / (far - o)
-            cut = np.zeros(K, dtype=bool) | ((q.imag == 0.0) & (q.real < 0.0))
+            w, o = cmath.exp(1j * piece.phase), piece.origin
+            q = np.full(K, _ARC_Q(w, o, piece.far), dtype=complex)
+            cut = (q.imag == 0.0) & (q.real < 0.0)
             groups = []
             for points in (everyone[~cut], everyone[cut]):
                 if not len(points):
@@ -315,18 +311,15 @@ def _place(pieces, tol, K=1):
                 except DivergentEndpoint as err:
                     kappa, exc = 1, err
                 records.append((points, (kappa, on_arc, atol), sign, exc, columns))
-    # the columns of the records' rows one after another, in one conversion
-    # when they hold Python numbers only; then the rows sorted by point,
-    # stably, so that each point's halves stay in chain order
+    # the columns of the records' rows one after another; then the rows
+    # sorted by point, stably, so that each point's halves stay in chain
+    # order
     sizes = [len(r[0]) for r in records]
-    offsets, values = list(accumulate(sizes, initial=0)), [r[4] for r in records]
-    if any(isinstance(v, np.ndarray) for columns in values for v in columns):
-        cols = np.empty((offsets[-1], 6), dtype=np.complex128)
-        for a, b, columns in zip(offsets, offsets[1:], values):
-            for i, v in enumerate(columns):
-                cols[a:b, i] = v
-    else:
-        cols = np.array(values, dtype=np.complex128).repeat(sizes, axis=0)
+    offsets = list(accumulate(sizes, initial=0))
+    cols = np.empty((offsets[-1], 6), dtype=np.complex128)
+    for a, b, r in zip(offsets, offsets[1:], records):
+        for i, v in enumerate(r[4]):
+            cols[a:b, i] = v
     point = np.concatenate([r[0] for r in records])
     order = np.argsort(point, kind="stable")
     record = np.repeat(np.arange(len(records)), sizes)[order]
@@ -345,18 +338,17 @@ def _gk15(f, maps, pairs, ends, which):
     ``ends`` holds the new (tau0, tau1) panels of each pair. A node tau
     goes to y = start + span tau^kappa under the columns of its pair and,
     on an arc, on to u = o + w y / D with D = (1 - y) + q y. f takes the
-    nodes and ``which``, the point of each pair: the nodes of a stack come
-    as (pairs, nodes) rows, one point per row, and those of a stack of one
-    (which None) flat. A node whose offset rounds to the start is dropped:
-    the jacobian factor damps its true contribution past double precision,
-    and on an arc s = 1 is where D vanishes. The end of the half stands in
-    for it in the call, and its value is 0."""
+    nodes as (pairs, nodes) rows and ``which``, the point of each pair. A
+    node whose offset rounds to the start is dropped: the jacobian factor
+    damps its true contribution past double precision, and on an arc s = 1
+    is where D vanishes. The end of the half stands in for it in the call,
+    and its value is 0."""
     kappa, on_arc, cols = maps
     half = 0.5 * (ends[..., 1] - ends[..., 0])
     tau = (0.5 * (ends[..., 0] + ends[..., 1]))[..., None] + half[..., None] * _GK_X
-    kap = kappa[pairs, None, None]
-    tk, jac, arc = tau**kap, kap * tau ** (kap - 1.0), on_arc[pairs]
-    start, span, end, o, w, q = cols[pairs].T[:, :, None, None]
+    kap = kappa.take(pairs)[:, None, None]
+    tk, jac, arc = tau**kap, kap * tau ** (kap - 1.0), on_arc.take(pairs)
+    start, span, end, o, w, q = cols.take(pairs, axis=0).T[:, :, None, None]
     y = start + span * tk
     drop = y == start
     dropped = np.count_nonzero(drop)
@@ -369,8 +361,7 @@ def _gk15(f, maps, pairs, ends, which):
             # D = 1 off arcs, where u = y
             d = np.where(arc[:, None, None], d, 1.0)
         y = o + w * y / d
-    u = y.ravel() if which is None else y.reshape(len(y), -1)
-    fv = np.asarray(f(u, which), dtype=np.complex128).reshape(y.shape)
+    fv = np.asarray(f(y.reshape(len(y), -1), which), dtype=np.complex128).reshape(y.shape)
     if dropped:
         fv[drop] = 0.0
     if arcs:
@@ -399,8 +390,7 @@ def _round(f, maps, pairs, ends, which, fail):
     for j in range(len(pairs)):
         one = slice(j, j + 1)
         try:
-            parts.append(_gk15(f, maps, pairs[one], ends[one],
-                               None if which is None else which[one]))
+            parts.append(_gk15(f, maps, pairs[one], ends[one], which[one]))
         except RadonHGFError as exc:
             fail(int(pairs[j]), exc)
             break
@@ -411,17 +401,17 @@ def _lockstep(f, place, tol):
     """Adaptive GK15 integrals of a stack of K points in lock-step rounds,
     one bisection tree per (half, point) pair of ``place`` (``_place``).
 
-    f(u, which) is the integrand at nodes u whose first axis the points
-    which label (``_gk15``), None for one point. A pair closes once its
-    error is within max(atol, tol |total|) (QUADPACK's rule) or it holds
-    _MAX_INTERVALS panels. In each round every open pair bisects its own
-    worst panel, the one with the largest error (the earliest made among
-    equals), and the new panels of all open pairs go to one call of f. So
-    each pair takes the panels, and its point the estimate, that it takes
-    alone. A failing pair closes the later halves of its point and every
-    later point, as if the points ran one after another. Returns per point
-    an ``IntegralEstimate``, the first error of its halves in chain order,
-    or None when an earlier point's failure closed it.
+    f(u, which) is the integrand at (pairs, nodes) rows u whose points
+    which labels (``_gk15``). A pair closes once its error is within
+    max(atol, tol |total|) (QUADPACK's rule) or it holds _MAX_INTERVALS
+    panels. In each round every open pair bisects its own worst panel, the
+    one with the largest error (the earliest made among equals), and the
+    new panels of all open pairs go to one call of f. So each pair takes
+    the panels, and its point the estimate, that it takes alone. A failing
+    pair closes the later halves of its point and every later point, as if
+    the points ran one after another. Returns per point an
+    ``IntegralEstimate``, the first error of its halves in chain order, or
+    None when an earlier point's failure closed it.
 
     Every open pair has bisected once per round, so the open pairs hold
     equally many panels: their trees are arrays with a row per pair and a
@@ -457,7 +447,7 @@ def _lockstep(f, place, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         while len(on):
             rounds += 1
-            new = _round(f, maps, on, ends, point[on] if K > 1 else None, fail)
+            new = _round(f, maps, on, ends, point[on], fail)
             if len(new) < len(on):
                 on, ends, share, acc, bisected, vals, taus = (
                     v[: len(new)] for v in (on, ends, share, acc, bisected, vals, taus))
@@ -519,7 +509,7 @@ def _lockstep(f, place, tol):
 
 
 # ----------------------------------------------------------------------
-# mesh scope: the stencil points of a check, integrated as one stack
+# stacks: the r = 1 point of a call, or the stencil points of a check
 # ----------------------------------------------------------------------
 
 def _point_key(z: CoordMatrix):
@@ -574,7 +564,7 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
               if z.lam == pw.lam and z.r == 1 and z.m == 2]
     if not points:
         return {}
-    entries = np.stack([z.entries for _, z in points])
+    entries = np.array([z.entries for _, z in points])
     member = np.array(member_mask(pw.lam, 1, entries))
     roots, infinite = _block_roots(pw.lam, entries)
     ends = _CHAIN_ENDS[chain.kind]
@@ -586,7 +576,7 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
         try:
             if not member[count]:
                 require_member(z)
-            _roots_pieces(roots[count], infinite[count], pw, chain)
+            _roots_pieces(roots[count : count + 1], infinite[count : count + 1], pw, chain)
         except RadonHGFError as exc:
             checked[key] = exc
     if count:
@@ -603,39 +593,40 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
 
 
 def _stacked(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec, tol: float):
-    """The outcome of z from the active scope's stack for (pw, chain, tol),
-    run at the first call that asks for it; None when there is no scope,
-    z is not registered, the tolerance is meaningless or an earlier point's
-    failure closed z."""
-    scope = _SCOPE.get()
-    if scope is None or not (math.isfinite(tol) and tol > 0):
-        return None
-    key = _point_key(z)
-    if key not in scope.points:
-        return None
-    run = (pw, chain, tol)
-    if run not in scope.stacks:
-        scope.stacks[run] = _stack(scope.points, pw, chain, tol)
-    return scope.stacks[run].get(key)
+    """The outcome of z: from the active scope's stack for (pw, chain, tol),
+    run at the first call that asks for it, when z is registered and that
+    stack reached it; else from the stack of z alone."""
+    key, scope = _point_key(z), _SCOPE.get()
+    if scope is not None and key in scope.points:
+        run = (pw, chain, tol)
+        if run not in scope.stacks:
+            scope.stacks[run] = _stack(scope.points, pw, chain, tol)
+        found = scope.stacks[run].get(key)
+        if found is not None:
+            return found
+    return _stack({key: z}, pw, chain, tol)[key]
+
+
+def _require_tolerance(tol: float):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def integrate_pieces(f, pieces, tol: float = 1e-10) -> IntegralEstimate:
     """Sum of piecewise adaptive integrals of a complex function f that maps
-    an array of points to an array of values.
+    a flat array of points to an array of values.
 
     Each piece splits into halves, each an adaptive GK15 integral that
     bisects its worst panel until its error is within max(atol, tol |total|)
-    (QUADPACK's rule). The halves run in lock-step rounds: in each round
-    every open half bisects once, and the nodes of all new panels go to one
-    call of f. A half that fails closes every later half; the first failure
-    in chain order is raised, as a sequential walk would raise it. The
-    tolerance must be positive and finite, and a chain of no pieces raises
-    ``IncompatibleChain``. This is the one-point case of the stacks that
-    ``_mesh_scope`` runs for the stencil checks.
+    (QUADPACK's rule). The halves run in lock-step rounds (``_lockstep``, on
+    a stack of one): in each round every open half bisects once, and the
+    nodes of all new panels go to one call of f. A half that fails closes
+    every later half; the first failure in chain order is raised, as a
+    sequential walk would raise it. The tolerance must be positive and
+    finite, and a chain of no pieces raises ``IncompatibleChain``.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    [out] = _lockstep(lambda u, which: f(u), _place(pieces, tol), tol)
+    _require_tolerance(tol)
+    [out] = _lockstep(lambda u, which: f(u.ravel()), _place(pieces, tol), tol)
     if isinstance(out, RadonHGFError):
         raise out
     return out
@@ -917,26 +908,19 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
 # Grassmannian integrals
 # ----------------------------------------------------------------------
 
-def scalar_chart_function(z, pw: PartitionWeight):
-    """The r = 1 chart integrand u -> chi(ubar z) over an array of points u
-    (0-d included): ``chart_exponent`` at the frames (1, u). Given the
-    (K, 2, N) entries of K points for z, it is the integrand of the stack,
-    f(u, which), where u holds (rows, nodes) and which labels each row with
-    the point whose coefficients its nodes take (None for a stack of one,
-    whose nodes may have any shape). A point on a block root, or whose
-    exponent passes 700, raises ``OnBranchLocus`` before any exponential
-    is taken."""
-    entries = IntegrandSpec(pw, z).z.entries if isinstance(z, CoordMatrix) else np.asarray(z)
-    if pw.r != 1 or entries.shape[-2:] != (2, sum(pw.lam)):
-        raise ShapeMismatch("scalar chart function requires r = 1, with 2 x N entries")
+def scalar_chart_function(entries, pw: PartitionWeight):
+    """The r = 1 chart integrand u -> chi(ubar z) of a stack of points z
+    with the (K, 2, N) ``entries``: ``chart_exponent`` at the frames (1, u),
+    as f(u, which), where u holds (rows, nodes) and which labels each row
+    with the point whose coefficients its nodes take. A point on a block
+    root, or whose exponent passes 700, raises ``OnBranchLocus`` before any
+    exponential is taken."""
     exponent = chart_exponent(pw, entries)
 
-    def f(u, which=None):
-        u = np.asarray(u)
-        nodes = u.ravel() if which is None else u
-        t = np.empty(nodes.shape + (1, 2), dtype=np.complex128)
+    def f(u, which):
+        t = np.empty(u.shape + (1, 2), dtype=np.complex128)
         t[..., 0, 0] = 1.0
-        t[..., 0, 1] = nodes
+        t[..., 0, 1] = u
         try:
             expo = exponent(t, which)
         except SingularBlock as exc:
@@ -969,29 +953,23 @@ def _block_roots(lam: tuple, entries: np.ndarray):
 
 
 def _roots_pieces(roots, infinite, pw: PartitionWeight, chain: ChainSpec):
-    """The chain pieces from block roots and whether each is at infinity
-    (``_block_roots``): of one point, from one row, or of the points of
-    rows of a stack, whose numbers are then (K,) arrays (``_place``)."""
+    """The chain pieces of the points of a stack, from their block roots and
+    whether each is at infinity (``_block_roots``), with (K,) arrays for
+    numbers (``_place``). The ends are the roots of blocks 2 (and 3), with
+    those blocks' leading weights as the end exponents; rays end at the
+    root of block 1, which the table form puts at inf, with the leading
+    weight of block 1 as the exponent there when the block's character is
+    a pure power (else it has an essential singularity)."""
     ends = _CHAIN_ENDS[chain.kind]
-    if roots.shape[-1] < 1 + ends:
+    if roots.shape[1] < 1 + ends:
         raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
-    if infinite[..., 1 : 1 + ends].any():
+    if infinite[:, 1 : 1 + ends].any():
         raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
     first = pw.alpha[0]
     exp_far = first[0] if all(a == 0 for a in first[1:]) else None
-    return _chain_pieces(chain.kind, [roots[..., j][()] for j in range(1, 1 + ends)],
+    return _chain_pieces(chain.kind, [roots[:, j] for j in range(1, 1 + ends)],
                          [pw.alpha[j][0] for j in range(1, 1 + ends)],
-                         np.where(infinite[..., 0], None, roots[..., 0])[()], exp_far)
-
-
-def chart_pieces_r1(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec):
-    """Concrete chain realization whose ends are the roots of blocks 2 (and
-    3), with those blocks' leading weights as the end exponents; its rays
-    end at the root of block 1, which the table form puts at inf, with the
-    leading weight of block 1 as the exponent there when the block's
-    character is a pure power (else it has an essential singularity)."""
-    (roots,), (infinite,) = _block_roots(z.lam, z.entries[None])
-    return _roots_pieces(roots, infinite, pw, chain)
+                         np.where(infinite[:, 0], None, roots[:, 0]), exp_far)
 
 
 def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):
@@ -1043,9 +1021,10 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     Haar Monte Carlo. Off a variant-1 table form that fallback integrates
     the chart integrand over a fixed eigenvalue domain (0 < U < 1, or
     U > 0 on the half line) whatever z is, so its value is not F(z), which
-    is det(g)^r chi(h)^-1 F(nf) at the table form nf = g z h. Inside a
-    mesh scope (``_mesh_scope``) an r = 1 call at a registered point
-    returns that point's outcome from the stack of all registered points.
+    is det(g)^r chi(h)^-1 F(nf) at the table form nf = g z h. An r = 1
+    call integrates a stack (``_stack``): of z alone, or inside a mesh
+    scope (``_mesh_scope``) of all registered points, and returns z's
+    outcome from it.
     """
     if z.lam != pw.lam or z.r != pw.r:
         raise ShapeMismatch("coordinate matrix and weight partition disagree")
@@ -1053,16 +1032,15 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         raise ShapeMismatch(f"chain of size r = {chain.r} for a coordinate matrix of r = {z.r}")
     r = z.r
     if r == 1:
+        if z.m != 2:
+            raise ShapeMismatch("chart integrands are defined for m = 2r")
+        _require_tolerance(budget.tol)
         found = _stacked(z, pw, chain, budget.tol)
         if isinstance(found, RadonHGFError):
             raise found
-        if found is not None:
-            return found
+        return found
     if z.m == 2 * r:
         require_member(z)
-    if r == 1:
-        f = scalar_chart_function(z, pw)
-        return integrate_pieces(f, chart_pieces_r1(z, pw, chain), tol=budget.tol)
     if method in ("auto", "eigen-tensor"):
         try:
             fam, factor = _radon_eigen_family(z, pw)

@@ -118,7 +118,7 @@ def test_chart_branch_policy(r):
     with pytest.warns(BranchCutWarning):
         chart_integrand_batch(spec, frames(-2.0))
     if r == 1:
-        f = scalar_chart_function(spec.z, spec.pw)
+        f = _lone_chart_function(spec.z, spec.pw)
         with pytest.raises(OnBranchLocus):
             f(np.array([0.5, 0.0]))
         with pytest.warns(BranchCutWarning):
@@ -138,6 +138,13 @@ _TABLE = [((1, 1, 1), 0), ((2, 1), 0), ((3,), 0), ((1, 1, 1, 1), 1),
 
 def _cnormal(gen, shape):
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def _lone_chart_function(z, pw):
+    """The r = 1 chart integrand of z's stack of one, at the nodes of an
+    array of any shape, taken as one row."""
+    f = scalar_chart_function(z.entries[None], pw)
+    return lambda u: f(u.reshape(1, -1), np.zeros(1, dtype=int)).reshape(u.shape)
 
 
 @pytest.mark.parametrize("lam,k", _TABLE)
@@ -163,7 +170,7 @@ def test_chart_integrand_matches_character(lam, k, r):
         for t in frames
     ]
     batch = chart_integrand_batch(spec, frames)
-    scalar = scalar_chart_function(z, pw) if r == 1 else None
+    scalar = _lone_chart_function(z, pw) if r == 1 else None
     # the r = 1 evaluator at each point alone (0-d) and on all of them at once
     along = scalar(us[:, 0, 0]) if r == 1 else None
     for i, ref in enumerate(refs):
@@ -180,8 +187,8 @@ def test_chart_integrand_matches_character(lam, k, r):
 def test_stack_integrand_reads_rows_and_flat_nodes_alike(lam):
     # which labels the rows of a (rows, nodes) u with points, whose
     # coefficients are broadcast over a row's nodes; each row rounds as the
-    # flat nodes of its point's own integrand do, although numpy runs
-    # another inner loop for each
+    # same nodes do in one flat row of its point's stack of one, although
+    # numpy runs another inner loop for each
     gen = RandomStream(40 + sum(lam) + len(lam)).generator()
     base = pattern(lam, 1, (0.5 * _cnormal(gen, (1, 1)),))
     entries = base + 0.2 * _cnormal(gen, (3, 2, sum(lam)))
@@ -198,7 +205,7 @@ def test_stack_integrand_reads_rows_and_flat_nodes_alike(lam):
         rows = f(u, which)
     assert rows.shape == u.shape
     for k in range(3):
-        alone = scalar_chart_function(CoordMatrix(lam, 1, entries[k]), pw)
+        alone = _lone_chart_function(CoordMatrix(lam, 1, entries[k]), pw)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BranchCutWarning)
             assert rows[which == k].tobytes() == alone(u[which == k].ravel()).tobytes()
@@ -226,7 +233,7 @@ def test_chart_function_raises_at_one_root_node():
     # the root of block 2 is u = 0; one node of the array sits on it
     z = CoordMatrix((1, 1, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
     pw = PartitionWeight((1, 1, 1), ((-0.3,), (-0.5,), (-1.2,)), 2, 1, strict=False)
-    f = scalar_chart_function(z, pw)
+    f = _lone_chart_function(z, pw)
     assert np.all(np.isfinite(f(np.array([0.3, 0.7, 2.0]))))
     with pytest.raises(OnBranchLocus):
         f(np.array([0.3, 0.0, 0.7]))
@@ -237,7 +244,7 @@ def test_chart_function_overflow_raises_before_warning():
     # c1 = 1000 at u = -0.999: exp would overflow there
     z = CoordMatrix((2, 1, 1), 1, np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0]]))
     pw = PartitionWeight((2, 1, 1), ((-1.5, 1.0), (-0.2,), (-0.3,)), 2, 1, strict=False)
-    f = scalar_chart_function(z, pw)
+    f = _lone_chart_function(z, pw)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.isfinite(f(np.array([0.5, 2.0]))).all()
