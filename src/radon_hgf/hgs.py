@@ -7,6 +7,12 @@ central differences with per-entry step scaling and optional Richardson
 extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
 
+A pair's stencil is arrays: the entries each corner moves, in (step,
+permutation, corner) order, and the (steps, k!) denominators of its
+terms, k = r + 1. Its terms come from F's values reshaped to (steps, k!, 2^k): the
+sum over corners with the corner signs, times the sign of the
+permutation (its inversion parity), over the denominator.
+
 ``apply_DIJ``, ``verify_system`` and the two infinitesimal checks build
 all their stencil points first and register them in a mesh scope of
 ``integrate`` before F is first called; F then runs once per distinct
@@ -98,64 +104,46 @@ def _require_pair(z0: CoordMatrix, pair: MultiIndexPair):
 
 @lru_cache(maxsize=None)
 def _expansion(k: int):
-    """The permutations of range(k) as a (k!, k) array with their signs,
-    and the 2^k corners of a mixed partial over k entries: per corner and
-    entry q the sign of its step, + where bit q of the corner is set, as a
-    (2^k, k) array, and per corner its sign, - once per step down."""
-    perms = list(permutations(range(k)))
-    corners = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return (np.array(perms), [_perm_sign(p) for p in perms], 2.0 * corners - 1.0,
-            [(-1.0) ** (k - int(c.sum())) for c in corners])
+    """The permutations of range(k) as a (k!, k) array with their signs, by
+    inversion parity, and the 2^k corners of a mixed partial over k
+    entries: per corner and entry q the sign of its step, + where bit q of
+    the corner is set, as a (2^k, k) array, and per corner its sign, -
+    once per step down."""
+    perms = np.array(list(permutations(range(k))))
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    pm = 2.0 * ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1) - 1.0
+    return perms, 1.0 - 2.0 * (inversions % 2), pm, pm.prod(axis=1)
 
 
 def _determinant_stencil(z0: CoordMatrix, pair: MultiIndexPair, steps):
     """The corners of the determinant expansion of one pair, in stencil
     order (step, permutation, corner), each moving k entries of z0 by
     +-h (1 + |z0 entry|): as (rows, cols, deltas), each of shape
-    (corners, k), and the terms, per step and permutation its sign, its
-    central-difference denominator and the sign of each of its corners."""
-    perms, signs, pm, corner_signs = _expansion(pair.order)
+    (corners, k), and the (steps, k!) central-difference denominators of
+    its terms."""
+    perms, _, pm, _ = _expansion(pair.order)
     k = pair.order
     rows = np.array(pair.I)[perms] - 1
     cols = np.broadcast_to(np.array(pair.J) - 1, rows.shape)
     # (steps, k!, k): the step of entry q under each permutation
     step = np.multiply.outer(np.array(steps), 1.0 + np.abs(z0.entries[rows, cols]))
-    denom = np.ones(step.shape[:2])
-    for q in range(k):
-        denom = denom * (2.0 * step[..., q])
     deltas = step[:, :, None, :] * pm
     shape = deltas.shape
-    terms = [list(zip(signs, d, [corner_signs] * len(signs))) for d in denom.tolist()]
-    return (np.broadcast_to(rows[None, :, None], shape).reshape(-1, k),
-            np.broadcast_to(cols[None, :, None], shape).reshape(-1, k),
-            deltas.reshape(-1, k), terms)
+    return ((np.broadcast_to(rows[None, :, None], shape).reshape(-1, k),
+             np.broadcast_to(cols[None, :, None], shape).reshape(-1, k),
+             deltas.reshape(-1, k)), (2.0 * step).prod(axis=-1))
 
 
-def _stencil_points(z0: CoordMatrix, stencils):
-    """The corners of stencils (``_determinant_stencil``), in stencil order,
-    as one checked stack of coordinate matrices (``CoordMatrix.stack``):
-    each is z0's entries with its own entries moved."""
-    total = sum(len(rows) for rows, *_ in stencils)
-    corners = np.repeat(z0.entries[None], total, axis=0)
-    start = 0
-    for rows, cols, deltas, _ in stencils:
-        at = np.arange(start, start + len(rows))[:, None]
-        # only the moved entries are written, so the others keep their bits
-        corners[at, rows, cols] += deltas
-        start += len(rows)
+def _stencil_points(z0: CoordMatrix, moves):
+    """The corners of the (rows, cols, deltas) ``moves`` of stencils
+    (``_determinant_stencil``), in stencil order, as one checked stack of
+    coordinate matrices (``CoordMatrix.stack``): each is z0's entries with
+    its own entries moved."""
+    rows, cols, deltas = (np.concatenate(parts) for parts in zip(*moves))
+    corners = np.repeat(z0.entries[None], len(rows), axis=0)
+    # only the moved entries are written, so the others keep their bits
+    corners[np.arange(len(rows))[:, None], rows, cols] += deltas
     return CoordMatrix.stack(z0.lam, z0.r, corners)
-
-
-def _determinant_terms(terms, values):
-    """Signed mixed partials of the determinant expansion at one step, each
-    term taking the values of its corners from the iterator ``values``."""
-    out = []
-    for sign, denom, corner_signs in terms:
-        acc = 0.0 + 0.0j
-        for s in corner_signs:
-            acc += s * next(values)
-        out.append(sign * acc / denom)
-    return out
 
 
 def _evaluate(F, points):
@@ -179,43 +167,34 @@ def _operators(F, z0: CoordMatrix, pairs, plan):
     are built and checked as one stack before F is first called. A point
     on the branch locus or outside Z_lambda raises
     ``StencilCrossesBranchLocus``, for the first such point in stencil
-    order."""
+    order. Each term of a pair is the signed sum of F over its corners,
+    times the sign of its permutation, over its denominator."""
     for pair in pairs:
         _require_pair(z0, pair)
     steps = (plan.h, plan.h / 2.0) if plan.richardson else (plan.h,)
-    stencils = [_determinant_stencil(z0, pair, steps) for pair in pairs]
-    points = _stencil_points(z0, stencils)
+    moves, denoms = zip(*(_determinant_stencil(z0, pair, steps) for pair in pairs))
+    points = _stencil_points(z0, moves)
     try:
         values, distinct = _evaluate(F, points)
     except (OnBranchLocus, NotInZLambda) as exc:
         raise StencilCrossesBranchLocus(str(exc)) from exc
-    values = iter(values)
-    out = []
-    for *_, per_step in stencils:
-        terms = [_determinant_terms(terms, values) for terms in per_step]
+    values = np.asarray(values, dtype=np.complex128)
+    out, start = [], 0
+    for pair, denom in zip(pairs, denoms):
+        _, signs, _, corner_signs = _expansion(pair.order)
+        size = denom.size * len(corner_signs)
+        # (steps, k!, 2^k): F at the corners of each term
+        at = values[start : start + size].reshape(*denom.shape, -1)
+        start += size
+        # the corners are added one after another: a term is a small
+        # difference of large values, whose rounding depends on the order
+        terms = signs * sum(np.moveaxis(at * corner_signs, -1, 0)) / denom
         if plan.richardson:
-            terms = [(4.0 * t2 - t1) / 3.0 for t1, t2 in zip(*terms)]
+            terms = (4.0 * terms[1] - terms[0]) / 3.0
         else:
             [terms] = terms
-        out.append((complex(sum(terms)), float(max(abs(t) for t in terms))))
+        out.append((complex(terms.sum()), float(np.abs(terms).max())))
     return out, distinct
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        q = start
-        while not seen[q]:
-            seen[q] = True
-            q = perm[q]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,

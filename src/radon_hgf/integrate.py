@@ -50,6 +50,7 @@ from .errors import (
     IncompatibleChain,
     NonConvergent,
     NotInvariant,
+    NotInZLambda,
     OnBranchLocus,
     RadonHGFError,
     ShapeMismatch,
@@ -409,9 +410,9 @@ def _lockstep(f, place, tol):
     new panels of all open pairs go to one call of f. So each pair takes
     the panels, and its point the estimate, that it takes alone. A failing
     pair closes the later halves of its point and every later point, as if
-    the points ran one after another. Returns per point an
-    ``IntegralEstimate``, the first error of its halves in chain order, or
-    None when an earlier point's failure closed it.
+    the points ran one after another. Returns the outcomes of the points
+    up to the first that fails: an ``IntegralEstimate`` per point, and for
+    the failing point the first error of its halves in chain order.
 
     Every open pair has bisected once per round, so the open pairs hold
     equally many panels: their trees are arrays with a row per pair and a
@@ -493,10 +494,7 @@ def _lockstep(f, place, tol):
             ends = ends.reshape(-1, 2, 2)
     limit = min(failed, default=K)
     out = []
-    for k, r in enumerate(rows):
-        if k >= limit:
-            out.append(None if k > limit else failed[k][1])
-            continue
+    for r in rows[:limit]:
         # its halves in chain order, added as one walk would add them
         value, error, panels = 0.0 + 0.0j, 0.0, 0
         for i in r:
@@ -505,7 +503,7 @@ def _lockstep(f, place, tol):
             error += err
             panels += count
         out.append(IntegralEstimate(value, error, "adaptive-1d", panels))
-    return out
+    return out + [failed[limit][1]] if failed else out
 
 
 # ----------------------------------------------------------------------
@@ -555,41 +553,35 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     """The outcome of each point, by key: its estimate or the error that
     ``radon_hgf`` raises for it. The points of pw's shape are one entries
     stack, whose membership in Z_lambda (``member_mask``), block roots and
-    chain halves (``_place``) are each taken in array operations; the first
-    point in stencil order that fails its checks keeps the error it raises
-    alone. The points before it are integrated as one ``_lockstep``, in
-    which each point has the outcome of its lone run, bit for bit. A point
-    that fails closes every later point, which then has no outcome."""
+    chain halves (``_place``) are each taken in array operations, and one
+    ``_lockstep``, in which each point has the outcome of its lone run, bit
+    for bit. A point that fails its checks (outside Z_lambda, or a chain
+    end at infinity) is placed at stand-in roots; the first one's first
+    half fails with the error it raises alone. A failing point closes every
+    later point, which then has no outcome; too few blocks for the chain
+    kind raise ``IncompatibleChain``."""
     points = [(key, z) for key, z in points.items()
               if z.lam == pw.lam and z.r == 1 and z.m == 2]
     if not points:
         return {}
     entries = np.array([z.entries for _, z in points])
-    member = np.array(member_mask(pw.lam, 1, entries))
     roots, infinite = _block_roots(pw.lam, entries)
-    ends = _CHAIN_ENDS[chain.kind]
-    bad = ~member | (infinite[:, 1 : 1 + ends].any(axis=1) if roots.shape[1] > ends else True)
-    count = int(np.argmax(bad)) if bad.any() else len(points)
-    checked, outcome = {}, {}
-    if count < len(points):
-        key, z = points[count]
+    member = np.array(member_mask(pw.lam, 1, entries))
+    bad = ~member | infinite[:, 1 : 1 + _CHAIN_ENDS[chain.kind]].any(axis=1)
+    # distinct finite roots, off the origin of a ray pair, so that a bad
+    # point's halves can be placed; they are never evaluated
+    roots[bad], infinite[bad] = range(1, 1 + roots.shape[1]), False
+    place = _place(_roots_pieces(roots, infinite, pw, chain), tol, len(points))
+    if bad.any():
+        k = int(np.argmax(bad))
         try:
-            if not member[count]:
-                require_member(z)
-            _roots_pieces(roots[count : count + 1], infinite[count : count + 1], pw, chain)
-        except RadonHGFError as exc:
-            checked[key] = exc
-    if count:
-        place = _place(_roots_pieces(roots[:count], infinite[:count], pw, chain), tol, count)
-        stacked = _lockstep(scalar_chart_function(entries[:count], pw), place, tol)
-        for (key, _), out in zip(points, stacked):
-            if out is None:
-                return outcome
-            outcome[key] = out
-            if isinstance(out, RadonHGFError):
-                return outcome
-    outcome.update(checked)
-    return outcome
+            require_member(points[k][1])
+            exc = IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
+        except NotInZLambda as err:
+            exc = err
+        place.failures[place.rows[k][0]] = exc
+    stacked = _lockstep(scalar_chart_function(entries, pw), place, tol)
+    return dict(zip([key for key, _ in points], stacked))
 
 
 def _stacked(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec, tol: float):
@@ -959,12 +951,11 @@ def _roots_pieces(roots, infinite, pw: PartitionWeight, chain: ChainSpec):
     those blocks' leading weights as the end exponents; rays end at the
     root of block 1, which the table form puts at inf, with the leading
     weight of block 1 as the exponent there when the block's character is
-    a pure power (else it has an essential singularity)."""
+    a pure power (else it has an essential singularity). ``_stack``
+    refuses an end at infinity; too few blocks raise ``IncompatibleChain``."""
     ends = _CHAIN_ENDS[chain.kind]
     if roots.shape[1] < 1 + ends:
         raise IncompatibleChain(f"{chain.kind} chains need at least {1 + ends} blocks")
-    if infinite[:, 1 : 1 + ends].any():
-        raise IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
     first = pw.alpha[0]
     exp_far = first[0] if all(a == 0 for a in first[1:]) else None
     return _chain_pieces(chain.kind, [roots[:, j] for j in range(1, 1 + ends)],
@@ -1016,16 +1007,19 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
               budget: Budget = Budget(), method: str = "auto") -> IntegralEstimate:
     """Evaluate the Grassmannian integral over a concrete chain.
 
-    r = 1 uses root-following adaptive quadrature; r >= 2 uses the
-    eigenvalue reduction on recognized normal forms, falling back to
-    Haar Monte Carlo. Off a variant-1 table form that fallback integrates
-    the chart integrand over a fixed eigenvalue domain (0 < U < 1, or
-    U > 0 on the half line) whatever z is, so its value is not F(z), which
-    is det(g)^r chi(h)^-1 F(nf) at the table form nf = g z h. An r = 1
-    call integrates a stack (``_stack``): of z alone, or inside a mesh
-    scope (``_mesh_scope``) of all registered points, and returns z's
-    outcome from it.
+    r = 1 uses root-following adaptive quadrature under every method. At
+    r >= 2 "eigen-tensor" uses the eigenvalue reduction on recognized
+    normal forms, "haar-mc" Haar Monte Carlo, and "auto" the first, else
+    the second; another method raises ``ValueError`` before any work. Off
+    a variant-1 table form that Monte Carlo integrates the chart integrand
+    over a fixed eigenvalue domain (0 < U < 1, or U > 0 on the half line)
+    whatever z is, so its value is not F(z), which is det(g)^r chi(h)^-1
+    F(nf) at the table form nf = g z h. An r = 1 call integrates a stack
+    (``_stack``): of z alone, or inside a mesh scope (``_mesh_scope``) of
+    all registered points, and returns z's outcome from it.
     """
+    if method not in ("auto", "eigen-tensor", "haar-mc"):
+        raise ValueError(f"method must be auto, eigen-tensor or haar-mc, got {method!r}")
     if z.lam != pw.lam or z.r != pw.r:
         raise ShapeMismatch("coordinate matrix and weight partition disagree")
     if chain.r != z.r:
@@ -1035,6 +1029,9 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         if z.m != 2:
             raise ShapeMismatch("chart integrands are defined for m = 2r")
         _require_tolerance(budget.tol)
+        if len(z.lam) <= _CHAIN_ENDS[chain.kind]:
+            # a point outside Z_lambda says so before its chain needs more blocks
+            require_member(z)
         found = _stacked(z, pw, chain, budget.tol)
         if isinstance(found, RadonHGFError):
             raise found

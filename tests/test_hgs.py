@@ -76,9 +76,7 @@ def test_rank_argument_r2():
         v = t @ z.entries
         return np.exp(0.3 * v.sum()) * (1 + v[0, 0] * v[1, 2])
 
-    gen = RandomStream(83).generator()
-    e = np.eye(4) @ np.hstack([np.eye(4), np.eye(4)]) + 0.15 * gen.standard_normal((4, 8))
-    z0 = CoordMatrix((1, 1, 1, 1), 2, e)
+    z0 = _r2_point()
     good = MultiIndexPair((1, 2, 3), (2, 5, 7))
     resid, scale = apply_DIJ(F, z0, good, StencilPlan(h=1e-3))
     assert abs(resid) / scale < 1e-2
@@ -89,6 +87,35 @@ def test_rank_argument_r2():
     resid, scale = apply_DIJ(bad, z0, MultiIndexPair((1, 2, 3), (1, 2, 3)),
                              StencilPlan(h=1e-3))
     assert abs(resid) / scale > 0.5
+
+
+def _r2_point():
+    """The r = 2 point [I I] + 0.15 N of test_rank_argument_r2."""
+    gen = RandomStream(83).generator()
+    e = np.hstack([np.eye(4), np.eye(4)]) + 0.15 * gen.standard_normal((4, 8))
+    return CoordMatrix((1, 1, 1, 1), 2, e)
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("r", [1, 2])
+def test_operator_values_on_polynomials(r, richardson):
+    # the order-k operator of (I, J) applied to the (I, J) minor is k!
+    # (Cayley's identity); to the product of z_IJ along its diagonal 1,
+    # the identity's term alone, and along its anti-diagonal -1, the sign
+    # of the reversal at k = 2 and 3. This pins the signs and denominators
+    if r == 1:
+        z0 = CoordMatrix((1, 1, 1, 1), 1,
+                         np.array([[1.0, 0.2, 1.1, 0.9], [0.1, 1.0, -0.9, 0.4]]))
+        pair, bound = MultiIndexPair((1, 2), (2, 4)), 1e-8
+    else:
+        z0, pair, bound = _r2_point(), MultiIndexPair((1, 2, 3), (2, 5, 7)), 1e-5
+    I, J = np.array(pair.I) - 1, np.array(pair.J) - 1
+    plan = StencilPlan(h=1e-3, richardson=richardson)
+    for F, exact in ((lambda z: np.linalg.det(z.entries[np.ix_(I, J)]), math.factorial(r + 1)),
+                     (lambda z: np.prod(z.entries[I, J]), 1.0),
+                     (lambda z: np.prod(z.entries[I, J[::-1]]), -1.0)):
+        resid, _ = apply_DIJ(F, z0, pair, plan)
+        assert abs(resid - exact) <= bound
 
 
 def test_negative_control_never_passes():

@@ -41,7 +41,8 @@ from radon_hgf.integrate import (
     scalar_chart_function,
     weyl_constant,
 )
-from radon_hgf.normal_form import pattern, reduce4
+from radon_hgf.acceptance import _LAM3_CHAIN, _LAM3_WEIGHTS
+from radon_hgf.normal_form import pattern, reduce3, reduce4
 from radon_hgf.oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
 from radon_hgf.rng import RandomStream
 
@@ -473,12 +474,50 @@ def test_radon_mc_fallback_matches_closed_form():
     assert abs(est.value - ref) < 3 * est.abs_error_est
 
 
+@pytest.mark.parametrize("method", ["bogus", "adaptive-1d"])
+def test_unknown_method_is_refused_at_every_r(monkeypatch, method):
+    # an unknown name used to be ignored at r = 1 and to run Monte Carlo on
+    # the r = 2 (1,1,1) table form; now it is refused before any work
+    message = f"method must be auto, eigen-tensor or haar-mc, got {method!r}"
+    z1, pw1, chain1 = _pde_base((1, 1, 1, 1))
+    r = 2
+    pw2 = PartitionWeight((1, 1, 1), ((-7.0,), (1.0,), (2.0,)), 4, r, strict=False)
+    z2 = CoordMatrix((1, 1, 1), r, pattern((1, 1, 1), r))
+    chain2 = ChainSpec("interval-0-1", r)
+    with monkeypatch.context() as m:
+        for name in ("_stacked", "require_member", "integrate_invariant", "integrate_haar_mc"):
+            m.setattr(integrate, name, None)
+        for z, pw, chain in ((z1, pw1, chain1), (z2, pw2, chain2)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                radon_hgf(z, pw, chain, method=method)
+    # r = 1 integrates adaptively whatever the known method
+    est = radon_hgf(z1, pw1, chain1)
+    assert est.method == "adaptive-1d"
+    assert all(radon_hgf(z1, pw1, chain1, method=name) == est
+               for name in ("eigen-tensor", "haar-mc"))
+
+
 def test_radon_membership_checked():
     e = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     z = CoordMatrix((1, 1, 1), 1, e)
     pw = PartitionWeight((1, 1, 1), ((-0.9,), (-0.6,), (-0.5,)), 2, 1, strict=False)
     with pytest.raises(NotInZLambda):
         radon_hgf(z, pw, ChainSpec("interval-0-1", 1))
+
+
+def test_chain_needing_more_blocks_is_refused_after_membership():
+    # (2,1) has two blocks and the interval needs three: a point outside
+    # Z_lambda says so first, alone and in a scope that registered both
+    pw = PartitionWeight((2, 1), ((-2.6, -1.0), (0.6,)), 2, 1, strict=False)
+    chain = ChainSpec("interval-0-1", 1)
+    inside = CoordMatrix((2, 1), 1, pattern((2, 1), 1))
+    outside = CoordMatrix((2, 1), 1, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    for points in ([], [inside, outside], [outside, inside]):
+        with integrate._mesh_scope(points):
+            with pytest.raises(NotInZLambda):
+                radon_hgf(outside, pw, chain)
+            with pytest.raises(IncompatibleChain, match="interval-0-1 chains need at least 3"):
+                radon_hgf(inside, pw, chain)
 
 
 def test_covariance_h_side():
@@ -781,24 +820,36 @@ def test_pde_base_points_keep_their_mesh(lam):
     assert abs(est.value - value) <= 1e-14 * abs(value)
 
 
+def _two_path_base(lam):
+    """A criterion-11 base point, or the table form of a partition of three
+    with criterion 10's weight and chain."""
+    if sum(lam) == 4:
+        return _pde_base(lam)
+    return (CoordMatrix(lam, 1, pattern(lam, 1)),
+            PartitionWeight(lam, _LAM3_WEIGHTS[lam], 2, 1, strict=False),
+            ChainSpec(_LAM3_CHAIN[lam], 1))
+
+
 def _mapped_value(z, pw, chain, budget):
     """F(z) by the second path: det(g) chi(h)^-1 F(nf) at the table form
-    nf = g z h from reduce4, integrated over the same chain kind."""
-    out = reduce4(z)
+    nf = g z h from reduce3 or reduce4, integrated over the same chain kind."""
+    out = (reduce3 if z.n == 3 else reduce4)(z)
     nf = CoordMatrix(z.lam, 1, pattern(z.lam, 1, out.x))
     return np.linalg.det(out.g) / chi_lambda(out.h, pw) * radon_hgf(nf, pw, chain, budget).value
 
 
-@pytest.mark.parametrize("lam", list(_PDE_BASE))
+@pytest.mark.parametrize("lam", list(_PDE_BASE) + list(_LAM3_WEIGHTS))
 def test_chart_value_equals_mapped_table_value(lam):
-    # at small perturbations s (N + iN) of the criterion-11 base points the
+    # at small perturbations s (N + iN) of the criterion-11 base points and
+    # of the table forms of criterion 10 (partitions of three) the
     # root-following chart integral and the reduce-and-map path agree
-    z0, pw, chain = _pde_base(lam)
+    z0, pw, chain = _two_path_base(lam)
     gen = np.random.default_rng(5)
     budget = Budget(tol=5e-13)
+    shape = z0.entries.shape
     for s in (0.02, 0.06):
         for _ in range(10):
-            delta = s * (gen.standard_normal((2, 4)) + 1j * gen.standard_normal((2, 4)))
+            delta = s * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
             z = z0.with_entries(z0.entries + delta)
             mapped = _mapped_value(z, pw, chain, budget)
             assert abs(radon_hgf(z, pw, chain, budget).value - mapped) <= 1e-12 * abs(mapped)
@@ -1284,6 +1335,14 @@ def test_failing_integral_records_no_mesh():
     assert list(outcomes) == [integrate._point_key(z)]
 
 
+def _outcome(call):
+    """The estimate of a call, or the type and message of its error."""
+    try:
+        return call()
+    except RadonHGFError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("error, entries, flat, kind", [
     # the columns of blocks 1 and 2 are proportional: a weight-2 minor vanishes
     (NotInZLambda, [[1.0, 0.5, -1.0, 2.0], [0.0, 0.0, 2.0, 1.0]], (-0.8, -0.3, 0.4, -1.3),
@@ -1296,21 +1355,36 @@ def test_failing_integral_records_no_mesh():
     (OnBranchLocus, _CHAIN_Z.entries, (-0.8, -0.3, 0.4, -1.3), "half-line"),
     (ShapeMismatch, np.vstack([_CHAIN_Z.entries, [1.0] * 4]), (-0.8, -0.3, 0.4, -1.3),
      "interval-0-1"),
+    # the roots of blocks 1 and 2 coincide, where the half line would start
+    # and end; in a stack the point is placed at stand-in roots
+    (NotInZLambda, [[1.0, 1.0, -1.0, 2.0], [2.0, 2.0, 2.0, 1.0]], (-0.8, -0.3, 0.4, -1.3),
+     "half-line"),
+    # the root of block 2 is at infinity; -1, what its column gives in its
+    # place, is the root of block 1
+    (IncompatibleChain, [[1.0, 1.0, -1.0, 2.0], [1.0, 0.0, 2.0, 1.0]], (-0.8, -0.3, 0.4, -1.3),
+     "half-line"),
 ])
 def test_lone_point_error_is_the_same_in_a_scope(error, entries, flat, kind):
     # every r = 1 call is a stack: a point's error has the type and the
     # message it has alone when the point is registered after another
-    # point of a scope, and when the scope holds only the other point
+    # point of a scope, before it, and when the scope holds only the other
+    # point. Registered first, the point closes the other, whose later call
+    # then runs alone
     z = CoordMatrix((1, 1, 1, 1), 1, np.array(entries))
     pw = PartitionWeight.from_flat((1, 1, 1, 1), flat, 2, 1, strict=False)
     chain = ChainSpec(kind, 1)
     with pytest.raises(error) as alone:
         radon_hgf(z, pw, chain)
     other = z.with_entries(z.entries + 1e-3)
-    for points in ([other, z], [other]):
+    other_alone = _outcome(lambda: radon_hgf(other, pw, chain))
+    for points in ([other, z], [other], [z, other]):
         with integrate._mesh_scope(points):
             with pytest.raises(error) as scoped:
                 radon_hgf(z, pw, chain)
+            if points[0] is z:
+                stacks = integrate._SCOPE.get().stacks.values()
+                assert all(integrate._point_key(other) not in out for out in stacks)
+                assert _outcome(lambda: radon_hgf(other, pw, chain)) == other_alone
         assert type(scoped.value) is type(alone.value)
         assert str(scoped.value) == str(alone.value)
 
