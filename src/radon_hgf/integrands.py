@@ -252,7 +252,7 @@ def _beta_r(p, u, r, eye, x, xs):
 
 
 def _gamma_r(p, u, r, eye, x, xs):
-    return np.exp((p["a"] - r) * _logdet_batch(u) - _trace_batch(u))
+    return np.exp((p["a"] - r) * _logdet_batch(u) - p.get("rate", 1.0) * _trace_batch(u))
 
 
 def _gaussian_r(p, u, r, eye, x, xs):
@@ -331,7 +331,8 @@ class Family:
     exponents(params, X): the exponents e of the weight at the chain ends,
     det(u)^(e0 - r) det(1 - u)^(e1 - r) on the interval and
     det(u)^(e0 - r) exp(-e1 Tr u) on the half line (no e1 when the decay
-    is not exponential).
+    is not exponential). gamma_r's e1 is its ``rate`` (default 1), which
+    may be complex with a positive real part.
 
     phi(params, lam, x, xs): for unitarily invariant kernels at scalar
     arguments x, xs, what the kernel leaves per eigenvalue after that
@@ -353,7 +354,8 @@ class Family:
 
 FAMILIES = {
     "beta_r": Family(_beta_r, (INTERVAL,), lambda p, X: (p["a"], p["b"]), _no_remainder),
-    "gamma_r": Family(_gamma_r, (HALF_LINE,), lambda p, X: (p["a"], 1.0), _no_remainder),
+    "gamma_r": Family(_gamma_r, (HALF_LINE,), lambda p, X: (p["a"], p.get("rate", 1.0)),
+                      _no_remainder),
     "gaussian_r": Family(_gaussian_r, (FULL_LINE,), phi=_no_remainder),
     "gauss": Family(
         _gauss, (INTERVAL,), _beta_type,
@@ -376,7 +378,9 @@ FAMILIES = {
 # normal-form correspondence
 # ----------------------------------------------------------------------
 
+# per table form that has a named family, its pinned flat weight entries
 _PINS = {
+    (1, 1, 1): {}, (2, 1): {}, (1, 1, 1, 1): {}, (2, 1, 1): {},
     (2, 2): {1: 1.0, 3: -1.0},
     (3, 1): {1: 0.0, 2: 1.0},
     (4,): {1: 0.0, 2: 0.0, 3: 1.0},
@@ -387,22 +391,31 @@ def family_of_normal_form(lam, x, alpha, r: int) -> NamedFamily:
     """Named family whose kernel equals the chart integrand of the primary
     table form, with the weight dictionary recorded.
 
-    alpha is the flat weight 4-tuple; the confluent partitions other than
-    (2, 1, 1) require the pinned entries (positions are 0-based within the
-    flat tuple).  The (2, 1, 1) chart integrand depends on alpha_2 and x only
-    through their product, which is kummer's X.
+    alpha is the flat weight, one entry per unit of |lam|; the confluent
+    partitions of four other than (2, 1, 1) require the pinned entries
+    (positions are 0-based within the flat tuple). (1, 1, 1) is the matrix
+    beta integral and (2, 1) the matrix gamma integral at the decay rate
+    -alpha_2; neither reads x. The (2, 1, 1) chart integrand depends on
+    alpha_2 and x only through their product, which is kummer's X.
     """
     lam = tuple(lam)
+    if lam not in _PINS:
+        raise UnsupportedPartition(f"no named family for partition {lam}")
     alpha = tuple(complex(a) for a in alpha)
-    if len(alpha) != 4:
-        raise UnpinnedAlpha("flat weight must have four entries")
+    if len(alpha) != sum(lam):
+        raise UnpinnedAlpha(f"flat weight must have {sum(lam)} entries")
     x = as_matrix(x) if x is not None else np.zeros((r, r), dtype=np.complex128)
-    pins = _PINS.get(lam, {})
-    for pos, val in pins.items():
+    for pos, val in _PINS[lam].items():
         if abs(alpha[pos] - val) > 1e-12:
             raise UnpinnedAlpha(
                 f"partition {lam} requires alpha_{pos + 1} = {val}, got {alpha[pos]}"
             )
+    if lam == (1, 1, 1):
+        return NamedFamily("beta_r", {"a": alpha[1] + r, "b": alpha[2] + r},
+                           dictionary={"a": "alpha_2 + r", "b": "alpha_3 + r"})
+    if lam == (2, 1):
+        return NamedFamily("gamma_r", {"a": alpha[2] + r, "rate": -alpha[1]},
+                           dictionary={"a": "alpha_3 + r", "rate": "-alpha_2"})
     if lam == (1, 1, 1, 1):
         a = alpha[1] + r
         b = -alpha[3]
@@ -442,13 +455,12 @@ def family_of_normal_form(lam, x, alpha, r: int) -> NamedFamily:
             dictionary={"c": "-alpha_4 - r", "X": "x",
                         "pin": "alpha_2 = 0, alpha_3 = 1"},
         )
-    if lam == (4,):
-        return NamedFamily(
-            "airy",
-            {},
-            X=-x,
-            reflect_u=True,
-            dictionary={"X": "-x", "pin": "alpha_2 = alpha_3 = 0, alpha_4 = 1",
-                        "reflect_u": "kernel equals the chart integrand at -U"},
-        )
-    raise UnsupportedPartition(f"no named family for partition {lam}")
+    # (4,)
+    return NamedFamily(
+        "airy",
+        {},
+        X=-x,
+        reflect_u=True,
+        dictionary={"X": "-x", "pin": "alpha_2 = alpha_3 = 0, alpha_4 = 1",
+                    "reflect_u": "kernel equals the chart integrand at -U"},
+    )

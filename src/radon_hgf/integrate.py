@@ -57,6 +57,7 @@ from .errors import (
     SingularBlock,
     UnpinnedAlpha,
     UnsupportedCount,
+    UnsupportedPartition,
 )
 from .grassmann import CoordMatrix, member_mask, require_member
 from .integrands import (
@@ -555,11 +556,12 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     stack, whose membership in Z_lambda (``member_mask``), block roots and
     chain halves (``_place``) are each taken in array operations, and one
     ``_lockstep``, in which each point has the outcome of its lone run, bit
-    for bit. A point that fails its checks (outside Z_lambda, or a chain
-    end at infinity) is placed at stand-in roots; the first one's first
-    half fails with the error it raises alone. A failing point closes every
-    later point, which then has no outcome; too few blocks for the chain
-    kind raise ``IncompatibleChain``."""
+    for bit. A point that fails its checks (outside Z_lambda, a chain end
+    at infinity, or a ray pair whose far end, the root of block 1, is its
+    origin 0) is placed at stand-in roots; the first one's first half fails
+    with the error it raises alone. A failing point closes every later
+    point, which then has no outcome; too few blocks for the chain kind
+    raise ``IncompatibleChain``."""
     points = [(key, z) for key, z in points.items()
               if z.lam == pw.lam and z.r == 1 and z.m == 2]
     if not points:
@@ -567,7 +569,11 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
     entries = np.array([z.entries for _, z in points])
     roots, infinite = _block_roots(pw.lam, entries)
     member = np.array(member_mask(pw.lam, 1, entries))
-    bad = ~member | infinite[:, 1 : 1 + _CHAIN_ENDS[chain.kind]].any(axis=1)
+    ends = _CHAIN_ENDS[chain.kind]
+    bad = ~member | infinite[:, 1 : 1 + ends].any(axis=1)
+    if not ends:
+        # a ray pair runs from 0 out to the root of block 1, which must not be 0
+        bad |= ~infinite[:, 0] & (roots[:, 0] == 0)
     # distinct finite roots, off the origin of a ray pair, so that a bad
     # point's halves can be placed; they are never evaluated
     roots[bad], infinite[bad] = range(1, 1 + roots.shape[1]), False
@@ -576,7 +582,9 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
         k = int(np.argmax(bad))
         try:
             require_member(points[k][1])
-            exc = IncompatibleChain(f"{chain.kind} chain ends escaped to infinity")
+            exc = (IncompatibleChain(f"{chain.kind} chain ends escaped to infinity") if ends
+                   else OnBranchLocus(f"the root of block 1 is at 0, where the {chain.kind} "
+                                      "chain's rays both start and end"))
         except NotInZLambda as err:
             exc = err
         place.failures[place.rows[k][0]] = exc
@@ -970,51 +978,22 @@ def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):
         raise IncompatibleChain(f"eigen-tensor {fam.tag} integrates over the {default} chain")
 
 
-def _radon_eigen_family(z: CoordMatrix, pw: PartitionWeight):
-    """Named-family equivalent of a table normal form with generic weights,
-    and the factor its integral is multiplied by."""
-    xs = residual_parameters(z)
-    if xs is None:
-        raise IncompatibleChain(
-            "deterministic eigen-tensor evaluation needs a table normal form"
-        )
-    r = z.r
-    al = pw.flat_alpha()
-    lam = z.lam
-    if lam == (1, 1, 1):
-        return NamedFamily("beta_r", {"a": al[1] + r, "b": al[2] + r}), 1.0
-    if lam == (2, 1):
-        a2 = complex(al[1])
-        if a2.real >= 0 or abs(a2.imag) > 1e-13:
-            raise IncompatibleChain("half-line rescaling needs real alpha_2 < 0")
-        # exp(alpha_2 Tr u) (det u)^{alpha_3} over u > 0 is the matrix gamma
-        # integral after u -> u / rate
-        rate = -a2.real
-        a = complex(al[2] + r)
-        return NamedFamily("gamma_r", {"a": a}), rate ** complex(-(a - r) * r - r * r)
-    if len(xs) != 1:
-        raise IncompatibleChain(f"no eigen-tensor reduction wired for partition {lam}")
-    x = scalar_multiple(xs[0])
-    if x is None:
-        raise IncompatibleChain("matrix residual parameter is not scalar")
-    try:
-        return family_of_normal_form(lam, x * np.eye(r), al, r), 1.0
-    except UnpinnedAlpha as exc:
-        raise IncompatibleChain(str(exc)) from exc
-
-
 def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
               budget: Budget = Budget(), method: str = "auto") -> IntegralEstimate:
     """Evaluate the Grassmannian integral over a concrete chain.
 
     r = 1 uses root-following adaptive quadrature under every method. At
-    r >= 2 "eigen-tensor" uses the eigenvalue reduction on recognized
-    normal forms, "haar-mc" Haar Monte Carlo, and "auto" the first, else
-    the second; another method raises ``ValueError`` before any work. Off
-    a variant-1 table form that Monte Carlo integrates the chart integrand
-    over a fixed eigenvalue domain (0 < U < 1, or U > 0 on the half line)
-    whatever z is, so its value is not F(z), which is det(g)^r chi(h)^-1
-    F(nf) at the table form nf = g z h. An r = 1 call integrates a stack
+    r >= 2 "eigen-tensor" takes a variant-1 table form with scalar residual
+    parameters to its named family (``family_of_normal_form``) and returns
+    that family's ``integrate_invariant`` estimate; a form with no such
+    family, or whose family's weight is not integrable on its chain,
+    raises ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo, and
+    "auto" the first, else the second; another method raises
+    ``ValueError`` before any work. Off a variant-1 table form that Monte
+    Carlo integrates the chart integrand over a fixed eigenvalue domain
+    (0 < U < 1, or U > 0 on the half line) whatever z is, so its value is
+    not F(z), which is det(g)^r chi(h)^-1 F(nf) at the table form
+    nf = g z h. An r = 1 call integrates a stack
     (``_stack``): of z alone, or inside a mesh scope (``_mesh_scope``) of
     all registered points, and returns z's outcome from it.
     """
@@ -1040,15 +1019,20 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         require_member(z)
     if method in ("auto", "eigen-tensor"):
         try:
-            fam, factor = _radon_eigen_family(z, pw)
+            xs = residual_parameters(z)
+            if xs is None:
+                raise IncompatibleChain(
+                    "deterministic eigen-tensor evaluation needs a table normal form")
+            scalars = [scalar_multiple(v) for v in xs]
+            if None in scalars:
+                raise IncompatibleChain("matrix residual parameter is not scalar")
+            try:
+                fam = family_of_normal_form(z.lam, scalars[0] * np.eye(r) if xs else None,
+                                            pw.flat_alpha(), r)
+            except (UnpinnedAlpha, UnsupportedPartition) as exc:
+                raise IncompatibleChain(str(exc)) from exc
             require_eigen_chain(fam, chain)
-            est = integrate_invariant(fam, r, nodes=budget.nodes)
-            return IntegralEstimate(
-                est.value * factor,
-                est.abs_error_est * abs(factor),
-                "eigen-tensor",
-                est.nodes_or_samples,
-            )
+            return integrate_invariant(fam, r, nodes=budget.nodes)
         except IncompatibleChain:
             if method == "eigen-tensor":
                 raise

@@ -491,6 +491,8 @@ def test_family_kernel_matches_per_matrix_reference(tag, r):
 
 
 @pytest.mark.parametrize("lam,tag", [
+    ((1, 1, 1), "beta_r"),
+    ((2, 1), "gamma_r"),
     ((1, 1, 1, 1), "gauss"),
     ((2, 1, 1), "kummer"),
     ((2, 2), "bessel"),
@@ -499,6 +501,8 @@ def test_family_kernel_matches_per_matrix_reference(tag, r):
 ])
 def test_family_tags(lam, tag):
     pins = {
+        (1, 1, 1): [0.0, 0.5, 0.6],
+        (2, 1): [0.0, -1.2 + 0.4j, 0.6],
         (1, 1, 1, 1): [0.0, 0.5, 0.6, -1.1],
         (2, 1, 1): [0.0, 1.0, 0.5, 0.6],
         (2, 2): [0.0, 1.0, 0.5, -1.0],
@@ -506,6 +510,8 @@ def test_family_tags(lam, tag):
         (4,): [0.0, 0.0, 0.0, 1.0],
     }[lam]
     lead = {
+        (1, 1, 1): [0, 1, 2],
+        (2, 1): [0, 2],
         (1, 1, 1, 1): [0, 1, 2, 3],
         (2, 1, 1): [0, 2, 3],
         (2, 2): [0, 2],
@@ -516,6 +522,26 @@ def test_family_tags(lam, tag):
     fam = family_of_normal_form(lam, np.eye(1) * 0.4, pins, 1)
     assert fam.tag == tag
     assert fam.dictionary  # the weight dictionary is recorded
+    # the partitions of three read no x
+    assert family_of_normal_form(lam, None, pins, 1).params == fam.params
+    if lam == (1, 1, 1):
+        assert fam.params == {"a": 1.5, "b": 1.6}
+    if lam == (2, 1):
+        assert fam.params == {"a": 1.6, "rate": 1.2 - 0.4j}
+
+
+def test_gamma_rate_scales_kernel_and_weight():
+    # gamma_r's rate multiplies Tr u in the kernel and is the registry's
+    # decay exponent; unset it is 1, bit for bit
+    r, a, rate = 2, 2.7 + 0.3j, 1.3 - 0.4j
+    u = _herm(r, 0.1, 3.0, RandomStream(81))[None]
+    fam = NamedFamily("gamma_r", {"a": a, "rate": rate})
+    ref = np.exp(-rate * np.trace(u[0])) * np.linalg.det(u[0]) ** (a - r)
+    assert abs(named_integrand_batch(fam, u)[0] - ref) < 1e-13 * abs(ref)
+    assert FAMILIES["gamma_r"].exponents(fam.params, None) == (a, rate)
+    unit = NamedFamily("gamma_r", {"a": a, "rate": 1.0})
+    default = NamedFamily("gamma_r", {"a": a})
+    assert named_integrand_batch(unit, u)[0] == named_integrand_batch(default, u)[0]
 
 
 def test_airy_family_records_reflection():

@@ -25,7 +25,7 @@ from radon_hgf.errors import (
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
 from radon_hgf.hgs import MultiIndexPair, StencilPlan, all_pairs, apply_DIJ, verify_system
-from radon_hgf.integrands import NamedFamily, named_integrand_batch
+from radon_hgf.integrands import FAMILIES, NamedFamily, family_of_normal_form, named_integrand_batch
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.integrate import (
     Budget,
@@ -423,6 +423,64 @@ def test_radon_scaled_gamma_eigen_r2():
     ref = gamma_r_closed(r, a) * rate ** (-(a - r) * r - r * r)
     assert est.method == "eigen-tensor"
     assert abs(est.value - ref) < 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("a2", [-1.2 + 0.4j, -0.8 - 0.9j])
+def test_radon_complex_decay_eigen(r, a2):
+    # the (2,1) form is the matrix gamma integral at the decay rate -alpha_2,
+    # which the scaled Laguerre rule takes complex: Gamma_r(a) (-alpha_2)^(-a r)
+    a3 = 0.6
+    pw = PartitionWeight((2, 1), ((-2 * r - a3, a2), (a3,)), 2 * r, r, strict=False)
+    z = CoordMatrix((2, 1), r, pattern((2, 1), r))
+    est = radon_hgf(z, pw, ChainSpec("half-line", r))
+    a = a3 + r
+    ref = gamma_r_closed(r, a) * cmath.exp(-a * r * cmath.log(-a2))
+    assert est.method == "eigen-tensor"
+    assert abs(est.value - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("lam, x, flat", [
+    ((1, 1, 1), None, (-7.0, 1.0, 2.0)),
+    ((2, 1), None, (-4.5, -1.7, 0.5)),
+    ((1, 1, 1, 1), 0.3, (-4.0, 0.5, 0.6, -1.1)),
+    ((2, 1, 1), -0.7, (-5.1, 1.0, 0.5, 0.6)),
+    ((2, 2), -1.0, (-5.2, 1.0, 1.2, -1.0)),
+])
+def test_radon_eigen_tensor_is_the_family_integral(lam, x, flat):
+    # at a table form with a scalar residual, radon_hgf's eigen-tensor value
+    # is the eigen-tensor integral of its named family as it is
+    r = 2
+    xs = () if x is None else (x * np.eye(r),)
+    z = CoordMatrix(lam, r, pattern(lam, r, xs))
+    pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
+    fam = family_of_normal_form(lam, None if x is None else x * np.eye(r), flat, r)
+    chain = ChainSpec(FAMILIES[fam.tag].chains[0], r)
+    assert radon_hgf(z, pw, chain, method="eigen-tensor") == integrate_invariant(fam, r)
+
+
+@pytest.mark.parametrize("lam, xs, flat, kind, message", [
+    # with Re alpha_2 >= 0 the (2,1) form's gamma weight does not decay
+    ((2, 1), (), (-4.6, 0.0, 0.6), "half-line", "needs a positive decay rate"),
+    ((2, 1), (), (-4.6, 0.4 - 0.3j, 0.6), "half-line", "needs a positive decay rate"),
+    ((3,), (), (-4.0, 0.3, 0.2), "full-line", "no named family for partition (3,)"),
+    ((1,) * 5, (0.3 * np.eye(2), -0.4 * np.eye(2)), (-3.0, 0.5, 0.6, -1.1, -1.0),
+     "interval-0-1", "no named family for partition (1, 1, 1, 1, 1)"),
+    ((2, 2), (np.diag([-1.0, -0.5]),), (-5.2, 1.0, 1.2, -1.0), "half-line",
+     "matrix residual parameter is not scalar"),
+    ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0), "half-line",
+     "partition (2, 2) requires alpha_2 = 1.0"),
+])
+def test_radon_eigen_tensor_refuses_forms_without_a_family(lam, xs, flat, kind, message):
+    # a form with no family, or whose family has no eigen rule, is refused
+    # under eigen-tensor and falls back to Monte Carlo under auto
+    r = 2
+    z = CoordMatrix(lam, r, pattern(lam, r, xs))
+    pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
+    chain = ChainSpec(kind, r)
+    with pytest.raises(IncompatibleChain, match=re.escape(message)):
+        radon_hgf(z, pw, chain, method="eigen-tensor")
+    assert radon_hgf(z, pw, chain, Budget(samples=4096)).method == "haar-mc"
 
 
 def test_radon_bessel_eigen_r2():
@@ -1363,6 +1421,12 @@ def _outcome(call):
     # place, is the root of block 1
     (IncompatibleChain, [[1.0, 1.0, -1.0, 2.0], [1.0, 0.0, 2.0, 1.0]], (-0.8, -0.3, 0.4, -1.3),
      "half-line"),
+] + [
+    # the root of block 1 is at 0, where a ray pair starts and would end.
+    # The interval runs through it; on the half line, from block 2's root
+    # -0.5, the first node rounds onto that root (kappa = 10)
+    (OnBranchLocus, [[0.0, 0.5, -1.0, 2.0], [1.0, 1.0, 2.0, 1.0]], (-0.8, -0.3, 0.4, -1.3), kind)
+    for kind in ("interval-0-1", "half-line", "full-line", "rotated-ray")
 ])
 def test_lone_point_error_is_the_same_in_a_scope(error, entries, flat, kind):
     # every r = 1 call is a stack: a point's error has the type and the
