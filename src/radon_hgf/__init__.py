@@ -64,7 +64,7 @@ from .jordan import (
 )
 from .linalg import det, haar_unitary, hermitian_eigen, inverse
 from .ncpoly import NCPolynomial, theta_symbolic
-from .normal_form import NormalFormResult, pattern, reduce3, reduce4, reduce_ones
+from .normal_form import NormalFormResult, pattern, reduce3, reduce4, reduce_ones, reduce_orbit
 from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1, lauricella_fd
 from .rng import RandomStream
 

@@ -1,10 +1,12 @@
 """Desk-scale acceptance checks.
 
-Each criterion is a callable returning a CheckResult; the pytest module
-and the ``suite`` CLI subcommand both run this list.  Tolerances are
-fixed here, not configurable: they are the contract.
+Each criterion is registered once, with its number and name, by
+``_criterion``: the registered callable returns a CheckResult, and the
+pytest module and the ``suite`` CLI subcommand both run ``CRITERIA``.
+Tolerances are fixed here, not configurable: they are the contract.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from .integrate import Budget, ChainSpec, integrate_haar_mc, integrate_invariant
 from .jordan import TruncPoly, nilpotent_exp, nilpotent_log
 from .linalg import haar_unitary_batch
 from .ncpoly import theta_symbolic
-from .normal_form import pattern, reduce3, reduce4, reduce_ones
+from .normal_form import pattern, reduce_ones, reduce_orbit
 from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1, lauricella_fd
 from .rng import RandomStream
 
@@ -49,14 +51,36 @@ class CheckResult:
     limit_s: float
 
 
-def _result(number, name, passed, detail, t0):
-    """A criterion passes only within its runtime budget."""
-    seconds = time.perf_counter() - t0
-    limit = RUNTIME_LIMITS[number]
-    if seconds >= limit:
-        detail = f"{detail}; over budget ({seconds:.2f}s of {limit:g}s)"
-    return CheckResult(number, name, bool(passed) and seconds < limit, detail,
-                       seconds, limit)
+# pass bounds of criteria 3, 4 and 6, which the CLI's verify-gamma,
+# verify-beta and verify-classical apply too
+GAMMA_RTOL = 1e-8
+BETA_RTOL = 1e-8
+CLASSICAL_RTOL = 1e-7
+
+CRITERIA = []
+
+
+def _criterion(number, name):
+    """Registers a criterion whose body returns (passed, detail). The
+    registered callable times the body and passes only within the budget
+    that RUNTIME_LIMITS holds for its number when it runs."""
+    def register(body):
+        @functools.wraps(body)
+        def run():
+            t0 = time.perf_counter()
+            passed, detail = body()
+            seconds = time.perf_counter() - t0
+            limit = RUNTIME_LIMITS[number]
+            if seconds >= limit:
+                detail = f"{detail}; over budget ({seconds:.2f}s of {limit:g}s)"
+            return CheckResult(number, name, bool(passed) and seconds < limit, detail,
+                               seconds, limit)
+
+        run.number = number
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +107,9 @@ _THETA_EXPECTED = {
 }
 
 
+@_criterion(1, "theta snapshot (p=5)")
 def criterion_1():
     """Graded log components theta_1..theta_4 at p = 5, exact coefficients."""
-    t0 = time.perf_counter()
     sym = theta_symbolic(5).symbolic
     ok = True
     worst = ""
@@ -99,7 +123,7 @@ def criterion_1():
             ok = False
             worst = f"theta_{k} not weight-homogeneous"
             break
-    return _result(1, "theta snapshot (p=5)", ok, worst or "all four graded parts exact", t0)
+    return ok, worst or "all four graded parts exact"
 
 
 def _random_unipotent(r, p, gen, exact):
@@ -121,9 +145,9 @@ def _random_unipotent(r, p, gen, exact):
     return TruncPoly(tuple(coeffs))
 
 
+@_criterion(2, "exp/log round trip")
 def criterion_2():
     """exp(log h) = h on 200+ random unipotent elements, both backends."""
-    t0 = time.perf_counter()
     gen = RandomStream(2).generator()
     count = 0
     worst = 0.0
@@ -133,8 +157,7 @@ def criterion_2():
                 h = _random_unipotent(r, p, gen, exact=True)
                 back = nilpotent_exp(nilpotent_log(h))
                 if not all(np.array_equal(a, b) for a, b in zip(h.coeffs, back.coeffs)):
-                    return _result(2, "exp/log round trip", False,
-                                   f"exact mismatch at r={r}, p={p}", t0)
+                    return False, f"exact mismatch at r={r}, p={p}"
                 count += 1
             for _ in range(9):
                 h = _random_unipotent(r, p, gen, exact=False)
@@ -143,26 +166,24 @@ def criterion_2():
                 worst = max(worst, err / max(1.0, h.scalar_norm()))
                 count += 1
     ok = worst < 1e-12
-    return _result(2, "exp/log round trip", ok,
-                   f"{count} elements, float worst {worst:.2e} (exact: equal)", t0)
+    return ok, f"{count} elements, float worst {worst:.2e} (exact: equal)"
 
 
+@_criterion(3, "matrix gamma identity")
 def criterion_3():
     """Eigenvalue-reduced gamma integral vs the closed product formula."""
-    t0 = time.perf_counter()
     worst = 0.0
     for r in (1, 2, 3):
         for a in (r, r + 0.5, r + 2):
             est = integrate_invariant(NamedFamily("gamma_r", {"a": a}), r, nodes=64)
             ref = gamma_r_closed(r, a)
             worst = max(worst, abs(est.value - ref) / abs(ref))
-    return _result(3, "matrix gamma identity", worst < 1e-8,
-                   f"worst relative error {worst:.2e}", t0)
+    return worst < GAMMA_RTOL, f"worst relative error {worst:.2e}"
 
 
+@_criterion(4, "matrix beta identity")
 def criterion_4():
     """Eigenvalue-reduced beta integral vs the gamma-ratio formula."""
-    t0 = time.perf_counter()
     worst = 0.0
     for r in (1, 2, 3):
         for a in (r, r + 0.5, r + 2):
@@ -172,13 +193,12 @@ def criterion_4():
                 )
                 ref = beta_r_closed(r, a, b)
                 worst = max(worst, abs(est.value - ref) / abs(ref))
-    return _result(4, "matrix beta identity", worst < 1e-8,
-                   f"worst relative error {worst:.2e}", t0)
+    return worst < BETA_RTOL, f"worst relative error {worst:.2e}"
 
 
+@_criterion(5, "gaussian integrals")
 def criterion_5():
     """Gaussian integrals: scalar closed form; r = 2 quadrature vs Monte Carlo."""
-    t0 = time.perf_counter()
     g1 = integrate_invariant(NamedFamily("gaussian_r", {}), 1, nodes=64)
     e1 = abs(g1.value - math.sqrt(2.0 * math.pi))
     g2 = integrate_invariant(NamedFamily("gaussian_r", {}), 2, nodes=64)
@@ -187,13 +207,12 @@ def criterion_5():
     )
     z = abs(mc.value - g2.value) / mc.abs_error_est
     ok = e1 < 1e-10 and z < 3.0
-    return _result(5, "gaussian integrals", ok,
-                   f"scalar err {e1:.2e}; r=2 cross-check z-score {z:.2f}", t0)
+    return ok, f"scalar err {e1:.2e}; r=2 cross-check z-score {z:.2f}"
 
 
+@_criterion(6, "classical 2F1 reduction")
 def criterion_6():
     """r = 1 Grassmannian integral with Euler prefactor vs the 2F1 series."""
-    t0 = time.perf_counter()
     a, b, c = 0.7, 1.3, 2.1
     alpha = (b - c, a - 1, c - a - 1, -b)
     pw = PartitionWeight((1, 1, 1, 1), tuple((v,) for v in alpha), 2, 1, strict=False)
@@ -204,13 +223,12 @@ def criterion_6():
         est = radon_hgf(z, pw, ChainSpec("interval-0-1", 1), Budget(tol=1e-12))
         ref = gauss_2f1(a, b, c, x)
         worst = max(worst, abs(pref * est.value - ref) / abs(ref))
-    return _result(6, "classical 2F1 reduction", worst < 1e-7,
-                   f"worst relative error over 10 points {worst:.2e}", t0)
+    return worst < CLASSICAL_RTOL, f"worst relative error over 10 points {worst:.2e}"
 
 
+@_criterion(7, "matrix 2F1 at the origin")
 def criterion_7():
     """Matrix hypergeometric kernel at the origin is the beta normalization."""
-    t0 = time.perf_counter()
     r, a, c = 2, 3.0, 6.0
     fam = NamedFamily("gauss", {"a": a, "b": 1.5, "c": c}, X=np.zeros((r, r)))
     norm = beta_r_closed(r, a, c - a)
@@ -218,13 +236,12 @@ def criterion_7():
     mc = integrate_haar_mc(fam, ChainSpec("interval-0-1", r), 10**6, RandomStream(77))
     z = abs(mc.value - norm) / mc.abs_error_est
     ok = det_rel < 1e-8 and z < 3.0
-    return _result(7, "matrix 2F1 at the origin", ok,
-                   f"deterministic rel {det_rel:.2e}; MC z-score {z:.2f}", t0)
+    return ok, f"deterministic rel {det_rel:.2e}; MC z-score {z:.2f}"
 
 
+@_criterion(8, "many-variable series reduction")
 def criterion_8():
     """Many-variable kernel (n = 5, r = 1) vs the multi-series."""
-    t0 = time.perf_counter()
     points = [
         (0.8, (0.7, 1.1), 2.3, (0.2, 0.1)),
         (1.2, (0.5, 0.9), 2.7, (-0.3, 0.25)),
@@ -243,8 +260,7 @@ def criterion_8():
         pref = gamma(c) / (gamma(a) * gamma(c - a))
         ref = lauricella_fd(a, bs, c, xs)
         worst = max(worst, abs(pref * est.value - ref) / abs(ref))
-    return _result(8, "many-variable series reduction", worst < 1e-6,
-                   f"worst relative error over 5 points {worst:.2e}", t0)
+    return worst < 1e-6, f"worst relative error over 5 points {worst:.2e}"
 
 
 def _random_group_pair(lam, r, gen):
@@ -288,17 +304,13 @@ def _cross_ratio(entries, j):
     return (q(0, 2) * q(1, j)) / (q(0, j) * q(1, 2))
 
 
+@_criterion(9, "normal-form orbit recovery")
 def criterion_9():
     """Synthetic-orbit recovery for every table partition."""
-    t0 = time.perf_counter()
     gen = RandomStream(9).generator()
-    configs = []
-    for lam in [(1, 1, 1), (2, 1), (3,)]:
-        configs.append((lam, reduce3, 0))
-    for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]:
-        configs.append((lam, lambda z: reduce4(z, 1), 1))
-    configs.append(((1, 1, 1, 1), reduce_ones, 1))
-    configs.append(((1, 1, 1, 1, 1), reduce_ones, 2))
+    configs = [(lam, reduce_orbit, 0) for lam in [(1, 1, 1), (2, 1), (3,)]]
+    configs += [(lam, reduce_orbit, 1) for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]]
+    configs += [((1, 1, 1, 1), reduce_ones, 1), ((1, 1, 1, 1, 1), reduce_orbit, 2)]
     worst_resid = 0.0
     worst_inv = 0.0
     trials = 0
@@ -314,9 +326,8 @@ def criterion_9():
                         cr = _cross_ratio(z1.entries, 3 + idx)
                         worst_inv = max(worst_inv, abs(xj[0, 0] - 1.0 / cr))
     ok = worst_resid < 1e-10 and worst_inv < 1e-9
-    return _result(9, "normal-form orbit recovery", ok,
-                   f"{trials} reductions; residual {worst_resid:.2e}, "
-                   f"cross-ratio {worst_inv:.2e}", t0)
+    return ok, (f"{trials} reductions; residual {worst_resid:.2e}, "
+                f"cross-ratio {worst_inv:.2e}")
 
 
 _LAM3_WEIGHTS = {
@@ -336,9 +347,9 @@ def _positive_element(lam, r, gen):
     return GroupElement(tuple(blocks))
 
 
+@_criterion(10, "integral covariance")
 def criterion_10():
     """Covariance of the integral under the block group and the frame group."""
-    t0 = time.perf_counter()
     gen = RandomStream(10).generator()
     worst_h = 0.0
     worst_g = 0.0
@@ -364,9 +375,7 @@ def criterion_10():
             target = 1.0 / np.linalg.det(g)
             worst_g = max(worst_g, abs(f2 / f0 - target) / abs(target))
     ok = worst_h < 1e-6 and worst_g < 1e-5
-    return _result(10, "integral covariance", ok,
-                   f"{count} block elements rel {worst_h:.2e}; "
-                   f"frame side rel {worst_g:.2e}", t0)
+    return ok, f"{count} block elements rel {worst_h:.2e}; frame side rel {worst_g:.2e}"
 
 
 # endpoint exponents are kept positive so the integrand vanishes at the
@@ -403,9 +412,9 @@ def _pde_base_points(lam, case, gen):
     return points
 
 
+@_criterion(11, "annihilating system")
 def criterion_11():
     """Determinant operators annihilate the integral; negative control fails."""
-    t0 = time.perf_counter()
     gen = RandomStream(11).generator()
     pairs = all_pairs(2, 4, 1)
     worst = 0.0
@@ -447,15 +456,14 @@ def criterion_11():
         if abs(resid) / scale < 0.5:
             neg_ok = False
     ok = worst < 1e-4 and conv_ok and neg_ok
-    return _result(11, "annihilating system", ok,
-                   f"worst relative residual {worst:.2e}; halving ratios "
-                   f"{[f'{q:.1f}' for q in ratios]}; negative control "
-                   f"{'fails as expected' if neg_ok else 'PASSED (bad)'}", t0)
+    return ok, (f"worst relative residual {worst:.2e}; halving ratios "
+                f"{[f'{q:.1f}' for q in ratios]}; negative control "
+                f"{'fails as expected' if neg_ok else 'PASSED (bad)'}")
 
 
+@_criterion(12, "infinitesimal covariance")
 def criterion_12():
     """Infinitesimal covariance along block-group and frame-group directions."""
-    t0 = time.perf_counter()
     gen = RandomStream(12).generator()
     worst_h = 0.0
     worst_g = 0.0
@@ -478,8 +486,7 @@ def criterion_12():
             res = check_gl_infinitesimal(F, z0, e, eps=1e-3)
             worst_g = max(worst_g, res.relative)
     ok = worst_h < 1e-5 and worst_g < 1e-5
-    return _result(12, "infinitesimal covariance", ok,
-                   f"block side {worst_h:.2e}; frame side {worst_g:.2e}", t0)
+    return ok, f"block side {worst_h:.2e}; frame side {worst_g:.2e}"
 
 
 _C13_FREE = {
@@ -525,52 +532,33 @@ def _c13_alpha(lam, r):
     return al
 
 
+def _c13_gap(lam, r):
+    """The worst relative gap between the chart integrand at lam's table
+    form and its named kernel, over 20 Hermitian u of size r."""
+    s = RandomStream(1300 + 17 * r + 31 * sum(v * (i + 1) for i, v in enumerate(lam)))
+    xlo, xhi = _C13_XRANGE[lam]
+    x = _random_hermitian(r, xlo, xhi, s.jump(99))
+    al = _c13_alpha(lam, r)
+    fam = family_of_normal_form(lam, x, al, r)
+    pw = PartitionWeight.from_flat(lam, al, 2 * r, r, strict=False)
+    spec = IntegrandSpec(pw, CoordMatrix(lam, r, pattern(lam, r, (x,))))
+    lo, hi = _C13_EIGRANGE[lam]
+    worst = 0.0
+    for k in range(20):
+        u = _random_hermitian(r, lo, hi, s.jump(k + 1))
+        lhs = evaluate_integrand(spec, ChartPoint(u))
+        rhs = named_integrand(fam, -u if fam.reflect_u else u, check_domain=False)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return worst
+
+
+@_criterion(13, "family correspondence")
 def criterion_13():
     """Pointwise equality of chart integrands and named kernels."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]:
-        for r in (1, 2):
-            s = RandomStream(1300 + 17 * r + 31 * sum(v * (i + 1) for i, v in enumerate(lam)))
-            xlo, xhi = _C13_XRANGE[lam]
-            x = _random_hermitian(r, xlo, xhi, s.jump(99))
-            al = _c13_alpha(lam, r)
-            fam = family_of_normal_form(lam, x, al, r)
-            pw = PartitionWeight.from_flat(lam, al, 2 * r, r, strict=False)
-            z = CoordMatrix(lam, r, pattern(lam, r, (x,)))
-            spec = IntegrandSpec(pw, z)
-            lo, hi = _C13_EIGRANGE[lam]
-            for k in range(20):
-                u = _random_hermitian(r, lo, hi, s.jump(k + 1))
-                lhs = evaluate_integrand(spec, ChartPoint(u))
-                rhs = named_integrand(
-                    fam, -u if fam.reflect_u else u, check_domain=False
-                )
-                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return _result(13, "family correspondence", worst < 1e-12,
-                   f"worst pointwise gap {worst:.2e}", t0)
+    worst = max(_c13_gap(lam, r) for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+                for r in (1, 2))
+    return worst < 1e-12, f"worst pointwise gap {worst:.2e}"
 
-
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-    criterion_12,
-    criterion_13,
-]
 
 def run_all(numbers=None):
-    results = []
-    for idx, fn in enumerate(CRITERIA, start=1):
-        if numbers and idx not in numbers:
-            continue
-        results.append(fn())
-    return results
+    return [fn() for fn in CRITERIA if not numbers or fn.number in numbers]

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import BETA_RTOL, CLASSICAL_RTOL, GAMMA_RTOL, criterion_10, run_all
 from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
@@ -37,12 +37,13 @@ from .io import (
     alpha_from_json,
     complex_to_json,
     element_from_json,
+    element_to_json,
     load_json,
     matrix_from_json,
     matrix_to_json,
 )
 from .ncpoly import theta_symbolic
-from .normal_form import reduce3, reduce4, reduce_ones
+from .normal_form import reduce_orbit
 from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
 from .rng import RandomStream
 
@@ -95,17 +96,7 @@ def cmd_zcheck(args):
 def cmd_normal_form(args):
     lam = _partition(args.partition)
     z = CoordMatrix(lam, args.r, matrix_from_json(load_json(args.z_json)))
-    n = z.n
-    if n == 3:
-        out = reduce3(z)
-    elif all(v == 1 for v in lam) and n > 4:
-        out = reduce_ones(z)
-    elif n == 4:
-        out = reduce4(z, args.variant)
-    else:
-        raise ValueError(f"no reduction for partition {lam}")
-    from .io import element_to_json
-
+    out = reduce_orbit(z, args.variant)
     return {
         "form_id": out.form_id,
         "residual": out.residual,
@@ -165,7 +156,7 @@ def cmd_verify_gamma(args):
                               args.r, nodes=args.nodes)
     ref = gamma_r_closed(args.r, complex(args.a))
     rel = abs(est.value - ref) / abs(ref)
-    checks = [{"name": "matrix gamma identity", "pass": bool(rel < 1e-8)}]
+    checks = [{"name": "matrix gamma identity", "pass": bool(rel < GAMMA_RTOL)}]
     return {
         "estimate": _estimate_json(est),
         "closed_form": complex_to_json(ref),
@@ -178,7 +169,7 @@ def cmd_verify_beta(args):
     est = integrate_invariant(fam, args.r, nodes=args.nodes)
     ref = beta_r_closed(args.r, complex(args.a), complex(args.b))
     rel = abs(est.value - ref) / abs(ref)
-    checks = [{"name": "matrix beta identity", "pass": bool(rel < 1e-8)}]
+    checks = [{"name": "matrix beta identity", "pass": bool(rel < BETA_RTOL)}]
     return {
         "estimate": _estimate_json(est),
         "closed_form": complex_to_json(ref),
@@ -195,13 +186,11 @@ def cmd_verify_classical(args):
         est = integrate_r1(fam, ChainSpec("interval-0-1", 1), tol=1e-12)
         ref = gauss_2f1(a, b, c, x)
         worst = max(worst, abs(pref * est.value - ref) / abs(ref))
-    checks = [{"name": "scalar 2F1 reduction", "pass": bool(worst < 1e-7)}]
+    checks = [{"name": "scalar 2F1 reduction", "pass": bool(worst < CLASSICAL_RTOL)}]
     return {"worst_relative_error": worst}, checks, None
 
 
 def cmd_verify_covariance(args):
-    from .acceptance import criterion_10
-
     res = criterion_10()
     checks = [{"name": res.name, "pass": res.passed}]
     return {"detail": res.detail}, checks, None

@@ -70,6 +70,7 @@ from .integrands import (
     IntegrandSpec,
     NamedFamily,
     chart_exponent,
+    chart_integrand_batch,
     family_of_normal_form,
     named_integrand_batch,
 )
@@ -1037,11 +1038,12 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             if method == "eigen-tensor":
                 raise
     # Monte Carlo fallback on the chart integrand
-    exponent = chart_exponent(pw, IntegrandSpec(pw, z).z.entries)
+    spec = IntegrandSpec(pw, z)
     eye = np.eye(r, dtype=np.complex128)
 
     def batch_fn(u):
-        return np.exp(exponent(np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)))
+        frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
+        return chart_integrand_batch(spec, frames)
 
     # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate on
     # the half line

@@ -5,7 +5,9 @@ of leading column blocks, then solve for the block-group coefficients
 that clear the remaining columns.  No alternative pivots are tried, so a
 failed inversion means the input is outside the open stratum and
 surfaces as NotInZLambda.  The recovered residual parameters x are the
-effective variables of the hypergeometric families.
+effective variables of the hypergeometric families.  One engine,
+``_normal_form``, runs every reduction, and ``reduce_orbit`` picks the
+reducer by partition.
 
 The moves act on the point's entries array: a left move is one product,
 a right move rewrites the columns of its own block only, and the reduced
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import GroupElement
-from .errors import DegenerateOrbit, NotInZLambda, ShapeMismatch, SingularMatrix
+from .errors import (DegenerateOrbit, NotInZLambda, ShapeMismatch, SingularMatrix,
+                     UnsupportedPartition)
 from .grassmann import (
     CoordMatrix,
     apply_group,
@@ -138,6 +141,7 @@ class _Reduction:
         self.e = z.entries
         self.starts = [z._block_start(j) for j in range(z.ell)]
         self.g = np.eye(z.m, dtype=np.complex128)
+        self.eye = np.eye(z.r, dtype=np.complex128)
         self.hblocks = [TruncPoly.unit(z.r, nk) for nk in z.lam]
 
     def left(self, g):
@@ -213,21 +217,9 @@ def _row_scale(r, s):
     return g
 
 
-def _check_shape(z: CoordMatrix, n: int):
-    if z.m != 2 * z.r:
-        raise ShapeMismatch("normal forms need m = 2r")
-    if z.n != n:
-        raise ShapeMismatch(f"partition weight must be {n}")
-
-
-def _all_ones_steps(red: _Reduction) -> tuple:
-    """The all-ones pivot recipe: (z1, z2) to the identity, the third block
-    to (I, -I), then the top of every later block to I.  Returns the
-    residual parameters x_4, ..., x_n."""
-    g1 = _pivot_inverse(
-        np.concatenate([red.block(0, 0), red.block(1, 0)], axis=1), "(z1, z2)"
-    )
-    red.left(g1)
+def _all_ones_steps(red: _Reduction, variant) -> tuple:
+    """(1^n) after the first pivot: the third block to (I, -I), then the top
+    of every later block to I.  Returns the residual parameters x_4, ..., x_n."""
     v0, v1 = red.upper(2, 0), red.lower(2, 0)
     h3 = _pivot_inverse(v0, "v0")
     h2 = -v1 @ h3
@@ -236,88 +228,53 @@ def _all_ones_steps(red: _Reduction) -> tuple:
     red.right_block(2, [h3])
     xs = []
     for j in range(3, len(red.lam)):
-        wj = red.upper(j, 0)
-        red.right_block(j, [_pivot_inverse(wj, f"w{j + 1}")])
+        red.right_block(j, [_pivot_inverse(red.upper(j, 0), f"w{j + 1}")])
         xs.append(-red.lower(j, 0))
     return tuple(xs)
 
 
-def reduce3(z: CoordMatrix) -> NormalFormResult:
-    """Normal form for partitions of 3; the table has no residual parameters."""
-    _check_shape(z, 3)
-    require_member(z)
-    r = z.r
-    red = _Reduction(z)
-    lam = z.lam
-    if lam == (1, 1, 1):
-        _all_ones_steps(red)
-    elif lam == (2, 1):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z0^(1), z0^(2))"
-        )
-        red.left(g1)
+def _steps3(red: _Reduction, variant) -> tuple:
+    """(2,1) and (3,) after the first pivot; their tables have no x."""
+    if red.lam == (2, 1):
         v0, v1 = red.upper(0, 1), red.lower(0, 1)
-        red.right_block(0, [np.eye(r), -v0])
-        red.left(_row_scale(r, _pivot_inverse(v1, "v1")))
+        red.right_block(0, [red.eye, -v0])
+        red.left(_row_scale(red.r, _pivot_inverse(v1, "v1")))
         red.right_block(1, [v1])
-    elif lam == (3,):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(0, 1)], axis=1), "(z0, z1)"
-        )
-        red.left(g1)
-        v0, v1 = red.upper(0, 2), red.lower(0, 2)
-        red.left(_shear(r, v1))
-        red.right_block(0, [np.eye(r), -v1, -v0])
-    else:
-        raise ShapeMismatch(f"unsupported partition {lam}")
-    target = pattern(lam, r)
-    return red.result((), f"{_fmt(lam)}/x", target)
+        return ()
+    v0, v1 = red.upper(0, 2), red.lower(0, 2)
+    red.left(_shear(red.r, v1))
+    red.right_block(0, [red.eye, -v1, -v0])
+    return ()
 
 
-def reduce4(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
-    """Normal form for partitions of 4; variant selects the table column."""
-    _check_shape(z, 4)
-    require_member(z)
-    r = z.r
-    lam = z.lam
-    eye = np.eye(r, dtype=np.complex128)
-    _layout(lam, variant)  # a variant the table lacks raises ShapeMismatch
-    red = _Reduction(z)
-    if lam == (1, 1, 1, 1):
-        xs = _all_ones_steps(red)
-    elif lam == (2, 1, 1):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z0^(1), z0^(2))"
-        )
-        red.left(g1)
+def _steps4(red: _Reduction, variant) -> tuple:
+    """The partitions of four other than (1^4) after the first pivot, by
+    variant; returns (x,)."""
+    lam, r, eye = red.lam, red.r, red.eye
+    if lam == (2, 1, 1):
         a, c = red.upper(0, 1), red.lower(0, 1)
         red.right_block(0, [eye, -a])
-        b, d = red.upper(2, 0), red.lower(2, 0)
+        b = red.upper(2, 0)
         if variant == 1:
             red.right_block(2, [_pivot_inverse(b, "b")])
             e = red.lower(2, 0)
             s = -_pivot_inverse(e, "e")
             red.left(_row_scale(r, s))
             red.right_block(1, [_pivot_inverse(s, "s")])
-            xs = (red.lower(0, 1),)
-        elif variant == 2:
+            return (red.lower(0, 1),)
+        if variant == 2:
             red.right_block(2, [_pivot_inverse(b, "b")])
             s = _pivot_inverse(c, "c")
             red.left(_row_scale(r, s))
             red.right_block(1, [c])
-            xs = (-red.lower(2, 0),)
-        else:
-            s = _pivot_inverse(c, "c")
-            red.left(_row_scale(r, s))
-            red.right_block(1, [c])
-            sd = red.lower(2, 0)
-            red.right_block(2, [-_pivot_inverse(sd, "d")])
-            xs = (red.upper(2, 0),)
-    elif lam == (2, 2):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(1, 0)], axis=1), "(z0^(1), z0^(2))"
-        )
-        red.left(g1)
+            return (-red.lower(2, 0),)
+        s = _pivot_inverse(c, "c")
+        red.left(_row_scale(r, s))
+        red.right_block(1, [c])
+        sd = red.lower(2, 0)
+        red.right_block(2, [-_pivot_inverse(sd, "d")])
+        return (red.upper(2, 0),)
+    if lam == (2, 2):
         a = red.upper(0, 1)
         red.right_block(0, [eye, -a])
         d = red.lower(1, 1)
@@ -326,53 +283,72 @@ def reduce4(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
         if variant == 1:
             red.right_block(1, [_pivot_inverse(b, "b")])
             red.left(_row_scale(r, b))
-            xs = (red.lower(0, 1),)
-        else:
-            c = red.lower(0, 1)
-            red.left(_row_scale(r, _pivot_inverse(c, "c")))
-            red.right_block(1, [c])
-            xs = (red.upper(1, 1),)
-    elif lam == (3, 1):
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(0, 1)], axis=1), "(z0, z1)"
-        )
-        red.left(g1)
-        p, v = red.upper(0, 2), red.lower(0, 2)
-        q, w = red.upper(1, 0), red.lower(1, 0)
-        w_inv = _pivot_inverse(w, "w")
-        if variant == 1:
-            beta = -q @ w_inv
-            red.left(_shear(r, beta))
-            red.right_block(1, [w_inv])
-            h2 = beta @ beta - p - beta @ v
-            red.right_block(0, [eye, -beta, h2])
-            xs = (red.lower(0, 2),)
-        elif variant == 2:
-            beta = -q @ w_inv
-            red.left(_shear(r, beta))
-            red.left(_row_scale(r, -eye))
-            red.right_block(1, [-w_inv])
-            red.right_block(0, [eye, -v, -p])
-            xs = (red.upper(0, 1),)
-        else:
-            red.left(_shear(r, v))
-            red.right_block(0, [eye, -v, -p])
-            sw = red.lower(1, 0)
-            red.right_block(1, [-_pivot_inverse(sw, "w")])
-            xs = (red.upper(1, 0),)
-    else:  # lam == (4,)
-        g1 = _pivot_inverse(
-            np.concatenate([z.block(0, 0), z.block(0, 1)], axis=1), "(z0, z1)"
-        )
-        red.left(g1)
-        p, v = red.upper(0, 2), red.lower(0, 2)
+            return (red.lower(0, 1),)
+        c = red.lower(0, 1)
+        red.left(_row_scale(r, _pivot_inverse(c, "c")))
+        red.right_block(1, [c])
+        return (red.upper(1, 1),)
+    p, v = red.upper(0, 2), red.lower(0, 2)
+    if lam == (4,):
         q, w = red.upper(0, 3), red.lower(0, 3)
         red.left(_shear(r, v))
         h3 = v @ p + p @ v + v @ v @ v - q - v @ w
         red.right_block(0, [eye, -v, -p, h3])
-        xs = (red.lower(0, 3),)
-    target = pattern(lam, r, xs, variant)
-    return red.result(xs, f"{_fmt(lam)}/x{variant}", target)
+        return (red.lower(0, 3),)
+    q, w = red.upper(1, 0), red.lower(1, 0)  # lam == (3, 1)
+    w_inv = _pivot_inverse(w, "w")
+    if variant == 1:
+        beta = -q @ w_inv
+        red.left(_shear(r, beta))
+        red.right_block(1, [w_inv])
+        h2 = beta @ beta - p - beta @ v
+        red.right_block(0, [eye, -beta, h2])
+        return (red.lower(0, 2),)
+    if variant == 2:
+        beta = -q @ w_inv
+        red.left(_shear(r, beta))
+        red.left(_row_scale(r, -eye))
+        red.right_block(1, [-w_inv])
+        red.right_block(0, [eye, -v, -p])
+        return (red.upper(0, 1),)
+    red.left(_shear(r, v))
+    red.right_block(0, [eye, -v, -p])
+    sw = red.lower(1, 0)
+    red.right_block(1, [-_pivot_inverse(sw, "w")])
+    return (red.upper(1, 0),)
+
+
+def _normal_form(z: CoordMatrix, n: int, form_id: str, variant: int = 1) -> NormalFormResult:
+    """The one reduction: the shape, membership and variant checks, the
+    first pivot, the partition's steps and the residual against the table
+    form.  The first pivot takes degrees 0 and 1 of block 1 to the identity
+    when lambda_1 >= 3, else the leading columns of blocks 1 and 2."""
+    if z.m != 2 * z.r:
+        raise ShapeMismatch("normal forms need m = 2r")
+    if z.n != n:
+        raise ShapeMismatch(f"partition weight must be {n}")
+    require_member(z)
+    lam = z.lam
+    _layout(lam, variant)  # a variant the table lacks raises ShapeMismatch
+    red = _Reduction(z)
+    if lam[0] >= 3:
+        second, what = (0, 1), "(z0, z1)"
+    else:
+        second, what = (1, 0), "(z1, z2)" if lam[0] == 1 else "(z0^(1), z0^(2))"
+    red.left(_pivot_inverse(np.concatenate([red.block(0, 0), red.block(*second)], axis=1), what))
+    steps = _all_ones_steps if lam[0] == 1 else _steps3 if n == 3 else _steps4
+    xs = steps(red, variant)
+    return red.result(xs, form_id, pattern(lam, z.r, xs, variant))
+
+
+def reduce3(z: CoordMatrix) -> NormalFormResult:
+    """Normal form for partitions of 3; the table has no residual parameters."""
+    return _normal_form(z, 3, f"{_fmt(z.lam)}/x")
+
+
+def reduce4(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
+    """Normal form for partitions of 4; variant selects the table column."""
+    return _normal_form(z, 4, f"{_fmt(z.lam)}/x{variant}", variant)
 
 
 def reduce_ones(z: CoordMatrix) -> NormalFormResult:
@@ -381,12 +357,21 @@ def reduce_ones(z: CoordMatrix) -> NormalFormResult:
         raise ShapeMismatch("reduce_ones needs the all-ones partition")
     if z.n < 3:
         raise ShapeMismatch("need at least three blocks")
-    if z.m != 2 * z.r:
-        raise ShapeMismatch("normal forms need m = 2r")
-    require_member(z)
-    red = _Reduction(z)
-    xs = _all_ones_steps(red)
-    return red.result(xs, f"(1^{z.n})/x", pattern(z.lam, z.r, xs))
+    return _normal_form(z, z.n, f"(1^{z.n})/x")
+
+
+def reduce_orbit(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
+    """The table form of z by its partition's reducer: ``reduce3`` for
+    |lambda| = 3, ``reduce4`` at ``variant`` for |lambda| = 4, and
+    ``reduce_ones`` for the all-ones partitions of five or more. Another
+    partition has no reducer and raises UnsupportedPartition."""
+    if z.n == 3:
+        return reduce3(z)
+    if z.n == 4:
+        return reduce4(z, variant)
+    if z.n >= 5 and z.lam[0] == 1:
+        return reduce_ones(z)
+    raise UnsupportedPartition(f"no reduction for partition {z.lam}")
 
 
 def _fmt(lam) -> str:

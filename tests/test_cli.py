@@ -88,19 +88,35 @@ def test_zcheck_failing_witness(tmp_path, capsys):
 
 
 def test_normal_form_command(tmp_path, capsys):
+    # the command picks the reducer by partition; --variant reaches reduce4
     g = np.array([[1.2, 0.3], [0.1, 0.9]])
-    z = g @ pattern((1, 1, 1, 1), 1, (np.array([[0.4]]),))
     z_file = tmp_path / "z.json"
-    z_file.write_text(json.dumps(matrix_to_json(z)))
-    code, report = run_cli(
-        capsys, "normal-form", "--partition", "1,1,1,1", "--r", "1",
-        "--z-json", str(z_file),
-    )
-    assert code == 0
-    res = report["results"]
-    assert res["form_id"] == "(1,1,1,1)/x1"
-    assert res["residual"] < 1e-10
-    assert abs(res["x"][0]["data"][0][0] - 0.4) < 1e-9
+    for lam, variant, xs, form_id in [
+        ((1, 1, 1, 1), 1, (0.4,), "(1,1,1,1)/x1"),
+        ((2, 1), 1, (), "(2,1)/x"),
+        ((3,), 1, (), "(3)/x"),
+        ((3, 1), 2, (0.4,), "(3,1)/x2"),
+        ((1,) * 5, 1, (0.4, -1.3), "(1^5)/x"),
+    ]:
+        z = g @ pattern(lam, 1, tuple(np.array([[x]]) for x in xs), variant)
+        z_file.write_text(json.dumps(matrix_to_json(z)))
+        code, report = run_cli(
+            capsys, "normal-form", "--partition", ",".join(map(str, lam)), "--r", "1",
+            "--variant", str(variant), "--z-json", str(z_file),
+        )
+        assert code == 0
+        res = report["results"]
+        assert res["form_id"] == form_id
+        assert res["residual"] < 1e-10
+        assert len(res["x"]) == len(xs)
+        assert all(abs(x["data"][0][0] - v) < 1e-9 for x, v in zip(res["x"], xs))
+    # a partition with no reducer is malformed input
+    z_file.write_text(json.dumps(matrix_to_json(np.array([[1.0, 0, 0.5, 2, 0.3],
+                                                          [0, 1, 1.5, 1, -0.7]]))))
+    code, report = run_cli(capsys, "normal-form", "--partition", "2,1,1,1",
+                           "--z-json", str(z_file))
+    assert code == 2
+    assert report["error"] == "UnsupportedPartition: no reduction for partition (2, 1, 1, 1)"
 
 
 def test_eval_deterministic_seed(capsys):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from radon_hgf.acceptance import _c13_gap
 from radon_hgf.characters import GroupElement, PartitionWeight, chi_lambda
 from radon_hgf.errors import (
     BranchCutWarning,
@@ -265,6 +266,13 @@ def test_unpinned_kummer_takes_product_argument():
         u = _herm(r, 0.05, 0.95, RandomStream(79 + k))
         val = evaluate_integrand(spec, ChartPoint(u))
         assert abs(val - named_integrand(fam, u)) < 1e-12 * abs(val)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1), (2, 2), (3, 1), (4,)])
+def test_chart_integrand_is_the_named_kernel_at_r3(lam):
+    # criterion 13 at r = 3, where tr(m0^-1 m1) of a block of length 2 takes
+    # the general inverse
+    assert _c13_gap(lam, 3) < 1e-12
 
 
 def test_named_gauss_at_zero_argument():

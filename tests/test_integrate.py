@@ -42,7 +42,7 @@ from radon_hgf.integrate import (
     weyl_constant,
 )
 from radon_hgf.acceptance import _LAM3_CHAIN, _LAM3_WEIGHTS
-from radon_hgf.normal_form import pattern, reduce3, reduce4
+from radon_hgf.normal_form import pattern, reduce_orbit
 from radon_hgf.oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
 from radon_hgf.rng import RandomStream
 
@@ -470,12 +470,18 @@ def test_radon_eigen_tensor_is_the_family_integral(lam, x, flat):
      "matrix residual parameter is not scalar"),
     ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0), "half-line",
      "partition (2, 2) requires alpha_2 = 1.0"),
+    # the entries of a table form moved off it by g = diag(2, 2, 1, 1)
+    ((2, 1, 1), np.diag([2.0, 2.0, 1.0, 1.0]) @ pattern((2, 1, 1), 2, (0.3 * np.eye(2),)),
+     (-5.1, 1.0, 0.5, 0.6), "interval-0-1",
+     "deterministic eigen-tensor evaluation needs a table normal form"),
 ])
 def test_radon_eigen_tensor_refuses_forms_without_a_family(lam, xs, flat, kind, message):
-    # a form with no family, or whose family has no eigen rule, is refused
-    # under eigen-tensor and falls back to Monte Carlo under auto
+    # a form with no family, or whose family has no eigen rule, or a point
+    # that is no table form, is refused under eigen-tensor and falls back to
+    # Monte Carlo under auto; xs holds a table form's residual parameters,
+    # or the entries of a point
     r = 2
-    z = CoordMatrix(lam, r, pattern(lam, r, xs))
+    z = CoordMatrix(lam, r, xs if isinstance(xs, np.ndarray) else pattern(lam, r, xs))
     pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
     chain = ChainSpec(kind, r)
     with pytest.raises(IncompatibleChain, match=re.escape(message)):
@@ -890,8 +896,8 @@ def _two_path_base(lam):
 
 def _mapped_value(z, pw, chain, budget):
     """F(z) by the second path: det(g) chi(h)^-1 F(nf) at the table form
-    nf = g z h from reduce3 or reduce4, integrated over the same chain kind."""
-    out = (reduce3 if z.n == 3 else reduce4)(z)
+    nf = g z h from reduce_orbit, integrated over the same chain kind."""
+    out = reduce_orbit(z)
     nf = CoordMatrix(z.lam, 1, pattern(z.lam, 1, out.x))
     return np.linalg.det(out.g) / chi_lambda(out.h, pw) * radon_hgf(nf, pw, chain, budget).value
 

@@ -106,6 +106,25 @@ def test_inverse_requires_unit():
     a = TruncPoly.from_list([np.zeros((2, 2)), np.eye(2)])
     with pytest.raises(NotAUnit):
         trunc_inverse(a)
+    # a singular exact constant coefficient
+    a = TruncPoly.from_list([np.array([[F(1), F(2)], [F(1, 2), F(1)]]), exact_eye(2)])
+    with pytest.raises(NotAUnit):
+        trunc_inverse(a)
+
+
+def test_inverse_exact_is_two_sided():
+    # over Fractions a a^-1 and a^-1 a are the unit exactly; the constant
+    # coefficient needs a row swap in its Gauss-Jordan inverse
+    a = TruncPoly.from_list([
+        np.array([[F(0), F(2)], [F(3, 4), F(1)]]),
+        np.array([[F(1, 3), F(-5)], [F(2), F(7, 9)]]),
+        np.array([[F(-1), F(0)], [F(4, 5), F(1, 6)]]),
+    ])
+    inv = trunc_inverse(a)
+    assert a.exact and inv.exact
+    one = TruncPoly.unit(2, 3, exact=True)
+    for prod in (trunc_mul(a, inv), trunc_mul(inv, a)):
+        assert all(np.array_equal(x, y) for x, y in zip(prod.coeffs, one.coeffs))
 
 
 def test_log_of_identity_is_zero():

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from radon_hgf.characters import GroupElement
-from radon_hgf.errors import DegenerateOrbit, NotInZLambda, ShapeMismatch
+from radon_hgf.errors import DegenerateOrbit, NotInZLambda, ShapeMismatch, UnsupportedPartition
 from radon_hgf.grassmann import CoordMatrix, apply_group, z_lambda_member
 from radon_hgf.jordan import TruncPoly
 from radon_hgf.normal_form import (
@@ -10,6 +12,7 @@ from radon_hgf.normal_form import (
     reduce3,
     reduce4,
     reduce_ones,
+    reduce_orbit,
     residual_parameters,
 )
 from radon_hgf.rng import RandomStream
@@ -341,9 +344,35 @@ def test_orbit_invariance_scalar_parameter():
     assert abs(x1 - x2) < 1e-9
 
 
+@pytest.mark.parametrize("lam, variant, reducer", [
+    ((1, 1, 1), 1, reduce3), ((2, 1), 1, reduce3), ((3,), 1, reduce3),
+    ((1, 1, 1, 1), 1, reduce4), ((2, 1, 1), 3, reduce4), ((2, 2), 2, reduce4),
+    ((3, 1), 2, reduce4), ((4,), 1, reduce4),
+    ((1,) * 5, 1, reduce_ones), ((1,) * 6, 1, reduce_ones),
+])
+def test_reduce_orbit_picks_the_reducer(lam, variant, reducer):
+    gen = RandomStream(65).generator()
+    r = 2
+    xs = tuple(1.5 * np.eye(r) + 0.25 * gen.standard_normal((r, r)) for _ in range(_n_params(lam)))
+    g, h = _random_pair(lam, r, gen)
+    z = apply_group(CoordMatrix(lam, r, pattern(lam, r, xs, variant)), g=g, h=h)
+    a = reduce_orbit(z, variant)
+    b = reducer(z, variant) if reducer is reduce4 else reducer(z)
+    assert a.form_id == b.form_id
+    assert np.array_equal(a.g, b.g)
+    assert all(np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x, strict=True))
+    assert a.residual == b.residual
+
+
 def test_wrong_partition_size():
     z = CoordMatrix((2, 1), 1, pattern((2, 1), 1))
     with pytest.raises(ShapeMismatch):
         reduce4(z)
     with pytest.raises(ShapeMismatch):
         reduce_ones(z)
+    # a partition with no reducer
+    gen = RandomStream(66).generator()
+    for lam in [(1, 1), (2,), (5,), (2, 1, 1, 1), (3, 2)]:
+        z = CoordMatrix(lam, 1, gen.standard_normal((2, sum(lam))))
+        with pytest.raises(UnsupportedPartition, match=re.escape(f"partition {lam}")):
+            reduce_orbit(z)
