@@ -51,8 +51,8 @@ class CheckResult:
     limit_s: float
 
 
-# pass bounds of criteria 3, 4 and 6, which the CLI's verify-gamma,
-# verify-beta and verify-classical apply too
+# pass bounds of criteria 3, 4 and 6; the CLI's verify-gamma and
+# verify-beta apply the first two, and verify-classical runs criterion 6
 GAMMA_RTOL = 1e-8
 BETA_RTOL = 1e-8
 CLASSICAL_RTOL = 1e-7

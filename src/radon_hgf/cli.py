@@ -15,10 +15,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .acceptance import BETA_RTOL, CLASSICAL_RTOL, GAMMA_RTOL, criterion_10, run_all
+from .acceptance import BETA_RTOL, GAMMA_RTOL, criterion_6, criterion_10, run_all
 from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
@@ -44,7 +42,7 @@ from .io import (
 )
 from .ncpoly import theta_symbolic
 from .normal_form import reduce_orbit
-from .oracles import beta_r_closed, gamma, gamma_r_closed, gauss_2f1
+from .oracles import beta_r_closed, gamma_r_closed
 from .rng import RandomStream
 
 def _partition(text):
@@ -178,16 +176,9 @@ def cmd_verify_beta(args):
 
 
 def cmd_verify_classical(args):
-    a, b, c = 0.7, 1.3, 2.1
-    pref = gamma(c) / (gamma(a) * gamma(c - a))
-    worst = 0.0
-    for x in (-0.4, 0.1, 0.45):
-        fam = NamedFamily("gauss", {"a": a, "b": b, "c": c}, X=np.array([[x]]))
-        est = integrate_r1(fam, ChainSpec("interval-0-1", 1), tol=1e-12)
-        ref = gauss_2f1(a, b, c, x)
-        worst = max(worst, abs(pref * est.value - ref) / abs(ref))
-    checks = [{"name": "scalar 2F1 reduction", "pass": bool(worst < CLASSICAL_RTOL)}]
-    return {"worst_relative_error": worst}, checks, None
+    res = criterion_6()
+    checks = [{"name": res.name, "pass": res.passed}]
+    return {"detail": res.detail}, checks, None
 
 
 def cmd_verify_covariance(args):

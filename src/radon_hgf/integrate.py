@@ -38,13 +38,13 @@ import contextvars
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
 from ._kernels import tensor_vdm_sum, vdm_sq_batch
-from .characters import PartitionWeight
+from .characters import PartitionWeight, chi_lambda
 from .errors import (
     DivergentEndpoint,
     IncompatibleChain,
@@ -74,8 +74,8 @@ from .integrands import (
     family_of_normal_form,
     named_integrand_batch,
 )
-from .linalg import conjugate_diag, haar_from_gaussian, scalar_multiple
-from .normal_form import residual_parameters
+from .linalg import conjugate_diag, det, haar_from_gaussian, scalar_multiple
+from .normal_form import pattern, reduce_orbit, residual_parameters
 from .quadrature import genlaguerre, hermite_scaled, jacobi_01
 from .rng import RandomStream, thread_count
 
@@ -791,7 +791,8 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
     """Deterministic eigenvalue-reduced quadrature for invariant integrands.
 
     The error estimate is the difference from the rule with half as many
-    nodes (at least r), so ``nodes`` must exceed both."""
+    nodes (at least r), so ``nodes`` must exceed both, plus a rounding term
+    r n eps c_r |sum of the absolute terms| on the fine rule's nodes."""
     _require_rank(r)
     coarse_nodes = max(r, nodes // 2)
     if coarse_nodes >= nodes:
@@ -800,14 +801,12 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
         )
     build = _eigen_rule(fam, r)
     cr = weyl_constant(r)
-
-    def run(n):
-        lam, wg = build(n)
-        return cr * tensor_vdm_sum(wg, lam, r)
-
-    coarse = run(coarse_nodes)
-    fine = run(nodes)
-    return IntegralEstimate(fine, abs(fine - coarse), "eigen-tensor",
+    lam, wg = build(coarse_nodes)
+    coarse = cr * tensor_vdm_sum(wg, lam, r)
+    lam, wg = build(nodes)
+    fine = cr * tensor_vdm_sum(wg, lam, r)
+    rounding = r * nodes * math.ulp(1.0) * cr * abs(tensor_vdm_sum(np.abs(wg), lam, r))
+    return IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
                             nodes + coarse_nodes)
 
 
@@ -983,20 +982,22 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
               budget: Budget = Budget(), method: str = "auto") -> IntegralEstimate:
     """Evaluate the Grassmannian integral over a concrete chain.
 
-    r = 1 uses root-following adaptive quadrature under every method. At
-    r >= 2 "eigen-tensor" takes a variant-1 table form with scalar residual
-    parameters to its named family (``family_of_normal_form``) and returns
-    that family's ``integrate_invariant`` estimate; a form with no such
-    family, or whose family's weight is not integrable on its chain,
-    raises ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo, and
-    "auto" the first, else the second; another method raises
-    ``ValueError`` before any work. Off a variant-1 table form that Monte
-    Carlo integrates the chart integrand over a fixed eigenvalue domain
-    (0 < U < 1, or U > 0 on the half line) whatever z is, so its value is
-    not F(z), which is det(g)^r chi(h)^-1 F(nf) at the table form
-    nf = g z h. An r = 1 call integrates a stack
-    (``_stack``): of z alone, or inside a mesh scope (``_mesh_scope``) of
-    all registered points, and returns z's outcome from it.
+    r = 1 uses root-following adaptive quadrature under every method. An
+    r = 1 call integrates a stack (``_stack``): of z alone, or inside a
+    mesh scope (``_mesh_scope``) of all registered points, and returns z's
+    outcome from it. At r >= 2 a point that is not a variant-1 table form
+    is reduced to its table form nf = g z h (``reduce_orbit``), evaluated
+    there under the same chain, budget and method, and mapped back by
+    F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with it; chi is taken on
+    the principal branch, and a partition with no reducer raises
+    ``UnsupportedPartition``. At a table form "eigen-tensor" takes a
+    scalar residual to its named family (``family_of_normal_form``) and
+    returns that family's ``integrate_invariant`` estimate; a form with no
+    such family, or whose family's weight is not integrable on its chain,
+    raises ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo of the
+    chart integrand at the table form, over the chain's eigenvalue domain,
+    and "auto" the first, else the second; another method raises
+    ``ValueError`` before any work.
     """
     if method not in ("auto", "eigen-tensor", "haar-mc"):
         raise ValueError(f"method must be auto, eigen-tensor or haar-mc, got {method!r}")
@@ -1018,12 +1019,16 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         return found
     if z.m == 2 * r:
         require_member(z)
+    xs = residual_parameters(z)
+    if xs is None:
+        red = reduce_orbit(z)
+        est = radon_hgf(CoordMatrix(z.lam, r, pattern(z.lam, r, red.x)), pw, chain, budget,
+                        method)
+        factor = det(red.g) ** r / chi_lambda(red.h, pw)
+        return replace(est, value=est.value * factor,
+                       abs_error_est=float(est.abs_error_est * abs(factor)))
     if method in ("auto", "eigen-tensor"):
         try:
-            xs = residual_parameters(z)
-            if xs is None:
-                raise IncompatibleChain(
-                    "deterministic eigen-tensor evaluation needs a table normal form")
             scalars = [scalar_multiple(v) for v in xs]
             if None in scalars:
                 raise IncompatibleChain("matrix residual parameter is not scalar")
@@ -1037,7 +1042,7 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         except IncompatibleChain:
             if method == "eigen-tensor":
                 raise
-    # Monte Carlo fallback on the chart integrand
+    # Monte Carlo of the chart integrand at the table form
     spec = IntegrandSpec(pw, z)
     eye = np.eye(r, dtype=np.complex128)
 

@@ -364,13 +364,13 @@ def reduce_orbit(z: CoordMatrix, variant: int = 1) -> NormalFormResult:
     """The table form of z by its partition's reducer: ``reduce3`` for
     |lambda| = 3, ``reduce4`` at ``variant`` for |lambda| = 4, and
     ``reduce_ones`` for the all-ones partitions of five or more. Another
-    partition has no reducer and raises UnsupportedPartition."""
-    if z.n == 3:
-        return reduce3(z)
+    partition has no reducer and raises UnsupportedPartition; a variant
+    that the partition's table lacks raises ShapeMismatch."""
     if z.n == 4:
         return reduce4(z, variant)
-    if z.n >= 5 and z.lam[0] == 1:
-        return reduce_ones(z)
+    if z.n == 3 or (z.n >= 5 and z.lam[0] == 1):
+        _layout(z.lam, variant)
+        return reduce3(z) if z.n == 3 else reduce_ones(z)
     raise UnsupportedPartition(f"no reduction for partition {z.lam}")
 
 

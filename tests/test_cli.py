@@ -119,6 +119,20 @@ def test_normal_form_command(tmp_path, capsys):
     assert report["error"] == "UnsupportedPartition: no reduction for partition (2, 1, 1, 1)"
 
 
+@pytest.mark.parametrize("lam, xs, variant", [((2, 1), (), 3), ((1,) * 5, (0.4, -1.3), 2)])
+def test_normal_form_variant_the_table_lacks_exits_2(tmp_path, capsys, lam, xs, variant):
+    # reduce3 and reduce_ones take no variant, but the table still has to
+    # hold the one asked for
+    z = np.array([[1.2, 0.3], [0.1, 0.9]]) @ pattern(lam, 1, tuple(np.array([[x]]) for x in xs))
+    z_file = tmp_path / "z.json"
+    z_file.write_text(json.dumps(matrix_to_json(z)))
+    code, report = run_cli(capsys, "normal-form", "--partition", ",".join(map(str, lam)),
+                           "--variant", str(variant), "--z-json", str(z_file))
+    assert code == 2
+    assert report["error"] == (f"ShapeMismatch: no table pattern for partition {lam} "
+                               f"variant {variant}")
+
+
 def test_eval_deterministic_seed(capsys):
     argv = ["eval", "--family", "gamma_r", "--r", "2", "--a", "3",
             "--method", "haar-mc", "--samples", "2e4", "--seed", "11"]
@@ -271,8 +285,11 @@ def test_chi_alpha_json(tmp_path, capsys):
 
 
 def test_verify_classical_passes(capsys):
+    # the command runs criterion 6
     code, report = run_cli(capsys, "verify-classical")
     assert code == 0 and report["pass"]
+    assert report["checks"][0]["name"] == "classical 2F1 reduction"
+    assert report["results"]["detail"].startswith("worst relative error over 10 points")
 
 
 def test_verify_covariance_passes(capsys):

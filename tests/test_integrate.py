@@ -22,6 +22,7 @@ from radon_hgf.errors import (
     RadonHGFError,
     ShapeMismatch,
     UnsupportedCount,
+    UnsupportedPartition,
 )
 from radon_hgf.grassmann import CoordMatrix, apply_group
 from radon_hgf.hgs import MultiIndexPair, StencilPlan, all_pairs, apply_DIJ, verify_system
@@ -161,6 +162,19 @@ def test_invariant_error_estimate_is_honest():
         est = integrate_invariant(fam, 2, nodes=nodes)
         bound = max(est.abs_error_est * 10, 1e-10 * abs(ref))
         assert abs(est.value - ref) <= bound, (fam.tag, nodes)
+
+
+def test_invariant_error_bar_bounds_the_error_of_beta():
+    # |fine - coarse| alone claims less than the actual error in 60 of these
+    # 90 draws: the rounding term r n eps c_r |sum of absolute terms| covers
+    # it (the worst error is 0.64 of the bar), and the bar stays tight
+    gen = np.random.default_rng(1)
+    for r in (2, 3, 4):
+        for _ in range(30):
+            a, b = gen.uniform(r + 0.2, r + 3, size=2)
+            est = integrate_invariant(NamedFamily("beta_r", {"a": a, "b": b}), r)
+            ref = beta_r_closed(r, a, b)
+            assert abs(est.value - ref) <= est.abs_error_est <= 1e-12 * abs(ref), (r, a, b)
 
 
 def test_mc_gamma_identity_within_three_sigma():
@@ -327,16 +341,17 @@ def _chart_point_with_h(lam, xs, r):
 
 
 @pytest.mark.parametrize("lam, xs, flat, value, error", [
-    # free weights: no eigenvalue reduction, so the chart fallback runs
+    # free weights: no eigenvalue reduction, so the chart Monte Carlo runs
+    # at the table form nf, and maps back to z = nf h by chi(h)
     ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0),
      15.208675886377215 - 3.92178148431056e-17j, 1.473226592757882),
     ((3, 1), (0.5 * np.eye(2),), (-4.7, 0.0, 1.0, 0.7),
      6.97395510856427 + 1.8537706112042356e-18j, 0.12437843127201999),
 ])
 def test_mc_chart_value_pinned(lam, xs, flat, value, error):
-    # pins the chart fallback as test_mc_value_pinned pins the named path;
-    # recorded with LAPACK's QR and per-matrix products, which the stack
-    # kernels match to rounding
+    # pins the chart Monte Carlo as test_mc_value_pinned pins the named
+    # path; recorded at z with LAPACK's QR and per-matrix products, which
+    # the stack kernels, and the map from nf, match to rounding
     z = _chart_point_with_h(lam, xs, 2)
     pw = PartitionWeight.from_flat(lam, flat, 4, 2, strict=False)
     est = radon_hgf(z, pw, ChainSpec("half-line", 2),
@@ -470,23 +485,89 @@ def test_radon_eigen_tensor_is_the_family_integral(lam, x, flat):
      "matrix residual parameter is not scalar"),
     ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0), "half-line",
      "partition (2, 2) requires alpha_2 = 1.0"),
-    # the entries of a table form moved off it by g = diag(2, 2, 1, 1)
+    # the entries of a table form moved off it by g = diag(2, 2, 1, 1),
+    # which has a family at its table form (no message)
     ((2, 1, 1), np.diag([2.0, 2.0, 1.0, 1.0]) @ pattern((2, 1, 1), 2, (0.3 * np.eye(2),)),
-     (-5.1, 1.0, 0.5, 0.6), "interval-0-1",
-     "deterministic eigen-tensor evaluation needs a table normal form"),
+     (-5.1, 1.0, 0.5, 0.6), "interval-0-1", None),
 ])
 def test_radon_eigen_tensor_refuses_forms_without_a_family(lam, xs, flat, kind, message):
-    # a form with no family, or whose family has no eigen rule, or a point
-    # that is no table form, is refused under eigen-tensor and falls back to
-    # Monte Carlo under auto; xs holds a table form's residual parameters,
-    # or the entries of a point
+    # a form with no family, or whose family has no eigen rule, is refused
+    # under eigen-tensor and falls back to Monte Carlo under auto; xs holds a
+    # table form's residual parameters, or the entries of a point
     r = 2
     z = CoordMatrix(lam, r, xs if isinstance(xs, np.ndarray) else pattern(lam, r, xs))
     pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
     chain = ChainSpec(kind, r)
+    if message is None:
+        # F(g nf) = det(g)^-r F(nf), det(g)^r = 16
+        nf = CoordMatrix(lam, r, pattern(lam, r, (0.3 * np.eye(2),)))
+        ref = radon_hgf(nf, pw, chain, method="eigen-tensor").value / 16.0
+        for method in ("eigen-tensor", "auto"):
+            est = radon_hgf(z, pw, chain, method=method)
+            assert est.method == "eigen-tensor"
+            assert abs(est.value - ref) <= 1e-14 * abs(ref)
+        return
     with pytest.raises(IncompatibleChain, match=re.escape(message)):
         radon_hgf(z, pw, chain, method="eigen-tensor")
     assert radon_hgf(z, pw, chain, Budget(samples=4096)).method == "haar-mc"
+
+
+def _flat_at(flat, r):
+    """The r = 2 flat weight ``flat`` at rank r: its first entry moved so
+    that the leading weights sum to -2r."""
+    return (flat[0] - 2 * (r - 2),) + tuple(flat[1:])
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("lam, x, flat, kind", [
+    ((1, 1, 1), None, (-7.0, 1.0, 2.0), "interval-0-1"),
+    ((2, 1), None, (-4.5, -1.7, 0.5), "half-line"),
+    ((1, 1, 1, 1), 0.3, (-4.0, 0.5, 0.6, -1.1), "interval-0-1"),
+    ((2, 1, 1), -0.7, (-5.1, 1.0, 0.5, 0.6), "interval-0-1"),
+    # alpha_2 = 1 pins the (2,2) form to the bessel kernel
+    ((2, 2), -1.0, (-5.2, 1.0, 1.2, -1.0), "half-line"),
+])
+def test_radon_is_covariant_off_the_table_form(lam, x, flat, kind, r):
+    # F(g nf h) = det(g)^-r chi(h) F(nf): radon_hgf reduces g nf h back to
+    # nf and maps the eigen-tensor value there
+    gen = np.random.default_rng(3)
+    nf = CoordMatrix(lam, r, pattern(lam, r, () if x is None else (x * np.eye(r),)))
+    pw = PartitionWeight.from_flat(lam, _flat_at(flat, r), 2 * r, r, strict=False)
+    chain = ChainSpec(kind, r)
+    f_nf = radon_hgf(nf, pw, chain).value
+    for _ in range(3):
+        g = gen.standard_normal((2 * r, 2 * r))
+        while np.linalg.cond(g) >= 60:
+            g = gen.standard_normal((2 * r, 2 * r))
+        h = GroupElement(tuple(
+            TruncPoly.from_list([np.eye(r) * gen.uniform(0.5, 2.0)]
+                                + [0.5 * gen.standard_normal((r, r)) for _ in range(nk - 1)])
+            for nk in lam))
+        est = radon_hgf(apply_group(nf, g=g, h=h), pw, chain)
+        ref = np.linalg.det(g) ** -r * chi_lambda(h, pw) * f_nf
+        assert est.method == "eigen-tensor"
+        assert abs(est.value - ref) <= 1e-12 * abs(ref)
+        assert isinstance(est.abs_error_est, float)
+
+
+def test_radon_frame_point_is_mapped_to_its_table_form():
+    lam, r = (1, 1, 1, 1), 2
+    nf = CoordMatrix(lam, r, pattern(lam, r, (0.4 * np.eye(r),)))
+    pw = PartitionWeight.from_flat(lam, (-4.0, 0.6, 0.7, -1.3), 2 * r, r, strict=False)
+    z = apply_group(nf, g=np.diag([1.1, 1.1, 0.9, 0.9]))
+    est = radon_hgf(z, pw, ChainSpec("interval-0-1", r))
+    assert est.method == "eigen-tensor"
+    assert abs(est.value - 0.0320158594320053) <= 1e-12 * 0.0320158594320053
+
+
+def test_radon_refuses_a_partition_with_no_reducer():
+    # (2,1,1,1) has no table form to map to
+    lam, r = (2, 1, 1, 1), 2
+    z = CoordMatrix(lam, r, np.random.default_rng(0).standard_normal((2 * r, 5 * r)))
+    pw = PartitionWeight.from_flat(lam, (-5.5, 0.3, 0.5, 0.5, 0.5), 2 * r, r, strict=False)
+    for method in ("auto", "eigen-tensor", "haar-mc"):
+        with pytest.raises(UnsupportedPartition, match=re.escape("(2, 1, 1, 1)")):
+            radon_hgf(z, pw, ChainSpec("interval-0-1", r), Budget(samples=4096), method)
 
 
 def test_radon_bessel_eigen_r2():
