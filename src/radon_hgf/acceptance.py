@@ -16,7 +16,8 @@ import numpy as np
 
 from .characters import GroupElement, LieDirection, PartitionWeight, chi_lambda
 from .grassmann import ChartPoint, CoordMatrix, apply_group, z_lambda_member
-from .hgs import StencilPlan, all_pairs, apply_DIJ, check_gl_infinitesimal, check_h_infinitesimal
+from .hgs import (StencilPlan, all_pairs, apply_DIJ, check_gl_infinitesimal, check_h_infinitesimal,
+                  verify_system)
 from .integrands import (
     _PINS,
     IntegrandSpec,
@@ -52,7 +53,8 @@ class CheckResult:
 
 
 # pass bounds of criteria 3, 4 and 6; the CLI's verify-gamma and
-# verify-beta apply the first two, and verify-classical runs criterion 6
+# verify-beta apply the first two to ``closed_form_check`` at one point,
+# and verify-classical runs criterion 6
 GAMMA_RTOL = 1e-8
 BETA_RTOL = 1e-8
 CLASSICAL_RTOL = 1e-7
@@ -76,7 +78,7 @@ def _criterion(number, name):
             return CheckResult(number, name, bool(passed) and seconds < limit, detail,
                                seconds, limit)
 
-        run.number = number
+        run.number, run.name = number, name
         CRITERIA.append(run)
         return run
 
@@ -169,30 +171,30 @@ def criterion_2():
     return ok, f"{count} elements, float worst {worst:.2e} (exact: equal)"
 
 
+_CLOSED_FORMS = {"gamma_r": gamma_r_closed, "beta_r": beta_r_closed}
+
+
+def closed_form_check(tag, r, params, nodes=64):
+    """(estimate, closed form, relative error) of the eigenvalue-reduced
+    gamma_r or beta_r integral at one point: criterion 3 or 4 there."""
+    est = integrate_invariant(NamedFamily(tag, params), r, nodes=nodes)
+    ref = _CLOSED_FORMS[tag](r, *params.values())
+    return est, ref, abs(est.value - ref) / abs(ref)
+
+
 @_criterion(3, "matrix gamma identity")
 def criterion_3():
     """Eigenvalue-reduced gamma integral vs the closed product formula."""
-    worst = 0.0
-    for r in (1, 2, 3):
-        for a in (r, r + 0.5, r + 2):
-            est = integrate_invariant(NamedFamily("gamma_r", {"a": a}), r, nodes=64)
-            ref = gamma_r_closed(r, a)
-            worst = max(worst, abs(est.value - ref) / abs(ref))
+    worst = max(closed_form_check("gamma_r", r, {"a": a})[2]
+                for r in (1, 2, 3) for a in (r, r + 0.5, r + 2))
     return worst < GAMMA_RTOL, f"worst relative error {worst:.2e}"
 
 
 @_criterion(4, "matrix beta identity")
 def criterion_4():
     """Eigenvalue-reduced beta integral vs the gamma-ratio formula."""
-    worst = 0.0
-    for r in (1, 2, 3):
-        for a in (r, r + 0.5, r + 2):
-            for b in (r, r + 0.5, r + 2):
-                est = integrate_invariant(
-                    NamedFamily("beta_r", {"a": a, "b": b}), r, nodes=64
-                )
-                ref = beta_r_closed(r, a, b)
-                worst = max(worst, abs(est.value - ref) / abs(ref))
+    worst = max(closed_form_check("beta_r", r, {"a": a, "b": b})[2] for r in (1, 2, 3)
+                for a in (r, r + 0.5, r + 2) for b in (r, r + 0.5, r + 2))
     return worst < BETA_RTOL, f"worst relative error {worst:.2e}"
 
 
@@ -426,9 +428,8 @@ def criterion_11():
             def F(z):
                 return radon_hgf(z, pw, chain, Budget(tol=5e-13)).value
 
-            for pair in pairs:
-                resid, scale = apply_DIJ(F, z0, pair, StencilPlan(h=1e-3))
-                worst = max(worst, abs(resid) / scale)
+            report = verify_system(F, z0, pairs, StencilPlan(h=1e-3))
+            worst = max([worst] + [row["relative"] for row in report["pairs"]])
     # second-order convergence on the first family
     lam = (1, 1, 1, 1)
     case = _PDE_CASES[lam]

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BranchCutWarning, InvalidWeight, ShapeMismatch, SingularBlock
-from .jordan import TruncPoly, theta, trunc_mul
+from .jordan import TruncPoly, theta
 from .linalg import as_matrix, det, hadamard_bound, inverse
 from .ncpoly import theta_symbolic
 
@@ -161,13 +161,10 @@ class GroupElement:
 
 
 def underline(h: TruncPoly) -> TruncPoly:
-    """Unipotent part h0^{-1} h (left division by the constant coefficient)."""
+    """Unipotent part h0^{-1} h = (I, h0^{-1} h_1, ..., h0^{-1} h_{p-1})."""
     h0_inv = inverse(h.coeffs[0])
-    const = TruncPoly((h0_inv,) + tuple(c * 0 for c in h.coeffs[1:]))
-    out = trunc_mul(const, h)
-    # the constant coefficient is the identity by construction; pin it
-    coeffs = (np.eye(h.r, dtype=np.complex128),) + out.coeffs[1:]
-    return TruncPoly(coeffs)
+    return TruncPoly((np.eye(h.r, dtype=np.complex128),)
+                     + tuple(np.dot(h0_inv, c) for c in h.coeffs[1:]))
 
 
 def chi_nonconfluent(hs, alpha) -> complex:

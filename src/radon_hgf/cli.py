@@ -16,7 +16,8 @@ import sys
 import time
 
 from . import __version__
-from .acceptance import BETA_RTOL, GAMMA_RTOL, criterion_6, criterion_10, run_all
+from .acceptance import (BETA_RTOL, GAMMA_RTOL, closed_form_check, criterion_3, criterion_4,
+                         criterion_6, criterion_10, run_all)
 from .characters import PartitionWeight, chi_lambda
 from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
@@ -42,7 +43,6 @@ from .io import (
 )
 from .ncpoly import theta_symbolic
 from .normal_form import reduce_orbit
-from .oracles import beta_r_closed, gamma_r_closed
 from .rng import RandomStream
 
 def _partition(text):
@@ -59,10 +59,6 @@ def _weight_arg(args, lam, m):
         flat = [complex(v) for v in args.alpha.split(",")]
         return PartitionWeight.from_flat(lam, flat, m, args.r, strict)
     raise ValueError("weights required: --alpha or --alpha-json")
-
-
-def _estimate_json(est):
-    return est.as_dict()
 
 
 def cmd_theta(args):
@@ -134,7 +130,7 @@ def cmd_eval(args):
         est = integrate_haar_mc(fam, chain, args.samples, RandomStream(args.seed))
     else:
         raise ValueError(f"unknown method {method}")
-    return {"estimate": _estimate_json(est)}, None, args.seed
+    return {"estimate": est.as_dict()}, None, args.seed
 
 
 def cmd_radon(args):
@@ -146,45 +142,31 @@ def cmd_radon(args):
                     samples=args.samples,
                     stream=RandomStream(args.seed))
     est = radon_hgf(z, pw, chain, budget, method=args.method)
-    return {"estimate": _estimate_json(est)}, None, args.seed
+    return {"estimate": est.as_dict()}, None, args.seed
+
+
+def _closed_form_report(criterion, bound, tag, args, params):
+    est, ref, rel = closed_form_check(tag, args.r, params, args.nodes)
+    checks = [{"name": criterion.name, "pass": bool(rel < bound)}]
+    return {"estimate": est.as_dict(), "closed_form": complex_to_json(ref),
+            "relative_error": rel}, checks, None
 
 
 def cmd_verify_gamma(args):
-    est = integrate_invariant(NamedFamily("gamma_r", {"a": complex(args.a)}),
-                              args.r, nodes=args.nodes)
-    ref = gamma_r_closed(args.r, complex(args.a))
-    rel = abs(est.value - ref) / abs(ref)
-    checks = [{"name": "matrix gamma identity", "pass": bool(rel < GAMMA_RTOL)}]
-    return {
-        "estimate": _estimate_json(est),
-        "closed_form": complex_to_json(ref),
-        "relative_error": rel,
-    }, checks, None
+    return _closed_form_report(criterion_3, GAMMA_RTOL, "gamma_r", args, {"a": complex(args.a)})
 
 
 def cmd_verify_beta(args):
-    fam = NamedFamily("beta_r", {"a": complex(args.a), "b": complex(args.b)})
-    est = integrate_invariant(fam, args.r, nodes=args.nodes)
-    ref = beta_r_closed(args.r, complex(args.a), complex(args.b))
-    rel = abs(est.value - ref) / abs(ref)
-    checks = [{"name": "matrix beta identity", "pass": bool(rel < BETA_RTOL)}]
-    return {
-        "estimate": _estimate_json(est),
-        "closed_form": complex_to_json(ref),
-        "relative_error": rel,
-    }, checks, None
+    params = {"a": complex(args.a), "b": complex(args.b)}
+    return _closed_form_report(criterion_4, BETA_RTOL, "beta_r", args, params)
 
 
-def cmd_verify_classical(args):
-    res = criterion_6()
-    checks = [{"name": res.name, "pass": res.passed}]
-    return {"detail": res.detail}, checks, None
-
-
-def cmd_verify_covariance(args):
-    res = criterion_10()
-    checks = [{"name": res.name, "pass": res.passed}]
-    return {"detail": res.detail}, checks, None
+def _criterion_command(criterion):
+    """A subcommand that runs one acceptance criterion as the suite does."""
+    def cmd(args):
+        res = criterion()
+        return {"detail": res.detail}, [{"name": res.name, "pass": res.passed}], None
+    return cmd
 
 
 def cmd_verify_pde(args):
@@ -318,10 +300,10 @@ def build_parser():
     q.set_defaults(fn=cmd_verify_beta)
 
     q = sub.add_parser("verify-classical", help="scalar series reduction check")
-    q.set_defaults(fn=cmd_verify_classical)
+    q.set_defaults(fn=_criterion_command(criterion_6))
 
     q = sub.add_parser("verify-covariance", help="group covariance check")
-    q.set_defaults(fn=cmd_verify_covariance)
+    q.set_defaults(fn=_criterion_command(criterion_10))
 
     q = sub.add_parser("verify-pde", help="annihilating-system residuals")
     q.add_argument("--partition", required=True)

@@ -9,22 +9,26 @@ determinant term, so conditioning is visible in every report.
 
 A pair's stencil is arrays: the entries each corner moves, in (step,
 permutation, corner) order, and the (steps, k!) denominators of its
-terms, k = r + 1. Its terms come from F's values reshaped to (steps, k!, 2^k): the
-sum over corners with the corner signs, times the sign of the
-permutation (its inversion parity), over the denominator.
+terms, k = r + 1. Its terms come from F's values reshaped to
+(steps, k!, 2^k): the sum over corners with the corner signs, times the
+sign of the permutation (its inversion parity), over the denominator.
 
-``apply_DIJ``, ``verify_system`` and the two infinitesimal checks build
-all their stencil points first and register them in a mesh scope of
-``integrate`` before F is first called; F then runs once per distinct
-point, in stencil order. The determinant stencils of all pairs and steps
-are one (K, m, N) entries array, z0's entries with each corner's own
-entries moved, and their coordinate matrices are checked in one pass
-(``CoordMatrix.stack``); the first corner that fails raises what it
-raises alone, before any F call. Every r = 1 ``radon_hgf`` call
-integrates a stack of points; F is opaque, so the registration is what
-makes that stack every registered point instead of one, integrated at
-the first call inside F and serving the later ones. Each point keeps its
-own panels, so a value is the same in either stack, bit for bit.
+One stencil evaluation (``_operators``) serves every determinant check:
+``verify_system`` runs it over all pairs of a base point, as criterion 11
+and ``verify-pde`` do, and ``apply_DIJ`` over one pair. The two
+infinitesimal checks are one body (``_infinitesimal``) with the group
+side's move and rate. Each builds all its stencil points first and
+registers them in a mesh scope of ``integrate`` before F is first
+called; F then runs once per distinct point, in stencil order. The
+determinant stencils of all pairs and steps are one (K, m, N) entries
+array, z0's entries with each corner's own entries moved, and their
+coordinate matrices are checked in one pass (``CoordMatrix.stack``); the
+first corner that fails raises what it raises alone, before any F call.
+Every r = 1 ``radon_hgf`` call integrates a stack of points; F is
+opaque, so the registration is what makes that stack every registered
+point instead of one, integrated at the first call inside F and serving
+the later ones. Each point keeps its own panels, so a value is the same
+in either stack, bit for bit.
 """
 
 import math
@@ -258,34 +262,33 @@ def _central(values, eps: float) -> complex:
     return (4.0 * d(plus2, minus2, eps / 2.0) - d(plus, minus, eps)) / 3.0
 
 
+def _infinitesimal(F, z0: CoordMatrix, move, rate, spread, eps: float) -> InfinitesimalResult:
+    """d/de F(move(e)) at 0 minus rate F(z0), against the reference
+    |F(z0)| (1 + spread); F runs at z0 and then at ``_central_steps``."""
+    _require_step(eps)
+    points = [z0] + [move(t) for t in _central_steps(eps)]
+    (f0, *values), _ = _evaluate(F, points)
+    residual = _central(values, eps) - rate * f0
+    return InfinitesimalResult(complex(residual), float(abs(f0) * (1.0 + spread)))
+
+
 def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,
                           pw: PartitionWeight, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(z exp(e E)) at 0 minus dchi(E) F(z)."""
-    _require_step(eps)
-
     def element(t: float) -> GroupElement:
-        blocks = []
-        for eb in direction.blocks:
-            coeffs = [t * np.asarray(c, dtype=np.complex128) for c in eb]
-            blocks.append(ring_exp(TruncPoly.from_list(coeffs)))
-        return GroupElement(tuple(blocks))
+        return GroupElement(tuple(
+            ring_exp(TruncPoly.from_list([t * np.asarray(c, dtype=np.complex128) for c in eb]))
+            for eb in direction.blocks))
 
     dchi = dchi_lambda(direction, pw)
-    points = [z0] + [apply_group(z0, h=element(t)) for t in _central_steps(eps)]
-    (f0, *values), _ = _evaluate(F, points)
-    residual = _central(values, eps) - dchi * f0
-    reference = abs(f0) * (1.0 + abs(dchi))
-    return InfinitesimalResult(complex(residual), float(reference))
+    return _infinitesimal(F, z0, lambda t: apply_group(z0, h=element(t)), dchi, abs(dchi), eps)
 
 
 def check_gl_infinitesimal(F, z0: CoordMatrix, E, eps: float = 1e-3) -> InfinitesimalResult:
     """d/de F(exp(e E) z) at 0 plus r Tr(E) F(z)."""
-    _require_step(eps)
     E = np.asarray(E, dtype=np.complex128)
     if E.shape != (z0.m, z0.m):
         raise BadIndexSet("direction must act on the row space")
-    points = [z0] + [apply_group(z0, g=scipy.linalg.expm(t * E)) for t in _central_steps(eps)]
-    (f0, *values), _ = _evaluate(F, points)
-    residual = _central(values, eps) + z0.r * np.trace(E) * f0
-    reference = abs(f0) * (1.0 + z0.r * abs(np.trace(E)))
-    return InfinitesimalResult(complex(residual), float(reference))
+    trace = np.trace(E)
+    return _infinitesimal(F, z0, lambda t: apply_group(z0, g=scipy.linalg.expm(t * E)),
+                          -(z0.r * trace), z0.r * abs(trace), eps)

@@ -792,7 +792,7 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
 
     The error estimate is the difference from the rule with half as many
     nodes (at least r), so ``nodes`` must exceed both, plus a rounding term
-    r n eps c_r |sum of the absolute terms| on the fine rule's nodes."""
+    r n eps c_r (sum of the absolute terms) from the fine rule's sum."""
     _require_rank(r)
     coarse_nodes = max(r, nodes // 2)
     if coarse_nodes >= nodes:
@@ -802,10 +802,11 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
     build = _eigen_rule(fam, r)
     cr = weyl_constant(r)
     lam, wg = build(coarse_nodes)
-    coarse = cr * tensor_vdm_sum(wg, lam, r)
+    coarse = cr * tensor_vdm_sum(wg, lam, r)[0]
     lam, wg = build(nodes)
-    fine = cr * tensor_vdm_sum(wg, lam, r)
-    rounding = r * nodes * math.ulp(1.0) * cr * abs(tensor_vdm_sum(np.abs(wg), lam, r))
+    fine, absolute = tensor_vdm_sum(wg, lam, r)
+    fine = cr * fine
+    rounding = r * nodes * math.ulp(1.0) * cr * absolute
     return IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
                             nodes + coarse_nodes)
 
@@ -985,18 +986,19 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     r = 1 uses root-following adaptive quadrature under every method. An
     r = 1 call integrates a stack (``_stack``): of z alone, or inside a
     mesh scope (``_mesh_scope``) of all registered points, and returns z's
-    outcome from it. At r >= 2 a point that is not a variant-1 table form
-    is reduced to its table form nf = g z h (``reduce_orbit``), evaluated
-    there under the same chain, budget and method, and mapped back by
-    F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with it; chi is taken on
-    the principal branch, and a partition with no reducer raises
-    ``UnsupportedPartition``. At a table form "eigen-tensor" takes a
-    scalar residual to its named family (``family_of_normal_form``) and
-    returns that family's ``integrate_invariant`` estimate; a form with no
-    such family, or whose family's weight is not integrable on its chain,
-    raises ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo of the
-    chart integrand at the table form, over the chain's eigenvalue domain,
-    and "auto" the first, else the second; another method raises
+    outcome from it. At r >= 2 a variant-1 table form is tested for
+    membership in Z_lambda; another point is reduced to its table form
+    nf = g z h by ``reduce_orbit``, which tests z and nf (a partition with
+    no reducer raises ``UnsupportedPartition`` first). The one estimate at
+    nf is mapped back by F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with
+    it; chi is taken on the principal branch. At a table form
+    "eigen-tensor" takes a scalar residual to its named family
+    (``family_of_normal_form``) and returns that family's
+    ``integrate_invariant`` estimate; a form with no such family, or whose
+    family's weight is not integrable on its chain, raises
+    ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo of the chart
+    integrand at the table form, over the chain's eigenvalue domain, and
+    "auto" the first, else the second; another method raises
     ``ValueError`` before any work.
     """
     if method not in ("auto", "eigen-tensor", "haar-mc"):
@@ -1017,16 +1019,15 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         if isinstance(found, RadonHGFError):
             raise found
         return found
-    if z.m == 2 * r:
-        require_member(z)
     xs = residual_parameters(z)
     if xs is None:
+        # reduce_orbit tests the membership of z and of its table form
         red = reduce_orbit(z)
-        est = radon_hgf(CoordMatrix(z.lam, r, pattern(z.lam, r, red.x)), pw, chain, budget,
-                        method)
-        factor = det(red.g) ** r / chi_lambda(red.h, pw)
-        return replace(est, value=est.value * factor,
-                       abs_error_est=float(est.abs_error_est * abs(factor)))
+        xs, nf = red.x, CoordMatrix(z.lam, r, pattern(z.lam, r, red.x))
+    else:
+        require_member(z)
+        red, nf = None, z
+    est = None
     if method in ("auto", "eigen-tensor"):
         try:
             scalars = [scalar_multiple(v) for v in xs]
@@ -1038,22 +1039,28 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             except (UnpinnedAlpha, UnsupportedPartition) as exc:
                 raise IncompatibleChain(str(exc)) from exc
             require_eigen_chain(fam, chain)
-            return integrate_invariant(fam, r, nodes=budget.nodes)
+            est = integrate_invariant(fam, r, nodes=budget.nodes)
         except IncompatibleChain:
             if method == "eigen-tensor":
                 raise
-    # Monte Carlo of the chart integrand at the table form
-    spec = IntegrandSpec(pw, z)
-    eye = np.eye(r, dtype=np.complex128)
+    if est is None:
+        # Monte Carlo of the chart integrand at the table form
+        spec = IntegrandSpec(pw, nf)
+        eye = np.eye(r, dtype=np.complex128)
 
-    def batch_fn(u):
-        frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
-        return chart_integrand_batch(spec, frames)
+        def batch_fn(u):
+            frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
+            return chart_integrand_batch(spec, frames)
 
-    # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate on
-    # the half line
-    if chain.kind == HALF_LINE:
-        fam = NamedFamily("gamma_r", {"a": 1.0 + r})
-    else:
-        fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
-    return integrate_haar_mc(fam, chain, budget.samples, budget.stream, batch_fn=batch_fn)
+        # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate
+        # on the half line
+        if chain.kind == HALF_LINE:
+            fam = NamedFamily("gamma_r", {"a": 1.0 + r})
+        else:
+            fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
+        est = integrate_haar_mc(fam, chain, budget.samples, budget.stream, batch_fn=batch_fn)
+    if red is None:
+        return est
+    factor = det(red.g) ** r / chi_lambda(red.h, pw)
+    return replace(est, value=est.value * factor,
+                   abs_error_est=float(est.abs_error_est * abs(factor)))

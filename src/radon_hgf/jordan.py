@@ -158,6 +158,20 @@ def trunc_mul(a: TruncPoly, b: TruncPoly) -> TruncPoly:
     return TruncPoly(tuple(out))
 
 
+def _nilpotent_series(x: TruncPoly, coeffs) -> TruncPoly:
+    """sum_k coeffs[k] s^k over k < p, where s is x with its constant
+    coefficient set to zero. s is nilpotent, so the series terminates at
+    degree p - 1; its terms are added in order of k, so exact coefficients
+    give an exact sum."""
+    s = TruncPoly((x.coeffs[0] * 0,) + tuple(x.coeffs[1:]))
+    power = TruncPoly.unit(x.r, x.p, x.exact)
+    acc = power.scale(coeffs[0])
+    for c in coeffs[1:]:
+        power = trunc_mul(power, s)
+        acc = acc + power.scale(c)
+    return acc
+
+
 def trunc_inverse(a: TruncPoly) -> TruncPoly:
     """Two-sided inverse of a unit (a_0 invertible)."""
     if a.exact:
@@ -169,16 +183,8 @@ def trunc_inverse(a: TruncPoly) -> TruncPoly:
             raise NotAUnit("constant coefficient is singular") from exc
     # a = a0 (1 + n) with n strictly positive degree; invert by the
     # terminating geometric series, then peel off a0.
-    n = TruncPoly(
-        (a.coeffs[0] * 0,) + tuple(_mm(a0_inv, c) for c in a.coeffs[1:])
-    )
-    acc = TruncPoly.unit(a.r, a.p, a.exact)
-    power = TruncPoly.unit(a.r, a.p, a.exact)
-    sign = -1
-    for _ in range(1, a.p):
-        power = trunc_mul(power, n)
-        acc = acc + power.scale(sign)
-        sign = -sign
+    n = TruncPoly((a0_inv,) + tuple(_mm(a0_inv, c) for c in a.coeffs[1:]))
+    acc = _nilpotent_series(n, [(-1) ** k for k in range(a.p)])
     return TruncPoly(tuple(_mm(c, a0_inv) for c in acc.coeffs))
 
 
@@ -196,14 +202,8 @@ def _assert_unipotent(h: TruncPoly):
 def nilpotent_log(h: TruncPoly) -> TruncPoly:
     """log of a unipotent element; the series terminates at degree p-1."""
     _assert_unipotent(h)
-    s = TruncPoly((h.coeffs[0] * 0,) + tuple(h.coeffs[1:]))
-    acc = TruncPoly.zero(h.r, h.p, h.exact)
-    power = TruncPoly.unit(h.r, h.p, h.exact)
-    for k in range(1, h.p):
-        power = trunc_mul(power, s)
-        coeff = Fraction((-1) ** (k + 1), k) if h.exact else ((-1.0) ** (k + 1)) / k
-        acc = acc + power.scale(coeff)
-    return acc
+    one = Fraction(1) if h.exact else 1.0
+    return _nilpotent_series(h, [0] + [(-one) ** (k + 1) / k for k in range(1, h.p)])
 
 
 def nilpotent_exp(x: TruncPoly) -> TruncPoly:
@@ -215,15 +215,10 @@ def nilpotent_exp(x: TruncPoly) -> TruncPoly:
         scale = max(1.0, x.scalar_norm())
         if np.abs(x.coeffs[0]).max() > UNIPOTENT_RTOL * scale:
             raise NotNilpotent("constant coefficient is not zero")
-    xx = TruncPoly((x.coeffs[0] * 0,) + tuple(x.coeffs[1:]))
-    acc = TruncPoly.unit(x.r, x.p, x.exact)
-    power = TruncPoly.unit(x.r, x.p, x.exact)
-    fact = Fraction(1) if x.exact else 1.0
+    coeffs = [Fraction(1) if x.exact else 1.0]
     for k in range(1, x.p):
-        power = trunc_mul(power, xx)
-        fact = fact / k
-        acc = acc + power.scale(fact)
-    return acc
+        coeffs.append(coeffs[-1] / k)
+    return _nilpotent_series(x, coeffs)
 
 
 def ring_exp(x: TruncPoly) -> TruncPoly:

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.special as sp
 
 from radon_hgf.characters import GroupElement, PartitionWeight, chi_lambda
-from radon_hgf import grassmann, integrate
+from radon_hgf import grassmann, integrate, normal_form
 from radon_hgf.errors import (
     BranchCutWarning,
     DivergentEndpoint,
@@ -568,6 +568,48 @@ def test_radon_refuses_a_partition_with_no_reducer():
     for method in ("auto", "eigen-tensor", "haar-mc"):
         with pytest.raises(UnsupportedPartition, match=re.escape("(2, 1, 1, 1)")):
             radon_hgf(z, pw, ChainSpec("interval-0-1", r), Budget(samples=4096), method)
+
+
+def test_off_table_r2_call_makes_one_pass(monkeypatch):
+    # one radon_hgf entry and one reduction; membership is tested for z and
+    # for its table form inside reduce_orbit, and the rebuilt form is not
+    # tested again
+    calls = {"radon_hgf": 0, "reduce_orbit": 0, "member": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(integrate, "radon_hgf", counting("radon_hgf", integrate.radon_hgf))
+    monkeypatch.setattr(integrate, "reduce_orbit", counting("reduce_orbit", reduce_orbit))
+    member = counting("member", grassmann.z_lambda_member)
+    monkeypatch.setattr(grassmann, "z_lambda_member", member)
+    monkeypatch.setattr(normal_form, "z_lambda_member", member)
+    lam, r = (1, 1, 1, 1), 2
+    nf = CoordMatrix(lam, r, pattern(lam, r, (0.4 * np.eye(r),)))
+    pw = PartitionWeight.from_flat(lam, (-4.0, 0.6, 0.7, -1.3), 2 * r, r, strict=False)
+    z = apply_group(nf, g=np.diag([1.1, 1.1, 0.9, 0.9]))
+    est = integrate.radon_hgf(z, pw, ChainSpec("interval-0-1", r))
+    assert abs(est.value - 0.0320158594320053) <= 1e-12 * 0.0320158594320053
+    assert calls["radon_hgf"] == 1 and calls["reduce_orbit"] == 1
+    assert calls["member"] <= 2
+
+
+def test_point_outside_z_lambda_with_no_reducer_raises_unsupported_partition():
+    # two faults: (2,1,1,1) has no reducer, and the equal leading columns of
+    # blocks 2 and 3 put z outside Z_lambda. The partition is refused
+    # before any membership test, as reduce_orbit refuses it
+    lam, r = (2, 1, 1, 1), 2
+    e = np.random.default_rng(0).standard_normal((2 * r, 5 * r))
+    e[:, 3 * r : 4 * r] = e[:, 2 * r : 3 * r]
+    z = CoordMatrix(lam, r, e)
+    with pytest.raises(NotInZLambda):
+        grassmann.require_member(z)
+    pw = PartitionWeight.from_flat(lam, (-5.5, 0.3, 0.5, 0.5, 0.5), 2 * r, r, strict=False)
+    with pytest.raises(UnsupportedPartition, match=re.escape("(2, 1, 1, 1)")):
+        radon_hgf(z, pw, ChainSpec("interval-0-1", r))
 
 
 def test_radon_bessel_eigen_r2():

@@ -1,5 +1,6 @@
 """The numeric kernels: the batched squared Vandermonde, and the r-fold
-sum against the squared Vandermonde, evaluated through Andreief's identity."""
+sum against the squared Vandermonde, evaluated through Andreief's identity
+with the sum of its absolute terms."""
 
 import itertools
 import math
@@ -15,6 +16,7 @@ from radon_hgf.integrands import NamedFamily
 from radon_hgf.integrate import ChainSpec, integrate_invariant, radon_hgf
 from radon_hgf.normal_form import pattern
 from radon_hgf.oracles import beta_r_closed, gamma_r_closed
+from radon_hgf.quadrature import genlaguerre, hermite_scaled, jacobi_01
 from radon_hgf.rng import RandomStream
 
 
@@ -47,9 +49,31 @@ def _random_rule(seed, n):
 def test_tensor_sum_matches_moment_determinant(r):
     # also checked against the brute-force sum on the same rule
     wg, lam = _random_rule(91, 6)
-    val = K.tensor_vdm_sum(wg, lam, r)
+    val, _ = K.tensor_vdm_sum(wg, lam, r)
     for ref in (_heine_determinant(wg, lam, r), _brute_force(wg, lam, r)):
         assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _rule(kind, n):
+    if kind == "jacobi":
+        return jacobi_01(n, 0.3, -0.4)
+    if kind == "laguerre":
+        return genlaguerre(n, 1.5)
+    return hermite_scaled(n)
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "laguerre", "hermite"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_absolute_term_sum_is_the_sum_at_the_absolute_weights(kind, r):
+    # the product of the squared norms of the orthogonal basis against the
+    # Gram determinant of the same sum at |wg|; the weights change sign
+    for n in (r + 1, 32, 64):
+        lam, w = _rule(kind, n)
+        wg = w * (np.cos(3.0 * lam) + 0.5j * np.sin(2.0 * lam))
+        _, absolute = K.tensor_vdm_sum(wg, lam, r)
+        ref, _ = K.tensor_vdm_sum(np.abs(wg), lam, r)
+        assert ref.imag == 0.0 and ref.real > 0.0
+        assert abs(absolute - ref.real) <= 1e-13 * ref.real
 
 
 def test_vdm_sq_batch_agree():
@@ -95,5 +119,5 @@ def test_fewer_nodes_than_eigenvalues_raises():
 def test_fewer_nonzero_weights_than_eigenvalues_sum_to_zero():
     wg, lam = _random_rule(95, 6)
     wg[2:] = 0.0
-    assert K.tensor_vdm_sum(wg, lam, 3) == 0.0
+    assert K.tensor_vdm_sum(wg, lam, 3) == (0.0, 0.0)
     assert _brute_force(wg, lam, 3) == 0.0

@@ -6,6 +6,7 @@ is gone, so the change that mends it moves the test into the ordinary
 suite. The reason names the ROADMAP item that is to close it.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -52,4 +53,20 @@ def test_airy_table_form_at_r1_is_the_airy_function(x):
     pw = PartitionWeight.from_flat((4,), (-2.0, 0.0, 0.0, 1.0), 2, 1, strict=False)
     ref = 2j * math.pi * sp.airy(-x)[0]
     est = radon_hgf(z, pw, ChainSpec("rotated-ray", 1))
+    assert abs(est.value - ref) <= max(est.abs_error_est, 1e-10 * abs(ref))
+
+
+@pytest.mark.xfail(strict=True, raises=OnBranchLocus,
+                   reason="ROADMAP items 20 and 2: the ray's first node rounds onto the "
+                          "root of block 2 at its origin")
+def test_half_line_whose_origin_node_rounds_onto_a_root_has_its_true_value():
+    # the ray runs from block 2's root -0.5 to block 1's root -0.1; its first
+    # node has y of about 7e-25, so u == -0.5 exactly. The modulus is the
+    # QUADPACK algebraic-weight integral (scipy.integrate.quad, weight='alg',
+    # wvar=(-0.3, -0.8)) of (1 - 2u)^0.4 (2 + u)^-1.3 over [-0.5, -0.1]; the
+    # phase e^(-0.4 pi i) comes from the principal logs of blocks 1 and 3
+    z = CoordMatrix((1, 1, 1, 1), 1, np.array([[0.1, 0.5, -1.0, 2.0], [1.0, 1.0, 2.0, 1.0]]))
+    pw = PartitionWeight.from_flat((1, 1, 1, 1), (-0.8, -0.3, 0.4, -1.3), 2, 1, strict=False)
+    ref = 3.2433864805294688 * cmath.exp(-0.4j * math.pi)
+    est = radon_hgf(z, pw, ChainSpec("half-line", 1))
     assert abs(est.value - ref) <= max(est.abs_error_est, 1e-10 * abs(ref))
