@@ -1,8 +1,10 @@
-"""Hot numeric kernels.
+"""Squared-Vandermonde kernels of the eigenvalue-reduced integrals.
 
-Two inner loops dominate runtime: the squared-Vandermonde weight over
-Monte Carlo eigenvalue batches, and the quadrature sum against the
-squared Vandermonde for eigenvalue-reduced Hermitian integrals.  Both
+The squared-Vandermonde weight over Monte Carlo eigenvalue batches, and
+the quadrature sum against the squared Vandermonde for eigenvalue-reduced
+Hermitian integrals.  The first is not what a Monte Carlo chunk costs:
+in a cProfile of invariant beta_r and gauss runs at r = 2, drawing the
+eigenvalues took about 70% of the time and this weight about 5%.  Both
 are plain numpy; the second is an r x r determinant rather than a loop
 over the n^r node tuples, and gives the sum of its absolute terms from
 the same basis.

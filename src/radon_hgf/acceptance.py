@@ -16,8 +16,8 @@ import numpy as np
 
 from .characters import GroupElement, LieDirection, PartitionWeight, chi_lambda
 from .grassmann import ChartPoint, CoordMatrix, apply_group, z_lambda_member
-from .hgs import (StencilPlan, all_pairs, apply_DIJ, check_gl_infinitesimal, check_h_infinitesimal,
-                  verify_system)
+from .hgs import (StencilPlan, _modulus, all_pairs, apply_DIJ, check_gl_infinitesimal,
+                  check_h_infinitesimal, verify_system)
 from .integrands import (
     _PINS,
     IntegrandSpec,
@@ -60,6 +60,13 @@ BETA_RTOL = 1e-8
 CLASSICAL_RTOL = 1e-7
 
 CRITERIA = []
+
+
+def _worst(*errors):
+    """The largest error, NaN when any is NaN: max() keeps its first
+    argument against a NaN, and a NaN error fails its criterion."""
+    errors = [float(e) for e in errors]
+    return math.nan if any(math.isnan(e) for e in errors) else max(errors)
 
 
 def _criterion(number, name):
@@ -164,8 +171,8 @@ def criterion_2():
             for _ in range(9):
                 h = _random_unipotent(r, p, gen, exact=False)
                 back = nilpotent_exp(nilpotent_log(h))
-                err = max(np.abs(a - b).max() for a, b in zip(h.coeffs, back.coeffs))
-                worst = max(worst, err / max(1.0, h.scalar_norm()))
+                err = _worst(*(np.abs(a - b).max() for a, b in zip(h.coeffs, back.coeffs)))
+                worst = _worst(worst, err / max(1.0, h.scalar_norm()))
                 count += 1
     ok = worst < 1e-12
     return ok, f"{count} elements, float worst {worst:.2e} (exact: equal)"
@@ -179,22 +186,22 @@ def closed_form_check(tag, r, params, nodes=64):
     gamma_r or beta_r integral at one point: criterion 3 or 4 there."""
     est = integrate_invariant(NamedFamily(tag, params), r, nodes=nodes)
     ref = _CLOSED_FORMS[tag](r, *params.values())
-    return est, ref, abs(est.value - ref) / abs(ref)
+    return est, ref, _modulus(est.value - ref) / abs(ref)
 
 
 @_criterion(3, "matrix gamma identity")
 def criterion_3():
     """Eigenvalue-reduced gamma integral vs the closed product formula."""
-    worst = max(closed_form_check("gamma_r", r, {"a": a})[2]
-                for r in (1, 2, 3) for a in (r, r + 0.5, r + 2))
+    worst = _worst(*(closed_form_check("gamma_r", r, {"a": a})[2]
+                     for r in (1, 2, 3) for a in (r, r + 0.5, r + 2)))
     return worst < GAMMA_RTOL, f"worst relative error {worst:.2e}"
 
 
 @_criterion(4, "matrix beta identity")
 def criterion_4():
     """Eigenvalue-reduced beta integral vs the gamma-ratio formula."""
-    worst = max(closed_form_check("beta_r", r, {"a": a, "b": b})[2] for r in (1, 2, 3)
-                for a in (r, r + 0.5, r + 2) for b in (r, r + 0.5, r + 2))
+    worst = _worst(*(closed_form_check("beta_r", r, {"a": a, "b": b})[2] for r in (1, 2, 3)
+                     for a in (r, r + 0.5, r + 2) for b in (r, r + 0.5, r + 2)))
     return worst < BETA_RTOL, f"worst relative error {worst:.2e}"
 
 
@@ -202,12 +209,12 @@ def criterion_4():
 def criterion_5():
     """Gaussian integrals: scalar closed form; r = 2 quadrature vs Monte Carlo."""
     g1 = integrate_invariant(NamedFamily("gaussian_r", {}), 1, nodes=64)
-    e1 = abs(g1.value - math.sqrt(2.0 * math.pi))
+    e1 = _modulus(g1.value - math.sqrt(2.0 * math.pi))
     g2 = integrate_invariant(NamedFamily("gaussian_r", {}), 2, nodes=64)
     mc = integrate_haar_mc(
         NamedFamily("gaussian_r", {}), ChainSpec("full-line", 2), 10**6, RandomStream(55)
     )
-    z = abs(mc.value - g2.value) / mc.abs_error_est
+    z = _modulus(mc.value - g2.value) / mc.abs_error_est
     ok = e1 < 1e-10 and z < 3.0
     return ok, f"scalar err {e1:.2e}; r=2 cross-check z-score {z:.2f}"
 
@@ -224,7 +231,7 @@ def criterion_6():
         z = CoordMatrix((1, 1, 1, 1), 1, pattern((1, 1, 1, 1), 1, (np.array([[x]]),)))
         est = radon_hgf(z, pw, ChainSpec("interval-0-1", 1), Budget(tol=1e-12))
         ref = gauss_2f1(a, b, c, x)
-        worst = max(worst, abs(pref * est.value - ref) / abs(ref))
+        worst = _worst(worst, _modulus(pref * est.value - ref) / abs(ref))
     return worst < CLASSICAL_RTOL, f"worst relative error over 10 points {worst:.2e}"
 
 
@@ -234,9 +241,9 @@ def criterion_7():
     r, a, c = 2, 3.0, 6.0
     fam = NamedFamily("gauss", {"a": a, "b": 1.5, "c": c}, X=np.zeros((r, r)))
     norm = beta_r_closed(r, a, c - a)
-    det_rel = abs(integrate_invariant(fam, r, nodes=64).value / norm - 1.0)
+    det_rel = _modulus(integrate_invariant(fam, r, nodes=64).value / norm - 1.0)
     mc = integrate_haar_mc(fam, ChainSpec("interval-0-1", r), 10**6, RandomStream(77))
-    z = abs(mc.value - norm) / mc.abs_error_est
+    z = _modulus(mc.value - norm) / mc.abs_error_est
     ok = det_rel < 1e-8 and z < 3.0
     return ok, f"deterministic rel {det_rel:.2e}; MC z-score {z:.2f}"
 
@@ -261,7 +268,7 @@ def criterion_8():
         est = integrate_r1(fam, ChainSpec("interval-0-1", 1), tol=1e-12)
         pref = gamma(c) / (gamma(a) * gamma(c - a))
         ref = lauricella_fd(a, bs, c, xs)
-        worst = max(worst, abs(pref * est.value - ref) / abs(ref))
+        worst = _worst(worst, _modulus(pref * est.value - ref) / abs(ref))
     return worst < 1e-6, f"worst relative error over 5 points {worst:.2e}"
 
 
@@ -321,12 +328,12 @@ def criterion_9():
             for _ in range(100):
                 xs, z1 = _orbit_point(lam, r, n_x, gen)
                 out = reducer(z1)
-                worst_resid = max(worst_resid, out.residual)
+                worst_resid = _worst(worst_resid, out.residual)
                 trials += 1
                 if r == 1 and all(v == 1 for v in lam) and len(lam) >= 4:
                     for idx, xj in enumerate(out.x):
                         cr = _cross_ratio(z1.entries, 3 + idx)
-                        worst_inv = max(worst_inv, abs(xj[0, 0] - 1.0 / cr))
+                        worst_inv = _worst(worst_inv, abs(xj[0, 0] - 1.0 / cr))
     ok = worst_resid < 1e-10 and worst_inv < 1e-9
     return ok, (f"{trials} reductions; residual {worst_resid:.2e}, "
                 f"cross-ratio {worst_inv:.2e}")
@@ -366,7 +373,7 @@ def criterion_10():
             h = _positive_element(lam, 1, gen)
             f1 = radon_hgf(apply_group(z, h=h), pw, chain, Budget(tol=5e-13)).value
             chi = chi_lambda(h, pw)
-            worst_h = max(worst_h, abs(f1 / f0 - chi) / abs(chi))
+            worst_h = _worst(worst_h, _modulus(f1 / f0 - chi) / abs(chi))
             count += 1
         for _ in range(5):
             g = np.array(
@@ -375,7 +382,7 @@ def criterion_10():
             )
             f2 = radon_hgf(apply_group(z, g=g), pw, chain, Budget(tol=5e-13)).value
             target = 1.0 / np.linalg.det(g)
-            worst_g = max(worst_g, abs(f2 / f0 - target) / abs(target))
+            worst_g = _worst(worst_g, _modulus(f2 / f0 - target) / abs(target))
     ok = worst_h < 1e-6 and worst_g < 1e-5
     return ok, f"{count} block elements rel {worst_h:.2e}; frame side rel {worst_g:.2e}"
 
@@ -429,7 +436,7 @@ def criterion_11():
                 return radon_hgf(z, pw, chain, Budget(tol=5e-13)).value
 
             report = verify_system(F, z0, pairs, StencilPlan(h=1e-3))
-            worst = max([worst] + [row["relative"] for row in report["pairs"]])
+            worst = _worst(worst, *(row["relative"] for row in report["pairs"]))
     # second-order convergence on the first family
     lam = (1, 1, 1, 1)
     case = _PDE_CASES[lam]
@@ -444,7 +451,7 @@ def criterion_11():
     for h in (1.6e-2, 8e-3, 4e-3):
         resid, scale = apply_DIJ(F, z0, all_pairs(2, 4, 1)[3],
                                  StencilPlan(h=h, richardson=False))
-        rels.append(abs(resid) / scale)
+        rels.append(_modulus(resid) / scale)
     ratios = [rels[i] / rels[i + 1] for i in range(2)]
     conv_ok = all(2.5 < q < 6.5 for q in ratios)
     # negative control
@@ -454,7 +461,7 @@ def criterion_11():
             lambda z: z.entries[0, 0] * z.entries[1, 1],
             z0, all_pairs(2, 4, 1)[0], StencilPlan(h=h, richardson=False)
         )
-        if abs(resid) / scale < 0.5:
+        if _modulus(resid) / scale < 0.5:
             neg_ok = False
     ok = worst < 1e-4 and conv_ok and neg_ok
     return ok, (f"worst relative residual {worst:.2e}; halving ratios "
@@ -482,10 +489,10 @@ def criterion_12():
                 for nk in lam
             )
             res = check_h_infinitesimal(F, z0, LieDirection(blocks), pw, eps=1e-3)
-            worst_h = max(worst_h, res.relative)
+            worst_h = _worst(worst_h, res.relative)
             e = 0.5 * gen.standard_normal((2, 2))
             res = check_gl_infinitesimal(F, z0, e, eps=1e-3)
-            worst_g = max(worst_g, res.relative)
+            worst_g = _worst(worst_g, res.relative)
     ok = worst_h < 1e-5 and worst_g < 1e-5
     return ok, f"block side {worst_h:.2e}; frame side {worst_g:.2e}"
 
@@ -549,15 +556,15 @@ def _c13_gap(lam, r):
         u = _random_hermitian(r, lo, hi, s.jump(k + 1))
         lhs = evaluate_integrand(spec, ChartPoint(u))
         rhs = named_integrand(fam, -u if fam.reflect_u else u, check_domain=False)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = _worst(worst, _modulus(lhs - rhs) / max(1.0, _modulus(rhs)))
     return worst
 
 
 @_criterion(13, "family correspondence")
 def criterion_13():
     """Pointwise equality of chart integrands and named kernels."""
-    worst = max(_c13_gap(lam, r) for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
-                for r in (1, 2))
+    worst = _worst(*(_c13_gap(lam, r) for lam in [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+                     for r in (1, 2)))
     return worst < 1e-12, f"worst pointwise gap {worst:.2e}"
 
 

@@ -209,6 +209,12 @@ def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,
     return out
 
 
+def _modulus(z: complex) -> float:
+    """|z|, NaN for a NaN part: the builtin abs() of a complex NaN can
+    report a stale overflow from an earlier C call."""
+    return math.hypot(z.real, z.imag)
+
+
 def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
                   rel_tol: float = 1e-4):
     """Run every pair; report per-pair residual/scale, the number of
@@ -224,7 +230,7 @@ def verify_system(F, z0: CoordMatrix, pairs, plan: StencilPlan = StencilPlan(),
     operators, points = _operators(F, z0, pairs, plan)
     rows = []
     for pair, (residual, scale) in zip(pairs, operators):
-        rel = abs(residual) / max(scale, 1e-300)
+        rel = _modulus(residual) / max(scale, 1e-300)
         rows.append({
             "I": list(pair.I),
             "J": list(pair.J),
@@ -243,7 +249,7 @@ class InfinitesimalResult:
 
     @property
     def relative(self) -> float:
-        return abs(self.residual) / max(self.reference, 1e-300)
+        return _modulus(self.residual) / max(self.reference, 1e-300)
 
 
 def _central_steps(eps: float):
@@ -269,7 +275,7 @@ def _infinitesimal(F, z0: CoordMatrix, move, rate, spread, eps: float) -> Infini
     points = [z0] + [move(t) for t in _central_steps(eps)]
     (f0, *values), _ = _evaluate(F, points)
     residual = _central(values, eps) - rate * f0
-    return InfinitesimalResult(complex(residual), float(abs(f0) * (1.0 + spread)))
+    return InfinitesimalResult(complex(residual), float(_modulus(complex(f0)) * (1.0 + spread)))
 
 
 def check_h_infinitesimal(F, z0: CoordMatrix, direction: LieDirection,

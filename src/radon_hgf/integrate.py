@@ -656,14 +656,17 @@ def _chain_pieces(kind: str, ends, exponents, far=None, exp_far=None):
 
 def _chain_law(kind: str, exponents, r: int):
     """The eigenvalue weight of a chain kind for the registry exponents e,
-    as (rule, sample) of that one weight: rule(n) is its Gauss rule, the
-    phase of the imaginary exponents folded into the weights, and
-    sample(gen, count) draws (count, r) eigenvalues from the density of
-    its real part, with the log-pdf of each row. The weight is u^p (1-u)^q
-    on the interval (Jacobi rule, Beta(p + 1, q + 1) draws), u^p exp(-rate u)
-    on the half line (scaled Laguerre rule, Gamma(p + 1) / rate draws;
-    unit rate when there is no e1) and exp(-u^2 / 2) on the full line
-    (Hermite rule, normal draws), with p, q = Re e - r. Refuses weights
+    as (rule, sample, logpdf) of that one weight: rule(n) is its Gauss
+    rule, the phase of the imaginary exponents folded into the weights;
+    sample(gen, count) draws (count, r) eigenvalues from the density of its
+    real part, with the mass m of each eigenvalue, the weight over that
+    density (a constant when every exponent is real); logpdf(lam) is the
+    log-density of each row of draws. The weight is u^p (1-u)^q on the
+    interval (Jacobi rule, Beta(p + 1, q + 1) draws, m = B(p + 1, q + 1)),
+    u^p exp(-rate u) on the half line (scaled Laguerre rule,
+    Gamma(p + 1) / rate draws, m = Gamma(p + 1) rate^-(p + 1); unit rate
+    when there is no e1) and exp(-u^2 / 2) on the full line (Hermite rule,
+    normal draws, m = sqrt(2 pi)), with p, q = Re e - r. Refuses weights
     that are not integrable, among them a power |u|^(Re e0 - r) at 0 on
     the full line, and the rotated ray, which has none."""
     e = [complex(v) for v in exponents]
@@ -673,18 +676,24 @@ def _chain_law(kind: str, exponents, r: int):
             raise IncompatibleChain("interval weight u^p (1-u)^q needs p, q > -1")
         a_sh, b_sh = p + 1.0, q + 1.0
         lnB = math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh)
+        mass, imaginary = math.exp(lnB), e[0].imag or e[1].imag
+
+        def phase(lam):
+            return np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
 
         def rule(n):
             lam, w = jacobi_01(n, p, q)
-            return lam, w * np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
+            return lam, w * phase(lam)
 
         def sample(gen, count):
             lam = gen.beta(a_sh, b_sh, size=(count, r))
-            logpdf = np.sum(
+            return lam, mass * phase(lam) if imaginary else mass
+
+        def logpdf(lam):
+            return np.sum(
                 (a_sh - 1.0) * np.log(lam) + (b_sh - 1.0) * np.log1p(-lam) - lnB,
                 axis=1,
             )
-            return lam, logpdf
 
     elif kind == HALF_LINE:
         p = e[0].real - r
@@ -696,34 +705,42 @@ def _chain_law(kind: str, exponents, r: int):
             raise IncompatibleChain("half-line weight needs a positive decay rate")
         shape = p + 1.0
         lnG = math.lgamma(shape) - shape * math.log(rate)
+        mass, imaginary = math.exp(lnG), e[0].imag or decay.imag
+
+        def phase(lam):
+            return np.exp(1j * (e[0].imag * np.log(lam) - decay.imag * lam))
 
         def rule(n):
             s_nodes, s_weights = genlaguerre(n, p)
             lam = s_nodes / rate
             w = s_weights * rate ** (-p - 1.0)
-            return lam, w * np.exp(1j * (e[0].imag * np.log(lam) - decay.imag * lam))
+            return lam, w * phase(lam)
 
         def sample(gen, count):
             lam = gen.gamma(shape, size=(count, r)) / rate
-            logpdf = np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
-            return lam, logpdf
+            return lam, mass * phase(lam) if imaginary else mass
+
+        def logpdf(lam):
+            return np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
 
     elif kind == FULL_LINE:
         if e and e[0].real - r <= -1:
             raise IncompatibleChain("full-line weight |u|^p near 0 needs p > -1")
         ln_norm = 0.5 * math.log(2.0 * math.pi)
+        mass = math.sqrt(2.0 * math.pi)
 
         def rule(n):
             return hermite_scaled(n)
 
         def sample(gen, count):
-            lam = gen.standard_normal((count, r))
-            logpdf = np.sum(-0.5 * lam * lam - ln_norm, axis=1)
-            return lam, logpdf
+            return gen.standard_normal((count, r)), mass
+
+        def logpdf(lam):
+            return np.sum(-0.5 * lam * lam - ln_norm, axis=1)
 
     else:
         raise IncompatibleChain(f"no eigenvalue weight for the {kind} chain")
-    return rule, sample
+    return rule, sample, logpdf
 
 
 def _family_on(fam: NamedFamily, chain: ChainSpec):
@@ -778,7 +795,7 @@ def _eigen_rule(fam: NamedFamily, r: int):
     if args is None:
         raise NotInvariant("matrix argument breaks unitary invariance")
     x, xs = args
-    rule, _ = _chain_law(entry.chains[0], entry.exponents(fam.params, fam.X), r)
+    rule, _, _ = _chain_law(entry.chains[0], entry.exponents(fam.params, fam.X), r)
 
     def build(n):
         lam, w = rule(n)
@@ -824,15 +841,19 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     """Monte Carlo over U = V diag(lam) V^* with V Haar and lam chain-sampled.
 
     A unitarily invariant kernel (a family with a per-eigenvalue remainder
-    at scalar arguments, and no ``batch_fn``) has the same value at every
-    V, so by Weyl's integration formula its Haar average is its value at
-    diag(lam): those families draw the eigenvalues only. Each substream
-    draws its chunks one after another, so when a substream holds more
-    than one chunk (samples above 16 * 2^15) the later chunks' eigenvalues
-    differ from those of the Haar path, which also draws V. The Haar path
-    draws a full r x r Gaussian matrix per sample but orthonormalizes only
-    its first r - 1 columns: with V V^* = 1 they fix U, so the last column
-    of V is never formed.
+    phi at scalar arguments, and no ``batch_fn``) reduces by Weyl's
+    integration formula to the integral that ``_eigen_rule`` integrates,
+    c_r int Delta(lam)^2 prod_i w(lam_i) phi(lam_i) dlam. Those families
+    draw the eigenvalues only, and a draw contributes
+    c_r Delta(lam)^2 prod_i m(lam_i) phi(lam_i), m being the chain weight w
+    over its draw density (``_chain_law``). Each substream draws its chunks
+    one after another, so when a substream holds more than one chunk
+    (samples above 16 * 2^15) the later chunks' eigenvalues differ from
+    those of the Haar path, which also draws V. The Haar path divides the
+    kernel at U by the density of the draws. It draws a full r x r
+    Gaussian matrix per sample but orthonormalizes only its first r - 1
+    columns: with V V^* = 1 they fix U, so the last column of V is never
+    formed.
 
     The sample space is split into a fixed number of counter-jumped
     substreams and reduced in substream order, so the estimate is
@@ -844,20 +865,22 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         # one sample has no spread to estimate an error from
         raise UnsupportedCount(f"Monte Carlo needs at least two samples, got {samples}")
     r = chain.r
-    invariant = False
+    entry = FAMILIES[fam.tag]
+    scalars = None
     if batch_fn is None:
         _family_on(fam, chain)
-        invariant = FAMILIES[fam.tag].phi is not None and _scalar_arguments(fam) is not None
+        if entry.phi is not None:
+            scalars = _scalar_arguments(fam)
 
         def batch_fn(u):
             return named_integrand_batch(fam, u)
 
-    _, sample = _chain_law(chain.kind, FAMILIES[fam.tag].exponents(fam.params, fam.X), r)
+    _, sample, logpdf = _chain_law(chain.kind, entry.exponents(fam.params, fam.X), r)
 
-    log_cr = math.log(weyl_constant(r))
+    cr = weyl_constant(r)
+    log_cr = math.log(cr)
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
     part_sizes[-1] += samples - sum(part_sizes)
-    diag = np.arange(r)
 
     def run_part(idx):
         gen = stream.jump(idx + 1).generator()
@@ -867,10 +890,13 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         while remaining > 0:
             count = min(remaining, _MC_CHUNK)
             remaining -= count
-            lam, logpdf = sample(gen, count)
-            if invariant:
-                u = np.zeros((count, r, r), dtype=np.complex128)
-                u[:, diag, diag] = lam
+            lam, mass = sample(gen, count)
+            if scalars is not None:
+                w = mass * entry.phi(fam.params, lam, *scalars)
+                contrib = cr * vdm_sq_batch(lam)
+                # column by column: numpy's prod over a short axis is slow
+                for i in range(r):
+                    contrib = contrib * w[:, i]
             else:
                 gin = (gen.standard_normal((count, r, r))
                        + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
@@ -879,8 +905,9 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
                 # Each (count, r, r) array is dropped after its last use
                 u = conjugate_diag(haar_from_gaussian(gin[:, :, : r - 1]), lam)
                 del gin
-            contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam)) - logpdf)
-            del u
+                contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam))
+                                               - logpdf(lam))
+                del u
             acc += complex(np.sum(contrib))
             acc2 += float(np.sum(np.abs(contrib) ** 2))
         return acc, acc2

@@ -1,3 +1,5 @@
+import ctypes
+import errno
 import math
 from itertools import permutations
 
@@ -9,6 +11,7 @@ from radon_hgf.characters import GroupElement, LieDirection, PartitionWeight
 from radon_hgf.errors import BadIndexSet, NotInZLambda, ShapeMismatch, StencilCrossesBranchLocus
 from radon_hgf.grassmann import CoordMatrix, apply_group, require_member, z_lambda_member
 from radon_hgf.hgs import (
+    InfinitesimalResult,
     MultiIndexPair,
     StencilPlan,
     all_pairs,
@@ -271,6 +274,37 @@ def test_verify_system_of_no_pairs_is_refused_before_any_call():
 
     with pytest.raises(BadIndexSet, match="at least one pair"):
         verify_system(F, z0, [])
+
+
+def _errno_cell():
+    """The C library's errno as a settable cell."""
+    loc = getattr(ctypes.CDLL(None), "__errno_location", None)
+    if loc is None:
+        pytest.skip("needs the C library's errno location")
+    loc.argtypes = []
+    loc.restype = ctypes.POINTER(ctypes.c_int)
+    return loc().contents
+
+
+def test_nan_values_fail_their_rows_and_raise_nothing():
+    # abs() of a complex NaN leaves errno alone, so a stale ERANGE from an
+    # earlier C call read as an overflow; the modulus of a NaN is NaN
+    _, z0, _ = _gauss_setup()
+    cell = _errno_cell()
+
+    def F(z):
+        cell.value = errno.ERANGE
+        return complex(math.nan, math.nan)
+
+    report = verify_system(F, z0, all_pairs(2, 4, 1))
+    assert not report["pass"]
+    assert all(math.isnan(row["relative"]) and not row["pass"] for row in report["pairs"])
+    res = InfinitesimalResult(complex(math.nan, 0.0), 1.0)
+    cell.value = errno.ERANGE
+    assert math.isnan(res.relative)
+    res = check_gl_infinitesimal(F, z0, np.diag([0.3, -0.2]), eps=1e-3)
+    cell.value = errno.ERANGE
+    assert math.isnan(res.relative) and math.isnan(res.reference)
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.nan, math.inf])

@@ -286,6 +286,10 @@ _INVARIANT_CASES = [
     ("bessel", {"c": 3.5}, -1.0, (), "half-line"),
     ("lauricella_fd", {"a": 2.6, "c": 5.3, "bs": (0.7, 1.1)}, None, (0.3, -0.5),
      "interval-0-1"),
+    # complex exponents: the eigenvalue path multiplies in their phase
+    ("beta_r", {"a": 2.3 + 0.4j, "b": 3.1 - 0.2j}, None, (), "interval-0-1"),
+    ("gamma_r", {"a": 2.7 + 0.3j, "rate": 1.5 + 0.4j}, None, (), "half-line"),
+    ("bessel", {"c": 3.5}, -1.0 + 0.2j, (), "half-line"),
 ]
 
 
@@ -326,6 +330,38 @@ def test_mc_invariant_path_draws_no_unitary(monkeypatch):
     with pytest.raises(AssertionError, match="Haar unitary drawn"):
         integrate_haar_mc(fam, chain, 64, RandomStream(1),
                           batch_fn=lambda u: named_integrand_batch(fam, u))
+
+
+def test_mc_invariant_path_calls_no_kernel_and_no_density(monkeypatch):
+    # the eigenvalue path weighs each draw by the weight's mass and phi; the
+    # matrix kernel and the log-density serve the Haar path only
+    def no_kernel(fam, u):
+        raise AssertionError("kernel called")
+
+    law = integrate._chain_law
+
+    def no_density(kind, exponents, r):
+        rule, sample, _ = law(kind, exponents, r)
+
+        def logpdf(lam):
+            raise AssertionError("density evaluated")
+
+        return rule, sample, logpdf
+
+    monkeypatch.setattr(integrate, "named_integrand_batch", no_kernel)
+    monkeypatch.setattr(integrate, "_chain_law", no_density)
+    for tag, params, x, xs, kind in _INVARIANT_CASES:
+        fam = _invariant_family(tag, params, x, xs, 2)
+        integrate_haar_mc(fam, ChainSpec(kind, 2), 64, RandomStream(1))
+    # a non-scalar X takes the kernel, and a caller's batch_fn the density
+    chain = ChainSpec("interval-0-1", 2)
+    fam = NamedFamily("gauss", {"a": 2.6, "b": 1.2, "c": 5.3}, X=np.diag([0.3, -0.4]))
+    with pytest.raises(AssertionError, match="kernel called"):
+        integrate_haar_mc(fam, chain, 64, RandomStream(1))
+    fam = NamedFamily("beta_r", {"a": 3.5, "b": 4.0})
+    with pytest.raises(AssertionError, match="density evaluated"):
+        integrate_haar_mc(fam, chain, 64, RandomStream(1),
+                          batch_fn=lambda u: np.ones(len(u), dtype=np.complex128))
 
 
 def _chart_point_with_h(lam, xs, r):
@@ -1781,15 +1817,21 @@ def test_eigen_rule_and_mc_density_refuse_the_same_weights(fam, kind, r):
     ("half-line", (1.5, 1.0), lambda u: u**0.5 * np.exp(-u)),
     ("half-line", (2.2, 2.5), lambda u: u**1.2 * np.exp(-2.5 * u)),
     ("full-line", (), lambda u: np.exp(-0.5 * u * u)),
+    ("interval-0-1", (1.5 + 0.3j, 2.5 - 0.2j),
+     lambda u: u ** (0.5 + 0.3j) * (1.0 - u) ** (1.5 - 0.2j)),
+    ("half-line", (2.2 + 0.3j, 2.5 + 0.4j),
+     lambda u: u ** (1.2 + 0.3j) * np.exp(-(2.5 + 0.4j) * u)),
 ])
 def test_chain_law_rule_and_sampler_share_one_weight(kind, exponents, weight):
-    # at r = 1 the density is the weight over its mass, and the mass is
-    # what the Gauss rule's weights add up to
-    rule, sample = integrate._chain_law(kind, exponents, 1)
+    # at r = 1 the density is the weight's modulus over its mass, the mass
+    # is what the moduli of the Gauss rule's weights add up to, and each
+    # draw's mass m is the weight over the density
+    rule, sample, logpdf = integrate._chain_law(kind, exponents, 1)
     _, w = rule(32)
-    lam, logpdf = sample(RandomStream(3).generator(), 64)
-    mass = weight(lam[:, 0]) * np.exp(-logpdf)
-    assert np.allclose(mass, np.sum(w).real, rtol=1e-12, atol=0.0)
+    lam, mass = sample(RandomStream(3).generator(), 64)
+    over_density = weight(lam) * np.exp(-logpdf(lam))[:, None]
+    assert np.allclose(np.abs(over_density), np.sum(np.abs(w)), rtol=1e-12, atol=0.0)
+    assert np.allclose(mass, over_density, rtol=1e-12, atol=0.0)
 
 
 def test_counts_out_of_range_raise_typed_errors():
