@@ -12,11 +12,15 @@ and ``family_of_normal_form`` records the exact weight dictionary that
 identifies them with the table normal forms.
 
 ``FAMILIES`` is the one registry of the named families: per tag, the
-batched kernel, the chains it integrates over (the default first), the
-endpoint exponents of its weight and, for the unitarily invariant
-kernels, the per-eigenvalue remainder.  The domain check, the r = 1
-chain pieces, the eigenvalue quadrature, the Monte Carlo densities and
-the CLI defaults are all read from it.
+chains it integrates over (the default first), the endpoint exponents of
+the default chain's weight, and the remainder, the log of the kernel over
+that weight.  Each is written once: ``named_integrand_batch`` derives
+the kernel, and the kernel over any of the family's chain weights, from
+the weight (``_log_weight``) and the remainder, and ``Family.phi`` the
+per-eigenvalue remainder of the unitarily invariant kernels from the
+remainder at 1 x 1 matrices.  The domain check, the r = 1 chain pieces,
+the eigenvalue quadrature, the Monte Carlo weights and the CLI defaults
+are all read from it.
 """
 
 import math
@@ -135,12 +139,23 @@ def _trace_prod(a, b):
     return np.einsum("bij,bji->b" if b.ndim == 3 else "bij,ji->b", a, b)
 
 
-def named_integrand_batch(fam: NamedFamily, u) -> np.ndarray:
-    """Kernel values over a stacked (batch, r, r) argument."""
-    b, r, _ = u.shape
-    eye = np.eye(r, dtype=np.complex128)
+def named_integrand_batch(fam: NamedFamily, u, over: str | None = None) -> np.ndarray:
+    """Kernel values over a stacked (batch, r, r) argument, divided by the
+    weight of the chain kind ``over``: exp(log w + remainder - log w_over),
+    with w the weight of the family's default chain (``_log_weight``).
+    None divides by nothing, which is the kernel; the default chain leaves
+    exp(remainder), with no weight evaluated."""
+    r = u.shape[1]
+    entry = FAMILIES[fam.tag]
     x = fam.X if fam.X is not None else np.zeros((r, r), dtype=np.complex128)
-    return FAMILIES[fam.tag].kernel(fam.params, u, r, eye, x, fam.xs)
+    e = entry.exponents(fam.params, fam.X)
+    default = entry.chains[0]
+    # the weight first: a singular u raises before a remainder inverts it
+    expo = 0.0 if over == default else _log_weight(default, e, u, r)
+    expo = expo + entry.remainder(fam.params, e, u, x, fam.xs)
+    if over not in (None, default):
+        expo = expo - _log_weight(over, e, u, r)
+    return np.exp(expo)
 
 
 @lru_cache(maxsize=16)
@@ -247,52 +262,35 @@ def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
 # family registry
 # ----------------------------------------------------------------------
 
-def _beta_r(p, u, r, eye, x, xs):
-    return np.exp((p["a"] - r) * _logdet_batch(u) + (p["b"] - r) * _logdet_batch(eye - u))
+def _log_weight(kind: str, e, u, r: int):
+    """The log of the chain weight that ``integrate._chain_law`` integrates,
+    for the registry exponents e, at a stacked (batch, r, r) u:
+    (e0 - r) log det u + (e1 - r) log det(1 - u) on the interval,
+    (e0 - r) log det u - e1 Tr u on the half line (e1 = 1 when there is
+    none), -Tr u^2 / 2 on the full line and 0 on the rotated ray, which has
+    no weight."""
+    if kind == INTERVAL:
+        return (e[0] - r) * _logdet_batch(u) + (e[1] - r) * _logdet_batch(np.eye(r) - u)
+    if kind == HALF_LINE:
+        return (e[0] - r) * _logdet_batch(u) - (e[1] if len(e) > 1 else 1.0) * _trace_batch(u)
+    if kind == FULL_LINE:
+        return -0.5 * _trace_prod(u, u)
+    return 0.0
 
 
-def _gamma_r(p, u, r, eye, x, xs):
-    return np.exp((p["a"] - r) * _logdet_batch(u) - p.get("rate", 1.0) * _trace_batch(u))
+def _log_factor(b, u, x):
+    """-b log det(1 - u x)."""
+    return -b * _logdet_batch(np.eye(u.shape[-1]) - matmul_batch(u, x))
 
 
-def _gaussian_r(p, u, r, eye, x, xs):
-    return np.exp(-0.5 * _trace_prod(u, u))
+def _bessel(p, e, u, x, xs):
+    # the weight's decay at the mean eigenvalue of -X, given back
+    return _trace_prod(u, x) + e[1] * _trace_batch(u) - _trace_batch(inv_batch(u))
 
 
-def _beta_type_log(p, u, r, eye):
-    """(a - r) log det u + (c - a - r) log det(1 - u)."""
-    return (p["a"] - r) * _logdet_batch(u) + (p["c"] - p["a"] - r) * _logdet_batch(eye - u)
-
-
-def _gauss(p, u, r, eye, x, xs):
-    return np.exp(_beta_type_log(p, u, r, eye)
-                  - p["b"] * _logdet_batch(eye - matmul_batch(u, x)))
-
-
-def _kummer(p, u, r, eye, x, xs):
-    return np.exp(_trace_prod(u, x) + _beta_type_log(p, u, r, eye))
-
-
-def _bessel(p, u, r, eye, x, xs):
-    # the log first: a singular u raises before it is inverted
-    expo = (p["c"] - r) * _logdet_batch(u)
-    return np.exp(expo + _trace_prod(u, x) - _trace_batch(inv_batch(u)))
-
-
-def _hermite_weber(p, u, r, eye, x, xs):
-    return np.exp(_trace_prod(u, x) - 0.5 * _trace_prod(u, u)
-                  + (-p["c"] - r) * _logdet_batch(u))
-
-
-def _airy(p, u, r, eye, x, xs):
-    return np.exp(_trace_prod(u, x) - np.einsum("bij,bjk,bki->b", u, u, u) / 3.0)
-
-
-def _lauricella_fd(p, u, r, eye, x, xs):
-    expo = _beta_type_log(p, u, r, eye)
-    for bj, xj in zip(p["bs"], xs):
-        expo -= bj * _logdet_batch(eye - matmul_batch(u, xj))
-    return np.exp(expo)
+def _hermite_weber(p, e, u, x, xs):
+    # the half line's unit decay, given back
+    return _trace_prod(u, x) - 0.5 * _trace_prod(u, u) + _trace_batch(u)
 
 
 def _beta_type(p, X):
@@ -304,73 +302,72 @@ def _bessel_exponents(p, X):
     return p["c"], 0.0 if X is None else -complex(np.trace(X)) / X.shape[0]
 
 
-def _no_remainder(p, lam, x, xs):
-    return np.ones(lam.shape, dtype=np.complex128)
-
-
-def _lauricella_phi(p, lam, x, xs):
-    acc = np.ones(lam.shape, dtype=np.complex128)
-    for bj, xj in zip(p["bs"], xs):
-        acc *= np.exp(-bj * _log_batch(1.0 - lam * xj))
-    return acc
+def _no_remainder(p, e, u, x, xs):
+    """The remainder of a kernel that is its weight."""
+    return np.zeros(len(u), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class Family:
-    """Registry entry of one named kernel.
-
-    kernel(params, u, r, eye, X, xs): values over a stacked (batch, r, r) u,
-    with X the zero matrix when the family has none. A kernel adds its
-    determinant logs (``_logdet_batch``, the policy of ``_log_batch``) and
-    trace terms into one exponent and takes one complex exp; a product
-    with X is one ``matmul_batch`` against the single X, and a trace of a
-    product is taken by einsum without forming the product.
+    """Registry entry of one named kernel: the kernel is the weight of its
+    default chain times exp(remainder).
 
     chains: the chain kinds the family integrates over, the default first.
 
-    exponents(params, X): the exponents e of the weight at the chain ends,
-    det(u)^(e0 - r) det(1 - u)^(e1 - r) on the interval and
-    det(u)^(e0 - r) exp(-e1 Tr u) on the half line (no e1 when the decay
-    is not exponential). gamma_r's e1 is its ``rate`` (default 1), which
-    may be complex with a positive real part.
+    exponents(params, X): the exponents e of that weight at the chain ends
+    (``_log_weight``). gamma_r's e1 is its ``rate`` (default 1), which may
+    be complex with a positive real part.
 
-    phi(params, lam, x, xs): for unitarily invariant kernels at scalar
-    arguments x, xs, what the kernel leaves per eigenvalue after that
-    weight (after exp(-lam^2 / 2) on the full line):
-    kernel(diag(lam)) = prod_i weight(lam_i) phi(lam_i).  None when the
-    kernel has no positive eigenvalue weight.
+    remainder(params, e, u, X, xs): the log of the kernel over that weight,
+    over a stacked (batch, r, r) u (real in ``phi``), with X the zero
+    matrix when the family has none. It adds its determinant logs
+    (``_logdet_batch``, the policy of ``_log_batch``) and trace terms into
+    one exponent; a product with X is one ``matmul_batch`` against the
+    single X, and a trace of a product is taken by einsum without forming
+    the product.
+
+    invariant: the kernel is unitarily invariant at scalar X and xs, where
+    ``phi`` leaves what the weight does not take per eigenvalue.
     """
 
-    kernel: Callable
     chains: tuple
     exponents: Callable = lambda p, X: ()
-    phi: Callable | None = None
+    remainder: Callable = _no_remainder
+    invariant: bool = False
 
     @property
     def domain(self) -> str:
         """The widest chain; a Hermitian argument's eigenvalues lie on it."""
         return max(self.chains, key=CHAIN_KINDS.index)
 
+    def phi(self, params, lam, x, xs):
+        """The remainder at the 1 x 1 matrices lam_i, for scalar arguments
+        x and xs, as exp: kernel(diag(lam)) = prod_i weight(lam_i) phi(lam_i)."""
+        if self.remainder is _no_remainder:
+            # exp(0), without an exponential per Monte Carlo eigenvalue
+            return np.ones(lam.shape, dtype=np.complex128)
+        one = np.ones((1, 1), dtype=np.complex128)
+        X = x * one
+        rem = self.remainder(params, self.exponents(params, X), lam.reshape(-1, 1, 1),
+                             X, tuple(v * one for v in xs))
+        return np.exp(rem).reshape(lam.shape)
+
 
 FAMILIES = {
-    "beta_r": Family(_beta_r, (INTERVAL,), lambda p, X: (p["a"], p["b"]), _no_remainder),
-    "gamma_r": Family(_gamma_r, (HALF_LINE,), lambda p, X: (p["a"], p.get("rate", 1.0)),
-                      _no_remainder),
-    "gaussian_r": Family(_gaussian_r, (FULL_LINE,), phi=_no_remainder),
-    "gauss": Family(
-        _gauss, (INTERVAL,), _beta_type,
-        lambda p, lam, x, xs: np.exp(-p["b"] * _log_batch(1.0 - lam * x)),
-    ),
-    "kummer": Family(
-        _kummer, (INTERVAL,), _beta_type, lambda p, lam, x, xs: np.exp(lam * x)
-    ),
-    "bessel": Family(
-        _bessel, (HALF_LINE,), _bessel_exponents,
-        lambda p, lam, x, xs: np.exp(-1.0 / lam),
-    ),
-    "hermite_weber": Family(_hermite_weber, (HALF_LINE, FULL_LINE), lambda p, X: (-p["c"],)),
-    "airy": Family(_airy, (ROTATED_RAY,)),
-    "lauricella_fd": Family(_lauricella_fd, (INTERVAL,), _beta_type, _lauricella_phi),
+    "beta_r": Family((INTERVAL,), lambda p, X: (p["a"], p["b"]), invariant=True),
+    "gamma_r": Family((HALF_LINE,), lambda p, X: (p["a"], p.get("rate", 1.0)), invariant=True),
+    "gaussian_r": Family((FULL_LINE,), invariant=True),
+    "gauss": Family((INTERVAL,), _beta_type, invariant=True,
+                    remainder=lambda p, e, u, x, xs: _log_factor(p["b"], u, x)),
+    "kummer": Family((INTERVAL,), _beta_type, invariant=True,
+                     remainder=lambda p, e, u, x, xs: _trace_prod(u, x)),
+    "bessel": Family((HALF_LINE,), _bessel_exponents, _bessel, invariant=True),
+    "hermite_weber": Family((HALF_LINE, FULL_LINE), lambda p, X: (-p["c"],), _hermite_weber),
+    "airy": Family((ROTATED_RAY,), remainder=lambda p, e, u, x, xs: (
+        _trace_prod(u, x) - np.einsum("bij,bjk,bki->b", u, u, u) / 3.0)),
+    "lauricella_fd": Family((INTERVAL,), _beta_type, invariant=True,
+                            remainder=lambda p, e, u, x, xs: sum(
+                                _log_factor(bj, u, xj) for bj, xj in zip(p["bs"], xs))),
 }
 
 

@@ -69,6 +69,7 @@ from .integrands import (
     ROTATED_RAY,
     IntegrandSpec,
     NamedFamily,
+    _log_weight,
     chart_exponent,
     chart_integrand_batch,
     family_of_normal_form,
@@ -121,6 +122,14 @@ class IntegralEstimate:
             "nodes_or_samples": self.nodes_or_samples,
             "seed": self.seed,
         }
+
+
+def _finite(est: IntegralEstimate) -> IntegralEstimate:
+    """The estimate, when its value and error bar are finite."""
+    if not (cmath.isfinite(est.value) and math.isfinite(est.abs_error_est)):
+        raise NonConvergent(f"{est.method} estimate is not finite: "
+                            f"{est.value} +- {est.abs_error_est}")
+    return est
 
 
 @dataclass(frozen=True)
@@ -655,13 +664,13 @@ def _chain_pieces(kind: str, ends, exponents, far=None, exp_far=None):
 
 
 def _chain_law(kind: str, exponents, r: int):
-    """The eigenvalue weight of a chain kind for the registry exponents e,
-    as (rule, sample, logpdf) of that one weight: rule(n) is its Gauss
-    rule, the phase of the imaginary exponents folded into the weights;
-    sample(gen, count) draws (count, r) eigenvalues from the density of its
-    real part, with the mass m of each eigenvalue, the weight over that
-    density (a constant when every exponent is real); logpdf(lam) is the
-    log-density of each row of draws. The weight is u^p (1-u)^q on the
+    """The eigenvalue weight of a chain kind for the registry exponents e
+    (``integrands._log_weight`` at a matrix), as (rule, sample) of that one
+    weight: rule(n) is its Gauss rule, the phase of the imaginary exponents
+    folded into the weights; sample(gen, count) draws (count, r)
+    eigenvalues from the density of its real part, with the mass m of each
+    eigenvalue, the weight over that density (a constant when every
+    exponent is real). The weight is u^p (1-u)^q on the
     interval (Jacobi rule, Beta(p + 1, q + 1) draws, m = B(p + 1, q + 1)),
     u^p exp(-rate u) on the half line (scaled Laguerre rule,
     Gamma(p + 1) / rate draws, m = Gamma(p + 1) rate^-(p + 1); unit rate
@@ -675,8 +684,8 @@ def _chain_law(kind: str, exponents, r: int):
         if p <= -1 or q <= -1:
             raise IncompatibleChain("interval weight u^p (1-u)^q needs p, q > -1")
         a_sh, b_sh = p + 1.0, q + 1.0
-        lnB = math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh)
-        mass, imaginary = math.exp(lnB), e[0].imag or e[1].imag
+        mass = math.exp(math.lgamma(a_sh) + math.lgamma(b_sh) - math.lgamma(a_sh + b_sh))
+        imaginary = e[0].imag or e[1].imag
 
         def phase(lam):
             return np.exp(1j * (e[0].imag * np.log(lam) + e[1].imag * np.log1p(-lam)))
@@ -689,12 +698,6 @@ def _chain_law(kind: str, exponents, r: int):
             lam = gen.beta(a_sh, b_sh, size=(count, r))
             return lam, mass * phase(lam) if imaginary else mass
 
-        def logpdf(lam):
-            return np.sum(
-                (a_sh - 1.0) * np.log(lam) + (b_sh - 1.0) * np.log1p(-lam) - lnB,
-                axis=1,
-            )
-
     elif kind == HALF_LINE:
         p = e[0].real - r
         decay = e[1] if len(e) > 1 else 1.0 + 0.0j
@@ -704,8 +707,8 @@ def _chain_law(kind: str, exponents, r: int):
         if rate <= 0:
             raise IncompatibleChain("half-line weight needs a positive decay rate")
         shape = p + 1.0
-        lnG = math.lgamma(shape) - shape * math.log(rate)
-        mass, imaginary = math.exp(lnG), e[0].imag or decay.imag
+        mass = math.exp(math.lgamma(shape) - shape * math.log(rate))
+        imaginary = e[0].imag or decay.imag
 
         def phase(lam):
             return np.exp(1j * (e[0].imag * np.log(lam) - decay.imag * lam))
@@ -720,13 +723,9 @@ def _chain_law(kind: str, exponents, r: int):
             lam = gen.gamma(shape, size=(count, r)) / rate
             return lam, mass * phase(lam) if imaginary else mass
 
-        def logpdf(lam):
-            return np.sum((shape - 1.0) * np.log(lam) - rate * lam - lnG, axis=1)
-
     elif kind == FULL_LINE:
         if e and e[0].real - r <= -1:
             raise IncompatibleChain("full-line weight |u|^p near 0 needs p > -1")
-        ln_norm = 0.5 * math.log(2.0 * math.pi)
         mass = math.sqrt(2.0 * math.pi)
 
         def rule(n):
@@ -735,12 +734,9 @@ def _chain_law(kind: str, exponents, r: int):
         def sample(gen, count):
             return gen.standard_normal((count, r)), mass
 
-        def logpdf(lam):
-            return np.sum(-0.5 * lam * lam - ln_norm, axis=1)
-
     else:
         raise IncompatibleChain(f"no eigenvalue weight for the {kind} chain")
-    return rule, sample, logpdf
+    return rule, sample
 
 
 def _family_on(fam: NamedFamily, chain: ChainSpec):
@@ -772,8 +768,8 @@ def integrate_r1(fam: NamedFamily, chain: ChainSpec, tol: float = 1e-10) -> Inte
 
 def _scalar_arguments(fam: NamedFamily):
     """(x, xs) when X and every xs of the family are scalar multiples of the
-    identity, else None. With a per-eigenvalue remainder ``phi`` in the
-    registry, this is when the kernel is unitarily invariant."""
+    identity, else None. For a family marked ``invariant`` in the registry,
+    this is when the kernel is unitarily invariant."""
     x = 0.0 if fam.X is None else scalar_multiple(fam.X)
     xs = tuple(scalar_multiple(m) for m in fam.xs)
     if x is None or None in xs:
@@ -783,10 +779,10 @@ def _scalar_arguments(fam: NamedFamily):
 
 def _eigen_rule(fam: NamedFamily, r: int):
     """n -> (nodes, weights) of the family's eigenvalue integral: the Gauss
-    rule of its chain weight (``_chain_law``), the weights times the rest
-    of the per-eigenvalue factor."""
+    rule of its chain weight (``_chain_law``), the weights times the
+    per-eigenvalue remainder phi."""
     entry = FAMILIES[fam.tag]
-    if entry.phi is None:
+    if not entry.invariant:
         raise IncompatibleChain(
             f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
             "unsupported (use haar-mc, experimental)"
@@ -795,7 +791,7 @@ def _eigen_rule(fam: NamedFamily, r: int):
     if args is None:
         raise NotInvariant("matrix argument breaks unitary invariance")
     x, xs = args
-    rule, _, _ = _chain_law(entry.chains[0], entry.exponents(fam.params, fam.X), r)
+    rule, _ = _chain_law(entry.chains[0], entry.exponents(fam.params, fam.X), r)
 
     def build(n):
         lam, w = rule(n)
@@ -809,7 +805,8 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
 
     The error estimate is the difference from the rule with half as many
     nodes (at least r), so ``nodes`` must exceed both, plus a rounding term
-    r n eps c_r (sum of the absolute terms) from the fine rule's sum."""
+    r n eps c_r (sum of the absolute terms) from the fine rule's sum. A
+    value or error bar that is not finite raises ``NonConvergent``."""
     _require_rank(r)
     coarse_nodes = max(r, nodes // 2)
     if coarse_nodes >= nodes:
@@ -824,8 +821,8 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
     fine, absolute = tensor_vdm_sum(wg, lam, r)
     fine = cr * fine
     rounding = r * nodes * math.ulp(1.0) * cr * absolute
-    return IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
-                            nodes + coarse_nodes)
+    return _finite(IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
+                                    nodes + coarse_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -840,26 +837,28 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
                       stream: RandomStream, batch_fn=None) -> IntegralEstimate:
     """Monte Carlo over U = V diag(lam) V^* with V Haar and lam chain-sampled.
 
-    A unitarily invariant kernel (a family with a per-eigenvalue remainder
-    phi at scalar arguments, and no ``batch_fn``) reduces by Weyl's
-    integration formula to the integral that ``_eigen_rule`` integrates,
-    c_r int Delta(lam)^2 prod_i w(lam_i) phi(lam_i) dlam. Those families
-    draw the eigenvalues only, and a draw contributes
-    c_r Delta(lam)^2 prod_i m(lam_i) phi(lam_i), m being the chain weight w
-    over its draw density (``_chain_law``). Each substream draws its chunks
-    one after another, so when a substream holds more than one chunk
-    (samples above 16 * 2^15) the later chunks' eigenvalues differ from
-    those of the Haar path, which also draws V. The Haar path divides the
-    kernel at U by the density of the draws. It draws a full r x r
-    Gaussian matrix per sample but orthonormalizes only its first r - 1
-    columns: with V V^* = 1 they fix U, so the last column of V is never
-    formed.
+    Every draw contributes c_r Delta(lam)^2 prod_i m(lam_i) R, m being the
+    chain weight w over its draw density (``_chain_law``) and R the
+    integrand over prod_i w(lam_i). A unitarily invariant kernel (a family
+    marked ``invariant`` at scalar arguments, and no ``batch_fn``) reduces
+    by Weyl's integration formula to the integral that ``_eigen_rule``
+    integrates, c_r int Delta(lam)^2 prod_i w(lam_i) phi(lam_i) dlam. Those
+    families draw the eigenvalues only, with R = prod_i phi(lam_i). Each
+    substream draws its chunks one after another, so when a substream holds
+    more than one chunk (samples above 16 * 2^15) the later chunks'
+    eigenvalues differ from those of the Haar path, which also draws V. The
+    Haar path takes R = batch_fn(U), by default the family's kernel over
+    the chain's weight (``named_integrand_batch`` with ``over``). It draws
+    a full r x r Gaussian matrix per sample but orthonormalizes only its
+    first r - 1 columns: with V V^* = 1 they fix U, so the last column of
+    V is never formed.
 
     The sample space is split into a fixed number of counter-jumped
     substreams and reduced in substream order, so the estimate is
     bit-identical for a given (seed, samples) regardless of threading.
-    A ``batch_fn`` replaces the family's kernel; the family then only
-    shapes the eigenvalue density.
+    A ``batch_fn`` is the integrand over the chain's weight at a stacked U,
+    in place of the family's; the family then only shapes the eigenvalue
+    law. A value or error bar that is not finite raises ``NonConvergent``.
     """
     if samples < 2:
         # one sample has no spread to estimate an error from
@@ -869,16 +868,15 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     scalars = None
     if batch_fn is None:
         _family_on(fam, chain)
-        if entry.phi is not None:
+        if entry.invariant:
             scalars = _scalar_arguments(fam)
 
         def batch_fn(u):
-            return named_integrand_batch(fam, u)
+            return named_integrand_batch(fam, u, over=chain.kind)
 
-    _, sample, logpdf = _chain_law(chain.kind, entry.exponents(fam.params, fam.X), r)
+    _, sample = _chain_law(chain.kind, entry.exponents(fam.params, fam.X), r)
 
     cr = weyl_constant(r)
-    log_cr = math.log(cr)
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
     part_sizes[-1] += samples - sum(part_sizes)
 
@@ -890,13 +888,10 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         while remaining > 0:
             count = min(remaining, _MC_CHUNK)
             remaining -= count
-            lam, mass = sample(gen, count)
+            lam, m = sample(gen, count)
+            contrib = cr * vdm_sq_batch(lam)
             if scalars is not None:
-                w = mass * entry.phi(fam.params, lam, *scalars)
-                contrib = cr * vdm_sq_batch(lam)
-                # column by column: numpy's prod over a short axis is slow
-                for i in range(r):
-                    contrib = contrib * w[:, i]
+                m = m * entry.phi(fam.params, lam, *scalars)
             else:
                 gin = (gen.standard_normal((count, r, r))
                        + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
@@ -905,9 +900,12 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
                 # Each (count, r, r) array is dropped after its last use
                 u = conjugate_diag(haar_from_gaussian(gin[:, :, : r - 1]), lam)
                 del gin
-                contrib = batch_fn(u) * np.exp(log_cr + np.log(vdm_sq_batch(lam))
-                                               - logpdf(lam))
+                contrib = contrib * batch_fn(u)
                 del u
+                m = np.broadcast_to(m, lam.shape)
+            # column by column: numpy's prod over a short axis is slow
+            for i in range(r):
+                contrib = contrib * m[:, i]
             acc += complex(np.sum(contrib))
             acc2 += float(np.sum(np.abs(contrib) ** 2))
         return acc, acc2
@@ -929,7 +927,7 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     mean = total / samples
     var = max(total2 / samples - abs(mean) ** 2, 0.0)
     sem = math.sqrt(var / (samples - 1))
-    return IntegralEstimate(mean, sem, "haar-mc", samples, seed=stream.seed)
+    return _finite(IntegralEstimate(mean, sem, "haar-mc", samples, seed=stream.seed))
 
 
 # ----------------------------------------------------------------------
@@ -1071,20 +1069,21 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             if method == "eigen-tensor":
                 raise
     if est is None:
-        # Monte Carlo of the chart integrand at the table form
-        spec = IntegrandSpec(pw, nf)
-        eye = np.eye(r, dtype=np.complex128)
-
-        def batch_fn(u):
-            frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
-            return chart_integrand_batch(spec, frames)
-
-        # eigenvalue density Beta(2, 2) on the interval, Gamma(2) at unit rate
-        # on the half line
+        # Monte Carlo of the chart integrand at the table form, over the
+        # eigenvalue law Beta(2, 2) on the interval, Gamma(2) at unit rate on
+        # the half line and normal on the full line
         if chain.kind == HALF_LINE:
             fam = NamedFamily("gamma_r", {"a": 1.0 + r})
         else:
             fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
+        spec = IntegrandSpec(pw, nf)
+        eye = np.eye(r, dtype=np.complex128)
+        e = FAMILIES[fam.tag].exponents(fam.params, None)
+
+        def batch_fn(u):
+            frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
+            return chart_integrand_batch(spec, frames) * np.exp(-_log_weight(chain.kind, e, u, r))
+
         est = integrate_haar_mc(fam, chain, budget.samples, budget.stream, batch_fn=batch_fn)
     if red is None:
         return est

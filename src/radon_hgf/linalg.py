@@ -13,9 +13,9 @@ call per matrix, whose dispatch costs far more than the arithmetic of a
 2 x 2 matrix. These kernels loop in Python over the r indices only, so
 each numpy operation runs across the whole batch; r is read from the
 shape. A product with one matrix is a single GEMM over the rows of the
-whole stack. The determinant and the inverse have closed forms at r = 1
-and 2 and defer to LAPACK above, where an LU across the batch would no
-longer pay. The Haar draw orthonormalizes only the columns it is given,
+whole stack, or at r = 1 one multiply per entry. The determinant and the
+inverse have closed forms at r = 1 and 2 and defer to LAPACK above,
+where an LU across the batch would no longer pay. The Haar draw orthonormalizes only the columns it is given,
 and U = V diag(lam) V^* is formed from the first r - 1 columns of V,
 which with V V^* = 1 determine it. No kernel writes into its arguments.
 """
@@ -170,12 +170,14 @@ def conjugate_diag(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 def matmul_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for a (batch, n, k) stack x and y either one (k, p) matrix or
-    a (batch, k, p) stack. Against one matrix it is a single product of
-    the rows of all of x; against a stack, k broadcast products over the
-    inner index."""
+    a (batch, k, p) stack. Against one matrix with k > 1 it is a single
+    product of the rows of all of x; otherwise k broadcast products over
+    the inner index (at k = 1 one multiply per entry, no BLAS call)."""
     b, n, k = x.shape
     if y.ndim == 2:
-        return (x.reshape(b * n, k) @ y).reshape(b, n, y.shape[1])
+        if k > 1:
+            return (x.reshape(b * n, k) @ y).reshape(b, n, y.shape[1])
+        y = y[None]
     out = x[:, :, 0, None] * y[:, None, 0, :]
     for l in range(1, k):
         out += x[:, :, l, None] * y[:, None, l, :]

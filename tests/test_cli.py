@@ -211,6 +211,21 @@ def test_eval_divergent_full_line_exits_2(capsys):
     assert report["error"].startswith("IncompatibleChain")
 
 
+@pytest.mark.parametrize("method", ["eigen-tensor", "haar-mc"])
+def test_eval_non_finite_estimate_exits_2(tmp_path, capsys, method):
+    # exp(tr U X) overflows at X = 800 I; this run used to report
+    # nan +- nan and exit 0 with "pass": true
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps(matrix_to_json(800.0 * np.eye(2))))
+    code, report = run_cli(
+        capsys, "eval", "--family", "kummer", "--r", "2", "--a", "2.6", "--c", "5.3",
+        "--X-json", str(x_file), "--method", method, "--samples", "4096",
+    )
+    assert code == 2
+    assert report["error"].startswith("NonConvergent")
+    assert report["pass"] is False
+
+
 @pytest.mark.parametrize("command", ["radon", "verify-pde"])
 def test_missing_weights_exit_2(tmp_path, capsys, command):
     z_file = tmp_path / "z.json"

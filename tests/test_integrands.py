@@ -22,6 +22,7 @@ from radon_hgf.integrands import (
     IntegrandSpec,
     NamedFamily,
     _log_batch,
+    _log_weight,
     chart_integrand_batch,
     evaluate_frame,
     evaluate_integrand,
@@ -496,6 +497,33 @@ def test_family_kernel_matches_per_matrix_reference(tag, r):
     for k in range(count):
         ref = reference(params, u[k], eye, x, xs)
         assert abs(batch[k] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_kernel_over_a_chain_weight_times_that_weight_is_the_kernel(tag, r):
+    # over each chain of the family, hermite_weber's swap from the half line
+    # to the full line among them, at Hermitian u inside the family's domain
+    params, bounds, has_x, n_xs, _ = _KERNEL_CASES[tag]
+    count = 20
+    stream = RandomStream(700 + 10 * r + sorted(FAMILIES).index(tag))
+    g = stream.generator()
+    lo, hi = bounds or (-1.0, 1.0)
+    lam = lo + (hi - lo) * g.random((count, r))
+    v = haar_unitary_batch(r, count, stream.jump(1))
+    u = (v * lam[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+    def small_matrix():
+        m = g.standard_normal((r, r)) + 1j * g.standard_normal((r, r))
+        return 0.5 * m / np.linalg.norm(m, 2)
+
+    x = small_matrix() if has_x else None
+    fam = NamedFamily(tag, params, X=x, xs=tuple(small_matrix() for _ in range(n_xs)))
+    e = FAMILIES[tag].exponents(params, x)
+    kernel = named_integrand_batch(fam, u)
+    for kind in FAMILIES[tag].chains:
+        back = named_integrand_batch(fam, u, over=kind) * np.exp(_log_weight(kind, e, u, r))
+        assert np.all(np.abs(back - kernel) <= 1e-13 * np.abs(kernel)), kind
 
 
 @pytest.mark.parametrize("lam,tag", [
