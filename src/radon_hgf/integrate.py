@@ -67,11 +67,9 @@ from .integrands import (
     HALF_LINE,
     INTERVAL,
     ROTATED_RAY,
-    IntegrandSpec,
     NamedFamily,
     _log_weight,
     chart_exponent,
-    chart_integrand_batch,
     family_of_normal_form,
     named_integrand_batch,
 )
@@ -739,11 +737,15 @@ def _chain_law(kind: str, exponents, r: int):
     return rule, sample
 
 
-def _family_on(fam: NamedFamily, chain: ChainSpec):
-    """The registry entry of a family that integrates over the chain."""
+def _family_on(fam: NamedFamily, kind: str, r: int):
+    """The registry entry of a family that integrates over the chain kind,
+    whose X and every xs must be r x r."""
     entry = FAMILIES[fam.tag]
-    if chain.kind not in entry.chains:
-        raise IncompatibleChain(f"{fam.tag} does not integrate over the {chain.kind} chain")
+    if kind not in entry.chains:
+        raise IncompatibleChain(f"{fam.tag} does not integrate over the {kind} chain")
+    for m in (fam.X, *fam.xs):
+        if m is not None and np.shape(m) != (r, r):
+            raise ShapeMismatch(f"{fam.tag} needs {r} x {r} arguments, got shape {np.shape(m)}")
     return entry
 
 
@@ -752,7 +754,7 @@ def integrate_r1(fam: NamedFamily, chain: ChainSpec, tol: float = 1e-10) -> Inte
     from 0 (and to 1 on the interval)."""
     if chain.r != 1:
         raise IncompatibleChain("integrate_r1 requires r = 1")
-    e = _family_on(fam, chain).exponents(fam.params, fam.X)
+    e = _family_on(fam, chain.kind, 1).exponents(fam.params, fam.X)
     ends = _CHAIN_ENDS[chain.kind]
     pieces = _chain_pieces(chain.kind, (0.0, 1.0)[:ends], [v - 1 for v in e[:ends]])
 
@@ -787,6 +789,7 @@ def _eigen_rule(fam: NamedFamily, r: int):
             f"{fam.tag} has no positive eigenvalue weight; eigen-tensor "
             "unsupported (use haar-mc, experimental)"
         )
+    _family_on(fam, entry.chains[0], r)
     args = _scalar_arguments(fam)
     if args is None:
         raise NotInvariant("matrix argument breaks unitary invariance")
@@ -806,7 +809,8 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
     The error estimate is the difference from the rule with half as many
     nodes (at least r), so ``nodes`` must exceed both, plus a rounding term
     r n eps c_r (sum of the absolute terms) from the fine rule's sum. A
-    value or error bar that is not finite raises ``NonConvergent``."""
+    value or error bar that is not finite raises ``NonConvergent``, with no
+    numpy warning on the way."""
     _require_rank(r)
     coarse_nodes = max(r, nodes // 2)
     if coarse_nodes >= nodes:
@@ -815,10 +819,11 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
         )
     build = _eigen_rule(fam, r)
     cr = weyl_constant(r)
-    lam, wg = build(coarse_nodes)
-    coarse = cr * tensor_vdm_sum(wg, lam, r)[0]
-    lam, wg = build(nodes)
-    fine, absolute = tensor_vdm_sum(wg, lam, r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam, wg = build(coarse_nodes)
+        coarse = cr * tensor_vdm_sum(wg, lam, r)[0]
+        lam, wg = build(nodes)
+        fine, absolute = tensor_vdm_sum(wg, lam, r)
     fine = cr * fine
     rounding = r * nodes * math.ulp(1.0) * cr * absolute
     return _finite(IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
@@ -833,49 +838,29 @@ _MC_PARTS = 16
 _MC_CHUNK = 1 << 15
 
 
-def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
-                      stream: RandomStream, batch_fn=None) -> IntegralEstimate:
-    """Monte Carlo over U = V diag(lam) V^* with V Haar and lam chain-sampled.
-
-    Every draw contributes c_r Delta(lam)^2 prod_i m(lam_i) R, m being the
-    chain weight w over its draw density (``_chain_law``) and R the
-    integrand over prod_i w(lam_i). A unitarily invariant kernel (a family
-    marked ``invariant`` at scalar arguments, and no ``batch_fn``) reduces
-    by Weyl's integration formula to the integral that ``_eigen_rule``
-    integrates, c_r int Delta(lam)^2 prod_i w(lam_i) phi(lam_i) dlam. Those
-    families draw the eigenvalues only, with R = prod_i phi(lam_i). Each
-    substream draws its chunks one after another, so when a substream holds
-    more than one chunk (samples above 16 * 2^15) the later chunks'
-    eigenvalues differ from those of the Haar path, which also draws V. The
-    Haar path takes R = batch_fn(U), by default the family's kernel over
-    the chain's weight (``named_integrand_batch`` with ``over``). It draws
-    a full r x r Gaussian matrix per sample but orthonormalizes only its
-    first r - 1 columns: with V V^* = 1 they fix U, so the last column of
-    V is never formed.
-
-    The sample space is split into a fixed number of counter-jumped
-    substreams and reduced in substream order, so the estimate is
-    bit-identical for a given (seed, samples) regardless of threading.
-    A ``batch_fn`` is the integrand over the chain's weight at a stacked U,
-    in place of the family's; the family then only shapes the eigenvalue
-    law. A value or error bar that is not finite raises ``NonConvergent``.
-    """
+def _require_samples(samples: int):
     if samples < 2:
         # one sample has no spread to estimate an error from
         raise UnsupportedCount(f"Monte Carlo needs at least two samples, got {samples}")
+
+
+def _monte_carlo(chain: ChainSpec, e, samples: int, stream: RandomStream,
+                 phi=None, over=None) -> IntegralEstimate:
+    """Monte Carlo over U = V diag(lam) V^* with V Haar and lam drawn from
+    the law of the chain weight w of exponents e (``_chain_law``), for
+    samples >= 2. Every draw contributes c_r Delta(lam)^2 prod_i m(lam_i) R,
+    m being w over its draw density and R the integrand over
+    prod_i w(lam_i): prod_i phi(lam_i) given ``phi``, with no V drawn, else
+    over(U). V is drawn as a full r x r Gaussian matrix per sample of which
+    only the first r - 1 columns are orthonormalized: with V V^* = 1 they
+    fix U. A substream draws its chunks one after another, so above
+    16 * 2^15 samples the two paths draw different later eigenvalues. The
+    substreams are counter-jumped and reduced in order, so the estimate is
+    bit-identical for a (seed, samples) at any thread count. A value or
+    error bar that is not finite raises ``NonConvergent``, with no numpy
+    warning on the way."""
     r = chain.r
-    entry = FAMILIES[fam.tag]
-    scalars = None
-    if batch_fn is None:
-        _family_on(fam, chain)
-        if entry.invariant:
-            scalars = _scalar_arguments(fam)
-
-        def batch_fn(u):
-            return named_integrand_batch(fam, u, over=chain.kind)
-
-    _, sample = _chain_law(chain.kind, entry.exponents(fam.params, fam.X), r)
-
+    _, sample = _chain_law(chain.kind, e, r)
     cr = weyl_constant(r)
     part_sizes = [samples // _MC_PARTS] * _MC_PARTS
     part_sizes[-1] += samples - sum(part_sizes)
@@ -885,42 +870,42 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
         remaining = part_sizes[idx]
         acc = 0.0 + 0.0j
         acc2 = 0.0
-        while remaining > 0:
-            count = min(remaining, _MC_CHUNK)
-            remaining -= count
-            lam, m = sample(gen, count)
-            contrib = cr * vdm_sq_batch(lam)
-            if scalars is not None:
-                m = m * entry.phi(fam.params, lam, *scalars)
-            else:
-                gin = (gen.standard_normal((count, r, r))
-                       + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
-                # U needs the first r - 1 columns of V only; the last column
-                # of gin is drawn all the same, so the stream does not move.
-                # Each (count, r, r) array is dropped after its last use
-                u = conjugate_diag(haar_from_gaussian(gin[:, :, : r - 1]), lam)
-                del gin
-                contrib = contrib * batch_fn(u)
-                del u
-                m = np.broadcast_to(m, lam.shape)
-            # column by column: numpy's prod over a short axis is slow
-            for i in range(r):
-                contrib = contrib * m[:, i]
-            acc += complex(np.sum(contrib))
-            acc2 += float(np.sum(np.abs(contrib) ** 2))
+        # in each thread, as numpy's error state is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            while remaining > 0:
+                count = min(remaining, _MC_CHUNK)
+                remaining -= count
+                lam, m = sample(gen, count)
+                contrib = cr * vdm_sq_batch(lam)
+                if phi is not None:
+                    m = m * phi(lam)
+                else:
+                    gin = (gen.standard_normal((count, r, r))
+                           + 1j * gen.standard_normal((count, r, r))) / math.sqrt(2.0)
+                    # U needs the first r - 1 columns of V only; the last
+                    # column of gin is drawn all the same, so the stream does
+                    # not move. Each (count, r, r) array is dropped after its
+                    # last use
+                    u = conjugate_diag(haar_from_gaussian(gin[:, :, : r - 1]), lam)
+                    del gin
+                    contrib = contrib * over(u)
+                    del u
+                    m = np.broadcast_to(m, lam.shape)
+                # column by column: numpy's prod over a short axis is slow
+                for i in range(r):
+                    contrib = contrib * m[:, i]
+                acc += complex(np.sum(contrib))
+                acc2 += float(np.sum(np.abs(contrib) ** 2))
         return acc, acc2
 
     threads = thread_count()
-    results = [None] * _MC_PARTS
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(threads, _MC_PARTS)) as pool:
-            for idx, res in enumerate(pool.map(run_part, range(_MC_PARTS))):
-                results[idx] = res
+            results = list(pool.map(run_part, range(_MC_PARTS)))
     else:
-        for idx in range(_MC_PARTS):
-            results[idx] = run_part(idx)
+        results = [run_part(idx) for idx in range(_MC_PARTS)]
 
     total = sum((res[0] for res in results), start=0.0 + 0.0j)
     total2 = sum(res[1] for res in results)
@@ -928,6 +913,26 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
     var = max(total2 / samples - abs(mean) ** 2, 0.0)
     sem = math.sqrt(var / (samples - 1))
     return _finite(IntegralEstimate(mean, sem, "haar-mc", samples, seed=stream.seed))
+
+
+def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
+                      stream: RandomStream) -> IntegralEstimate:
+    """Monte Carlo (``_monte_carlo``) of a named family over one of its
+    chains. A unitarily invariant kernel (a family marked ``invariant``, at
+    scalar arguments) is by Weyl's integration formula the integral that
+    ``_eigen_rule`` integrates, and draws the eigenvalues only; any other
+    takes the Haar path with the kernel over the chain's weight
+    (``named_integrand_batch`` with ``over``). Fewer than two samples raise
+    ``UnsupportedCount`` before any other check."""
+    _require_samples(samples)
+    entry = _family_on(fam, chain.kind, chain.r)
+    scalars = _scalar_arguments(fam) if entry.invariant else None
+    e = entry.exponents(fam.params, fam.X)
+    if scalars is not None:
+        return _monte_carlo(chain, e, samples, stream,
+                            phi=lambda lam: entry.phi(fam.params, lam, *scalars))
+    return _monte_carlo(chain, e, samples, stream,
+                        over=lambda u: named_integrand_batch(fam, u, over=chain.kind))
 
 
 # ----------------------------------------------------------------------
@@ -1017,14 +1022,14 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     no reducer raises ``UnsupportedPartition`` first). The one estimate at
     nf is mapped back by F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with
     it; chi is taken on the principal branch. At a table form
-    "eigen-tensor" takes a scalar residual to its named family
-    (``family_of_normal_form``) and returns that family's
-    ``integrate_invariant`` estimate; a form with no such family, or whose
-    family's weight is not integrable on its chain, raises
-    ``IncompatibleChain``. "haar-mc" is Haar Monte Carlo of the chart
-    integrand at the table form, over the chain's eigenvalue domain, and
-    "auto" the first, else the second; another method raises
-    ``ValueError`` before any work.
+    "eigen-tensor" returns the ``integrate_invariant`` estimate of the
+    form's named family (``family_of_normal_form``) over its default chain,
+    and raises ``IncompatibleChain`` where there is none or it does not
+    apply. "haar-mc" is Monte Carlo (``_monte_carlo``) of the chart
+    integrand at the table form, at the law of the chain weight of
+    exponents (1 + r, 1) on the half line, else (1 + r, 1 + r): Gamma(2),
+    Beta(2, 2) or normal. "auto" is the first, else the second; another
+    method raises ``ValueError`` before any work.
     """
     if method not in ("auto", "eigen-tensor", "haar-mc"):
         raise ValueError(f"method must be auto, eigen-tensor or haar-mc, got {method!r}")
@@ -1053,38 +1058,27 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
         require_member(z)
         red, nf = None, z
     est = None
-    if method in ("auto", "eigen-tensor"):
+    if method != "haar-mc":
         try:
-            scalars = [scalar_multiple(v) for v in xs]
-            if None in scalars:
-                raise IncompatibleChain("matrix residual parameter is not scalar")
-            try:
-                fam = family_of_normal_form(z.lam, scalars[0] * np.eye(r) if xs else None,
-                                            pw.flat_alpha(), r)
-            except (UnpinnedAlpha, UnsupportedPartition) as exc:
-                raise IncompatibleChain(str(exc)) from exc
+            fam = family_of_normal_form(z.lam, xs[0] if xs else None, pw.flat_alpha(), r)
             require_eigen_chain(fam, chain)
             est = integrate_invariant(fam, r, nodes=budget.nodes)
-        except IncompatibleChain:
+        except (IncompatibleChain, NotInvariant, UnpinnedAlpha, UnsupportedPartition) as exc:
             if method == "eigen-tensor":
-                raise
+                if isinstance(exc, IncompatibleChain):
+                    raise
+                raise IncompatibleChain(str(exc)) from exc
     if est is None:
-        # Monte Carlo of the chart integrand at the table form, over the
-        # eigenvalue law Beta(2, 2) on the interval, Gamma(2) at unit rate on
-        # the half line and normal on the full line
-        if chain.kind == HALF_LINE:
-            fam = NamedFamily("gamma_r", {"a": 1.0 + r})
-        else:
-            fam = NamedFamily("beta_r", {"a": 1.0 + r, "b": 1.0 + r})
-        spec = IntegrandSpec(pw, nf)
+        _require_samples(budget.samples)
+        e = (1.0 + r, 1.0) if chain.kind == HALF_LINE else (1.0 + r, 1.0 + r)
+        exponent = chart_exponent(pw, nf.entries)
         eye = np.eye(r, dtype=np.complex128)
-        e = FAMILIES[fam.tag].exponents(fam.params, None)
 
-        def batch_fn(u):
+        def over(u):
             frames = np.concatenate([np.broadcast_to(eye, u.shape), u], axis=2)
-            return chart_integrand_batch(spec, frames) * np.exp(-_log_weight(chain.kind, e, u, r))
+            return np.exp(exponent(frames) - _log_weight(chain.kind, e, u, r))
 
-        est = integrate_haar_mc(fam, chain, budget.samples, budget.stream, batch_fn=batch_fn)
+        est = _monte_carlo(chain, e, budget.samples, budget.stream, over=over)
     if red is None:
         return est
     factor = det(red.g) ** r / chi_lambda(red.h, pw)

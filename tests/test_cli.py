@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,16 +215,31 @@ def test_eval_divergent_full_line_exits_2(capsys):
 @pytest.mark.parametrize("method", ["eigen-tensor", "haar-mc"])
 def test_eval_non_finite_estimate_exits_2(tmp_path, capsys, method):
     # exp(tr U X) overflows at X = 800 I; this run used to report
-    # nan +- nan and exit 0 with "pass": true
+    # nan +- nan and exit 0 with "pass": true, and under warnings set to
+    # error to die of numpy's overflow warning with exit 1
     x_file = tmp_path / "x.json"
     x_file.write_text(json.dumps(matrix_to_json(800.0 * np.eye(2))))
-    code, report = run_cli(
-        capsys, "eval", "--family", "kummer", "--r", "2", "--a", "2.6", "--c", "5.3",
-        "--X-json", str(x_file), "--method", method, "--samples", "4096",
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_cli(
+            capsys, "eval", "--family", "kummer", "--r", "2", "--a", "2.6", "--c", "5.3",
+            "--X-json", str(x_file), "--method", method, "--samples", "4096",
+        )
     assert code == 2
     assert report["error"].startswith("NonConvergent")
     assert report["pass"] is False
+
+
+def test_eval_family_argument_of_the_wrong_size_exits_2(tmp_path, capsys):
+    # a 2 x 2 X at r = 1 used to die with an IndexError traceback and exit 1
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps(matrix_to_json(0.3 * np.eye(2))))
+    code, report = run_cli(
+        capsys, "eval", "--family", "gauss", "--r", "1", "--a", "2.6", "--b", "1.2",
+        "--c", "5.3", "--X-json", str(x_file),
+    )
+    assert code == 2
+    assert report["error"].startswith("ShapeMismatch")
 
 
 @pytest.mark.parametrize("command", ["radon", "verify-pde"])

@@ -136,6 +136,29 @@ def test_invariant_rejects_matrix_argument():
         integrate_invariant(fam, 2)
 
 
+# each estimator of a named family at a 2 x 2 argument, at r = 1 or 3
+_AT_WRONG_SIZE = {
+    "adaptive-1d": lambda fam: integrate_r1(fam, ChainSpec("interval-0-1", 1)),
+    "eigen-tensor": lambda fam: integrate_invariant(fam, 3),
+    "haar-mc": lambda fam: integrate_haar_mc(fam, ChainSpec("interval-0-1", 3), 64,
+                                             RandomStream(1)),
+}
+
+
+@pytest.mark.parametrize("method", list(_AT_WRONG_SIZE))
+def test_family_argument_of_the_wrong_size_is_refused(method):
+    # a 2 x 2 X used to die in det_batch with an IndexError at r = 1; at
+    # r = 3 a scalar one was read as 0.3 I_3 and another failed in a matmul
+    params = {"a": 4.6, "b": 1.2, "c": 9.3}
+    families = [NamedFamily("gauss", params, X=0.3 * np.eye(2)),
+                NamedFamily("gauss", params, X=np.diag([0.3, -0.4])),
+                NamedFamily("lauricella_fd", {"a": 4.6, "c": 9.3, "bs": (0.7, 1.1)},
+                            xs=(0.2 * np.eye(2), -0.5 * np.eye(2)))]
+    for fam in families:
+        with pytest.raises(ShapeMismatch, match=re.escape("arguments, got shape (2, 2)")):
+            _AT_WRONG_SIZE[method](fam)
+
+
 def _andreief_r2(moments):
     # the r = 2 eigenvalue integral is c_2 2! times the Hankel determinant
     # of the moments m_k of the per-eigenvalue weight
@@ -310,8 +333,9 @@ def test_mc_invariant_eigenvalues_match_haar_path(tag, params, x, xs, kind):
         fam = _invariant_family(tag, params, x, xs, r)
         chain = ChainSpec(kind, r)
         fast = integrate_haar_mc(fam, chain, 4096, RandomStream(7))
-        haar = integrate_haar_mc(fam, chain, 4096, RandomStream(7),
-                                 batch_fn=lambda u: named_integrand_batch(fam, u, over=kind))
+        haar = integrate._monte_carlo(chain, FAMILIES[tag].exponents(fam.params, fam.X), 4096,
+                                      RandomStream(7),
+                                      over=lambda u: named_integrand_batch(fam, u, over=kind))
         assert abs(fast.value - haar.value) <= 1e-12 * abs(haar.value)
         assert abs(fast.abs_error_est - haar.abs_error_est) <= 1e-12 * haar.abs_error_est
 
@@ -325,14 +349,15 @@ def test_mc_invariant_path_draws_no_unitary(monkeypatch):
     for tag, params, x, xs, kind in _INVARIANT_CASES:
         fam = _invariant_family(tag, params, x, xs, 2)
         integrate_haar_mc(fam, ChainSpec(kind, 2), 64, RandomStream(1))
-    # a non-scalar X and a caller's batch_fn keep the Haar draw
+    # a non-scalar X, and an integrand of U given to the Monte Carlo core,
+    # keep the Haar draw
     fam = NamedFamily("gauss", {"a": 2.6, "b": 1.2, "c": 5.3}, X=np.diag([0.3, -0.4]))
     with pytest.raises(AssertionError, match="Haar unitary drawn"):
         integrate_haar_mc(fam, chain, 64, RandomStream(1))
     fam = NamedFamily("beta_r", {"a": 3.5, "b": 4.0})
     with pytest.raises(AssertionError, match="Haar unitary drawn"):
-        integrate_haar_mc(fam, chain, 64, RandomStream(1),
-                          batch_fn=lambda u: named_integrand_batch(fam, u, over=chain.kind))
+        integrate._monte_carlo(chain, (3.5, 4.0), 64, RandomStream(1),
+                               over=lambda u: named_integrand_batch(fam, u, over=chain.kind))
 
 
 def test_mc_invariant_path_calls_no_kernel_and_no_density(monkeypatch):
@@ -354,13 +379,16 @@ def test_mc_invariant_path_calls_no_kernel_and_no_density(monkeypatch):
 
 def test_non_finite_estimates_raise():
     # exp(tr U X) overflows at X = 800 I; both estimators used to return
-    # nan +- nan, and radon_hgf with them
+    # nan +- nan, and radon_hgf with them. They raise with no numpy warning
+    # on the way, so that a warnings filter set to error cannot preempt it
     r, chain = 2, ChainSpec("interval-0-1", 2)
     fam = NamedFamily("kummer", {"a": 2.6, "c": 5.3}, X=800.0 * np.eye(r))
-    with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="eigen-tensor"):
-        integrate_invariant(fam, r)
-    with np.errstate(all="ignore"), pytest.raises(NonConvergent, match="haar-mc"):
-        integrate_haar_mc(fam, chain, 4096, RandomStream(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="eigen-tensor"):
+            integrate_invariant(fam, r)
+        with pytest.raises(NonConvergent, match="haar-mc"):
+            integrate_haar_mc(fam, chain, 4096, RandomStream(1))
     lam = (2, 1, 1)
     cases = [
         # the table form of that kummer kernel, at a scalar and a matrix x
@@ -371,8 +399,10 @@ def test_non_finite_estimates_raise():
     for flat, x, method, path in cases:
         z = CoordMatrix(lam, r, pattern(lam, r, (x,)))
         pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
-        with np.errstate(all="ignore"), pytest.raises(NonConvergent, match=path):
-            radon_hgf(z, pw, chain, Budget(samples=4096), method=method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergent, match=path):
+                radon_hgf(z, pw, chain, Budget(samples=4096), method=method)
 
 
 def _chart_point_with_h(lam, xs, r):
@@ -387,21 +417,26 @@ def _chart_point_with_h(lam, xs, r):
     return apply_group(CoordMatrix(lam, r, pattern(lam, r, xs)), h=h)
 
 
-@pytest.mark.parametrize("lam, xs, flat, value, error", [
+@pytest.mark.parametrize("lam, xs, flat, value, error, kind", [
     # free weights: no eigenvalue reduction, so the chart Monte Carlo runs
     # at the table form nf, and maps back to z = nf h by chi(h)
     ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0),
-     15.208675886377215 - 3.92178148431056e-17j, 1.473226592757882),
+     15.208675886377215 - 3.92178148431056e-17j, 1.473226592757882, "half-line"),
     ((3, 1), (0.5 * np.eye(2),), (-4.7, 0.0, 1.0, 0.7),
-     6.97395510856427 + 1.8537706112042356e-18j, 0.12437843127201999),
+     6.97395510856427 + 1.8537706112042356e-18j, 0.12437843127201999, "half-line"),
+    # the interval's Beta(2, 2) law and the full line's normal law
+    ((1, 1, 1, 1), (0.3 * np.eye(2),), (-4.0, 0.5, 0.6, -1.1),
+     0.027315019557654398 - 4.789874173504614e-20j, 0.0007576610950419293, "interval-0-1"),
+    ((3,), (), (-4.0, 0.3, 0.2), 259.7323567643245 + 0j, 36.97388487896028, "full-line"),
 ])
-def test_mc_chart_value_pinned(lam, xs, flat, value, error):
+def test_mc_chart_value_pinned(lam, xs, flat, value, error, kind):
     # pins the chart Monte Carlo as test_mc_value_pinned pins the named
-    # path; recorded at z with LAPACK's QR and per-matrix products, which
-    # the stack kernels, and the map from nf, match to rounding
+    # path; recorded at z with LAPACK's QR and per-matrix products (the
+    # half-line cases) or with the stack kernels, which the map from nf
+    # matches to rounding
     z = _chart_point_with_h(lam, xs, 2)
     pw = PartitionWeight.from_flat(lam, flat, 4, 2, strict=False)
-    est = radon_hgf(z, pw, ChainSpec("half-line", 2),
+    est = radon_hgf(z, pw, ChainSpec(kind, 2),
                     Budget(samples=4096, stream=RandomStream(7)), method="haar-mc")
     assert est.method == "haar-mc"
     assert abs(est.value - value) <= 1e-12 * abs(value)
@@ -529,7 +564,7 @@ def test_radon_eigen_tensor_is_the_family_integral(lam, x, flat):
     ((1,) * 5, (0.3 * np.eye(2), -0.4 * np.eye(2)), (-3.0, 0.5, 0.6, -1.1, -1.0),
      "interval-0-1", "no named family for partition (1, 1, 1, 1, 1)"),
     ((2, 2), (np.diag([-1.0, -0.5]),), (-5.2, 1.0, 1.2, -1.0), "half-line",
-     "matrix residual parameter is not scalar"),
+     "matrix argument breaks unitary invariance"),
     ((2, 2), (-np.eye(2),), (-5.2, 0.8, 1.2, -1.0), "half-line",
      "partition (2, 2) requires alpha_2 = 1.0"),
     # the entries of a table form moved off it by g = diag(2, 2, 1, 1),
@@ -725,7 +760,8 @@ def test_unknown_method_is_refused_at_every_r(monkeypatch, method):
     z2 = CoordMatrix((1, 1, 1), r, pattern((1, 1, 1), r))
     chain2 = ChainSpec("interval-0-1", r)
     with monkeypatch.context() as m:
-        for name in ("_stacked", "require_member", "integrate_invariant", "integrate_haar_mc"):
+        for name in ("_stacked", "require_member", "integrate_invariant", "integrate_haar_mc",
+                     "_monte_carlo"):
             m.setattr(integrate, name, None)
         for z, pw, chain in ((z1, pw1, chain1), (z2, pw2, chain2)):
             with pytest.raises(ValueError, match=re.escape(message)):
