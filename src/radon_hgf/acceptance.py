@@ -19,7 +19,7 @@ from .grassmann import ChartPoint, CoordMatrix, apply_group, z_lambda_member
 from .hgs import (StencilPlan, _modulus, all_pairs, apply_DIJ, check_gl_infinitesimal,
                   check_h_infinitesimal, verify_system)
 from .integrands import (
-    _PINS,
+    _FORMS,
     IntegrandSpec,
     NamedFamily,
     evaluate_integrand,
@@ -530,7 +530,7 @@ def _random_hermitian(r, lo, hi, stream):
 
 def _c13_alpha(lam, r):
     al = [0.0] * 4
-    for i, v in _PINS.get(lam, {}).items():
+    for i, v in _FORMS[lam][0].items():
         al[i] = v
     for i, v in _C13_FREE[lam].items():
         al[i] = v
@@ -547,7 +547,7 @@ def _c13_gap(lam, r):
     xlo, xhi = _C13_XRANGE[lam]
     x = _random_hermitian(r, xlo, xhi, s.jump(99))
     al = _c13_alpha(lam, r)
-    fam = family_of_normal_form(lam, x, al, r)
+    fam = family_of_normal_form(lam, (x,), al, r)
     pw = PartitionWeight.from_flat(lam, al, 2 * r, r, strict=False)
     spec = IntegrandSpec(pw, CoordMatrix(lam, r, pattern(lam, r, (x,))))
     lo, hi = _C13_EIGRANGE[lam]

@@ -7,9 +7,10 @@ confluent part).  ``chart_exponent`` is its one form, the log over
 stacked frames at every r; ``chart_integrand_batch`` is its exponential,
 and ``evaluate_frame`` / ``evaluate_integrand`` are its single-point
 calls.  The named families are the concrete
-matrix-integral counterparts of the classical hypergeometric kernels,
-and ``family_of_normal_form`` records the exact weight dictionary that
-identifies them with the table normal forms.
+matrix-integral counterparts of the classical hypergeometric kernels.
+``_FORMS`` maps each table normal form that has one to its family, with
+the flat weight entries it pins, and every all-ones form of five or more
+blocks to the matrix Lauricella F_D; ``family_of_normal_form`` reads it.
 
 ``FAMILIES`` is the one registry of the named families: per tag, the
 chains it integrates over (the default first), the endpoint exponents of
@@ -25,7 +26,7 @@ are all read from it.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
@@ -84,17 +85,15 @@ def evaluate_integrand(spec: IntegrandSpec, point: ChartPoint) -> complex:
 class NamedFamily:
     """One of the closed-form matrix-integral kernels.
 
-    ``tag`` names its entry in ``FAMILIES``.  ``dictionary`` records how the
-    parameters were derived (so the weight correspondence is visible in
-    results), and ``reflect_u`` marks the chain reorientation u -> -u used
-    by the cubic family.
+    ``tag`` names its entry in ``FAMILIES``, and ``reflect_u`` marks the
+    chain reorientation u -> -u under which the cubic family is the chart
+    integrand of its table form.
     """
 
     tag: str
     params: dict
     X: np.ndarray | None = None
     xs: tuple = ()
-    dictionary: dict = field(default_factory=dict)
     reflect_u: bool = False
 
     def __post_init__(self):
@@ -375,89 +374,59 @@ FAMILIES = {
 # normal-form correspondence
 # ----------------------------------------------------------------------
 
-# per table form that has a named family, its pinned flat weight entries
-_PINS = {
-    (1, 1, 1): {}, (2, 1): {}, (1, 1, 1, 1): {}, (2, 1, 1): {},
-    (2, 2): {1: 1.0, 3: -1.0},
-    (3, 1): {1: 0.0, 2: 1.0},
-    (4,): {1: 0.0, 2: 0.0, 3: 1.0},
+def _one(xs, r):
+    """The one residual parameter of a table form, zero when none is given."""
+    return xs[0] if xs else np.zeros((r, r), dtype=np.complex128)
+
+
+def _all_ones(al, r, xs):
+    """(1^n), n >= 5: the matrix Lauricella F_D in the n - 3 residual parameters."""
+    if len(xs) != len(al) - 3:
+        raise ShapeMismatch(f"partition (1^{len(al)}) takes {len(al) - 3} residual "
+                            f"parameters, got {len(xs)}")
+    return NamedFamily("lauricella_fd", {"a": al[1] + r, "bs": tuple(-a for a in al[3:]),
+                                         "c": al[1] + al[2] + 2 * r}, xs=xs)
+
+
+# per table form with a named family: its pinned flat weight entries (0-based)
+# and its family at the flat weight al, the rank r and the residual parameters
+# xs. (1, 1, 1) and (2, 1) read no xs; the (2, 1, 1) chart integrand sees
+# alpha_2 and x only as kummer's X; the airy kernel is the (4,) one at -u.
+_FORMS = {
+    (1, 1, 1): ({}, lambda al, r, xs: NamedFamily("beta_r", {"a": al[1] + r, "b": al[2] + r})),
+    (2, 1): ({}, lambda al, r, xs: NamedFamily("gamma_r", {"a": al[2] + r, "rate": -al[1]})),
+    (1, 1, 1, 1): ({}, lambda al, r, xs: NamedFamily(
+        "gauss", {"a": al[1] + r, "b": -al[3], "c": al[1] + al[2] + 2 * r}, X=_one(xs, r))),
+    (2, 1, 1): ({}, lambda al, r, xs: NamedFamily(
+        "kummer", {"a": al[2] + r, "c": al[2] + al[3] + 2 * r}, X=al[1] * _one(xs, r))),
+    (2, 2): ({1: 1.0, 3: -1.0},
+             lambda al, r, xs: NamedFamily("bessel", {"c": al[2] + r}, X=_one(xs, r))),
+    (3, 1): ({1: 0.0, 2: 1.0},
+             lambda al, r, xs: NamedFamily("hermite_weber", {"c": -al[3] - r}, X=_one(xs, r))),
+    (4,): ({1: 0.0, 2: 0.0, 3: 1.0},
+           lambda al, r, xs: NamedFamily("airy", {}, X=-_one(xs, r), reflect_u=True)),
 }
 
 
-def family_of_normal_form(lam, x, alpha, r: int) -> NamedFamily:
+def family_of_normal_form(lam, xs, alpha, r: int) -> NamedFamily:
     """Named family whose kernel equals the chart integrand of the primary
-    table form, with the weight dictionary recorded.
-
-    alpha is the flat weight, one entry per unit of |lam|; the confluent
-    partitions of four other than (2, 1, 1) require the pinned entries
-    (positions are 0-based within the flat tuple). (1, 1, 1) is the matrix
-    beta integral and (2, 1) the matrix gamma integral at the decay rate
-    -alpha_2; neither reads x. The (2, 1, 1) chart integrand depends on
-    alpha_2 and x only through their product, which is kummer's X.
-    """
+    table form lam at the residual parameters xs (the tuple that
+    ``residual_parameters`` and ``reduce_orbit`` return): its ``_FORMS``
+    row, or ``_all_ones`` for an all-ones form of five or more blocks.
+    alpha is the flat weight, one entry per unit of |lam|, and must hold
+    the row's pins."""
     lam = tuple(lam)
-    if lam not in _PINS:
+    if len(lam) >= 5 and set(lam) == {1}:
+        pins, family = {}, _all_ones
+    elif lam in _FORMS:
+        pins, family = _FORMS[lam]
+    else:
         raise UnsupportedPartition(f"no named family for partition {lam}")
     alpha = tuple(complex(a) for a in alpha)
     if len(alpha) != sum(lam):
         raise UnpinnedAlpha(f"flat weight must have {sum(lam)} entries")
-    x = as_matrix(x) if x is not None else np.zeros((r, r), dtype=np.complex128)
-    for pos, val in _PINS[lam].items():
+    for pos, val in pins.items():
         if abs(alpha[pos] - val) > 1e-12:
-            raise UnpinnedAlpha(
-                f"partition {lam} requires alpha_{pos + 1} = {val}, got {alpha[pos]}"
-            )
-    if lam == (1, 1, 1):
-        return NamedFamily("beta_r", {"a": alpha[1] + r, "b": alpha[2] + r},
-                           dictionary={"a": "alpha_2 + r", "b": "alpha_3 + r"})
-    if lam == (2, 1):
-        return NamedFamily("gamma_r", {"a": alpha[2] + r, "rate": -alpha[1]},
-                           dictionary={"a": "alpha_3 + r", "rate": "-alpha_2"})
-    if lam == (1, 1, 1, 1):
-        a = alpha[1] + r
-        b = -alpha[3]
-        c = alpha[1] + alpha[2] + 2 * r
-        return NamedFamily(
-            "gauss",
-            {"a": a, "b": b, "c": c},
-            X=x,
-            dictionary={"a": "alpha_2 + r", "b": "-alpha_4",
-                        "c": "alpha_2 + alpha_3 + 2r", "X": "x"},
-        )
-    if lam == (2, 1, 1):
-        a = alpha[2] + r
-        c = alpha[2] + alpha[3] + 2 * r
-        return NamedFamily(
-            "kummer",
-            {"a": a, "c": c},
-            X=alpha[1] * x,
-            dictionary={"a": "alpha_3 + r", "c": "alpha_3 + alpha_4 + 2r",
-                        "X": "alpha_2 x"},
-        )
-    if lam == (2, 2):
-        c = alpha[2] + r
-        return NamedFamily(
-            "bessel",
-            {"c": c},
-            X=x,
-            dictionary={"c": "alpha_3 + r", "X": "x",
-                        "pin": "alpha_2 = 1, alpha_4 = -1"},
-        )
-    if lam == (3, 1):
-        c = -alpha[3] - r
-        return NamedFamily(
-            "hermite_weber",
-            {"c": c},
-            X=x,
-            dictionary={"c": "-alpha_4 - r", "X": "x",
-                        "pin": "alpha_2 = 0, alpha_3 = 1"},
-        )
-    # (4,)
-    return NamedFamily(
-        "airy",
-        {},
-        X=-x,
-        reflect_u=True,
-        dictionary={"X": "-x", "pin": "alpha_2 = alpha_3 = 0, alpha_4 = 1",
-                    "reflect_u": "kernel equals the chart integrand at -U"},
-    )
+            raise UnpinnedAlpha(f"partition {lam} requires alpha_{pos + 1} = {val}, "
+                                f"got {alpha[pos]}")
+    return family(alpha, r, tuple(as_matrix(x) for x in xs))

@@ -825,9 +825,11 @@ def integrate_invariant(fam: NamedFamily, r: int, nodes: int = 64) -> IntegralEs
         lam, wg = build(nodes)
         fine, absolute = tensor_vdm_sum(wg, lam, r)
     fine = cr * fine
-    rounding = r * nodes * math.ulp(1.0) * cr * absolute
-    return _finite(IntegralEstimate(fine, abs(fine - coarse) + rounding, "eigen-tensor",
-                                    nodes + coarse_nodes))
+    try:
+        bar = abs(fine - coarse) + r * nodes * math.ulp(1.0) * cr * absolute
+    except OverflowError:  # |fine - coarse| passes the float range, or is NaN
+        bar = math.inf
+    return _finite(IntegralEstimate(fine, bar, "eigen-tensor", nodes + coarse_nodes))
 
 
 # ----------------------------------------------------------------------
@@ -910,7 +912,10 @@ def _monte_carlo(chain: ChainSpec, e, samples: int, stream: RandomStream,
     total = sum((res[0] for res in results), start=0.0 + 0.0j)
     total2 = sum(res[1] for res in results)
     mean = total / samples
-    var = max(total2 / samples - abs(mean) ** 2, 0.0)
+    try:
+        var = max(total2 / samples - abs(mean) ** 2, 0.0)
+    except OverflowError:  # |mean|^2 passes the float range, and so does the spread
+        var = math.inf
     sem = math.sqrt(var / (samples - 1))
     return _finite(IntegralEstimate(mean, sem, "haar-mc", samples, seed=stream.seed))
 
@@ -1023,12 +1028,13 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     nf is mapped back by F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with
     it; chi is taken on the principal branch. At a table form
     "eigen-tensor" returns the ``integrate_invariant`` estimate of the
-    form's named family (``family_of_normal_form``) over its default chain,
-    and raises ``IncompatibleChain`` where there is none or it does not
-    apply. "haar-mc" is Monte Carlo (``_monte_carlo``) of the chart
-    integrand at the table form, at the law of the chain weight of
-    exponents (1 + r, 1) on the half line, else (1 + r, 1 + r): Gamma(2),
-    Beta(2, 2) or normal. "auto" is the first, else the second; another
+    form's named family at all its residual parameters
+    (``family_of_normal_form``; lauricella_fd at every all-ones form of five
+    or more blocks) over its default chain, and raises ``IncompatibleChain``
+    where there is none or it does not apply. "haar-mc" is Monte Carlo
+    (``_monte_carlo``) of the chart integrand at the table form, at the law
+    of the chain weight of exponents (1 + r, 1) on the half line, else
+    (1 + r, 1 + r): Gamma(2), Beta(2, 2) or normal. "auto" is the first, else the second; another
     method raises ``ValueError`` before any work.
     """
     if method not in ("auto", "eigen-tensor", "haar-mc"):
@@ -1060,7 +1066,7 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     est = None
     if method != "haar-mc":
         try:
-            fam = family_of_normal_form(z.lam, xs[0] if xs else None, pw.flat_alpha(), r)
+            fam = family_of_normal_form(z.lam, xs, pw.flat_alpha(), r)
             require_eigen_chain(fam, chain)
             est = integrate_invariant(fam, r, nodes=budget.nodes)
         except (IncompatibleChain, NotInvariant, UnpinnedAlpha, UnsupportedPartition) as exc:

@@ -230,6 +230,22 @@ def test_eval_non_finite_estimate_exits_2(tmp_path, capsys, method):
     assert report["pass"] is False
 
 
+@pytest.mark.parametrize("method, s", [("haar-mc", 200), ("eigen-tensor", 400)])
+def test_eval_estimate_past_the_float_range_exits_2(tmp_path, capsys, method, s):
+    # the square of the Monte Carlo mean, or the eigen-tensor error bar,
+    # passes the float range: this run used to die of a bare OverflowError
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps(matrix_to_json(s * np.eye(2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_cli(
+            capsys, "eval", "--family", "kummer", "--r", "2", "--a", "2.6", "--c", "5.3",
+            "--X-json", str(x_file), "--method", method, "--samples", "4096", "--seed", "1",
+        )
+    assert code == 2
+    assert report["error"].startswith("NonConvergent")
+
+
 def test_eval_family_argument_of_the_wrong_size_exits_2(tmp_path, capsys):
     # a 2 x 2 X at r = 1 used to die with an IndexError traceback and exit 1
     x_file = tmp_path / "x.json"
@@ -280,6 +296,23 @@ def test_radon_command(tmp_path, capsys):
     )
     assert code == 0
     assert report["results"]["estimate"]["method"] == "adaptive-1d"
+
+
+def test_radon_all_ones_form_takes_eigen_tensor(tmp_path, capsys):
+    # the (1^5) table form at r = 2 is the matrix Lauricella F_D in x_4, x_5
+    z_file = tmp_path / "z.json"
+    z_file.write_text(json.dumps(matrix_to_json(
+        pattern((1,) * 5, 2, (0.3 * np.eye(2), -0.5 * np.eye(2)))
+    )))
+    code, report = run_cli(
+        capsys, "radon", "--partition", "1,1,1,1,1", "--r", "2",
+        "--alpha=-4.4,0.5,0.6,-1.1,0.4", "--z-json", str(z_file),
+        "--chain", "interval-0-1", "--relaxed", "--method", "eigen-tensor",
+    )
+    assert code == 0
+    est = report["results"]["estimate"]
+    assert est["method"] == "eigen-tensor"
+    assert abs(complex(*est["value"]) - 0.04269598052533202) <= est["abs_error_est"]
 
 
 def test_radon_meaningless_tolerance_exits_2(tmp_path, capsys):

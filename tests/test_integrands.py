@@ -9,6 +9,7 @@ from radon_hgf.errors import (
     BranchCutWarning,
     OnBranchLocus,
     OutOfDomain,
+    ShapeMismatch,
     SingularBlock,
     UnpinnedAlpha,
     UnsupportedPartition,
@@ -260,7 +261,7 @@ def test_unpinned_kummer_takes_product_argument():
     al = [0.0, 0.6, 0.45, 0.65]
     al[0] = -2 * r - al[2] - al[3]
     x = _herm(r, 0.5, 1.5, RandomStream(78))
-    fam = family_of_normal_form((2, 1, 1), x, al, r)
+    fam = family_of_normal_form((2, 1, 1), (x,), al, r)
     spec = _spec((2, 1, 1), r, al, (x,))
     assert np.allclose(fam.X, 0.6 * x, rtol=0, atol=1e-15)
     for k in range(4):
@@ -274,6 +275,32 @@ def test_chart_integrand_is_the_named_kernel_at_r3(lam):
     # criterion 13 at r = 3, where tr(m0^-1 m1) of a block of length 2 takes
     # the general inverse
     assert _c13_gap(lam, 3) < 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 6])
+def test_chart_integrand_is_the_lauricella_kernel(n, r):
+    # an all-ones form of n >= 5 blocks is the matrix Lauricella F_D in its
+    # n - 3 residual parameters, at complex weights too
+    s = RandomStream(1500 + 10 * n + r)
+    al = [0.0, 0.5 + 0.2j, 0.6 - 0.1j, -1.1 + 0.3j, 0.4, -0.7 - 0.2j][:n]
+    al[0] = -2 * r - sum(al[1:])
+    xs = tuple(_herm(r, -0.6, 0.6, s.jump(50 + k)) for k in range(n - 3))
+    fam = family_of_normal_form((1,) * n, xs, al, r)
+    assert fam.tag == "lauricella_fd"
+    spec = _spec((1,) * n, r, al, xs)
+    for k in range(20):
+        u = _herm(r, 0.05, 0.95, s.jump(k + 1))
+        val = evaluate_integrand(spec, ChartPoint(u))
+        ref = named_integrand(fam, u)
+        assert abs(val - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_all_ones_family_takes_one_residual_per_block_past_the_third(count):
+    # zip would drop a variable of F_D silently
+    with pytest.raises(ShapeMismatch, match="takes 2 residual parameters, got"):
+        family_of_normal_form((1,) * 5, (0.3 * np.eye(1),) * count, [-2.6, 0.5, 0.6, -1.1, 0.6], 1)
 
 
 def test_named_gauss_at_zero_argument():
@@ -555,11 +582,10 @@ def test_family_tags(lam, tag):
         (4,): [0],
     }[lam]
     pins[lead[0]] = -2.0 - sum(pins[i] for i in lead[1:])
-    fam = family_of_normal_form(lam, np.eye(1) * 0.4, pins, 1)
+    fam = family_of_normal_form(lam, (np.eye(1) * 0.4,), pins, 1)
     assert fam.tag == tag
-    assert fam.dictionary  # the weight dictionary is recorded
     # the partitions of three read no x
-    assert family_of_normal_form(lam, None, pins, 1).params == fam.params
+    assert family_of_normal_form(lam, (), pins, 1).params == fam.params
     if lam == (1, 1, 1):
         assert fam.params == {"a": 1.5, "b": 1.6}
     if lam == (2, 1):
@@ -581,16 +607,16 @@ def test_gamma_rate_scales_kernel_and_weight():
 
 
 def test_airy_family_records_reflection():
-    fam = family_of_normal_form((4,), np.eye(1) * 0.4, [-2.0, 0.0, 0.0, 1.0], 1)
+    fam = family_of_normal_form((4,), (np.eye(1) * 0.4,), [-2.0, 0.0, 0.0, 1.0], 1)
     assert fam.reflect_u
     assert np.allclose(fam.X, -0.4 * np.eye(1))
 
 
 def test_unpinned_alpha_rejected():
     with pytest.raises(UnpinnedAlpha):
-        family_of_normal_form((2, 2), np.eye(1), [-2.5, 1.0, 0.5, -0.5], 1)
+        family_of_normal_form((2, 2), (np.eye(1),), [-2.5, 1.0, 0.5, -0.5], 1)
 
 
 def test_unsupported_partition():
     with pytest.raises(UnsupportedPartition):
-        family_of_normal_form((5,), np.eye(1), [0, 0, 0, 1.0], 1)
+        family_of_normal_form((5,), (np.eye(1),), [0, 0, 0, 1.0], 1)
