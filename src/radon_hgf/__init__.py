@@ -47,6 +47,7 @@ from .integrate import (
     Budget,
     ChainSpec,
     IntegralEstimate,
+    integrate_family,
     integrate_haar_mc,
     integrate_invariant,
     integrate_r1,

@@ -23,15 +23,7 @@ from .errors import RadonHGFError
 from .grassmann import CoordMatrix, z_lambda_member
 from .hgs import StencilPlan, all_pairs, verify_system
 from .integrands import CHAIN_KINDS, FAMILIES, NamedFamily
-from .integrate import (
-    Budget,
-    ChainSpec,
-    integrate_haar_mc,
-    integrate_invariant,
-    integrate_r1,
-    radon_hgf,
-    require_eigen_chain,
-)
+from .integrate import Budget, ChainSpec, integrate_family, radon_hgf
 from .io import (
     alpha_from_json,
     complex_to_json,
@@ -101,35 +93,21 @@ def cmd_normal_form(args):
 
 
 def _family_from_args(args):
-    params = {}
-    for key in ("a", "b", "c"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = complex(val)
+    params = {key: complex(getattr(args, key)) for key in ("a", "b", "c")
+              if getattr(args, key) is not None}
     if args.bs:
         params["bs"] = tuple(complex(v) for v in args.bs.split(","))
     X = matrix_from_json(load_json(args.X_json)) if args.X_json else None
-    xs = ()
-    if args.xs_json:
-        xs = tuple(matrix_from_json(m) for m in load_json(args.xs_json))
+    xs = tuple(matrix_from_json(m) for m in load_json(args.xs_json)) if args.xs_json else ()
     return NamedFamily(args.family, params, X=X, xs=xs)
 
 
 def cmd_eval(args):
     fam = _family_from_args(args)
     chain = ChainSpec(args.chain or FAMILIES[args.family].chains[0], args.r)
-    method = args.method
-    if method == "auto":
-        method = "adaptive-1d" if args.r == 1 else "eigen-tensor"
-    if method == "adaptive-1d":
-        est = integrate_r1(fam, chain, tol=args.tol)
-    elif method == "eigen-tensor":
-        require_eigen_chain(fam, chain)
-        est = integrate_invariant(fam, args.r, nodes=args.nodes)
-    elif method == "haar-mc":
-        est = integrate_haar_mc(fam, chain, args.samples, RandomStream(args.seed))
-    else:
-        raise ValueError(f"unknown method {method}")
+    budget = Budget(tol=args.tol, nodes=args.nodes, samples=args.samples,
+                    stream=RandomStream(args.seed))
+    est = integrate_family(fam, chain, budget, method=args.method)
     return {"estimate": est.as_dict()}, None, args.seed
 
 
@@ -138,8 +116,7 @@ def cmd_radon(args):
     pw = _weight_arg(args, lam, args.m if args.m else 2 * args.r)
     z = CoordMatrix(lam, args.r, matrix_from_json(load_json(args.z_json)))
     chain = ChainSpec(args.chain, args.r)
-    budget = Budget(tol=args.tol, nodes=args.nodes,
-                    samples=args.samples,
+    budget = Budget(tol=args.tol, nodes=args.nodes, samples=args.samples,
                     stream=RandomStream(args.seed))
     est = radon_hgf(z, pw, chain, budget, method=args.method)
     return {"estimate": est.as_dict()}, None, args.seed

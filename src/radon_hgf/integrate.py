@@ -27,6 +27,10 @@ Three strategies:
   orthonormalized, and a unitarily invariant kernel is evaluated at
   U = L, with no V drawn.
 
+``integrate_family`` alone picks among them for a named family, for
+``radon_hgf`` and the CLI's ``eval`` alike: ``auto`` is adaptive-1d at
+r = 1, and at r >= 2 eigen-tensor where it applies, else haar-mc.
+
 The eigenvalue reduction constant c_r = pi^{r(r-1)/2} / prod_{j<=r} j!
 is validated against the closed product formula by the test suite before
 anything else relies on it.
@@ -940,6 +944,31 @@ def integrate_haar_mc(fam: NamedFamily, chain: ChainSpec, samples: int,
                         over=lambda u: named_integrand_batch(fam, u, over=chain.kind))
 
 
+def integrate_family(fam: NamedFamily, chain: ChainSpec, budget: Budget = Budget(),
+                     method: str = "auto") -> IntegralEstimate:
+    """A named family's integral over one of its chains: "adaptive-1d"
+    (``integrate_r1`` at budget.tol), "eigen-tensor" (``integrate_invariant``
+    at budget.nodes, over the default chain only), "haar-mc"
+    (``integrate_haar_mc``) or "auto": adaptive-1d at r = 1, else
+    eigen-tensor, and haar-mc where that raises ``IncompatibleChain`` or
+    ``NotInvariant``. Another method raises ``ValueError``."""
+    if method == "auto" and chain.r >= 2:
+        try:
+            return integrate_family(fam, chain, budget, "eigen-tensor")
+        except (IncompatibleChain, NotInvariant):
+            method = "haar-mc"
+    if method in ("auto", "adaptive-1d"):
+        return integrate_r1(fam, chain, tol=budget.tol)
+    if method == "eigen-tensor":
+        default = FAMILIES[fam.tag].chains[0]
+        if chain.kind != default:
+            raise IncompatibleChain(f"eigen-tensor {fam.tag} integrates over the {default} chain")
+        return integrate_invariant(fam, chain.r, nodes=budget.nodes)
+    if method == "haar-mc":
+        return integrate_haar_mc(fam, chain, budget.samples, budget.stream)
+    raise ValueError(f"method must be auto, adaptive-1d, eigen-tensor or haar-mc, got {method!r}")
+
+
 # ----------------------------------------------------------------------
 # Grassmannian integrals
 # ----------------------------------------------------------------------
@@ -1007,13 +1036,6 @@ def _roots_pieces(roots, infinite, pw: PartitionWeight, chain: ChainSpec):
                          np.where(infinite[:, 0], None, roots[:, 0]), exp_far)
 
 
-def require_eigen_chain(fam: NamedFamily, chain: ChainSpec):
-    """The eigen-tensor rule integrates over the family's default chain only."""
-    default = FAMILIES[fam.tag].chains[0]
-    if chain.kind != default:
-        raise IncompatibleChain(f"eigen-tensor {fam.tag} integrates over the {default} chain")
-
-
 def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
               budget: Budget = Budget(), method: str = "auto") -> IntegralEstimate:
     """Evaluate the Grassmannian integral over a concrete chain.
@@ -1026,16 +1048,13 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     nf = g z h by ``reduce_orbit``, which tests z and nf (a partition with
     no reducer raises ``UnsupportedPartition`` first). The one estimate at
     nf is mapped back by F(z) = det(g)^r chi(h)^-1 F(nf), its error bar with
-    it; chi is taken on the principal branch. At a table form
-    "eigen-tensor" returns the ``integrate_invariant`` estimate of the
-    form's named family at all its residual parameters
-    (``family_of_normal_form``; lauricella_fd at every all-ones form of five
-    or more blocks) over its default chain, and raises ``IncompatibleChain``
-    where there is none or it does not apply. "haar-mc" is Monte Carlo
-    (``_monte_carlo``) of the chart integrand at the table form, at the law
-    of the chain weight of exponents (1 + r, 1) on the half line, else
-    (1 + r, 1 + r): Gamma(2), Beta(2, 2) or normal. "auto" is the first, else the second; another
-    method raises ``ValueError`` before any work.
+    it; chi is taken on the principal branch. Where nf's named family
+    (``family_of_normal_form``) integrates over the chain, F(nf) is its
+    ``integrate_family`` estimate; elsewhere "auto" and "haar-mc" run Monte
+    Carlo of the chart integrand at nf, at the stand-in law of the chain
+    weight of exponents (1 + r, 1) on the half line, else (1 + r, 1 + r).
+    "eigen-tensor" raises every refusal as ``IncompatibleChain``; another
+    method raises ``ValueError`` first.
     """
     if method not in ("auto", "eigen-tensor", "haar-mc"):
         raise ValueError(f"method must be auto, eigen-tensor or haar-mc, got {method!r}")
@@ -1063,18 +1082,19 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
     else:
         require_member(z)
         red, nf = None, z
-    est = None
-    if method != "haar-mc":
+    try:
+        fam = family_of_normal_form(z.lam, xs, pw.flat_alpha(), r)
+        _family_on(fam, chain.kind, r)
+    except (IncompatibleChain, UnpinnedAlpha, UnsupportedPartition) as exc:
+        if method == "eigen-tensor":
+            raise IncompatibleChain(str(exc)) from exc
+        fam = None
+    if fam is not None:
         try:
-            fam = family_of_normal_form(z.lam, xs, pw.flat_alpha(), r)
-            require_eigen_chain(fam, chain)
-            est = integrate_invariant(fam, r, nodes=budget.nodes)
-        except (IncompatibleChain, NotInvariant, UnpinnedAlpha, UnsupportedPartition) as exc:
-            if method == "eigen-tensor":
-                if isinstance(exc, IncompatibleChain):
-                    raise
-                raise IncompatibleChain(str(exc)) from exc
-    if est is None:
+            est = integrate_family(fam, chain, budget, method)
+        except NotInvariant as exc:
+            raise IncompatibleChain(str(exc)) from exc
+    else:
         _require_samples(budget.samples)
         e = (1.0 + r, 1.0) if chain.kind == HALF_LINE else (1.0 + r, 1.0 + r)
         exponent = chart_exponent(pw, nf.entries)

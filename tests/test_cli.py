@@ -164,6 +164,24 @@ def test_eval_eigen_tensor_refuses_another_chain(capsys):
     assert report["error"].startswith("IncompatibleChain")
 
 
+def test_eval_auto_at_a_matrix_argument_runs_haar_mc(tmp_path, capsys):
+    # at r >= 2 auto is eigen-tensor where that applies, else haar-mc, as in
+    # radon_hgf; at a Hermitian X it used to exit 2
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps(matrix_to_json([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])))
+    argv = ["eval", "--family", "gauss", "--r", "2", "--a", "2.6", "--b", "1.2", "--c", "5.3",
+            "--X-json", str(x_file), "--samples", "4096", "--seed", "3", "--method"]
+    code, auto = run_cli(capsys, *argv, "auto")
+    assert code == 0
+    assert auto["results"]["estimate"]["method"] == "haar-mc"
+    code, mc = run_cli(capsys, *argv, "haar-mc")
+    assert code == 0
+    assert auto["results"]["estimate"] == mc["results"]["estimate"]
+    code, report = run_cli(capsys, *argv, "eigen-tensor")
+    assert code == 2
+    assert report["error"].startswith("NotInvariant")
+
+
 @pytest.mark.parametrize("extra, error", [
     (("--r", "0", "--method", "eigen-tensor"), "ShapeMismatch"),
     (("--r", "0", "--method", "haar-mc"), "ShapeMismatch"),

@@ -1,11 +1,12 @@
 """Table forms at r = 2 and 3 against references computed without radon_hgf.
 
-Each row evaluates ``radon_hgf`` at a table form, under ``method="auto"``,
-and compares it with a value that no code path of ``radon_hgf`` computes:
-a closed form, or QUADPACK moments in an Andreief determinant. A
+Each row evaluates ``radon_hgf`` at a table form, under ``method="auto"``
+unless it names another, and compares it with a value that no code path
+of ``radon_hgf`` computes: a closed form, scipy's 2F1 in the Gross-Richards
+determinant, or QUADPACK moments in an Andreief determinant. A
 deterministic estimate must lie within its bar, a Monte Carlo one within
-5 sigma. A row that fails today is a strict xfail naming the ROADMAP item
-that is to close it.
+5 sigma, or, over seeds 1 to 40, within 3 sigma at all but two. A row that
+fails today is a strict xfail naming the ROADMAP item that is to close it.
 """
 
 import math
@@ -14,6 +15,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from radon_hgf import CoordMatrix, PartitionWeight
 from radon_hgf.integrate import Budget, ChainSpec, radon_hgf
@@ -22,13 +24,26 @@ from radon_hgf.oracles import beta_r_closed, gamma_r_closed
 from radon_hgf.rng import RandomStream
 
 
-def _at_table_form(lam, r, rest, xs=(), kind="interval-0-1", budget=Budget()):
-    """radon_hgf at lam's table form with the residuals xs I, at the flat
-    weight (alpha_1, *rest) whose alpha_1 makes the leading weights sum to -2r."""
+def _at_table_form(lam, r, rest, xs=(), kind="interval-0-1", budget=Budget(), method="auto"):
+    """radon_hgf at lam's table form with the residuals xs, each a matrix or
+    a scalar x standing for x I, at the flat weight (alpha_1, *rest) whose
+    alpha_1 makes the leading weights sum to -2r."""
     flat = (-2 * r - sum(rest[i - 1] for i in accumulate(lam[:-1])),) + tuple(rest)
-    z = CoordMatrix(lam, r, pattern(lam, r, tuple(x * np.eye(r) for x in xs)))
+    xs = tuple(x if np.ndim(x) == 2 else x * np.eye(r) for x in xs)
+    z = CoordMatrix(lam, r, pattern(lam, r, xs))
     pw = PartitionWeight.from_flat(lam, flat, 2 * r, r, strict=False)
-    return radon_hgf(z, pw, ChainSpec(kind, r), budget)
+    return radon_hgf(z, pw, ChainSpec(kind, r), budget, method)
+
+
+def _beyond_3_sigma(ref, estimate):
+    """How many of the Monte Carlo estimates at seeds 1 to 40, 4096 samples
+    each, lie more than 3 sigma from ref."""
+    far = 0
+    for seed in range(1, 41):
+        est = estimate(Budget(samples=4096, stream=RandomStream(seed)))
+        assert est.method == "haar-mc"
+        far += abs(est.value - ref) > 3 * est.abs_error_est
+    return far
 
 
 def _andreief_ratio(r, p, q, f):
@@ -96,6 +111,42 @@ def test_all_ones_form(r, rest, xs):
         r, a2, a3, lambda u: math.prod((1 - x * u) ** b for x, b in zip(xs, powers)))
     assert est.method == "eigen-tensor"
     assert abs(est.value - ref) <= est.abs_error_est
+
+
+def test_gauss_form_at_a_matrix_residual():
+    # (1, 1, 1, 1) at a Hermitian X is the matrix Gauss integral
+    # B_2(a, c - a) 2F1(a, b; c; X), a = alpha_2 + 2, b = -alpha_4,
+    # c = alpha_2 + alpha_3 + 4, which at r = 2 is the Gross-Richards
+    # determinant of scalar 2F1 values at X's eigenvalues x1, x2:
+    # [x1 F(a,b;c;x1) F(a-1,b-1;c-1;x2) - x2 F(a,b;c;x2) F(a-1,b-1;c-1;x1)] / (x1 - x2),
+    # 3.433897635346019 here. Its x +- 1e-5 limit at x I matches the
+    # eigen-tensor value to about 1e-11. Under auto the chart Monte Carlo's
+    # stand-in Beta(2, 2) law put 26 of 40 seeds beyond 3 sigma
+    a2, a3, a4 = -0.85, 0.6, -1.1
+    X = np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, -0.2]])
+    a, b, c = a2 + 2, -a4, a2 + a3 + 4
+    x1, x2 = np.linalg.eigvalsh(X)
+    F = scipy.special.hyp2f1
+    ref = beta_r_closed(2, a, c - a) * (
+        x1 * F(a, b, c, x1) * F(a - 1, b - 1, c - 1, x2)
+        - x2 * F(a, b, c, x2) * F(a - 1, b - 1, c - 1, x1)) / (x1 - x2)
+    assert abs(ref - 3.433897635346019) <= 1e-12 * abs(ref)
+    far = _beyond_3_sigma(ref, lambda budget: _at_table_form(
+        (1, 1, 1, 1), 2, (a2, a3, a4), (X,), budget=budget))
+    assert far <= 2
+
+
+@pytest.mark.parametrize("a2", [-0.6, -0.85])
+def test_gauss_form_under_haar_mc(a2):
+    # haar-mc at the scalar residual 0.3 I: B_2(a2 + 2, a3 + 2) times the
+    # Andreief ratio of (1 - 0.3 u)^a4. The chart Monte Carlo's Beta(2, 2)
+    # law put 16 (a2 = -0.6) and 26 (a2 = -0.85) of 40 seeds beyond 3 sigma
+    r, a3, a4 = 2, 0.6, -1.1
+    ref = beta_r_closed(r, a2 + r, a3 + r) * _andreief_ratio(
+        r, a2, a3, lambda u: (1 - 0.3 * u) ** a4)
+    far = _beyond_3_sigma(ref, lambda budget: _at_table_form(
+        (1, 1, 1, 1), r, (a2, a3, a4), (0.3,), budget=budget, method="haar-mc"))
+    assert far <= 2
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
