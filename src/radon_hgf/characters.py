@@ -28,17 +28,19 @@ SUM_TOL = 1e-12
 _DET_RTOL = 1e-12
 
 
-def _log_batch(z):
+def _log_batch(z, out=None):
     """Principal log z over an array, under the one branch policy: a zero
     base raises, a base on the negative real axis warns. It is log|z| +
     i atan2(Im z, Re z), with the cut and the signed zeros of numpy's
-    complex log (Kahan 1987) at a fraction of its cost."""
+    complex log (Kahan 1987) at a fraction of its cost. The logs go to
+    ``out`` when given, a complex array of z's shape in any memory order."""
     # both cases have a base with non-positive real part; one min() clears
     # the common batch
     edge = z.real.min(initial=math.inf) <= 0.0
     if edge and not z.all():
         raise SingularBlock("zero base in complex power")
-    out = np.empty(z.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(z.shape, dtype=np.complex128)
     np.log(np.abs(z, out=out.real), out=out.real)
     np.arctan2(z.imag, z.real, out=out.imag)
     # on the axis, |Im z| <= 1e-14 |Re z|, the argument is within atan(1e-14) of +-pi

@@ -168,9 +168,7 @@ def _theta_terms(p: int):
 
 
 def _trace_solve(m0, det, m1):
-    """tr(m0^{-1} m1) over (..., r, r) stacks, without the product at r <= 2."""
-    if m0.shape[-1] == 1:
-        return m1[..., 0, 0] / det
+    """tr(m0^{-1} m1) over (..., r, r) stacks, r >= 2, without the product at r = 2."""
     if m0.shape[-1] == 2:
         return (m0[..., 1, 1] * m1[..., 0, 0] - m0[..., 0, 1] * m1[..., 1, 0]
                 - m0[..., 1, 0] * m1[..., 0, 1] + m0[..., 0, 0] * m1[..., 1, 1]) / det
@@ -206,27 +204,54 @@ def chart_exponent(pw: PartitionWeight, entries):
     sum_j alpha_{j,0} log det m0_j + sum_{j,k} alpha_{j,k} theta_k, with
     m_q = t z_q the images of block j and theta_k the trace polynomial of
     the ratios m0_j^{-1} m_q. The logs of all blocks are one ``_log_batch``
-    call, before any ratio is formed. At r = 1 an image is t_0 z_0 + t_1 z_1,
-    so at t = (1, u) it rounds as a + u b does; above, one GEMM.
+    call, before any ratio is formed. Above r = 1 the images are one GEMM.
 
-    At r = 1, ``entries`` may hold the (K, 2, N) entries of K points: the
-    exponent then takes (t, which), a (rows, nodes, 1, 2) t whose rows
-    which labels with points, each row's (2, N) coefficients read once and
-    broadcast over its frames. The values come out flat, row after row."""
+    At r = 1 the exponent takes the frames as the pair (t_0, t_1) of their
+    entries, arrays or scalars that broadcast to one shape, and the images
+    are block-major: (N, batch) planes, one per column of z, so that each
+    product, log and ratio runs over contiguous frames. An image is
+    t_0 z_0 + t_1 z_1, so at t = (1, u) it rounds as a + u b does; a
+    scalar t_0 = 1 takes t_0 z_0 once per point, to the same bits, as its
+    products are exact. The two sums over columns (the leading logs
+    against their weights, the length-2 ratios against theirs) read a
+    (batch, columns) buffer that the logs and ratios are written into
+    through its transpose, so that BLAS sums each frame's row; a product
+    with the (columns, batch) planes sums in another order and moves the
+    last bits.
+    ``entries`` may hold the (K, 2, N) entries of K points, read once as
+    (2, N, K) planes: the exponent then takes (t, which), a t of (rows,
+    nodes) entries whose rows which labels with points, each row's
+    coefficients broadcast over its nodes. The values come out flat, row
+    after row."""
     order, lead, pairs, longer = _chart_layout(pw)
     r, ell, n = pw.r, len(pw.lam), len(pairs)
-    if entries.ndim == 2:
-        rows = entries[:, order]
-    else:
-        # (2, K, 1, N): one row pair per point, against the (nodes, 1) frames of its rows
-        rows = entries[:, :, order].transpose(1, 0, 2)[:, :, None]
+    rows = entries[..., order]
+    if r == 1:
+        # (2, N, K): the a and b planes, a point per column; one matrix is K = 1
+        rows = rows[..., None] if rows.ndim == 2 else rows.transpose(1, 2, 0)
+        rows = np.ascontiguousarray(rows, dtype=np.complex128)
 
     def exponent(t, which=None):
         if r == 1:
-            a, b = rows if which is None else rows.take(which, axis=1)
-            images = (t[..., 0, :1] * a + t[..., 0, 1:] * b).reshape(-1, 1, a.shape[-1])
-        else:
-            images = matmul_batch(t, rows)
+            a, b = rows if which is None else rows.take(which, axis=2)[..., None]
+            t0, t1 = t
+            images = t1 * b
+            images += t0 * a
+            images = images.reshape(len(images), -1)
+            logs = np.empty((images.shape[1], ell), dtype=np.complex128)
+            _log_batch(images[:ell], out=logs.T)
+            out = logs @ lead
+            if n:
+                ratios = np.empty((images.shape[1], n), dtype=np.complex128)
+                np.divide(images[ell : ell + n], images[:n], out=ratios.T)
+                out += ratios @ pairs
+            for j, o, nk, terms in longer:
+                # the ratios are scalars, and a trace is their product
+                c = images[o : o + nk - 1] / images[j]
+                for word, weight in terms:
+                    out += weight * reduce(operator.mul, [c[q] for q in word])
+            return out
+        images = matmul_batch(t, rows)
         batch = len(images)
         # the leading forms of all blocks, a (batch, blocks, r, r) view
         m0 = images[:, :, : ell * r].reshape(batch, r, ell, r).swapaxes(1, 2)
@@ -236,16 +261,10 @@ def chart_exponent(pw: PartitionWeight, entries):
             m1 = images[:, :, ell * r : (ell + n) * r].reshape(batch, r, n, r).swapaxes(1, 2)
             out += _trace_solve(m0[:, :n], det[:, :n], m1) @ pairs
         for j, o, nk, terms in longer:
-            rest = images[:, :, o : o + (nk - 1) * r]
-            if r == 1:  # the ratios are scalars, and a trace is their product
-                c = rest[:, 0] / det[:, j, None]
-                for word, weight in terms:
-                    out += weight * reduce(operator.mul, [c[:, q] for q in word])
-            else:
-                sol = matmul_batch(inv_batch(m0[:, j]), rest)
-                c = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
-                for word, weight in terms:
-                    out += weight * _trace_batch(reduce(matmul_batch, [c[q] for q in word]))
+            sol = matmul_batch(inv_batch(m0[:, j]), images[:, :, o : o + (nk - 1) * r])
+            c = [sol[:, :, q * r : (q + 1) * r] for q in range(nk - 1)]
+            for word, weight in terms:
+                out += weight * _trace_batch(reduce(matmul_batch, [c[q] for q in word]))
         return out
 
     return exponent
@@ -254,7 +273,8 @@ def chart_exponent(pw: PartitionWeight, entries):
 def chart_integrand_batch(spec: IntegrandSpec, t) -> np.ndarray:
     """Integrand over a stacked (batch, r, m) frame t; at t = (1, u) it is the
     chart integrand at u."""
-    return np.exp(chart_exponent(spec.pw, spec.z.entries)(t))
+    exponent = chart_exponent(spec.pw, spec.z.entries)
+    return np.exp(exponent((t[:, 0, 0], t[:, 0, 1]) if spec.pw.r == 1 else t))
 
 
 # ----------------------------------------------------------------------

@@ -392,22 +392,27 @@ def _gk15(f, maps, pairs, ends, which):
 
 
 def _round(f, maps, pairs, ends, which, fail):
-    """``_gk15`` of the new panels of the open pairs. When f raises, the
-    pairs are evaluated alone, in order, up to the first that raises: that
-    pair fails with the error, and the estimates are those of the pairs
-    before it, which a lone row rounds as in a batch."""
+    """``_gk15`` of the new panels of the open pairs. When f raises, a
+    bisection over prefixes of the pairs finds the first pair that raises,
+    in at most ceil(log2 pairs) more calls of f, each on the part of a
+    prefix not yet evaluated: that pair fails with the error of the
+    shortest prefix that raises, which is its own, and the estimates are
+    those of the pairs before it, each row rounded as in any batch."""
     try:
         return _gk15(f, maps, pairs, ends, which)
-    except RadonHGFError:
-        pass
+    except RadonHGFError as exc:
+        error = exc
+    # the first lo pairs have their estimates in parts; the first hi raise error
+    lo, hi = 0, len(pairs)
     parts = [np.zeros((0, ends.shape[1], 2), dtype=np.complex128)]
-    for j in range(len(pairs)):
-        one = slice(j, j + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            parts.append(_gk15(f, maps, pairs[one], ends[one], which[one]))
+            parts.append(_gk15(f, maps, pairs[lo:mid], ends[lo:mid], which[lo:mid]))
+            lo = mid
         except RadonHGFError as exc:
-            fail(int(pairs[j]), exc)
-            break
+            error, hi = exc, mid
+    fail(int(pairs[lo]), error)
     return np.concatenate(parts)
 
 
@@ -950,12 +955,13 @@ def integrate_family(fam: NamedFamily, chain: ChainSpec, budget: Budget = Budget
     (``integrate_r1`` at budget.tol), "eigen-tensor" (``integrate_invariant``
     at budget.nodes, over the default chain only), "haar-mc"
     (``integrate_haar_mc``) or "auto": adaptive-1d at r = 1, else
-    eigen-tensor, and haar-mc where that raises ``IncompatibleChain`` or
-    ``NotInvariant``. Another method raises ``ValueError``."""
+    eigen-tensor, and haar-mc where that raises. Eigen-tensor raises every
+    refusal as ``IncompatibleChain``, a matrix argument's ``NotInvariant``
+    too; another method raises ``ValueError``."""
     if method == "auto" and chain.r >= 2:
         try:
             return integrate_family(fam, chain, budget, "eigen-tensor")
-        except (IncompatibleChain, NotInvariant):
+        except IncompatibleChain:
             method = "haar-mc"
     if method in ("auto", "adaptive-1d"):
         return integrate_r1(fam, chain, tol=budget.tol)
@@ -963,7 +969,10 @@ def integrate_family(fam: NamedFamily, chain: ChainSpec, budget: Budget = Budget
         default = FAMILIES[fam.tag].chains[0]
         if chain.kind != default:
             raise IncompatibleChain(f"eigen-tensor {fam.tag} integrates over the {default} chain")
-        return integrate_invariant(fam, chain.r, nodes=budget.nodes)
+        try:
+            return integrate_invariant(fam, chain.r, nodes=budget.nodes)
+        except NotInvariant as exc:
+            raise IncompatibleChain(str(exc)) from exc
     if method == "haar-mc":
         return integrate_haar_mc(fam, chain, budget.samples, budget.stream)
     raise ValueError(f"method must be auto, adaptive-1d, eigen-tensor or haar-mc, got {method!r}")
@@ -983,11 +992,8 @@ def scalar_chart_function(entries, pw: PartitionWeight):
     exponent = chart_exponent(pw, entries)
 
     def f(u, which):
-        t = np.empty(u.shape + (1, 2), dtype=np.complex128)
-        t[..., 0, 0] = 1.0
-        t[..., 0, 1] = u
         try:
-            expo = exponent(t, which)
+            expo = exponent((1.0, u), which)
         except SingularBlock as exc:
             raise OnBranchLocus("chart point sits on a branch hypersurface") from exc
         if (expo.real > 700.0).any():
@@ -1090,10 +1096,7 @@ def radon_hgf(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec,
             raise IncompatibleChain(str(exc)) from exc
         fam = None
     if fam is not None:
-        try:
-            est = integrate_family(fam, chain, budget, method)
-        except NotInvariant as exc:
-            raise IncompatibleChain(str(exc)) from exc
+        est = integrate_family(fam, chain, budget, method)
     else:
         _require_samples(budget.samples)
         e = (1.0 + r, 1.0) if chain.kind == HALF_LINE else (1.0 + r, 1.0 + r)

@@ -177,9 +177,25 @@ def test_eval_auto_at_a_matrix_argument_runs_haar_mc(tmp_path, capsys):
     code, mc = run_cli(capsys, *argv, "haar-mc")
     assert code == 0
     assert auto["results"]["estimate"] == mc["results"]["estimate"]
-    code, report = run_cli(capsys, *argv, "eigen-tensor")
-    assert code == 2
-    assert report["error"].startswith("NotInvariant")
+
+
+def test_eigen_tensor_refuses_a_matrix_argument_alike_in_eval_and_radon(tmp_path, capsys):
+    # gauss at a Hermitian X, and the (1,1,1,1) table form whose residual is
+    # that X and whose family is that gauss: both refusals are
+    # IncompatibleChain; eval used to report NotInvariant
+    x = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
+    x_file, z_file = tmp_path / "x.json", tmp_path / "z.json"
+    x_file.write_text(json.dumps(matrix_to_json(x)))
+    z_file.write_text(json.dumps(matrix_to_json(pattern((1, 1, 1, 1), 2, (x,)))))
+    expected = "IncompatibleChain: matrix argument breaks unitary invariance"
+    code, report = run_cli(capsys, "eval", "--family", "gauss", "--r", "2", "--a", "2.6",
+                           "--b", "1.2", "--c", "5.3", "--X-json", str(x_file),
+                           "--method", "eigen-tensor")
+    assert (code, report["error"]) == (2, expected)
+    code, report = run_cli(capsys, "radon", "--partition", "1,1,1,1", "--r", "2",
+                           "--alpha=-4.1,0.6,0.7,-1.2", "--z-json", str(z_file),
+                           "--chain", "interval-0-1", "--relaxed", "--method", "eigen-tensor")
+    assert (code, report["error"]) == (2, expected)
 
 
 @pytest.mark.parametrize("extra, error", [

@@ -214,6 +214,31 @@ def test_stack_integrand_reads_rows_and_flat_nodes_alike(lam):
             assert rows[which == k].tobytes() == alone(u[which == k].ravel()).tobytes()
 
 
+@pytest.mark.parametrize("lam,k", _TABLE + [((1,) * 5, 2)])
+@pytest.mark.parametrize("real", [True, False])
+def test_stack_integrand_is_the_frame_integrand(lam, k, real):
+    # the stacked r = 1 integrand, each point's coefficients broadcast over
+    # its row, rounds as chart_integrand_batch does at the frames (1, u) of
+    # each point alone, node by node
+    gen = RandomStream(60 + sum(lam) + len(lam) + k).generator()
+    base = pattern(lam, 1, tuple(0.5 * _cnormal(gen, (1, 1)) for _ in range(k)))
+    entries = base + 0.2 * _cnormal(gen, (5, 2, sum(lam)))
+    flat = 0.5 * _cnormal(gen, sum(lam))
+    lead = np.cumsum((0,) + lam[:-1])
+    flat[0] = -2 - flat[lead[1:]].sum()
+    pw = PartitionWeight.from_flat(lam, flat, 2, 1, strict=False)
+    u = _cnormal(gen, (5, 7))
+    if real:
+        u = u.real + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BranchCutWarning)
+        rows = scalar_chart_function(entries, pw)(u, np.arange(5))
+        for i in range(5):
+            spec = IntegrandSpec(pw, CoordMatrix(lam, 1, entries[i]))
+            frames = np.stack([np.ones(7), u[i]], axis=1)[:, None, :]
+            assert rows[i].tobytes() == chart_integrand_batch(spec, frames).tobytes()
+
+
 def test_chart_batch_raises_at_singular_block_before_inverting():
     # block 1 of the (2, 1, 1) point has leading form m0 = u, singular at
     # the second frame; the power raises before m0 is inverted

@@ -1870,6 +1870,52 @@ def test_no_point_after_a_failing_one_is_integrated(monkeypatch):
         radon_hgf(points[failing], pw, chain, Budget(tol=1e-10))
 
 
+def _pairs_alone(f, maps, pairs, ends, which):
+    """The estimates and the failure of a round whose pairs are evaluated
+    alone, in order, up to the first that raises."""
+    parts = [np.zeros((0, ends.shape[1], 2), dtype=np.complex128)]
+    for j in range(len(pairs)):
+        try:
+            parts.append(integrate._gk15(f, maps, pairs[j : j + 1], ends[j : j + 1],
+                                         which[j : j + 1]))
+        except RadonHGFError as exc:
+            return np.concatenate(parts), (int(pairs[j]), type(exc), str(exc))
+    return np.concatenate(parts), None
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 7, 12])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_failure_search_bisects_over_prefixes(pairs, where):
+    # when a round's call raises, the first pair that raises fails with its
+    # own error, although a batch that holds later failing pairs raises
+    # theirs, and the pairs before it keep the estimates they have alone,
+    # in at most ceil(log2 P) + 1 calls of f, where evaluating the pairs
+    # alone takes a call per pair up to the failing one
+    segments = [Segment(0.1 * k, 0.1 * k + 1.0 + 0.5j, -0.5 if k % 2 else None)
+                for k in range((pairs + 1) // 2)]
+    place = integrate._place(segments, 1e-12)
+    rows = np.arange(pairs)
+    ends = np.array([[(0.0, 0.5), (0.5, 1.0)]] * pairs)
+    bad = {"start": 0, "middle": pairs // 2, "end": pairs - 1}[where]
+    calls = []
+
+    def f(u, which):
+        calls.append(len(which))
+        if which.max() >= bad:
+            raise OnBranchLocus(f"pair {which.max()} sits on a branch hypersurface")
+        return np.exp((0.3 + 1j) * u) / (1.7 - u)
+
+    expected, failure = _pairs_alone(f, place.maps, rows, ends, rows)
+    assert failure[0] == bad and len(expected) == bad
+    del calls[:]
+    failed = []
+    out = integrate._round(f, place.maps, rows, ends, rows,
+                           lambda i, exc: failed.append((i, type(exc), str(exc))))
+    assert failed == [failure]
+    assert out.tolist() == expected.tolist()
+    assert len(calls) <= math.ceil(math.log2(pairs)) + 1
+
+
 def test_failing_half_stops_a_later_half_at_its_round():
     # the first half refines towards 0.21 until it turns nan there, while
     # the second half is still calling f
