@@ -18,14 +18,16 @@ from .linalg import as_matrix, det, det_batch, hadamard_bound
 
 RANK_RTOL = 1e-10
 MINOR_RTOL = 1e-10
+# the smallest normal double, the scale of an all-zero matrix
+_TINY = np.finfo(np.float64).tiny
 
 
 def _checked_entries(entries, lam: tuple, r: int, ndim: int = 2) -> np.ndarray:
     """The entries of one coordinate matrix (ndim 2) or of a stack of them
     (ndim 3) as a complex (K, m, N) array, after the one check they all
     pass: finite entries, N = |lam| r columns, m <= N, and full row rank,
-    s_min > RANK_RTOL s_max, by one batched SVD. The first matrix of the
-    stack that fails raises what it raises alone."""
+    s_min > RANK_RTOL s_max, taken across the stack (``_rank_deficient``).
+    The first matrix of the stack that fails raises what it raises alone."""
     e = np.asarray(entries, dtype=np.complex128)
     if e.ndim != ndim:
         raise ShapeMismatch(f"expected a {ndim}-d array, got shape {e.shape}")
@@ -40,12 +42,34 @@ def _checked_entries(entries, lam: tuple, r: int, ndim: int = 2) -> np.ndarray:
             raise ShapeMismatch(f"expected {n * r} columns for partition {lam} at r={r}")
         if e.shape[1] > e.shape[2]:
             raise ShapeMismatch("coordinate matrix must have rank equal to row count")
-        s = np.linalg.svd(finite, compute_uv=False)
-        if any(row[-1] <= RANK_RTOL * row[0] for row in s.tolist()):
+        if any(_rank_deficient(finite)):
             raise ShapeMismatch("coordinate matrix is rank deficient")
     if len(finite) < len(e):
         raise ValueError("non-finite matrix entries")
     return e
+
+
+def _rank_deficient(e: np.ndarray) -> list:
+    """Whether s_min <= RANK_RTOL s_max, per matrix of a finite (K, m, N)
+    stack with m <= N, as a list. Above m = 2 by one batched SVD. At
+    m = 2, the rows of every r = 1 point, in closed form: by Cauchy-Binet
+    s_min s_max = sqrt(P), P the sum of |2 x 2 minors|^2, and the squared
+    Frobenius norm F^2 = s_min^2 + s_max^2 stands in for s_max^2. The two
+    agree to rounding wherever s_min <= RANK_RTOL s_max can hold: the
+    decision sqrt(P) <= RANK_RTOL F^2 moves by a relative 4 RANK_RTOL^2
+    only. Each matrix is first divided by its largest |entry|, so that no
+    square overflows or underflows; an all-zero matrix, divided by the
+    smallest normal number instead, is deficient."""
+    if e.shape[1] != 2:
+        s = np.linalg.svd(e, compute_uv=False)
+        return [row[-1] <= RANK_RTOL * row[0] for row in s.tolist()]
+    e = e / np.abs(e).max(axis=(1, 2), keepdims=True, initial=_TINY)
+    outer = e[:, 0, :, None] * e[:, 1, None, :]
+    # 2P, each minor a_i b_j - a_j b_i counted twice, and F^2, as sums of
+    # squares of real and imaginary parts (float views)
+    p = np.square((outer - outer.swapaxes(1, 2)).view(np.float64)).sum(axis=(1, 2))
+    f = np.square(e.view(np.float64)).sum(axis=(1, 2))
+    return (p <= (2.0 * RANK_RTOL * RANK_RTOL) * np.square(f)).tolist()
 
 
 @dataclass(frozen=True)
@@ -67,10 +91,9 @@ class CoordMatrix:
         lam = _validate_partition(lam)
         out = []
         for e in _checked_entries(entries, lam, r, ndim=3):
+            # the fields of a frozen instance, set as __post_init__ sets them
             z = object.__new__(cls)
-            object.__setattr__(z, "lam", lam)
-            object.__setattr__(z, "r", r)
-            object.__setattr__(z, "entries", e)
+            z.__dict__.update(lam=lam, r=r, entries=e)
             out.append(z)
         return out
 
@@ -213,33 +236,30 @@ def _vanishing_minors(lam: tuple, r: int, entries: np.ndarray, rtol: float):
     """The weight-2 subdiagrams of lam, and whether the minor of each
     vanishes: |det| at most rtol times its Hadamard bound, so the test is
     scale-free. Takes one 2r x nr coordinate matrix, or a (K, 2r, nr)
-    stack of them whose minors are one (K, k, 2r, 2r) stack; the flags run
-    matrix by matrix, in subdiagram order."""
+    stack of them whose minors are one (K, k, 2r, 2r) stack; the flags are
+    a (k,) or (K, k) bool array, in subdiagram order."""
     if entries.shape[-2] != 2 * r:
         raise ShapeMismatch("subdiagram minors need m = 2r")
     subs, cols = _minor_columns(lam, r)
     minors = entries[..., cols].swapaxes(-3, -2)
-    dets = np.abs(det_batch(minors)).ravel().tolist()
-    bounds = hadamard_bound(minors).ravel().tolist()
-    return subs, [bound == 0.0 or d <= rtol * bound for d, bound in zip(dets, bounds)]
+    bounds = hadamard_bound(minors)
+    return subs, (bounds == 0.0) | (np.abs(det_batch(minors)) <= rtol * bounds)
 
 
 def z_lambda_member(z: CoordMatrix, rtol: float = MINOR_RTOL) -> MembershipResult:
     """Test the weight-2 subdiagram minors of a 2r x nr coordinate matrix
     against their Hadamard bounds."""
     subs, vanishing = _vanishing_minors(z.lam, z.r, z.entries, rtol)
-    failing = tuple(mu for mu, v in zip(subs, vanishing) if v)
+    failing = tuple(mu for mu, v in zip(subs, vanishing.tolist()) if v)
     return MembershipResult(not failing, failing)
 
 
-def member_mask(lam: tuple, r: int, entries) -> list:
+def member_mask(lam: tuple, r: int, entries) -> np.ndarray:
     """Whether each matrix of a (K, 2r, nr) entries stack for partition lam
-    lies in Z_lambda, by one test of all their minors; the test of
-    ``z_lambda_member``, so ``require_member`` raises for exactly the
-    matrices where the mask is False."""
-    subs, vanishing = _vanishing_minors(lam, r, entries, MINOR_RTOL)
-    k = len(subs)
-    return [not any(vanishing[i : i + k]) for i in range(0, len(vanishing), k)]
+    lies in Z_lambda, as a (K,) bool array, by one test of all their
+    minors; the test of ``z_lambda_member``, so ``require_member`` raises
+    for exactly the matrices where the mask is False."""
+    return ~_vanishing_minors(lam, r, entries, MINOR_RTOL)[1].any(axis=1)
 
 
 def require_member(z: CoordMatrix):

@@ -7,11 +7,13 @@ central differences with per-entry step scaling and optional Richardson
 extrapolation.  Zero tests are always relative to the largest single
 determinant term, so conditioning is visible in every report.
 
-A pair's stencil is arrays: the entries each corner moves, in (step,
-permutation, corner) order, and the (steps, k!) denominators of its
-terms, k = r + 1. Its terms come from F's values reshaped to
-(steps, k!, 2^k): the sum over corners with the corner signs, times the
-sign of the permutation (its inversion parity), over the denominator.
+The stencils of a check are arrays, built for all its pairs in one pass
+(the pairs share the order k = r + 1): the entries each corner moves, in
+(pair, step, permutation, corner) order, and the (pairs, steps, k!)
+denominators of their terms. The terms come from F's values reshaped to
+(pairs, steps, k!, 2^k): the corners added one after another with their
+signs, times the sign of the permutation (its inversion parity), over
+the denominator.
 
 One stencil evaluation (``_operators``) serves every determinant check:
 ``verify_system`` runs it over all pairs of a base point, as criterion 11
@@ -19,11 +21,12 @@ and ``verify-pde`` do, and ``apply_DIJ`` over one pair. The two
 infinitesimal checks are one body (``_infinitesimal``) with the group
 side's move and rate. Each builds all its stencil points first and
 registers them in a mesh scope of ``integrate`` before F is first
-called; F then runs once per distinct point, in stencil order. The
-determinant stencils of all pairs and steps are one (K, m, N) entries
-array, z0's entries with each corner's own entries moved, and their
-coordinate matrices are checked in one pass (``CoordMatrix.stack``); the
-first corner that fails raises what it raises alone, before any F call.
+called; F then runs once per distinct point, in stencil order, each
+point keyed once by the scope. The determinant stencils of all pairs
+and steps are one (K, m, N) entries array, z0's entries with each
+corner's own entries moved, and their coordinate matrices are checked in
+one pass (``CoordMatrix.stack``); the first corner that fails raises
+what it raises alone, before any F call.
 Every r = 1 ``radon_hgf`` call integrates a stack of points; F is
 opaque, so the registration is what makes that stack every registered
 point instead of one, integrated at the first call inside F and serving
@@ -47,7 +50,7 @@ from .errors import (
     StencilCrossesBranchLocus,
 )
 from .grassmann import CoordMatrix, apply_group
-from .integrate import _mesh_scope, _point_key
+from .integrate import _mesh_scope
 from .jordan import TruncPoly, ring_exp
 
 
@@ -119,31 +122,31 @@ def _expansion(k: int):
     return perms, 1.0 - 2.0 * (inversions % 2), pm, pm.prod(axis=1)
 
 
-def _determinant_stencil(z0: CoordMatrix, pair: MultiIndexPair, steps):
-    """The corners of the determinant expansion of one pair, in stencil
-    order (step, permutation, corner), each moving k entries of z0 by
-    +-h (1 + |z0 entry|): as (rows, cols, deltas), each of shape
-    (corners, k), and the (steps, k!) central-difference denominators of
-    its terms."""
-    perms, _, pm, _ = _expansion(pair.order)
-    k = pair.order
-    rows = np.array(pair.I)[perms] - 1
-    cols = np.broadcast_to(np.array(pair.J) - 1, rows.shape)
-    # (steps, k!, k): the step of entry q under each permutation
-    step = np.multiply.outer(np.array(steps), 1.0 + np.abs(z0.entries[rows, cols]))
-    deltas = step[:, :, None, :] * pm
-    shape = deltas.shape
-    return ((np.broadcast_to(rows[None, :, None], shape).reshape(-1, k),
-             np.broadcast_to(cols[None, :, None], shape).reshape(-1, k),
+def _determinant_stencil(z0: CoordMatrix, pairs, steps):
+    """The corners of the determinant expansions of pairs of one order k,
+    in stencil order (pair, step, permutation, corner), each moving k
+    entries of z0 by +-h (1 + |z0 entry|): as (rows, cols, deltas), each
+    of shape (corners, k), and the (pairs, steps, k!) central-difference
+    denominators of their terms, all pairs in one pass."""
+    perms, _, pm, _ = _expansion(pairs[0].order)
+    # (pairs, k!, k): the row and column of entry q under each permutation
+    rows = (np.array([pair.I for pair in pairs]) - 1)[:, perms]
+    cols = np.broadcast_to((np.array([pair.J for pair in pairs]) - 1)[:, None], rows.shape)
+    # (pairs, steps, k!, k): the step of each such entry
+    step = np.array(steps)[:, None, None] * (1.0 + np.abs(z0.entries[rows, cols]))[:, None]
+    deltas = step[..., None, :] * pm
+    shape, k = deltas.shape, rows.shape[-1]
+    return ((np.broadcast_to(rows[:, None, :, None], shape).reshape(-1, k),
+             np.broadcast_to(cols[:, None, :, None], shape).reshape(-1, k),
              deltas.reshape(-1, k)), (2.0 * step).prod(axis=-1))
 
 
-def _stencil_points(z0: CoordMatrix, moves):
-    """The corners of the (rows, cols, deltas) ``moves`` of stencils
+def _stencil_points(z0: CoordMatrix, move):
+    """The corners of the (rows, cols, deltas) ``move`` of a stencil
     (``_determinant_stencil``), in stencil order, as one checked stack of
     coordinate matrices (``CoordMatrix.stack``): each is z0's entries with
     its own entries moved."""
-    rows, cols, deltas = (np.concatenate(parts) for parts in zip(*moves))
+    rows, cols, deltas = move
     corners = np.repeat(z0.entries[None], len(rows), axis=0)
     # only the moved entries are written, so the others keep their bits
     corners[np.arange(len(rows))[:, None], rows, cols] += deltas
@@ -155,50 +158,41 @@ def _evaluate(F, points):
     F runs once per distinct point, in order. Returns the values and the
     number of distinct points."""
     seen = {}
-    values = []
-    with _mesh_scope(points):
-        for z in points:
-            key = _point_key(z)
+    with _mesh_scope(points) as keys:
+        for z, key in zip(points, keys):
             if key not in seen:
                 seen[key] = F(z)
-            values.append(seen[key])
-    return values, len(seen)
+    return [seen[key] for key in keys], len(seen)
 
 
 def _operators(F, z0: CoordMatrix, pairs, plan):
     """(residual, scale) of each pair, from one evaluation of F over the
-    stencils of all of them, and the number of distinct points. The points
-    are built and checked as one stack before F is first called. A point
-    on the branch locus or outside Z_lambda raises
-    ``StencilCrossesBranchLocus``, for the first such point in stencil
-    order. Each term of a pair is the signed sum of F over its corners,
-    times the sign of its permutation, over its denominator."""
+    stencils of all of them, and the number of distinct points. The pairs
+    must share an order k, else ``BadIndexSet``. The points are built and
+    checked as one stack before F is first called. A point on the branch
+    locus or outside Z_lambda raises ``StencilCrossesBranchLocus``, for
+    the first such point in stencil order. Each term of a pair is the
+    signed sum of F over its corners, times the sign of its permutation,
+    over its denominator; F's values are one (pairs, steps, k!, 2^k)
+    array."""
     for pair in pairs:
         _require_pair(z0, pair)
+    if len({pair.order for pair in pairs}) > 1:
+        raise BadIndexSet("the pairs of one check must share an order")
     steps = (plan.h, plan.h / 2.0) if plan.richardson else (plan.h,)
-    moves, denoms = zip(*(_determinant_stencil(z0, pair, steps) for pair in pairs))
-    points = _stencil_points(z0, moves)
+    move, denom = _determinant_stencil(z0, pairs, steps)
+    points = _stencil_points(z0, move)
     try:
         values, distinct = _evaluate(F, points)
     except (OnBranchLocus, NotInZLambda) as exc:
         raise StencilCrossesBranchLocus(str(exc)) from exc
-    values = np.asarray(values, dtype=np.complex128)
-    out, start = [], 0
-    for pair, denom in zip(pairs, denoms):
-        _, signs, _, corner_signs = _expansion(pair.order)
-        size = denom.size * len(corner_signs)
-        # (steps, k!, 2^k): F at the corners of each term
-        at = values[start : start + size].reshape(*denom.shape, -1)
-        start += size
-        # the corners are added one after another: a term is a small
-        # difference of large values, whose rounding depends on the order
-        terms = signs * sum(np.moveaxis(at * corner_signs, -1, 0)) / denom
-        if plan.richardson:
-            terms = (4.0 * terms[1] - terms[0]) / 3.0
-        else:
-            [terms] = terms
-        out.append((complex(terms.sum()), float(np.abs(terms).max())))
-    return out, distinct
+    _, signs, _, corner_signs = _expansion(pairs[0].order)
+    at = np.asarray(values, dtype=np.complex128).reshape(*denom.shape, -1)
+    # the corners are added one after another: a term is a small
+    # difference of large values, whose rounding depends on the order
+    terms = signs * sum(np.moveaxis(at * corner_signs, -1, 0)) / denom
+    terms = (4.0 * terms[:, 1] - terms[:, 0]) / 3.0 if plan.richardson else terms[:, 0]
+    return list(zip(terms.sum(axis=-1).tolist(), np.abs(terms).max(axis=-1).tolist())), distinct
 
 
 def apply_DIJ(F, z0: CoordMatrix, pair: MultiIndexPair,

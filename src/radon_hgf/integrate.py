@@ -248,7 +248,7 @@ class RayPair:
 # the arc (o, w, q) of a half off the arcs, on which D = 1 and u = y
 _NO_ARC = (0.0, 1.0, 0.0)
 
-_Placement = namedtuple("_Placement", "maps atol signs failures rows")
+_Placement = namedtuple("_Placement", "maps atol signs failures rows point")
 
 # q = w / (far - o) of a ray's arc in Python's complex arithmetic, over
 # Python numbers or object arrays of them; 0 at a far end at infinity (None)
@@ -283,7 +283,8 @@ def _place(pieces, tol, K=1):
     point's halves contiguous and in chain order: ``maps`` = (kappa,
     on_arc, cols), per row its kappa, its arc flag and its start, span,
     end, o, w, q; per row its tolerance share, sign and the error its
-    endpoint exponent raises (or None); and per point its range of rows."""
+    endpoint exponent raises (or None); per point its range of rows; and
+    per row its point."""
     strands = []  # per segment or ray its sign and piece
     for piece in pieces:
         if isinstance(piece, RayPair):
@@ -341,8 +342,8 @@ def _place(pieces, tol, K=1):
     failures = [r[3] for r in records]
     starts = list(accumulate(np.bincount(point, minlength=K).tolist(), initial=0))
     return _Placement((table[:, 0], table[:, 1] != 0.0, cols[order]), table[:, 2],
-                      table[:, 3].tolist(), [failures[r] for r in record.tolist()],
-                      list(map(range, starts, starts[1:])))
+                      table[:, 3], [failures[r] for r in record.tolist()],
+                      list(map(range, starts, starts[1:])), point[order])
 
 
 def _gk15(f, maps, pairs, ends, which):
@@ -438,12 +439,12 @@ def _lockstep(f, place, tol):
     together as one complex pair (the error with no imaginary part), so
     that each step of the bookkeeping is one array operation whatever K
     is."""
-    maps, atol, signs, failures, rows = place
+    maps, atol, signs, failures, rows, point = place
     K = len(rows)
-    point = np.repeat(np.arange(K), [len(r) for r in rows])
-    # per pair once it closed: its total, error and panels; per failed
-    # point: its first failing pair and the error
-    closed, failed, alive = {}, {}, np.ones(len(point), dtype=bool)
+    # per pair once it closed: its total, error and panels, as complex
+    # numbers; per failed point: its first failing pair and the error
+    closed = np.zeros((len(point), 3), dtype=np.complex128)
+    failed, alive = {}, np.ones(len(point), dtype=bool)
 
     def fail(i, exc):
         k = int(point[i])
@@ -451,8 +452,8 @@ def _lockstep(f, place, tol):
             failed[k] = (i, exc)
         alive[i:] = False
 
-    first = next((i for i, exc in enumerate(failures) if exc is not None), None)
-    if first is not None:
+    if any(failures):
+        first = next(i for i, exc in enumerate(failures) if exc is not None)
         fail(first, failures[first])
     # the open pairs, their new panels, tolerance shares and running
     # (total, error), and per panel made its (value, error), the error -inf
@@ -476,19 +477,22 @@ def _lockstep(f, place, tol):
             if rounds >= _MAX_INTERVALS:
                 going[:] = False
             if not going.all():
-                stop = np.flatnonzero(~going)
-                for i, (total, error) in zip(on[stop].tolist(), acc[stop].tolist()):
-                    error = error.real
-                    closed[i] = total, error, rounds
-                    if not (cmath.isfinite(total) and math.isfinite(error)):
-                        exc = NonConvergent("the integrand is not finite along the chain")
-                    elif (rounds >= _MAX_INTERVALS and error > 10.0 * max(
-                            atol[i], tol * abs(total), 1e-300)):
-                        exc = NonConvergent(f"interval budget {_MAX_INTERVALS} exhausted "
-                                            f"with error {error:.2e}")
-                    else:
-                        continue
-                    fail(i, exc)
+                # the closing pairs keep their (total, error) and rounds;
+                # only those that fail go through Python
+                stop = ~going
+                done, closing = on[stop], acc[stop]
+                closed[done, :2], closed[done, 2] = closing, rounds
+                # a finite sum has finite terms
+                if not np.isfinite(closing.sum()):
+                    for i in done[~np.isfinite(closing).all(axis=1)].tolist():
+                        fail(i, NonConvergent("the integrand is not finite along the chain"))
+                if rounds >= _MAX_INTERVALS:
+                    for i, (total, error) in zip(done.tolist(), closing.tolist()):
+                        error = error.real
+                        if (cmath.isfinite(total) and math.isfinite(error) and error > 10.0 * max(
+                                atol[i], tol * abs(total), 1e-300)):
+                            fail(i, NonConvergent(f"interval budget {_MAX_INTERVALS} exhausted "
+                                                  f"with error {error:.2e}"))
                 going &= alive[on]
                 if not going.any():
                     break
@@ -511,16 +515,15 @@ def _lockstep(f, place, tol):
             ends[:, 1:3] = 0.5 * (ends[:, :1] + ends[:, 3:])
             ends = ends.reshape(-1, 2, 2)
     limit = min(failed, default=K)
-    out = []
-    for r in rows[:limit]:
-        # its halves in chain order, added as one walk would add them
-        value, error, panels = 0.0 + 0.0j, 0.0, 0
-        for i in r:
-            total, err, count = closed[i]
-            value += signs[i] * total
-            error += err
-            panels += count
-        out.append(IntegralEstimate(value, error, "adaptive-1d", panels))
+    # the halves of each point in chain order, each added as one walk adds
+    # them: one after another onto 0, the total times its sign as Python
+    # multiplies a float and a complex number
+    n = rows[limit].start if limit < K else len(point)
+    closed[:n, 0] *= signs[:n]
+    sums = np.zeros((limit, 3), dtype=np.complex128)
+    np.add.at(sums, point[:n], closed[:n])
+    out = [IntegralEstimate(value, error.real, "adaptive-1d", int(panels.real))
+           for value, error, panels in sums.tolist()]
     return out + [failed[limit][1]] if failed else out
 
 
@@ -534,13 +537,15 @@ def _point_key(z: CoordMatrix):
 
 
 class _Scope:
-    """The points a check registered, by key in stencil order, and the
-    outcome of each stack run so far, by (weight, chain, tolerance)."""
+    """The points a check registered: the first of each value by key, in
+    stencil order, and every registered object by its id, with its key;
+    the outcome of each stack run so far by (weight, chain, tolerance),
+    and the last run as (weight, chain, tolerance, outcomes)."""
 
-    __slots__ = ("points", "stacks")
+    __slots__ = ("points", "ids", "stacks", "last")
 
-    def __init__(self, points):
-        self.points, self.stacks = points, {}
+    def __init__(self, points, ids):
+        self.points, self.ids, self.stacks, self.last = points, ids, {}, None
 
 
 _SCOPE = contextvars.ContextVar("radon_hgf_scope", default=None)
@@ -548,21 +553,26 @@ _SCOPE = contextvars.ContextVar("radon_hgf_scope", default=None)
 
 @contextlib.contextmanager
 def _mesh_scope(points):
-    """Register the points at which a check will call F, in stencil order.
+    """Register the points at which a check will call F, in stencil order,
+    and yield their keys (``_point_key``), each taken once.
 
     F is opaque, so the check names its points before the first call.
     Inside the scope the first r = 1 ``radon_hgf`` call at a registered
     point integrates every registered point as one stack (``_stack``) for
     its weight, chain and tolerance, and the later calls at registered
     points with those are served from that stack; one with another weight,
-    chain or tolerance runs its own stack. A scope entered inside another
-    holds its own points until it exits."""
+    chain or tolerance runs its own stack. A call finds its point by
+    identity, and an equal copy of a registered point by value. A scope
+    entered inside another holds its own points until it exits."""
+    keys = [_point_key(z) for z in points]
     registry = {}
-    for z in points:
-        registry.setdefault(_point_key(z), z)
-    token = _SCOPE.set(_Scope(registry))
+    for key, z in zip(keys, points):
+        registry.setdefault(key, z)
+    # the scope holds every point, so that no other object takes its id
+    ids = {id(z): (key, z) for key, z in zip(keys, points)}
+    token = _SCOPE.set(_Scope(registry, ids))
     try:
-        yield
+        yield keys
     finally:
         _SCOPE.reset(token)
 
@@ -585,9 +595,8 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
         return {}
     entries = np.array([z.entries for _, z in points])
     roots, infinite = _block_roots(pw.lam, entries)
-    member = np.array(member_mask(pw.lam, 1, entries))
     ends = _CHAIN_ENDS[chain.kind]
-    bad = ~member | infinite[:, 1 : 1 + ends].any(axis=1)
+    bad = ~member_mask(pw.lam, 1, entries) | infinite[:, 1 : 1 + ends].any(axis=1)
     if not ends:
         # a ray pair runs from 0 out to the root of block 1, which must not be 0
         bad |= ~infinite[:, 0] & (roots[:, 0] == 0)
@@ -611,14 +620,25 @@ def _stack(points, pw: PartitionWeight, chain: ChainSpec, tol: float):
 
 def _stacked(z: CoordMatrix, pw: PartitionWeight, chain: ChainSpec, tol: float):
     """The outcome of z: from the active scope's stack for (pw, chain, tol),
-    run at the first call that asks for it, when z is registered and that
-    stack reached it; else from the stack of z alone."""
-    key, scope = _point_key(z), _SCOPE.get()
-    if scope is not None and key in scope.points:
-        run = (pw, chain, tol)
-        if run not in scope.stacks:
-            scope.stacks[run] = _stack(scope.points, pw, chain, tol)
-        found = scope.stacks[run].get(key)
+    run at the first call that asks for it, when z is registered (the
+    object itself, or a point equal to one) and that stack reached it;
+    else from the stack of z alone. A call with the weight and chain
+    objects and the tolerance of the scope's last run reuses its outcomes
+    without looking the run up."""
+    scope = _SCOPE.get()
+    known = None if scope is None else scope.ids.get(id(z))
+    key = _point_key(z) if known is None else known[0]
+    if scope is not None and (known is not None or key in scope.points):
+        last = scope.last
+        if last is not None and last[0] is pw and last[1] is chain and last[2] == tol:
+            outcomes = last[3]
+        else:
+            run = (pw, chain, tol)
+            if run not in scope.stacks:
+                scope.stacks[run] = _stack(scope.points, pw, chain, tol)
+            outcomes = scope.stacks[run]
+            scope.last = (pw, chain, tol, outcomes)
+        found = outcomes.get(key)
         if found is not None:
             return found
     return _stack({key: z}, pw, chain, tol)[key]

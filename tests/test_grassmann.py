@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from radon_hgf.errors import BadIndexSet, ShapeMismatch, SingularFrame
+from radon_hgf import grassmann
 from radon_hgf.grassmann import (
     MINOR_RTOL,
+    RANK_RTOL,
     ChartPoint,
     CoordMatrix,
     apply_group,
@@ -319,6 +321,51 @@ def test_stack_raises_what_its_first_failing_matrix_raises_alone():
         CoordMatrix.stack(lam, 1, good)
 
 
+def _two_row(gen, count, N, ratio):
+    """count 2 x N matrices U diag(s_max, ratio s_max) V^* with Haar U and
+    orthonormal V, s_max spread over 300 decades."""
+    def frames(rows, cols):
+        g = gen.standard_normal((count, rows, cols)) + 1j * gen.standard_normal((count, rows, cols))
+        return np.linalg.qr(g)[0]
+
+    s_max = 10.0 ** gen.uniform(-150.0, 150.0, count)
+    s = np.stack([s_max, ratio * s_max], axis=1)
+    return frames(2, 2) @ (s[:, :, None] * frames(N, 2).conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("K", [1, 96])
+@pytest.mark.parametrize("N", range(3, 9))
+def test_two_row_rank_decision_is_the_svd_decision(K, N):
+    # the closed form at m = 2 (Cauchy-Binet and the Frobenius norm)
+    # accepts or rejects each matrix as the SVD does, for s_min / s_max
+    # from 1e-4 to 1e-13, none within 10% of RANK_RTOL; a stack raises for
+    # its first failing matrix what that matrix raises alone
+    gen = np.random.default_rng(200 + 10 * N + K)
+    lam = (1,) * N
+    ratios = [x for x in np.logspace(-4.0, -13.0, 37) if abs(x / RANK_RTOL - 1.0) > 0.1]
+    for ratio in ratios:
+        e = _two_row(gen, K, N, ratio)
+        s = np.linalg.svd(e, compute_uv=False)
+        expected = s[:, -1] <= RANK_RTOL * s[:, 0]
+        assert grassmann._rank_deficient(e) == expected.tolist()
+        assert expected.all() == (ratio < RANK_RTOL) and expected.any() == (ratio < RANK_RTOL)
+        alone = [_outcome(lambda e=m: CoordMatrix(lam, 1, e)) for m in e]
+        assert alone == [(ShapeMismatch, "coordinate matrix is rank deficient") if x else None
+                         for x in expected]
+        assert _outcome(lambda: CoordMatrix.stack(lam, 1, e)) == next(
+            (out for out in alone if out), None)
+    # a deficient and a non-finite matrix after good ones: the first raises
+    good, deficient = _two_row(gen, 1, N, 1e-3)[0], _two_row(gen, 1, N, 1e-12)[0]
+    nonfinite = good.copy()
+    nonfinite[1, -1] = np.nan
+    goods = [good] * max(K - 2, 0)
+    for stack in (goods + [deficient, nonfinite], goods + [nonfinite, deficient],
+                  [good, deficient] * max(K // 2, 1), [nonfinite]):
+        expected = next(out for out in (_outcome(lambda e=e: CoordMatrix(lam, 1, e))
+                                        for e in stack) if out)
+        assert _outcome(lambda: CoordMatrix.stack(lam, 1, np.stack(stack))) == expected
+
+
 def test_stack_holds_the_matrices_built_alone():
     lam = (2, 2)
     e = np.stack([pattern(lam, 1, (np.array([[x]]),)) for x in (0.3, -0.7)]).astype(complex)
@@ -341,5 +388,5 @@ def test_member_mask_is_z_lambda_member_per_matrix(r):
             mu = subs[k // 2 % len(subs)]
             e[k] = _near_singular(e[k], lam, r, mu, 0.0, np.zeros(2 * r))
         expected = [z_lambda_member(z).member for z in CoordMatrix.stack(lam, r, e)]
-        assert member_mask(lam, r, e) == expected
+        assert member_mask(lam, r, e).tolist() == expected
         assert expected == [False, True] * 4

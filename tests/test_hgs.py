@@ -265,6 +265,19 @@ def test_pair_outside_the_matrix_is_refused_before_any_call():
             verify_system(F, z0, [all_pairs(2, 4, 1)[0], pair])
 
 
+def test_pairs_of_two_orders_are_refused_before_any_call():
+    # the stencils of a check are one array over pairs of one order; pairs
+    # of orders 2 and 3 used to raise numpy's bare ValueError
+    gen = RandomStream(7).generator()
+    z0 = CoordMatrix((1, 1, 1), 2, gen.standard_normal((4, 6)) + 1j * gen.standard_normal((4, 6)))
+
+    def F(z):
+        raise AssertionError("a refused check evaluates nothing")
+
+    with pytest.raises(BadIndexSet, match="must share an order"):
+        verify_system(F, z0, [all_pairs(4, 6, 1)[0], all_pairs(4, 6, 2)[0]])
+
+
 def test_verify_system_of_no_pairs_is_refused_before_any_call():
     # it used to report a vacuous pass over no pairs
     _, z0, _ = _gauss_setup()

@@ -1384,7 +1384,7 @@ def test_placement_rounds_as_python_on_each_point():
         assert cols[rows].tobytes() == np.concatenate([r[0] for r in ref]).tobytes()
         assert kappa[rows].tobytes() == np.concatenate([r[1] for r in ref]).tobytes()
         assert place.atol[rows].tobytes() == np.concatenate([r[2] for r in ref]).tobytes()
-        assert place.signs[rows] == ref[0][3] + ref[1][3]
+        assert place.signs[rows].tolist() == ref[0][3] + ref[1][3]
     assert sorted({len(r) for r in place.rows}) == [4, 6]
 
 
@@ -1419,7 +1419,7 @@ def test_stack_placement_equals_one_point_placement(case):
         assert place.maps[2][rows].tobytes() == alone.maps[2].tobytes()
         for mine, theirs in zip((*place.maps[:2], place.atol), (*alone.maps[:2], alone.atol)):
             assert mine[rows].tobytes() == theirs.tobytes()
-        assert place.signs[rows] == alone.signs
+        assert place.signs[rows].tolist() == alone.signs.tolist()
         assert place.failures[rows] == alone.failures == [None] * len(alone.signs)
     # a ray that is cut gives its point two halves more
     strands = 2 if case in ("full-line", "rotated-ray") else 1
@@ -1673,6 +1673,66 @@ def test_unregistered_point_runs_alone(monkeypatch):
     unscoped = radon_hgf(points[1], pw, chain, Budget(tol=1e-8))
     assert coarse.nodes_or_samples == unscoped.nodes_or_samples
     assert abs(coarse.value - unscoped.value) <= 4 * _EPS * abs(unscoped.value)
+
+
+@pytest.mark.parametrize("lam", list(_PDE_BASE))
+def test_scope_serves_a_point_by_identity_and_by_value(monkeypatch, lam):
+    # inside verify_system one F passes radon_hgf the registered point and
+    # another an equal copy of it: the scope finds the one by identity and
+    # the other by value, and both get the same estimates, bit for bit,
+    # from one stack run per check
+    z0, pw, chain = _pde_base(lam)
+    runs = []
+    stack = integrate._stack
+
+    def counting(points, *args):
+        runs.append(len(points))
+        return stack(points, *args)
+
+    monkeypatch.setattr(integrate, "_stack", counting)
+    seen = {}
+    for copy in (False, True):
+        estimates = seen[copy] = []
+
+        def F(z):
+            est = radon_hgf(z.with_entries(z.entries.copy()) if copy else z, pw, chain,
+                            Budget(tol=5e-13))
+            estimates.append(repr((est.value, est.abs_error_est, est.nodes_or_samples)))
+            return est.value
+
+        assert verify_system(F, z0, all_pairs(2, 4, 1))["points"] == 96
+    assert runs == [96, 96]
+    assert seen[True] == seen[False]
+
+
+def test_scope_keeps_a_point_registered_twice_once_and_nests(monkeypatch):
+    # a point registered twice, as itself and as an equal copy, is one
+    # point of the stack; a scope entered inside another holds only its
+    # own points, and the outer one serves its points again once it exits
+    z0, pw, chain = _pde_base((2, 1, 1))
+    points = _stencil_points(z0)
+    budget = Budget(tol=5e-13)
+    alone = [radon_hgf(z, pw, chain, budget) for z in points[:3]]
+    runs = []
+    stack = integrate._stack
+
+    def counting(registry, *args):
+        runs.append(len(registry))
+        return stack(registry, *args)
+
+    monkeypatch.setattr(integrate, "_stack", counting)
+    copy = points[1].with_entries(points[1].entries.copy())
+    with integrate._mesh_scope([points[0], points[1], points[0], copy]):
+        assert len(integrate._SCOPE.get().points) == 2
+        assert radon_hgf(copy, pw, chain, budget) == alone[1]
+        assert radon_hgf(points[0], pw, chain, budget) == alone[0]
+        with integrate._mesh_scope([points[2]]):
+            assert radon_hgf(points[0], pw, chain, budget) == alone[0]
+            assert radon_hgf(points[2], pw, chain, budget) == alone[2]
+        assert radon_hgf(points[1], pw, chain, budget) == alone[1]
+    # the outer stack of two, a lone run of points[0] inside the inner
+    # scope, and the inner stack of one
+    assert runs == [2, 1, 1]
 
 
 def test_failing_integral_records_no_mesh():
